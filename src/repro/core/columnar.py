@@ -1018,6 +1018,10 @@ def summary_feature_matrix(
 #: orders of magnitude larger).
 PRUNE_MARGIN = 1e-9
 
+#: Rows per block when :meth:`ScoreBounds.of_columns` walks the E×M×D
+#: centroid tensor (512 rows × 16 markers × 48 dims ≈ 3 MB of temporaries).
+BOUNDS_BLOCK_ROWS = 512
+
 
 @dataclass
 class ScoreBounds:
@@ -1065,20 +1069,21 @@ class ScoreBounds:
     def of_columns(cls, columns: AttributeColumns) -> "ScoreBounds":
         """Build bound summaries for ``columns`` (one pass over the arrays)."""
         num_entities, num_markers = columns.num_entities, columns.num_markers
+        deviations = np.zeros((num_entities, num_markers))
         if columns.dimension and num_markers:
-            deviations = np.linalg.norm(
-                columns.centroids_unit - columns.name_units[np.newaxis, :, :],
-                axis=-1,
-            )
-            # A zero centroid scores cosine 0, never name-similarity ± 1:
-            # its true similarity is exactly the name similarity floor, so
-            # deviation 0 is both sound and maximally tight there.
-            empty_centroids = (
-                np.linalg.norm(columns.centroids_unit, axis=-1) == 0.0
-            )
-            deviations = np.where(empty_centroids, 0.0, deviations)
-        else:
-            deviations = np.zeros((num_entities, num_markers))
+            # Row blocks: the arithmetic is row-independent, and one shot
+            # would materialise two E×M×D temporaries (the difference and
+            # its square) beside the tensor itself.
+            for start in range(0, num_entities, BOUNDS_BLOCK_ROWS):
+                block = columns.centroids_unit[start : start + BOUNDS_BLOCK_ROWS]
+                # A zero centroid scores cosine 0, never name-similarity ± 1:
+                # its true similarity is exactly the name similarity floor, so
+                # deviation 0 is both sound and maximally tight there.
+                deviations[start : start + BOUNDS_BLOCK_ROWS] = np.where(
+                    np.linalg.norm(block, axis=-1) == 0.0,
+                    0.0,
+                    np.linalg.norm(block - columns.name_units[np.newaxis, :, :], axis=-1),
+                )
         if num_markers and num_entities:
             fraction_peaks = columns.fractions.max(axis=1)
             fraction_mins = columns.fractions.min(axis=1)

@@ -362,6 +362,10 @@ class ShardNodeServer:
     def _serve_connection(self, sock: socket.socket) -> None:
         """One connection: hello handshake first, then the framed loop."""
         try:
+            # A node answers pipelined requests with back-to-back small
+            # frames; with Nagle on, the second response waits out the
+            # coordinator's delayed ACK (~40 ms) on every fan-out round.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             first = recv_frame(sock, self.max_frame_bytes)
         except (RpcError, OSError):
             return
@@ -1505,6 +1509,12 @@ class ClusterShardStore:
         next fan-out re-ships snapshots (hydration is idempotent).
         Switching membership functions tears a managed fleet down (the
         model is baked into the node processes at fork time).
+
+        Every scoring entry point calls this *before* it touches
+        ``self.base``: a node forked after the coordinator built an
+        attribute's E×M×D column tensor and bound summaries would inherit
+        (and be charged for) pages it never reads — nodes hold only the
+        slices hydrated over the wire.
         """
         if self._membership is not None and self._membership is not membership:
             if self._managed:
@@ -1636,6 +1646,39 @@ class ClusterShardStore:
             current.pack(self.snapshot_compression, self.centroid_tolerance)
         )
 
+    def _enqueue_hydration(
+        self,
+        node: int,
+        columns: AttributeColumns,
+        attribute: str,
+        slice_id: int,
+        start: int,
+        stop: int,
+    ) -> _PendingCall:
+        """Queue one slice's hydrate frame on ``node`` and record it as shipped."""
+        with span("hydrate", node=node, attribute=attribute, slice_id=slice_id):
+            payload = self._hydration_payload(node, columns, attribute, slice_id, start, stop)
+        try:
+            reply = self._channels[node].enqueue(payload, _decode_versioned)
+        except FrameTooLargeError as error:
+            raise FrameTooLargeError(
+                f"hydrate frame for attribute {attribute!r} slice {slice_id} "
+                f"({stop - start} entities) does not fit: {error}; "
+                "raise `max_frame_bytes` or `num_shards`"
+            ) from error
+        hydration_key = (node, attribute, slice_id)
+        self._hydrated.add(hydration_key)
+        self._node_bases[hydration_key] = self._version
+        self.hydrations += 1
+        return _PendingCall(
+            kind="hydrate",
+            reply=reply,
+            node=node,
+            attribute=attribute,
+            slice_id=slice_id,
+            hydration_key=hydration_key,
+        )
+
     def _channel_load(self, node: int) -> int:
         """One node's outstanding work (queued + in-flight requests)."""
         channel = self._channels[node]
@@ -1677,22 +1720,9 @@ class ClusterShardStore:
                 self._node_bases[hydration_key] = self._version
                 self.local_hydrations += 1
                 continue
-            with span("hydrate", node=node, attribute=attribute, slice_id=slice_id):
-                payload = self._hydration_payload(node, columns, attribute, slice_id, start, stop)
-            reply = self._channels[node].enqueue(payload, _decode_versioned)
             pending.append(
-                _PendingCall(
-                    kind="hydrate",
-                    reply=reply,
-                    node=node,
-                    attribute=attribute,
-                    slice_id=slice_id,
-                    hydration_key=hydration_key,
-                )
+                self._enqueue_hydration(node, columns, attribute, slice_id, start, stop)
             )
-            self._hydrated.add(hydration_key)
-            self._node_bases[hydration_key] = self._version
-            self.hydrations += 1
         target = min(replicas, key=self._channel_load)
         trace = self._channels[target].wire_trace()
         if threshold is None:
@@ -1758,23 +1788,11 @@ class ClusterShardStore:
             self._node_bases[hydration_key] = self._version
             self.local_hydrations += 1
         if hydration_key not in self._hydrated:
-            payload = self._hydration_payload(
-                node, columns, call.attribute, call.slice_id, call.start, call.stop
-            )
-            reply = channel.enqueue(payload, _decode_versioned)
             new_calls.append(
-                _PendingCall(
-                    kind="hydrate",
-                    reply=reply,
-                    node=node,
-                    attribute=call.attribute,
-                    slice_id=call.slice_id,
-                    hydration_key=hydration_key,
+                self._enqueue_hydration(
+                    node, columns, call.attribute, call.slice_id, call.start, call.stop
                 )
             )
-            self._hydrated.add(hydration_key)
-            self._node_bases[hydration_key] = self._version
-            self.hydrations += 1
         trace = channel.wire_trace()
         if call.threshold is None:
             payload = encode_score_request(
@@ -1966,6 +1984,7 @@ class ClusterShardStore:
         kernel = columnar_kernel(membership, self.database)
         if kernel is None:
             return None
+        self._ensure_nodes(membership)  # fork before the column build
         columns = self.base.columns(attribute)
         if columns is None:
             return None
@@ -1982,7 +2001,6 @@ class ClusterShardStore:
             batch=np.empty(columns.num_entities) if resident else None,
         )
         if resident:
-            self._ensure_nodes(membership)
             bounds = partition_bounds(columns.num_entities, self.num_slices)
             slice_requests = plan_slice_requests(bounds, resident)
             for slice_id, start, stop, slice_rows, scatter in slice_requests:
@@ -2074,6 +2092,7 @@ class ClusterShardStore:
         kernel = columnar_kernel(membership, self.database)
         if kernel is None or getattr(membership, "degree_bounds", None) is None:
             return None
+        self._ensure_nodes(membership)  # fork before the column build
         columns = self.base.columns(attribute)
         if columns is None:
             return None
@@ -2081,7 +2100,6 @@ class ClusterShardStore:
         if any(row is None for row in rows):
             return None
         resident = sorted(set(rows))
-        self._ensure_nodes(membership)
         bounds = partition_bounds(columns.num_entities, self.num_slices)
         slice_requests = plan_slice_requests(bounds, resident)
         values = np.empty(columns.num_entities)
@@ -2114,6 +2132,28 @@ class ClusterShardStore:
         self.entities_scored += scored
         self.entities_pruned += pruned
         return values[index], requested_exact, scored, pruned
+
+    def pair_degree_envelope(
+        self,
+        membership: object,
+        entity_ids: Sequence[Hashable],
+        attribute: str,
+        phrase: str,
+    ) -> "tuple[np.ndarray, np.ndarray] | None":
+        """Bound envelope gather from the coordinator's own base store.
+
+        No frame ships: the envelope needs only the bound summaries, which
+        the coordinator holds for exactly the columns it hydrates the nodes
+        from.  Exposing it lets the pruned scan order candidates by
+        descending bound, stop early and narrow the alive set *before* any
+        fan-out, as the in-process engine does; the nodes' per-slice
+        threshold check stays as the second line of defence.
+        """
+        self._check_version()
+        if columnar_kernel(membership, self.database) is None:
+            return None
+        self._ensure_nodes(membership)  # fork before the column build
+        return self.base.pair_degree_envelope(membership, entity_ids, attribute, phrase)
 
     # ------------------------------------------------------------ statistics
     def node_stats(self) -> list[dict]:

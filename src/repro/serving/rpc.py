@@ -957,6 +957,25 @@ class RpcShardStore:
         self.entities_pruned += pruned
         return values[index], requested_exact, scored, pruned
 
+    def pair_degree_envelope(
+        self,
+        membership: object,
+        entity_ids: Sequence[Hashable],
+        attribute: str,
+        phrase: str,
+    ) -> "tuple[np.ndarray, np.ndarray] | None":
+        """Bound envelope gather from the coordinator's own base store.
+
+        No frame ships: the workers rebuild the very columns ``self.base``
+        holds, so the coordinator's envelope is theirs.  Exposing it lets
+        the pruned scan order candidates by descending bound, stop early
+        and narrow the alive set *before* any fan-out, as the in-process
+        engine does; the workers' per-slice threshold check stays as the
+        second line of defence.
+        """
+        self._check_version()
+        return self.base.pair_degree_envelope(membership, entity_ids, attribute, phrase)
+
     def _fanout_round(
         self,
         per_worker: dict[int, list[tuple]],

@@ -1274,9 +1274,10 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         # the heap with the likeliest winners first) and provides a sorted
         # stop condition: once the head of the remainder is below the k-th
         # score, no remaining candidate can qualify.  Rows dropped here
-        # never cost any per-entity cache traffic.  Store layers without
-        # local envelope access (RPC, cluster) skip this and instead ship
-        # the threshold to the nodes.
+        # never cost any per-entity cache traffic — nor, on the RPC and
+        # cluster stores (which answer from the coordinator's base store),
+        # any fan-out; the threshold still ships with every bounded fetch
+        # so workers/nodes re-check their per-slice bounds.
         scan_bound: np.ndarray | None = None
         if screen is not None:
             cap_vectors: list[np.ndarray] = []

@@ -18,6 +18,7 @@ from repro.core import (
     summary_feature_matrix,
     summary_feature_vector,
 )
+from repro.core import columnar
 from repro.core.attributes import SubjectiveAttribute, SubjectiveSchema
 from repro.core.database import ReviewRecord, SubjectiveDatabase
 from repro.core.markers import Marker, MarkerSummary
@@ -291,6 +292,34 @@ class TestStoreLifecycle:
         assert columnar is not None
         assert columnar["builds"] >= 1
         assert columnar["data_version"] == hotel_database.data_version
+
+
+class TestBlockedScoreBounds:
+    @pytest.mark.parametrize("fixture_name", ["hotel_database", "restaurant_database"])
+    def test_blocked_deviations_equal_one_shot(self, request, monkeypatch, fixture_name):
+        """Row blocks change the memory high-water mark, never a bit."""
+        database = request.getfixturevalue(fixture_name)
+        store = ColumnarSummaryStore(database)
+        checked = 0
+        for attribute in database.schema.subjective_attributes:
+            columns = store.columns(attribute.name)
+            if columns is None or not columns.dimension:
+                continue
+            # The pre-blocking formula, kept here as the reference.
+            one_shot = np.where(
+                np.linalg.norm(columns.centroids_unit, axis=-1) == 0.0,
+                0.0,
+                np.linalg.norm(
+                    columns.centroids_unit - columns.name_units[np.newaxis, :, :], axis=-1
+                ),
+            )
+            for block_rows in (1, 5, columnar.BOUNDS_BLOCK_ROWS):
+                monkeypatch.setattr(columnar, "BOUNDS_BLOCK_ROWS", block_rows)
+                blocked = columnar.ScoreBounds.of_columns(columns).deviations
+                assert blocked.shape == one_shot.shape
+                assert (blocked == one_shot).all(), (attribute.name, block_rows)
+            checked += 1
+        assert checked > 0
 
 
 class TestBatchedBm25:

@@ -22,7 +22,9 @@ from repro.core.database import ReviewRecord
 from repro.core.interpreter import InterpretationMethod
 from repro.serving import (
     ClusterQueryEngine,
+    ClusterShardStore,
     CoordinatorQueryEngine,
+    RpcShardStore,
     ShardedSubjectiveQueryEngine,
     SubjectiveQueryEngine,
 )
@@ -76,6 +78,34 @@ def _assert_matches_baseline(database, engine, sqls, context=""):
         _assert_identical_results(expected, actual, context=f"{context} {sql!r}")
         # Warm (fully cached) executions must agree too.
         _assert_identical_results(expected, engine.execute(sql), context=f"warm {sql!r}")
+
+
+def _assert_remote_pruning(database, engine) -> None:
+    """A high threshold shipped straight through the store prunes remotely.
+
+    Bypasses the engine (whose pre-screen would drop these rows before any
+    fan-out): exact values must equal the unpruned kernel's, pruned values
+    must cap it, and the pruning must show in the remote partition counters.
+    """
+    store = engine.sharded_store
+    membership = engine.processor.membership
+    entity_ids = [entity.entity_id for entity in database.entities()]
+    full = np.asarray(
+        ColumnarSummaryStore(database).pair_degrees(
+            membership, entity_ids, "quality", "word003"
+        )
+    )
+    cutoff = float(np.median(full))
+    values, exact, scored, pruned = store.pair_degrees_bounded(
+        membership, entity_ids, "quality", "word003", cutoff
+    )
+    assert scored > 0 and pruned > 0 and scored + pruned == len(entity_ids)
+    assert np.array_equal(values[exact], full[exact])
+    assert np.all(values[~exact] >= full[~exact])
+    assert np.all(values[~exact] < cutoff)
+    remote = store.partition_stats()
+    assert sum(entry["entities_pruned"] for entry in remote) > 0
+    assert sum(entry["entities_scored"] for entry in remote) > 0
 
 
 ALL_QUERIES = SELECTIVE_QUERIES + MIXED_QUERIES + FALLBACK_QUERIES
@@ -180,13 +210,18 @@ class TestRpcPruning:
             )
 
     def test_coordinator_counts_pruning(self, synthetic_database):
+        """Engine-level counters: the coordinator's pre-screen prunes before
+        any fan-out, so on a small fixture the workers may see no prunable row."""
         num_entities = len(synthetic_database.entities())
         with CoordinatorQueryEngine(database=synthetic_database, num_workers=2) as engine:
             engine.execute(SELECTIVE_QUERIES[0])
             assert 0 < engine.entities_scored < 2 * num_entities
             assert engine.entities_pruned > 0
-            workers = engine.sharded_store.partition_stats()
-            assert sum(entry["entities_pruned"] for entry in workers) > 0
+
+    def test_workers_prune_below_a_shipped_threshold(self, synthetic_database):
+        """Store-level: the workers' own bound check still prunes (second line)."""
+        with CoordinatorQueryEngine(database=synthetic_database, num_workers=2) as engine:
+            _assert_remote_pruning(synthetic_database, engine)
 
 
 class TestClusterPruning:
@@ -203,6 +238,7 @@ class TestClusterPruning:
             )
 
     def test_cluster_counts_pruning(self, synthetic_database):
+        """Engine-level counters (see the RPC twin for why not node-side)."""
         num_entities = len(synthetic_database.entities())
         with ClusterQueryEngine(
             database=synthetic_database, num_nodes=2, max_inflight_queries=1
@@ -210,8 +246,13 @@ class TestClusterPruning:
             engine.execute(SELECTIVE_QUERIES[0])
             assert 0 < engine.entities_scored < 2 * num_entities
             assert engine.entities_pruned > 0
-            nodes = engine.sharded_store.partition_stats()
-            assert sum(entry.get("entities_pruned", 0) for entry in nodes) > 0
+
+    def test_nodes_prune_below_a_shipped_threshold(self, synthetic_database):
+        """Store-level: the nodes' own bound check still prunes (second line)."""
+        with ClusterQueryEngine(
+            database=synthetic_database, num_nodes=2, max_inflight_queries=1
+        ) as engine:
+            _assert_remote_pruning(synthetic_database, engine)
 
     def test_concurrent_batch_still_identical(self, synthetic_database):
         """Pruning is disabled inside the concurrent batch, not broken by it."""
@@ -224,6 +265,52 @@ class TestClusterPruning:
                 _assert_identical_results(baseline.execute(sql), actual, context=sql)
             # Serial execution afterwards re-enables the pruned path.
             engine.execute(SELECTIVE_QUERIES[0])
+
+
+def _coordinator(database):
+    return CoordinatorQueryEngine(database=database, num_workers=2)
+
+
+def _cluster(database):
+    return ClusterQueryEngine(database=database, num_nodes=2, max_inflight_queries=1)
+
+
+class TestCoordinatorPreScreen:
+    """The remote stores answer ``pair_degree_envelope`` from the coordinator's
+    base store, so the fleet engines scan in the in-process engine's order."""
+
+    @pytest.mark.parametrize(
+        "make_engine, store_class",
+        [(_coordinator, RpcShardStore), (_cluster, ClusterShardStore)],
+    )
+    def test_fleet_scan_matches_in_process_and_saves_requests(
+        self, synthetic_database, monkeypatch, make_engine, store_class
+    ):
+        in_process = ShardedSubjectiveQueryEngine(database=synthetic_database, num_shards=2)
+        expected = [in_process.execute(sql) for sql in SELECTIVE_QUERIES]
+
+        def run():
+            with make_engine(synthetic_database) as engine:
+                results = [engine.execute(sql) for sql in SELECTIVE_QUERIES]
+                return (
+                    results,
+                    engine.entities_scored,
+                    engine.entities_pruned,
+                    engine.sharded_store.rpc_requests,
+                )
+
+        results, scored, pruned, requests = run()
+        monkeypatch.delattr(store_class, "pair_degree_envelope")
+        unscreened_results, _, _, unscreened_requests = run()
+
+        for sql, want, got, unscreened in zip(
+            SELECTIVE_QUERIES, expected, results, unscreened_results
+        ):
+            _assert_identical_results(want, got, context=sql)
+            _assert_identical_results(want, unscreened, context=f"unscreened {sql}")
+        assert scored <= in_process.entities_scored
+        assert pruned >= in_process.entities_pruned
+        assert 0 < requests < unscreened_requests
 
 
 class TestBoundEnvelopes:

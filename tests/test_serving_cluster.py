@@ -15,6 +15,7 @@ returns results bit-identical to serial execution.
 
 from __future__ import annotations
 
+import multiprocessing
 import socket
 import struct
 
@@ -36,6 +37,7 @@ from repro.serving import (
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     STATUS_OK,
+    FrameTooLargeError,
     Reader,
     encode_hello,
     encode_hydrate_request,
@@ -559,7 +561,12 @@ class TestInvalidation:
 
     def test_mid_batch_ingest_rehydrates_and_serves_fresh(self):
         """A ``data_version`` bump racing an in-flight batch leaves no stale degree."""
-        from test_serving_sharded import MARKERS, _IngestingBatch, build_mutable_database
+        from test_serving_sharded import (
+            MARKERS,
+            _IngestingBatch,
+            assert_envelope_tracks_ingest,
+            build_mutable_database,
+        )
 
         database = build_mutable_database()
         with ClusterQueryEngine(
@@ -601,6 +608,8 @@ class TestInvalidation:
                     recomputed = checker.pair_degrees([entity_id], attribute, phrase)[0]
                 assert cached == recomputed, key
 
+            assert_envelope_tracks_ingest(database, engine)
+
     def test_invalidate_node_caches_in_place(self, hotel_database):
         """Cache recycling within a snapshot keeps hydrated slices in place."""
         with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as engine:
@@ -616,6 +625,90 @@ class TestInvalidation:
             after = store.node_stats()
             assert all(stats["cache_entries"] == 0 for stats in after)
             assert [stats["hydrated_slices"] for stats in after] == hydrated_before
+
+
+# ---------------------------------------------------------------------------
+# What a cold query costs: no Nagle stall, no columns inherited by the forks
+# ---------------------------------------------------------------------------
+
+PRUNABLE_QUERY = 'select * from Entities where "has really clean rooms" limit 5'
+
+
+class TestColdQueryCost:
+    def test_local_node_disables_nagle_on_accepted_sockets(self, hotel_database, hotel_node):
+        processor = SubjectiveQueryProcessor(hotel_database)
+        with ClusterQueryEngine(
+            database=hotel_database,
+            processor=processor,
+            addresses=[hotel_node.address],
+            **FAST,
+        ) as cluster:
+            cluster.execute(PRUNABLE_QUERY)
+            accepted = hotel_node._active
+            assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+    def test_forked_nodes_disable_nagle_on_accepted_sockets(self, hotel_database, monkeypatch):
+        # The forks inherit the patched class; shared memory carries each
+        # node's socket option back to the test process.
+        observed = multiprocessing.get_context("fork").Array("i", [-1, -1])
+        handle_frame = ShardNodeServer.handle_frame
+
+        def spy(server, payload):
+            observed[server.node_id] = server._active.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            return handle_frame(server, payload)
+
+        monkeypatch.setattr(ShardNodeServer, "handle_frame", spy)
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as cluster:
+            cluster.execute(PRUNABLE_QUERY)
+        assert all(value not in (-1, 0) for value in observed), list(observed)
+
+    @pytest.mark.parametrize("entry", ["pruned_query", "full_query", "bounded", "envelope"])
+    def test_fleet_forks_before_the_coordinator_builds_columns(
+        self, hotel_database, monkeypatch, entry
+    ):
+        """A node forked after the column build would inherit tensors it never reads."""
+        built_at_fork: list[dict] = []
+        spawn_node = ClusterShardStore._spawn_node
+
+        def spy(store, index, membership):
+            built_at_fork.append(dict(store.base.stats_snapshot()["attributes"]))
+            return spawn_node(store, index, membership)
+
+        monkeypatch.setattr(ClusterShardStore, "_spawn_node", spy)
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
+        ) as cluster:
+            store = cluster.sharded_store
+            membership = cluster.processor.membership
+            attribute = next(iter(hotel_database.schema.subjective_attributes)).name
+            ids = hotel_database.entity_ids()
+            if entry == "pruned_query":
+                cluster.execute(PRUNABLE_QUERY)
+            elif entry == "full_query":
+                cluster.execute(PRUNABLE_QUERY.replace(" limit 5", ""))
+            elif entry == "bounded":
+                assert store.pair_degrees_bounded(membership, ids, attribute, "clean", 0.5)
+            else:
+                assert store.pair_degree_envelope(membership, ids, attribute, "clean")
+            assert store.base.stats_snapshot()["attributes"]  # built by now
+        assert built_at_fork == [{}, {}]
+
+    def test_oversized_hydrate_frame_names_the_slice_and_the_remedy(self, hotel_database):
+        processor = SubjectiveQueryProcessor(hotel_database)
+        store = ClusterShardStore(hotel_database, num_nodes=1, max_frame_bytes=4096, **FAST)
+        try:
+            attribute = next(iter(hotel_database.schema.subjective_attributes)).name
+            ids = hotel_database.entity_ids()
+            with pytest.raises(FrameTooLargeError) as raised:
+                store.pair_degrees(processor.membership, ids, attribute, "clean")
+            message = str(raised.value)
+            assert repr(attribute) in message and "slice 0" in message
+            assert f"({len(store.base.columns(attribute).entity_ids)} entities)" in message
+            assert "raise `max_frame_bytes` or `num_shards`" in message
+        finally:
+            store.close()
 
 
 # ---------------------------------------------------------------------------

@@ -481,7 +481,12 @@ class TestInvalidation:
 
     def test_mid_batch_ingest_drops_fleet_and_serves_fresh(self):
         """A ``data_version`` bump racing an in-flight batch leaves no stale degree."""
-        from test_serving_sharded import _IngestingBatch, build_mutable_database, MARKERS
+        from test_serving_sharded import (
+            MARKERS,
+            _IngestingBatch,
+            assert_envelope_tracks_ingest,
+            build_mutable_database,
+        )
 
         database = build_mutable_database()
         with CoordinatorQueryEngine(database=database, num_workers=3) as engine:
@@ -521,6 +526,8 @@ class TestInvalidation:
                 else:
                     recomputed = checker.pair_degrees([entity_id], attribute, phrase)[0]
                 assert cached == recomputed, key
+
+            assert_envelope_tracks_ingest(database, engine)
 
     def test_invalidate_rpc_drops_worker_caches_in_place(self, hotel_database):
         """The ``invalidate`` op recycles caches without re-forking the fleet."""

@@ -13,6 +13,7 @@ shard caches and columnar slices together).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import SubjectiveQueryProcessor
@@ -248,6 +249,27 @@ class _IngestingBatch(list):
             if index == 1:
                 self._ingest()
             yield sql
+
+
+def assert_envelope_tracks_ingest(database, engine) -> None:
+    """The store's bound envelope re-checks ``data_version`` on its own.
+
+    Straight after an ingest, with no query in between, the envelope must
+    be the post-ingest one: a stale bound could justify a wrong prune.
+    """
+    store = engine.sharded_store
+    membership = engine.processor.membership
+    ids = sorted(database.entity_ids())
+    request = (membership, ids, "room_cleanliness", "clean")
+    before = store.pair_degree_envelope(*request)
+    summary = MarkerSummary("room_cleanliness", list(MARKERS))
+    summary.add_phrase("dirty", sentiment=-0.9)
+    database.store_summary(ids[-1], summary)
+    after = store.pair_degree_envelope(*request)
+    assert store.data_version == database.data_version
+    fresh = ColumnarSummaryStore(database).pair_degree_envelope(*request)
+    assert all(np.array_equal(got, want) for got, want in zip(after, fresh))
+    assert not all(np.array_equal(got, old) for got, old in zip(after, before))
 
 
 class TestProcessBackend:
