@@ -1,7 +1,7 @@
 """Cold hydration and kill-one-node recovery of the cluster serving layer.
 
-``BENCH_rpc.json`` pinned the standing bottleneck: fully-cold serving
-loses (0.69×) because every cold start re-ships whole column slices.
+The standing bottleneck of fully-cold fleet serving is that every cold
+start re-ships whole column slices.
 This benchmark pins what the PR-8 recovery machinery buys back, in two
 measurements:
 

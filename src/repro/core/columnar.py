@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Sequence
 
@@ -1022,6 +1023,13 @@ PRUNE_MARGIN = 1e-9
 #: centroid tensor (512 rows × 16 markers × 48 dims ≈ 3 MB of temporaries).
 BOUNDS_BLOCK_ROWS = 512
 
+#: Conditions whose whole-store ``[lo, hi]`` envelope a store keeps (least
+#: recently used dropped first).  An envelope is two E-float vectors, so a
+#: stream of distinct phrases would otherwise grow the cache by 16·E bytes
+#: per condition until the next ingest; a query re-reads only the handful of
+#: envelopes of its own predicates.
+ENVELOPE_CACHE_ENTRIES = 64
+
 
 @dataclass
 class ScoreBounds:
@@ -1344,9 +1352,9 @@ class ColumnarSummaryStore:
         self.database = database
         self._columns: dict[str, AttributeColumns | None] = {}
         self._bounds: dict[str, ScoreBounds | None] = {}
-        self._envelopes: dict[
+        self._envelopes: OrderedDict[
             tuple[str, str], "tuple[np.ndarray, np.ndarray] | None"
-        ] = {}
+        ] = OrderedDict()
         self._envelope_membership: object | None = None
         self._version = database.data_version
         self.builds = 0
@@ -1422,14 +1430,22 @@ class ColumnarSummaryStore:
         the cached envelope at most *wider* than a per-slice one, which is
         sound: pruning only ever consults ``hi`` as an upper bound.)
         Cached under the same ``data_version`` contract as the columns and
-        bounds; re-keyed when a different membership function shows up.
+        bounds, as an LRU of :data:`ENVELOPE_CACHE_ENTRIES` conditions (an
+        evicted envelope is recomputed to the same values); re-keyed when a
+        different membership function shows up.  ``None`` when the
+        membership function has no usable columnar kernel or bound form, or
+        the attribute has no columns.
         """
         self._check_version()
+        if columnar_kernel(membership, self.database) is None:
+            return None
         if self._envelope_membership is not membership:
             self._envelopes.clear()
             self._envelope_membership = membership
         key = (attribute, phrase)
-        if key not in self._envelopes:
+        if key in self._envelopes:
+            self._envelopes.move_to_end(key)
+        else:
             degree_bounds = getattr(membership, "degree_bounds", None)
             bounds = self.score_bounds(attribute)
             self._envelopes[key] = (
@@ -1437,6 +1453,8 @@ class ColumnarSummaryStore:
                 if degree_bounds is not None and bounds is not None
                 else None
             )
+            if len(self._envelopes) > ENVELOPE_CACHE_ENTRIES:
+                self._envelopes.popitem(last=False)
         return self._envelopes[key]
 
     # -------------------------------------------------------------- scoring
@@ -1556,23 +1574,17 @@ class ColumnarSummaryStore:
     ) -> "tuple[np.ndarray, np.ndarray] | None":
         """``[lo, hi]`` degree envelope of one condition for many entities.
 
-        A pure array gather out of the cached whole-store envelope — no
-        exact kernel, no caches touched — so callers can screen whole
-        candidate chunks against a threshold before spending any per-entity
-        work on them.  ``None`` under the same conditions as
-        :meth:`pair_degrees_bounded` (no kernel, no bound support, no
-        columns, or a non-resident entity).
+        :meth:`degree_envelope` gathered at the rows of ``entity_ids`` — no
+        exact kernel, no caches touched.  ``None`` under the same
+        conditions as :meth:`pair_degrees_bounded` (no kernel, no bound
+        support, no columns, or a non-resident entity).
         """
-        if columnar_kernel(membership, self.database) is None:
-            return None
-        columns = self.columns(attribute)
-        if columns is None:
-            return None
-        rows = [columns.row_of.get(entity_id) for entity_id in entity_ids]
-        if any(row is None for row in rows):
-            return None
         envelope = self.degree_envelope(membership, attribute, phrase)
         if envelope is None:
+            return None
+        row_of = self.columns(attribute).row_of
+        rows = [row_of.get(entity_id) for entity_id in entity_ids]
+        if None in rows:
             return None
         lower, upper = envelope
         index = np.fromiter(rows, dtype=np.intp, count=len(rows))

@@ -2133,14 +2133,10 @@ class ClusterShardStore:
         self.entities_pruned += pruned
         return values[index], requested_exact, scored, pruned
 
-    def pair_degree_envelope(
-        self,
-        membership: object,
-        entity_ids: Sequence[Hashable],
-        attribute: str,
-        phrase: str,
+    def degree_envelope(
+        self, membership: object, attribute: str, phrase: str
     ) -> "tuple[np.ndarray, np.ndarray] | None":
-        """Bound envelope gather from the coordinator's own base store.
+        """Whole-store bound envelope from the coordinator's own base store.
 
         No frame ships: the envelope needs only the bound summaries, which
         the coordinator holds for exactly the columns it hydrates the nodes
@@ -2153,7 +2149,7 @@ class ClusterShardStore:
         if columnar_kernel(membership, self.database) is None:
             return None
         self._ensure_nodes(membership)  # fork before the column build
-        return self.base.pair_degree_envelope(membership, entity_ids, attribute, phrase)
+        return self.base.degree_envelope(membership, attribute, phrase)
 
     # ------------------------------------------------------------ statistics
     def node_stats(self) -> list[dict]:
@@ -2593,7 +2589,7 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         else:
             accounting["plan_misses"] += 1
         plan = self.plan(sql)
-        if plan_key in self.candidate_cache:
+        if plan.candidate_key in self.candidate_cache:
             accounting["candidate_hits"] += 1
         else:
             accounting["candidate_misses"] += 1

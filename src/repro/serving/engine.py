@@ -6,8 +6,10 @@ with the amortisation layers a query-serving deployment needs:
 * a **plan cache** — an LRU over :func:`normalize_sql` keys holding the
   parsed statement and the predicate interpretations, so repeated (or
   reformatted) queries skip parsing and interpretation entirely;
-* a **candidate cache** — objective pre-filter results per plan, so warm
-  queries skip the table scan/join/filter;
+* a **candidate cache** — objective pre-filter results per objective
+  skeleton (table, alias, join and the WHERE clause with every subjective
+  predicate's text blanked), so every query that differs from an earlier
+  one only in its phrases skips the table scan/join/filter;
 * a **membership cache** — ``(entity_id, attribute, phrase) → degree`` (and
   ``(entity_id, None, predicate)`` for the text-retrieval fallback), shared
   across all queries touching the same predicate/entity combinations;
@@ -31,13 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
+import numpy as np
+
+from repro.core.columnar import AttributeColumns
 from repro.core.database import SubjectiveDatabase
 from repro.core.processor import QueryResult, SubjectiveQueryProcessor
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog, global_slow_query_log
 from repro.obs.trace import span
 from repro.serving.cache import LRUCache
-from repro.serving.plans import QueryPlan, normalize_sql
+from repro.serving.plans import QueryPlan, candidate_key, normalize_sql
 from repro.utils.timing import now
 
 _MISSING = object()
@@ -45,16 +50,35 @@ _MISSING = object()
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Cached objective pre-filter result plus its derived entity-id views.
+    """Cached objective pre-filter result plus its derived views.
 
-    Row → entity-id resolution and deduplication are as data-version-stable
-    as the rows themselves, so they are computed once per plan and cached
-    together instead of being re-derived on every warm execution.
+    Everything here is a function of the objective skeleton
+    (:func:`repro.serving.plans.candidate_key`) and the data version alone,
+    so it is computed once and shared by every plan with that skeleton:
+    row → entity-id resolution and deduplication eagerly, and — on first
+    use by the pruned scan — each candidate's row in an attribute's column
+    arrays.  ``rows`` is shared between the results of all those queries
+    and must be treated as read-only.
     """
 
     rows: list[dict]
     row_entities: list[Hashable]
     unique_ids: list[Hashable]
+    _store_rows: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def store_rows(self, columns: AttributeColumns) -> np.ndarray | None:
+        """Row of every candidate entity in ``columns``, in candidate order.
+
+        ``None`` when some candidate has no row there.  Resolved once per
+        column build (the memo is checked against the ``columns`` object,
+        so a rebuilt attribute can never be gathered with stale rows).
+        """
+        memo = self._store_rows.get(columns.attribute)
+        if memo is None or memo[0] is not columns:
+            rows = [columns.row_of.get(entity_id) for entity_id in self.row_entities]
+            index = None if None in rows else np.fromiter(rows, dtype=np.intp, count=len(rows))
+            memo = self._store_rows[columns.attribute] = (columns, index)
+        return memo[1]
 
 
 class ServingStats:
@@ -176,9 +200,10 @@ class SubjectiveQueryEngine:
         Maximum cached membership degrees; sized generously by default since
         entries are tiny and recomputation is the dominant query cost.
     candidate_cache_size:
-        Maximum cached objective candidate-row lists, keyed per plan.
-        Cached rows are shared between results of repeated queries and must
-        be treated as read-only by callers.
+        Maximum cached objective candidate sets, keyed by
+        :func:`repro.serving.plans.candidate_key`.  Cached rows are shared
+        between the results of every query with the same objective skeleton
+        and must be treated as read-only by callers.
     """
 
     def __init__(
@@ -325,6 +350,7 @@ class SubjectiveQueryEngine:
                 statement=statement,
                 interpretations=interpretations,
                 data_version=self._data_version,
+                candidate_key=candidate_key(statement),
             )
             self.plan_cache.put(key, plan)
         return plan
@@ -399,7 +425,7 @@ class SubjectiveQueryEngine:
 
     # -------------------------------------------------------------- internals
     def _candidate_rows(self, plan: QueryPlan) -> CandidateSet:
-        candidates = self.candidate_cache.get(plan.normalized_sql)
+        candidates = self.candidate_cache.get(plan.candidate_key)
         if candidates is None:
             rows = self.processor.candidate_rows(plan.statement)
             row_entities = self.processor.entity_ids_of(rows, plan.statement.alias)
@@ -408,7 +434,7 @@ class SubjectiveQueryEngine:
                 row_entities=row_entities,
                 unique_ids=list(dict.fromkeys(row_entities)),
             )
-            self.candidate_cache.put(plan.normalized_sql, candidates)
+            self.candidate_cache.put(plan.candidate_key, candidates)
         return candidates
 
     def _rank(

@@ -6,15 +6,25 @@ subjective predicate texts, and their interpretations.  Plans are cached
 under :func:`normalize_sql` keys so textual variants of the same query
 ("SELECT * FROM Entities ..." vs "select  *  from entities ...") share one
 plan; the data-dependent parts (candidate rows, membership degrees) are
-recomputed or served from the membership cache per execution.
+recomputed or served from the candidate and membership caches per
+execution.  The candidate cache's key, :func:`candidate_key`, is derived
+here too: it is a function of the parsed statement alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Hashable
 
 from repro.core.interpreter import Interpretation
 from repro.engine.executor import SelectStatement
+from repro.engine.expressions import (
+    AndExpression,
+    Expression,
+    NotExpression,
+    OrExpression,
+    SubjectivePredicate,
+)
 from repro.engine.sqlparser import _KEYWORDS
 
 _QUOTES = ("'", '"')
@@ -74,6 +84,39 @@ def normalize_sql(sql: str) -> str:
     return "".join(out)
 
 
+_BLANK_PREDICATE = SubjectivePredicate("")
+
+
+def _blank_subjective(node: Expression | None) -> Expression | None:
+    """``node`` with every subjective predicate's text blanked."""
+    if isinstance(node, SubjectivePredicate):
+        return _BLANK_PREDICATE
+    if isinstance(node, (AndExpression, OrExpression)):
+        return type(node)(tuple(_blank_subjective(operand) for operand in node.operands))
+    if isinstance(node, NotExpression):
+        return NotExpression(_blank_subjective(node.operand))
+    return node
+
+
+def candidate_key(statement: SelectStatement) -> Hashable:
+    """Cache key of a statement's objective candidate rows.
+
+    :meth:`repro.engine.executor.QueryExecutor.candidate_rows` reads the
+    table, alias, join and the *objective* leaves of the WHERE clause only —
+    a subjective predicate evaluates to ``True`` whatever its text — so the
+    key is the statement's objective skeleton: queries that differ only in
+    their phrases share one candidate set, queries that differ in a literal,
+    an operator, the alias or the join do not.  Expression nodes are frozen
+    dataclasses, so the blanked tree compares and hashes structurally.
+    """
+    return (
+        statement.table,
+        statement.alias,
+        statement.join,
+        _blank_subjective(statement.where),
+    )
+
+
 @dataclass(frozen=True)
 class QueryPlan:
     """A cached, reusable execution plan for one normalised query.
@@ -82,12 +125,16 @@ class QueryPlan:
     computed against; the serving engine drops plans wholesale when the
     version moves (interpretations read linguistic domains, review indexes
     and extraction statistics, all of which ingest can change).
+    ``candidate_key`` is :func:`candidate_key` of the statement, computed
+    once when the plan is built (the plan cache hits far more often than
+    plans are built).
     """
 
     normalized_sql: str
     statement: SelectStatement
     interpretations: dict[str, Interpretation]
     data_version: int
+    candidate_key: Hashable
 
     @property
     def predicates(self) -> tuple[str, ...]:

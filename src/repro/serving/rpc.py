@@ -957,14 +957,10 @@ class RpcShardStore:
         self.entities_pruned += pruned
         return values[index], requested_exact, scored, pruned
 
-    def pair_degree_envelope(
-        self,
-        membership: object,
-        entity_ids: Sequence[Hashable],
-        attribute: str,
-        phrase: str,
+    def degree_envelope(
+        self, membership: object, attribute: str, phrase: str
     ) -> "tuple[np.ndarray, np.ndarray] | None":
-        """Bound envelope gather from the coordinator's own base store.
+        """Whole-store bound envelope from the coordinator's own base store.
 
         No frame ships: the workers rebuild the very columns ``self.base``
         holds, so the coordinator's envelope is theirs.  Exposing it lets
@@ -974,7 +970,7 @@ class RpcShardStore:
         second line of defence.
         """
         self._check_version()
-        return self.base.pair_degree_envelope(membership, entity_ids, attribute, phrase)
+        return self.base.degree_envelope(membership, attribute, phrase)
 
     def _fanout_round(
         self,

@@ -523,21 +523,15 @@ class ShardedColumnarStore:
             self.entities_pruned += pruned
         return result
 
-    def pair_degree_envelope(
-        self,
-        membership: object,
-        entity_ids: Sequence[Hashable],
-        attribute: str,
-        phrase: str,
-    ):
-        """Bound envelope gather, delegated straight to the base store.
+    def degree_envelope(self, membership: object, attribute: str, phrase: str):
+        """Whole-store bound envelope, delegated straight to the base store.
 
         Like :meth:`pair_degrees_bounded` this stays off the fan-out
-        machinery: the envelope read is a cached array gather, far below
-        any dispatch overhead.
+        machinery: the envelope read is a cached array, far below any
+        dispatch overhead.
         """
         self._check_version()
-        return self.base.pair_degree_envelope(membership, entity_ids, attribute, phrase)
+        return self.base.degree_envelope(membership, attribute, phrase)
 
     def _plan_tasks(
         self, attribute: str, resident: list[int]
@@ -605,6 +599,20 @@ class ShardedColumnarStore:
 # Vectorized WHERE-tree scoring
 # --------------------------------------------------------------------------
 
+#: Objective leaves whose ``fuzzy`` is exactly ``1.0 if evaluate(row) else 0.0``.
+_CRISP_LEAVES = (ComparisonExpression, InExpression, BetweenExpression)
+
+
+def crisp_leaf_vector(leaf: Expression, rows: Sequence[dict]) -> np.ndarray:
+    """Exact 0.0/1.0 fuzzy value of a crisp objective leaf on every row.
+
+    One boolean evaluation per row, without the scalar fuzzy-walk machinery.
+    """
+    return np.fromiter(
+        (1.0 if leaf.evaluate(row) else 0.0 for row in rows), dtype=float, count=len(rows)
+    )
+
+
 class _NotVectorizable(Exception):
     """Internal: the WHERE tree (or logic) has no exact array form."""
 
@@ -657,15 +665,8 @@ def _eval_array(
         )
     if isinstance(node, NotExpression):
         return logic.negation_array(_eval_array(node.operand, rows, degree_vectors, logic))
-    if isinstance(node, (ComparisonExpression, InExpression, BetweenExpression)):
-        # Crisp objective leaf whose ``fuzzy`` is exactly ``1.0 if
-        # evaluate(row) else 0.0`` — evaluate once per row without the
-        # scalar fuzzy-walk machinery.
-        return np.fromiter(
-            (1.0 if node.evaluate(row) else 0.0 for row in rows),
-            dtype=float,
-            count=len(rows),
-        )
+    if isinstance(node, _CRISP_LEAVES):
+        return crisp_leaf_vector(node, rows)
     # Any other node type (literal, column reference, future nodes):
     # evaluate its scalar fuzzy value row by row.  A per-row scorer keeps
     # unknown nested nodes correct too.
@@ -782,14 +783,17 @@ def _eval_bounds(
     if isinstance(node, NotExpression):
         lo, hi = _eval_bounds(node.operand, rows, bound_vectors, logic, None)
         return logic.negation_array(hi), logic.negation_array(lo)
-    if isinstance(node, (ComparisonExpression, InExpression, BetweenExpression)):
-        crisp = np.fromiter(
-            (1.0 if node.evaluate(row) else 0.0 for row in rows),
-            dtype=float,
-            count=len(rows),
-        )
+    if isinstance(node, _CRISP_LEAVES):
+        crisp = crisp_leaf_vector(node, rows)
         return crisp, crisp.copy()
     raise _NotVectorizable(type(node).__name__)
+
+
+def _pair_combiner(logic: FuzzyLogic, interpretation):
+    """The array connective folding an interpretation's per-pair vectors."""
+    if interpretation.combinator == "and":
+        return logic.conjunction_arrays
+    return logic.disjunction_arrays
 
 
 def and_path_predicates(where: Expression | None) -> set[str]:
@@ -833,9 +837,7 @@ def bounds_tree_supported(
         )
     if isinstance(where, NotExpression):
         return bounds_tree_supported(where.operand, known_predicates)
-    return isinstance(
-        where, (ComparisonExpression, InExpression, BetweenExpression)
-    )
+    return isinstance(where, _CRISP_LEAVES)
 
 
 # --------------------------------------------------------------------------
@@ -1138,13 +1140,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
             )
             for pair in interpretation.pairs
         ]
-        logic = self.processor.logic
-        combine = (
-            logic.conjunction_arrays
-            if interpretation.combinator == "and"
-            else logic.disjunction_arrays
-        )
-        return combine(per_pair)
+        return _pair_combiner(self.processor.logic, interpretation)(per_pair)
 
     def _rank_sharded(
         self,
@@ -1214,17 +1210,19 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
     ) -> QueryResult | None:
         """Threshold-style pruned ranking; ``None`` when the query is ineligible.
 
-        Candidates are scanned in chunks.  For each chunk the heap's
-        running k-th score is the prune threshold ``T``: membership degrees
-        are fetched through the store's bounded path (which skips kernels
-        for rows and whole slices whose degree upper bound is below the
-        per-predicate threshold), rows whose AND-path predicate bound falls
-        below ``T`` are dropped from the remaining fetches, and rows whose
-        final score upper bound is below ``T`` never reach the heap.  Every
-        row that survives all of this has exclusively exact degrees, so its
-        folded upper bound *is* its exact score — survivors are pushed
-        without any second scoring pass, and the result is bit-identical to
-        the unpruned ranking.
+        Candidates are scanned in chunks — in descending order of
+        :meth:`_scan_bound` when the tree has AND-path predicates, stopping
+        once the head of the remainder is below the k-th score.  For each
+        chunk the heap's running k-th score is the prune threshold ``T``:
+        membership degrees are fetched through the store's bounded path
+        (which skips kernels for rows and whole slices whose degree upper
+        bound is below the per-predicate threshold), rows whose AND-path
+        predicate bound falls below ``T`` are dropped from the remaining
+        fetches, and rows whose final score upper bound is below ``T`` never
+        reach the heap.  Every row that survives all of this has
+        exclusively exact degrees, so its folded upper bound *is* its exact
+        score — survivors are pushed without any second scoring pass, and
+        the result is bit-identical to the unpruned ranking.
         """
         statement = plan.statement
         where = statement.where
@@ -1265,9 +1263,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         )
         rows = candidates.rows
         heap = TopKThreshold(limit)
-        screen = getattr(store, "pair_degree_envelope", None)
-        membership = self.processor.membership
-        # Vectorized pre-screen out of the store's cached envelope: the
+        # Vectorized pre-screen out of the store's cached envelopes: the
         # conjunction of the eligible AND-path predicate bounds caps the
         # query score under any t-norm, so it both *orders* the scan
         # (descending bound — the threshold-algorithm order, which fills
@@ -1278,46 +1274,12 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         # cluster stores (which answer from the coordinator's base store),
         # any fan-out; the threshold still ships with every bounded fetch
         # so workers/nodes re-check their per-slice bounds.
-        scan_bound: np.ndarray | None = None
-        if screen is not None:
-            cap_vectors: list[np.ndarray] = []
-            for _text, interpretation, on_and_path in ordered:
-                if not on_and_path:
-                    break  # AND-path entries sort first
-                if (
-                    interpretation.combinator != "and"
-                    and len(interpretation.pairs) > 1
-                ):
-                    continue
-                pair_highs = []
-                for pair in interpretation.pairs:
-                    envelope = screen(
-                        membership,
-                        row_entities,
-                        pair.attribute,
-                        self.processor.phrase_for_pair(interpretation, pair.marker),
-                    )
-                    if envelope is None:
-                        pair_highs = None
-                        break
-                    pair_highs.append(envelope[1])
-                if pair_highs:
-                    cap_vectors.extend(pair_highs)
-            if cap_vectors:
-                scan_bound = (
-                    logic.conjunction_arrays(cap_vectors)
-                    if len(cap_vectors) > 1
-                    else cap_vectors[0]
-                )
+        scan_bound = self._scan_bound(plan, and_path, candidates, store)
         if scan_bound is not None:
-            order = np.argsort(-scan_bound, kind="stable")
-            scan_bound = scan_bound[order]
-            scan_positions = order.tolist()
-            scan_ids = [row_entities[position] for position in scan_positions]
-            scan_rows = [rows[position] for position in scan_positions]
+            scan_order = np.argsort(-scan_bound, kind="stable")
+            scan_bound = scan_bound[scan_order]
         else:
-            scan_positions = None
-            scan_ids, scan_rows = row_entities, rows
+            scan_order = np.arange(len(row_entities))
         total = len(row_entities)
         # Chunks grow geometrically: the first (small) chunk seeds the
         # heap so a real threshold exists almost immediately, and the
@@ -1338,8 +1300,12 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                 self.entities_pruned += total - chunk_start
                 break
             chunk_stop = min(chunk_start + chunk_size, total)
-            chunk_ids = scan_ids[chunk_start:chunk_stop]
-            chunk_rows = scan_rows[chunk_start:chunk_stop]
+            # Ids and row dicts exist only for the chunk being scanned; the
+            # tie-break key is the *original* candidate position, so the
+            # ranking is identical however the scan happens to be ordered.
+            positions = scan_order[chunk_start:chunk_stop].tolist()
+            chunk_ids = [row_entities[position] for position in positions]
+            chunk_rows = [rows[position] for position in positions]
             size = chunk_stop - chunk_start
             alive = np.ones(size, dtype=bool)
             if threshold is not None and scan_bound is not None:
@@ -1380,11 +1346,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                     hi = np.asarray(values, dtype=float)
                     pair_highs.append(hi)
                     pair_lows.append(np.where(exact, hi, 0.0))
-                combine = (
-                    logic.conjunction_arrays
-                    if interpretation.combinator == "and"
-                    else logic.disjunction_arrays
-                )
+                combine = _pair_combiner(logic, interpretation)
                 predicate_lo = combine(pair_lows)
                 predicate_hi = combine(pair_highs)
                 # Scatter into chunk-wide vectors; dead rows keep the
@@ -1407,35 +1369,75 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                 if envelope is None:
                     return None
                 _lo_env, hi_env = envelope
-                for position in np.flatnonzero(alive & (hi_env >= prune_threshold)):
-                    index = int(position)
-                    score = float(hi_env[index])
+                survivors = np.flatnonzero(alive & (hi_env >= prune_threshold))
+                for index, score in zip(survivors.tolist(), hi_env[survivors].tolist()):
                     heap.offer(
                         score,
                         chunk_ids[index],
-                        # The tie-break key is the *original* candidate
-                        # position, so the ranking is identical however the
-                        # scan happens to be ordered.
-                        scan_positions[chunk_start + index]
-                        if scan_positions is not None
-                        else chunk_start + index,
-                        payload=RankedEntity(
-                            entity_id=chunk_ids[index],
-                            score=score,
-                            row=chunk_rows[index],
-                            predicate_degrees={
-                                text: float(vectors[1][index])
-                                for text, vectors in bound_vectors.items()
-                            },
-                        ),
+                        positions[index],
+                        payload=(score, positions[index], index, bound_vectors),
                     )
             chunk_start = chunk_stop
             chunk_size *= max(2, self.prune_chunk_growth)
-        return QueryResult(
-            sql=sql,
-            entities=list(heap.selected()),
-            interpretations=plan.interpretations,
-        )
+        # Result objects are built for the k winners only.
+        entities = [
+            RankedEntity(
+                entity_id=row_entities[position],
+                score=score,
+                row=rows[position],
+                predicate_degrees={
+                    text: float(vectors[1][index])
+                    for text, vectors in chunk_vectors.items()
+                },
+            )
+            for score, position, index, chunk_vectors in heap.selected()
+        ]
+        return QueryResult(sql=sql, entities=entities, interpretations=plan.interpretations)
+
+    def _scan_bound(
+        self, plan: QueryPlan, and_path: set[str], candidates: CandidateSet, store
+    ) -> np.ndarray | None:
+        """Upper bound of the query score on every candidate, unscored.
+
+        The conjunction of the ``and_path`` predicates' degree upper bounds:
+        a predicate reached from the root through AND nodes only caps the
+        score under any t-norm, and a pair's ``hi`` caps its predicate when
+        the pairs combine by AND (or there is only one).  Each ``hi`` is the
+        store's cached whole-store envelope gathered at the candidate set's
+        (cached) row indices; a predicate the store cannot bound (or with
+        a candidate missing from its columns) contributes no cap.  ``None``
+        — scan unordered, no early stop — when nothing caps the score: an
+        OR or NOT at the root, or a store without envelopes.
+        """
+        whole_store_envelope = getattr(store, "degree_envelope", None)
+        if whole_store_envelope is None:
+            return None
+        caps: list[np.ndarray] = []
+        for text, interpretation in plan.interpretations.items():
+            if text not in and_path or (
+                interpretation.combinator != "and" and len(interpretation.pairs) > 1
+            ):
+                continue
+            pair_highs: list[np.ndarray] = []
+            for pair in interpretation.pairs:
+                envelope = whole_store_envelope(
+                    self.processor.membership,
+                    pair.attribute,
+                    self.processor.phrase_for_pair(interpretation, pair.marker),
+                )
+                index = (
+                    None
+                    if envelope is None
+                    else candidates.store_rows(store.columns(pair.attribute))
+                )
+                if index is None:
+                    pair_highs = []
+                    break
+                pair_highs.append(envelope[1][index])
+            caps.extend(pair_highs)
+        if not caps:
+            return None
+        return self.processor.logic.conjunction_arrays(caps) if len(caps) > 1 else caps[0]
 
     def _bounded_cached_pair_degrees(
         self,

@@ -322,6 +322,48 @@ class TestBlockedScoreBounds:
         assert checked > 0
 
 
+class TestEnvelopeCacheIsBounded:
+    """``degree_envelope`` keeps ``ENVELOPE_CACHE_ENTRIES`` conditions, LRU."""
+
+    @pytest.fixture()
+    def database(self):
+        from repro.testing import build_synthetic_columnar_database
+
+        return build_synthetic_columnar_database(num_entities=40, seed=3)
+
+    def test_many_distinct_phrases_stay_within_the_budget(self, database):
+        store = ColumnarSummaryStore(database)
+        membership = SubjectiveQueryProcessor(database).membership
+        budget = columnar.ENVELOPE_CACHE_ENTRIES
+        phrases = [f"word{index % 120:03d} word{index // 120:03d}" for index in range(5 * budget)]
+        first = store.degree_envelope(membership, "quality", phrases[0])
+        assert first is not None
+        for phrase in phrases[1:]:
+            store.degree_envelope(membership, "quality", phrase)
+            assert len(store._envelopes) <= budget
+        assert len(store._envelopes) == budget
+        assert ("quality", phrases[0]) not in store._envelopes  # evicted long ago
+        again = store.degree_envelope(membership, "quality", phrases[0])
+        assert all((got == want).all() for got, want in zip(again, first))
+
+    def test_a_reread_envelope_survives_newer_ones(self, database):
+        store = ColumnarSummaryStore(database)
+        membership = SubjectiveQueryProcessor(database).membership
+        kept = store.degree_envelope(membership, "quality", "word001")
+        for index in range(columnar.ENVELOPE_CACHE_ENTRIES - 1):
+            store.degree_envelope(membership, "service", f"word{index:03d} filler")
+            assert store.degree_envelope(membership, "quality", "word001") is kept
+
+    def test_ingest_still_clears_it(self, database):
+        store = ColumnarSummaryStore(database)
+        membership = SubjectiveQueryProcessor(database).membership
+        stale = store.degree_envelope(membership, "quality", "word001")
+        database.add_review(ReviewRecord(99_999, "e00000", "word001 again"))
+        fresh = store.degree_envelope(membership, "quality", "word001")
+        assert fresh is not stale
+        assert list(store._envelopes) == [("quality", "word001")]
+
+
 class TestBatchedBm25:
     def test_scores_match_scalar_exactly(self):
         index = Bm25Index()

@@ -115,6 +115,28 @@ class TestQualityExperiment:
         assert average("OpineDB") > average("ByPrice")
         assert average("OpineDB") > average("ByRating")
 
+    #: Per-method mean quality at ``queries_per_cell=4`` on the session's
+    #: hotel fixture.  The workload seeds are digests of (option, difficulty),
+    #: so these hold under every ``PYTHONHASHSEED`` (CI runs this file under
+    #: two); a drift means the experiment or the processor changed.
+    PINNED_MEANS = {
+        "OpineDB": 0.8962116730578579,
+        "GZ12 (IR-based)": 0.8099289024877474,
+        "ByPrice": 0.7458580323638951,
+        "ByRating": 0.8052772905725692,
+        "1-Attribute": 0.9000851016850007,
+        "2-Attribute": 0.9420511751642016,
+    }
+
+    def test_table_values_are_pinned(self, hotel_setup):
+        result = run_quality_experiment("hotels", setup=hotel_setup, queries_per_cell=4)
+        means = {
+            method: sum(values) / len(values)
+            for method in self.PINNED_MEANS
+            for values in [[c.quality for c in result.cells if c.method == method]]
+        }
+        assert means == pytest.approx(self.PINNED_MEANS, abs=1e-9)
+
 
 class TestExtractorExperiment:
     def test_our_model_beats_baseline(self):

@@ -4,7 +4,8 @@ Covers the algebraic laws of the fuzzy-logic variants, the mass-conservation
 invariants of marker summaries, BM25 non-negativity and self-retrieval, the
 tokenizer's idempotence, NDCG bounds, the SQL builder/parser round trip, and
 the sharded serving engine's partition/merge invariants (every row covered
-exactly once; per-shard top-k merge equal to global-sort top-k under ties).
+exactly once; per-shard top-k merge equal to global-sort top-k under ties),
+and the pruned scan's bound and top-k on random WHERE shapes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.engine.expressions import (
 )
 from repro.serving.sharded import (
     TopKThreshold,
+    and_path_predicates,
     fuzzy_bound_arrays,
     fuzzy_score_arrays,
     merge_shard_topk,
@@ -367,6 +369,77 @@ class TestBoundIntervalContainment:
             score = fuzzy_score_arrays(tree, rows, exact, logic)
             assert np.array_equal(hi, score)
             assert np.array_equal(lo, score)
+
+
+class TestScanBoundOnRandomTrees:
+    """The pruned scan is sound for *any* WHERE shape.
+
+    For random trees over real predicates and objective leaves, the scan's
+    ordering bound (gathered from the store's envelopes, before any kernel
+    runs; present when the tree has AND-path predicates) is at least the
+    exact score on every candidate row, and the pruned top-k equals
+    :func:`merge_shard_topk` over the exact scores — ties included (min/max
+    logic and crisp leaves under OR both produce them).
+    """
+
+    leaves = st.sampled_from(
+        ['"word001"', '"word004"', '"word018"', '"word027"', "price < 120", "city = 'rome'"]
+    )
+    trees = st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(
+                lambda ops: "(" + " and ".join(ops) + ")"
+            ),
+            st.lists(children, min_size=2, max_size=3).map(
+                lambda ops: "(" + " or ".join(ops) + ")"
+            ),
+            children.map(lambda op: f"(not {op})"),
+        ),
+        max_leaves=5,
+    )
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        from repro.core import SubjectiveQueryProcessor
+        from repro.serving import ShardedSubjectiveQueryEngine
+        from repro.testing import build_synthetic_columnar_database
+
+        database = build_synthetic_columnar_database(num_entities=200, seed=17)
+        return [
+            ShardedSubjectiveQueryEngine(
+                processor=SubjectiveQueryProcessor(database, logic=logic), num_shards=2
+            )
+            for logic in (ProductLogic(), ZadehLogic())
+        ]
+
+    @given(trees, st.integers(min_value=1, max_value=7))
+    @settings(max_examples=100, deadline=None)  # ~half the trees keep > limit candidates
+    def test_bound_dominates_exact_score_and_topk_matches_merge(self, engines, tree, limit):
+        sql = f"select * from Entities where {tree} limit {limit}"
+        for engine in engines:
+            plan = engine.plan(sql)
+            candidates = engine._candidate_rows(plan)
+            if not plan.interpretations or len(candidates.rows) <= limit:
+                continue  # nothing subjective to bound, or nothing to prune
+            engine.membership_cache.clear()  # the pruned scan starts cold
+            served = engine.execute(sql)
+            exact = {
+                predicate: engine._interpretation_degree_vector(
+                    candidates.unique_ids, interpretation
+                )
+                for predicate, interpretation in plan.interpretations.items()
+            }
+            scores = fuzzy_score_arrays(
+                plan.statement.where, candidates.rows, exact, engine.processor.logic
+            )
+            and_path = and_path_predicates(plan.statement.where)
+            bound = engine._scan_bound(plan, and_path, candidates, engine.sharded_store)
+            assert (bound is not None) == bool(and_path)
+            assert bound is None or np.all(bound >= scores)
+            expected = merge_shard_topk(scores, candidates.row_entities, 2, limit)
+            assert served.entity_ids == [candidates.row_entities[i] for i in expected]
+            assert [entity.score for entity in served] == [float(scores[i]) for i in expected]
 
 
 class TestTopKThresholdHeap:

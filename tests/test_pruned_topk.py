@@ -28,6 +28,7 @@ from repro.serving import (
     ShardedSubjectiveQueryEngine,
     SubjectiveQueryEngine,
 )
+from repro.serving.sharded import and_path_predicates
 from repro.testing import build_synthetic_columnar_database
 
 SHARD_COUNTS = [1, 2, 4]
@@ -40,11 +41,18 @@ SELECTIVE_QUERIES = [
     "select * from Entities where city = 'london' and \"word004\" limit 5",
 ]
 
-#: Trees with OR/NOT roots: prunable only through bound envelopes, never
-#: through the AND-path threshold transfer.
+#: Trees with an OR or NOT between the root and a predicate: those
+#: predicates are prunable only through bound envelopes, never through the
+#: AND-path threshold transfer.  Top-level OR, NOT under OR, OR of AND, NOT
+#: under OR under AND, an objective leaf under OR (ties at 1.0), OR under an
+#: objective AND.
 MIXED_QUERIES = [
     'select * from Entities where not "word002" or "word021" limit 4',
     'select * from Entities where "word005" or "word017" limit 6',
+    'select * from Entities where ("word003" and "word019") or "word007" limit 5',
+    'select * from Entities where "word001" and (not "word010" or "word021") limit 4',
+    'select * from Entities where price < 60 or "word004" limit 5',
+    "select * from Entities where city = 'rome' and (\"word004\" or \"word020\") limit 5",
 ]
 
 #: Queries the pruned path must refuse up front (no limit; a gibberish
@@ -58,6 +66,11 @@ FALLBACK_QUERIES = [
 @pytest.fixture(scope="module")
 def synthetic_database():
     return build_synthetic_columnar_database(num_entities=300, seed=11)
+
+
+@pytest.fixture(scope="module")
+def large_database():
+    return build_synthetic_columnar_database(num_entities=1600, seed=11)
 
 
 def _assert_identical_results(expected, actual, context: str = "") -> None:
@@ -267,6 +280,10 @@ class TestClusterPruning:
             engine.execute(SELECTIVE_QUERIES[0])
 
 
+def _sharded(num_shards):
+    return lambda database: ShardedSubjectiveQueryEngine(database=database, num_shards=num_shards)
+
+
 def _coordinator(database):
     return CoordinatorQueryEngine(database=database, num_workers=2)
 
@@ -275,8 +292,41 @@ def _cluster(database):
     return ClusterQueryEngine(database=database, num_nodes=2, max_inflight_queries=1)
 
 
+class TestMixedShapesOnEveryEngine:
+    """OR / NOT shapes on the 1600-entity fixture: exact on every engine."""
+
+    @pytest.mark.parametrize(
+        "make_engine",
+        [_sharded(1), _sharded(2), _sharded(4), _coordinator, _cluster],
+        ids=["shards=1", "shards=2", "shards=4", "rpc", "cluster"],
+    )
+    def test_pruned_equals_unpruned_and_and_paths_score_fewer(self, large_database, make_engine):
+        full = ShardedSubjectiveQueryEngine(
+            database=large_database, num_shards=2, prune_topk=False
+        )
+        exact_store = ColumnarSummaryStore(large_database)
+        with make_engine(large_database) as engine:
+            for sql in MIXED_QUERIES:
+                scored, unpruned = engine.entities_scored, full.entities_scored
+                _assert_identical_results(full.execute(sql), engine.execute(sql), context=sql)
+                scored = engine.entities_scored - scored
+                unpruned = full.entities_scored - unpruned
+                assert 0 < scored <= unpruned, sql
+                if and_path_predicates(engine.plan(sql).statement.where):
+                    # An AND-path predicate orders the scan and stops it early.
+                    assert scored < unpruned, sql
+            assert engine.entities_pruned > 0
+            # Only exact degrees were cached: bounds of dismissed rows never are.
+            membership = engine.processor.membership
+            keys = list(engine.membership_cache.keys())
+            assert keys
+            for entity_id, attribute, phrase in keys:
+                (exact,) = exact_store.pair_degrees(membership, [entity_id], attribute, phrase)
+                assert engine.membership_cache.peek((entity_id, attribute, phrase)) == exact
+
+
 class TestCoordinatorPreScreen:
-    """The remote stores answer ``pair_degree_envelope`` from the coordinator's
+    """The remote stores answer ``degree_envelope`` from the coordinator's
     base store, so the fleet engines scan in the in-process engine's order."""
 
     @pytest.mark.parametrize(
@@ -300,7 +350,7 @@ class TestCoordinatorPreScreen:
                 )
 
         results, scored, pruned, requests = run()
-        monkeypatch.delattr(store_class, "pair_degree_envelope")
+        monkeypatch.delattr(store_class, "degree_envelope")
         unscreened_results, _, _, unscreened_requests = run()
 
         for sql, want, got, unscreened in zip(

@@ -691,7 +691,7 @@ class TestColdQueryCost:
             elif entry == "bounded":
                 assert store.pair_degrees_bounded(membership, ids, attribute, "clean", 0.5)
             else:
-                assert store.pair_degree_envelope(membership, ids, attribute, "clean")
+                assert store.degree_envelope(membership, attribute, "clean")
             assert store.base.stats_snapshot()["attributes"]  # built by now
         assert built_at_fork == [{}, {}]
 

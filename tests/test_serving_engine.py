@@ -149,6 +149,87 @@ class TestInvalidation:
         assert [entity.score for entity in warm] == [entity.score for entity in fresh]
 
 
+class TestCandidateSharing:
+    """One ``CandidateSet`` per objective skeleton, not per SQL string."""
+
+    BASE = "select * from Entities where city = 'paris' and \"word001\" and \"word002\" limit 5"
+
+    @pytest.fixture()
+    def database(self):
+        from repro.testing import build_synthetic_columnar_database
+
+        return build_synthetic_columnar_database(num_entities=60, seed=5)
+
+    def test_queries_differing_only_in_phrases_share_one_set(self, database):
+        engine = SubjectiveQueryEngine(database=database)
+        first = engine.plan(self.BASE)
+        second = engine.plan(
+            "select * from Entities where city = 'paris' and \"word003\" and \"word004\" limit 3"
+        )
+        assert first is not second and first.candidate_key == second.candidate_key
+        shared = engine._candidate_rows(first)
+        assert engine.candidate_cache.stats.hits == 0
+        assert engine._candidate_rows(second) is shared
+        assert engine.candidate_cache.stats.hits == 1
+        assert len(engine.candidate_cache) == 1
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            BASE.replace("'paris'", "'rome'"),  # objective literal
+            BASE.replace("city = 'paris'", "city != 'paris'"),  # operator
+            BASE.replace("Entities where city", "Entities e where e.city"),  # alias
+            BASE.replace(
+                "Entities where city", "Entities e join Entities f on e.eid = f.eid where e.city"
+            ),  # join
+            BASE.replace(" and \"word002\"", " or \"word002\""),  # connective
+        ],
+    )
+    def test_a_different_objective_skeleton_does_not_share(self, database, variant):
+        engine = SubjectiveQueryEngine(database=database)
+        fresh = SubjectiveQueryProcessor(database)
+        for sql in (self.BASE, variant):
+            assert engine.execute(sql).entity_ids == fresh.execute(sql).entity_ids
+        assert engine.plan(self.BASE).candidate_key != engine.plan(variant).candidate_key
+        assert engine.candidate_cache.stats.hits == 0
+        assert len(engine.candidate_cache) == 2
+
+    def test_shared_set_serves_results_equal_to_the_processor(self, database):
+        engine = SubjectiveQueryEngine(database=database)
+        fresh = SubjectiveQueryProcessor(database)
+        for a, b in [("word001", "word002"), ("word005", "word020"), ("word017", "word003")]:
+            sql = f"select * from Entities where price < 120 and \"{a}\" and \"{b}\" limit 6"
+            served, expected = engine.execute(sql), fresh.execute(sql)
+            assert served.entity_ids == expected.entity_ids
+            assert [e.score for e in served] == [e.score for e in expected]
+            assert [e.row for e in served] == [e.row for e in expected]
+        assert engine.candidate_cache.stats.misses == 1
+        assert engine.candidate_cache.stats.hits == 2
+
+    def test_ingest_drops_the_set(self, database):
+        engine = SubjectiveQueryEngine(database=database)
+        before = engine._candidate_rows(engine.plan(self.BASE))
+        database.add_entity("paris-newcomer", {"city": "paris", "price": 75.0})
+        after = engine._candidate_rows(engine.plan(self.BASE))
+        assert after is not before
+        assert len(after.rows) == len(before.rows) + 1
+        assert engine.candidate_cache.stats.hits == 0
+
+    def test_negated_phrases_share_a_set_and_still_match_the_processor(self, database):
+        """``… and not "x"`` selects zero rows today (a negated subjective leaf
+        is objectively ``False``); sharing must not change that."""
+        engine = SubjectiveQueryEngine(database=database)
+        fresh = SubjectiveQueryProcessor(database)
+        sqls = [
+            f"select * from Entities where city = 'paris' and not \"{phrase}\" limit 5"
+            for phrase in ("word001", "word002")
+        ]
+        for sql in sqls:
+            assert engine.execute(sql).entity_ids == fresh.execute(sql).entity_ids == []
+        assert engine.candidate_cache.stats.hits == 1
+        assert len(engine.candidate_cache) == 1
+
+
 class TestBatchIdentity:
     def test_run_batch_matches_sequential_processor(self, hotel_database):
         engine = SubjectiveQueryEngine(database=hotel_database)

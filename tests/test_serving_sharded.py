@@ -259,15 +259,14 @@ def assert_envelope_tracks_ingest(database, engine) -> None:
     """
     store = engine.sharded_store
     membership = engine.processor.membership
-    ids = sorted(database.entity_ids())
-    request = (membership, ids, "room_cleanliness", "clean")
-    before = store.pair_degree_envelope(*request)
+    request = (membership, "room_cleanliness", "clean")
+    before = store.degree_envelope(*request)
     summary = MarkerSummary("room_cleanliness", list(MARKERS))
     summary.add_phrase("dirty", sentiment=-0.9)
-    database.store_summary(ids[-1], summary)
-    after = store.pair_degree_envelope(*request)
+    database.store_summary(sorted(database.entity_ids())[-1], summary)
+    after = store.degree_envelope(*request)
     assert store.data_version == database.data_version
-    fresh = ColumnarSummaryStore(database).pair_degree_envelope(*request)
+    fresh = ColumnarSummaryStore(database).degree_envelope(*request)
     assert all(np.array_equal(got, want) for got, want in zip(after, fresh))
     assert not all(np.array_equal(got, old) for got, old in zip(after, before))
 
