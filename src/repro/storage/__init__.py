@@ -19,6 +19,7 @@ moves past the catalog's.
 from repro.storage.catalog import CATALOG_FILENAME, CATALOG_FORMAT_VERSION, StorageCatalog
 from repro.storage.columns import (
     COLUMN_FILE_DTYPE,
+    ColumnFileImage,
     MappedColumnFile,
     RawSummaryColumns,
     derive_attribute_columns,
@@ -37,6 +38,7 @@ __all__ = [
     "CATALOG_FILENAME",
     "CATALOG_FORMAT_VERSION",
     "COLUMN_FILE_DTYPE",
+    "ColumnFileImage",
     "MappedColumnFile",
     "PersistentColumnarStore",
     "RawSummaryColumns",

@@ -19,6 +19,13 @@ only zero-copy when the bytes are already in CPU order.
 Section offsets are not stored: both writer and reader derive them from the
 fixed rule *first section at ``align64(header + 4 + len(meta))``, each next
 section at ``align64(previous end)``* — one fewer thing that can skew.
+
+Writing never materialises a file in RAM: :func:`pack_column_file` applies
+that rule once and returns a :class:`ColumnFileImage` — header, meta,
+padding and zero-copy views over the caller's arrays, with the CRCs folded
+chunk by chunk — which :func:`write_bytes_atomically` streams to disk and
+:meth:`ColumnFileImage.equals_file` compares in place with the previous
+generation.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -37,7 +44,6 @@ from repro.core.columnar import (
     SNAPSHOT_FORMAT_VERSION,
     SNAPSHOT_MAGIC,
     AttributeColumns,
-    _pack_container,
     _unit_rows,
 )
 from repro.core.markers import Marker, MarkerSummary, SummaryKind
@@ -60,6 +66,14 @@ _CONTAINER_HEADER = len(SNAPSHOT_MAGIC) + 2 + 4 + 1
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 
+#: What a column-file image is made of: ``bytes`` for the header, meta and
+#: padding, flat ``uint8`` array views for the sections.
+Buffer = bytes | np.ndarray
+
+#: Bytes compared per step when an image is checked against a mapped file —
+#: bounds the temporary the comparison allocates, not the result.
+_COMPARE_BLOCK = 1 << 20
+
 #: ``SummaryKind`` ↔ float code used by the ``kind_codes`` raw section.
 _KIND_CODES = {SummaryKind.LINEAR: 0.0, SummaryKind.CATEGORICAL: 1.0}
 _KIND_OF_CODE = {0.0: SummaryKind.LINEAR, 1.0: SummaryKind.CATEGORICAL}
@@ -71,9 +85,23 @@ def _align(offset: int) -> int:
     return offset if remainder == 0 else offset + (SECTION_ALIGNMENT - remainder)
 
 
-def _native_bytes(array: np.ndarray) -> bytes:
-    """One array as native-endian float64 bytes in C order."""
-    return np.ascontiguousarray(array, dtype=np.float64).tobytes()
+def _section_bytes(array: np.ndarray) -> np.ndarray:
+    """One array as a flat byte view of native-endian float64 in C order.
+
+    Zero-copy when the array already is C-contiguous native float64 (every
+    section the save path produces); anything else is *converted* first,
+    never reinterpreted.  Built with ``reshape``/``view`` rather than
+    ``memoryview.cast`` because the latter refuses shapes containing 0 —
+    and a database without an embedder has ``(E, M, 0)`` sections.
+    """
+    return np.ascontiguousarray(array, dtype=np.float64).reshape(-1).view(np.uint8)
+
+
+def _fold_crc(chunks: Iterable[Buffer], crc: int = 0) -> int:
+    """CRC-32 of the concatenation of ``chunks``, continuing from ``crc``."""
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    return crc
 
 
 def sections_crc(sections: Mapping[str, np.ndarray]) -> int:
@@ -81,23 +109,66 @@ def sections_crc(sections: Mapping[str, np.ndarray]) -> int:
 
     This is the *content* checksum the catalog stores per attribute: it is
     independent of the meta JSON (which embeds the per-attribute version),
-    so an unchanged attribute keeps the same content CRC across saves and
-    its file is not rewritten.
+    so an unchanged attribute keeps the same content CRC across saves.
     """
-    crc = 0
-    for array in sections.values():
-        crc = zlib.crc32(_native_bytes(array), crc)
-    return crc
+    return _fold_crc(_section_bytes(array) for array in sections.values())
 
 
-def pack_column_file(meta: Mapping[str, object], sections: Mapping[str, np.ndarray]) -> bytes:
-    """Serialize named float64 arrays into one mappable column-file payload.
+@dataclass(frozen=True, eq=False)
+class ColumnFileImage:
+    """One complete column file as an ordered sequence of buffers, never joined.
+
+    ``chunks`` are, in file order, the container header, the flags byte,
+    the length-prefixed meta JSON, and per section its zero padding and a
+    byte view over the array (no chunk is empty).  ``crc`` is the CRC-32 of
+    their concatenation — the per-file checksum the catalog records — and
+    ``nbytes`` its length.  The views alias the caller's arrays: write or
+    compare the image before mutating them.
+    """
+
+    chunks: tuple[Buffer, ...]
+    crc: int
+    nbytes: int
+
+    def equals_file(self, path: str) -> bool:
+        """Whether ``path`` holds exactly this image, bit for bit.
+
+        Compares region by region against a read-only map of the file, so
+        neither side is materialised.  Bit equality — not float equality —
+        so ``-0.0`` vs ``0.0`` and NaN payloads count as differences, and a
+        byte flipped on disk anywhere (section, padding, meta, header)
+        makes the file unequal.  A missing or unreadable file is unequal.
+        """
+        try:
+            if os.path.getsize(path) != self.nbytes:
+                return False
+            mapped = np.memmap(path, dtype=np.uint8, mode="r")
+        except (OSError, ValueError):
+            return False
+        offset = 0
+        for chunk in self.chunks:
+            region = np.frombuffer(chunk, dtype=np.uint8)
+            on_disk = mapped[offset : offset + len(region)]
+            for start in range(0, len(region), _COMPARE_BLOCK):
+                stop = start + _COMPARE_BLOCK
+                if not np.array_equal(region[start:stop], on_disk[start:stop]):
+                    return False
+            offset += len(region)
+        return True
+
+
+def pack_column_file(
+    meta: Mapping[str, object], sections: Mapping[str, np.ndarray]
+) -> ColumnFileImage:
+    """Lay named float64 arrays out as one mappable column file.
 
     ``meta`` is extended with the dtype tag and the section table
     (name + shape, in iteration order) and stored as deterministic JSON;
-    the arrays follow zero-padded to :data:`SECTION_ALIGNMENT`-aligned
-    absolute offsets.  The result is a complete snapshot-v2 container
-    (CRC over flags + body) ready for :func:`write_bytes_atomically`.
+    each array follows at the next :data:`SECTION_ALIGNMENT`-aligned
+    absolute offset.  The result is a complete snapshot-v2 container (CRC
+    over flags + body) as a :class:`ColumnFileImage`: the section bytes are
+    read twice (body CRC, then whole-file CRC behind the header that
+    carries the first) and never copied.
     """
     full_meta = dict(meta)
     full_meta["dtype"] = COLUMN_FILE_DTYPE
@@ -108,30 +179,48 @@ def pack_column_file(meta: Mapping[str, object], sections: Mapping[str, np.ndarr
         meta_bytes = json.dumps(full_meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     except (TypeError, ValueError) as error:
         raise StorageError(f"column-file meta is not JSON-serializable ({error})") from error
-    parts = [_U32.pack(len(meta_bytes)), meta_bytes]
+    stored: list[Buffer] = [
+        bytes([SNAPSHOT_FLAG_COLUMN_FILE]),
+        _U32.pack(len(meta_bytes)),
+        meta_bytes,
+    ]
     position = _CONTAINER_HEADER + 4 + len(meta_bytes)
     for array in sections.values():
         start = _align(position)
         if start > position:
-            parts.append(b"\x00" * (start - position))
-        payload = _native_bytes(array)
-        parts.append(payload)
-        position = start + len(payload)
-    return _pack_container(b"".join(parts), SNAPSHOT_FLAG_COLUMN_FILE, compress=False)
+            stored.append(bytes(start - position))
+        view = _section_bytes(array)
+        if len(view):
+            stored.append(view)
+        position = start + len(view)
+    header = (
+        SNAPSHOT_MAGIC
+        + _U16.pack(SNAPSHOT_FORMAT_VERSION)
+        + _U32.pack(_fold_crc(stored))
+    )
+    chunks = (header, *stored)
+    return ColumnFileImage(chunks=chunks, crc=_fold_crc(chunks), nbytes=position)
 
 
-def write_bytes_atomically(path: str, payload: bytes) -> None:
+def write_bytes_atomically(path: str, payload: bytes | Iterable[Buffer]) -> None:
     """Write ``payload`` to ``path`` via temp file + fsync + atomic rename.
 
-    A crash mid-write leaves either the previous file or nothing — never a
-    torn mixture — and the directory entry is fsynced so the rename itself
-    is durable.
+    ``payload`` is one ``bytes`` or an ordered sequence of buffers (a
+    :class:`ColumnFileImage`'s ``chunks``), streamed to the temp file in
+    order without being joined.  A crash mid-write leaves either the
+    previous file or nothing — never a torn mixture — and the directory
+    entry is fsynced so the rename itself is durable.  The temp file is
+    named ``<path>.tmp.<pid>``; one a killed process leaves behind is
+    swept by the next :func:`~repro.storage.persist.save_database`.
     """
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        payload = (payload,)
     directory = os.path.dirname(path) or "."
     temporary = f"{path}.tmp.{os.getpid()}"
     try:
         with open(temporary, "wb") as handle:
-            handle.write(payload)
+            for chunk in payload:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temporary, path)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from collections import Counter
 from typing import Callable, Hashable, Mapping
 
@@ -59,6 +58,7 @@ from repro.core.markers import Marker, MarkerSummary, SummaryKind
 from repro.engine.types import ColumnType
 from repro.errors import CatalogError, SchemaError, StorageError
 from repro.obs.metrics import MetricsRegistry, cell_property
+from repro.obs.trace import span
 from repro.storage.catalog import (
     CATALOG_FILENAME,
     StorageCatalog,
@@ -228,22 +228,6 @@ def _summary_from_payload(payload: str) -> MarkerSummary:
 
 
 # ----------------------------------------------------------- versioned files
-def _on_disk_bytes_match(path: str, payload: bytes) -> bool:
-    """Whether ``path`` holds exactly ``payload`` (torn writes do not reuse).
-
-    The reuse fast path of :func:`_persist_versioned_file` must not trust
-    catalog metadata alone: a byte flipped on disk after the last save
-    leaves the recorded CRC intact, and reusing such a file would carry the
-    corruption silently into the next generation.  Comparing the actual
-    bytes makes a re-save the recovery path for torn writes.
-    """
-    try:
-        with open(path, "rb") as handle:
-            return handle.read() == payload
-    except OSError:
-        return False
-
-
 def _persist_versioned_file(
     directory: str,
     subdirectory: str,
@@ -254,35 +238,35 @@ def _persist_versioned_file(
 ) -> tuple[str, int, int]:
     """Write (or reuse) one version-stamped column file; ``(file, version, crc)``.
 
-    The candidate payload is packed under the previous version first: when
-    its CRC matches the catalog's recorded CRC and the file is still on
-    disk, nothing is written and the version does not move — this is what
-    makes repeated saves byte-stable.  Any difference bumps the version and
-    writes a fresh file (never overwriting the previous generation, so
-    running readers keep consistent maps).
+    The file is laid out under the previous version stamp first.  It is
+    *unchanged* — nothing written, version not moved, which is what makes
+    repeated saves byte-stable — only when that image's CRC is the one the
+    catalog recorded **and** the image equals the previous generation's
+    file bit for bit.  Catalog metadata alone is not trusted: a byte
+    flipped on disk after the last save leaves the recorded CRC intact, and
+    reusing such a file would carry the corruption silently into the next
+    generation, so a re-save is the recovery path for torn writes.  Any
+    difference lays the file out again under the next version and writes
+    it fresh (never over the previous generation, so running readers keep
+    consistent maps).
     """
-    candidate = int(previous["version"]) if previous is not None else 1
-    stamped = dict(meta)
-    stamped["version"] = candidate
-    payload = pack_column_file(stamped, sections)
-    if previous is not None:
-        unchanged = (
-            zlib.crc32(payload) == int(previous["crc"])
-            and str(previous["file"]) == name_of(candidate)
-            and _on_disk_bytes_match(
-                os.path.join(directory, subdirectory, str(previous["file"])), payload
-            )
-        )
-        if unchanged:
-            return str(previous["file"]), candidate, int(previous["crc"])
-        version = candidate + 1
-        stamped["version"] = version
-        payload = pack_column_file(stamped, sections)
-    else:
-        version = candidate
+    version = int(previous["version"]) if previous is not None else 1
+    with span("storage_pack", file=name_of(version)):
+        image = pack_column_file({**meta, "version": version}, sections)
+        if previous is not None:
+            kept = str(previous["file"])
+            if (
+                image.crc == int(previous["crc"])
+                and kept == name_of(version)
+                and image.equals_file(os.path.join(directory, subdirectory, kept))
+            ):
+                return kept, version, image.crc
+            version += 1
+            image = pack_column_file({**meta, "version": version}, sections)
     filename = name_of(version)
-    write_bytes_atomically(os.path.join(directory, subdirectory, filename), payload)
-    return filename, version, zlib.crc32(payload)
+    with span("storage_write", file=filename, bytes=image.nbytes):
+        write_bytes_atomically(os.path.join(directory, subdirectory, filename), image.chunks)
+    return filename, version, image.crc
 
 
 def _embeddings_filename(version: int) -> str:
@@ -291,6 +275,16 @@ def _embeddings_filename(version: int) -> str:
 
 
 # ----------------------------------------------------------------------- save
+def _sweep_temporaries(directory: str) -> None:
+    """Remove ``<name>.tmp.<pid>`` files a killed save left in ``directory``."""
+    for name in os.listdir(directory):
+        if ".tmp." in name:
+            try:
+                os.unlink(os.path.join(directory, name))
+            except OSError:
+                pass  # already gone, or not ours to remove: open ignores it anyway
+
+
 def save_database(database: SubjectiveDatabase, directory: str) -> None:
     """Persist the complete logical state of ``database`` under ``directory``.
 
@@ -300,38 +294,53 @@ def save_database(database: SubjectiveDatabase, directory: str) -> None:
     complete save or this one.  Raises
     :class:`~repro.errors.StorageError` (or its ``CatalogError`` subclass)
     on non-serializable state or I/O failure.
+
+    A directory has **one writer at a time** (any number of readers): the
+    save starts by removing the ``*.tmp.<pid>`` files an interrupted save
+    left under ``columns/`` and ``models/``, which would delete a
+    concurrent writer's file in flight.
     """
-    os.makedirs(os.path.join(directory, COLUMNS_SUBDIR), exist_ok=True)
-    os.makedirs(os.path.join(directory, MODELS_SUBDIR), exist_ok=True)
-    loader = getattr(database, "_summary_loader", None)
-    if loader is not None:
-        loader.load_all()
+    with span("storage_save", directory=directory):
+        _save_database(database, directory)
+
+
+def _save_database(database: SubjectiveDatabase, directory: str) -> None:
+    for subdirectory in (COLUMNS_SUBDIR, MODELS_SUBDIR):
+        os.makedirs(os.path.join(directory, subdirectory), exist_ok=True)
+        _sweep_temporaries(os.path.join(directory, subdirectory))
 
     previous_attributes: dict[str, dict] = {}
     previous_models: dict[str, dict] = {}
-    if os.path.exists(os.path.join(directory, CATALOG_FILENAME)):
-        try:
-            with StorageCatalog(directory) as existing:
-                previous_attributes = {
-                    row["name"]: dict(row) for row in existing.attribute_rows()
-                }
-                previous_models = {row["name"]: dict(row) for row in existing.model_rows()}
-        except CatalogError:
-            previous_attributes = {}
-            previous_models = {}
+    with span("storage_catalog", phase="read"):
+        loader = getattr(database, "_summary_loader", None)
+        if loader is not None:
+            loader.load_all()
+        if os.path.exists(os.path.join(directory, CATALOG_FILENAME)):
+            try:
+                with StorageCatalog(directory) as existing:
+                    previous_attributes = {
+                        row["name"]: dict(row) for row in existing.attribute_rows()
+                    }
+                    previous_models = {
+                        row["name"]: dict(row) for row in existing.model_rows()
+                    }
+            except CatalogError:
+                previous_attributes = {}
+                previous_models = {}
 
     store = database.columnar_store()
     attribute_rows: list[tuple] = []
     placements: dict[str, tuple[Mapping[Hashable, int], int]] = {}
     for position, attribute in enumerate(database.schema.subjective_attributes):
-        columns = store.columns(attribute.name)
-        if columns is None:
-            continue
-        for entity_id in columns.entity_ids:
-            encode_entity_id(entity_id)  # typed failure before any file write
-        summaries = database.summaries_for_attribute(attribute.name)
-        raw = raw_summary_columns(columns, summaries)
-        sections = attribute_sections(columns, raw)
+        with span("storage_columns", attribute=attribute.name):
+            columns = store.columns(attribute.name)
+            if columns is None:
+                continue
+            for entity_id in columns.entity_ids:
+                encode_entity_id(entity_id)  # typed failure before any file write
+            summaries = database.summaries_for_attribute(attribute.name)
+            raw = raw_summary_columns(columns, summaries)
+            sections = attribute_sections(columns, raw)
         meta = {
             "attribute": attribute.name,
             "entity_ids": list(columns.entity_ids),
@@ -348,6 +357,8 @@ def save_database(database: SubjectiveDatabase, directory: str) -> None:
             sections,
             previous_attributes.get(attribute.name),
         )
+        with span("storage_pack", file=filename):
+            content_crc = sections_crc(sections)
         attribute_rows.append(
             (
                 attribute.name,
@@ -355,23 +366,11 @@ def save_database(database: SubjectiveDatabase, directory: str) -> None:
                 version,
                 filename,
                 crc,
-                sections_crc(sections),
+                content_crc,
                 columns.num_entities,
             )
         )
         placements[attribute.name] = (columns.row_of, columns.dimension)
-
-    summary_rows: list[tuple] = []
-    for (entity_id, attribute), summary in database._summaries.items():
-        encoded = encode_entity_id(entity_id)
-        placement = placements.get(attribute)
-        if placement is not None:
-            row_of, dimension = placement
-            row = row_of.get(entity_id)
-            if row is not None and (summary._dimension or 0) in (0, dimension):
-                summary_rows.append((attribute, encoded, int(row), None))
-                continue
-        summary_rows.append((attribute, encoded, None, _summary_payload(summary)))
 
     model_rows: list[tuple] = []
     embedder_document: dict | None = None
@@ -396,65 +395,78 @@ def save_database(database: SubjectiveDatabase, directory: str) -> None:
             "drop_stopwords": embedder._drop_stopwords,
         }
 
-    meta = {
-        "data_version": str(database.data_version),
-        "next_extraction_id": str(database._next_extraction_id),
-        "embedding_dimension": str(database.embedding_dimension),
-        "schema": _dumps(_schema_document(database.schema)),
-        "sentiment_lexicon": _dumps(database.sentiment._lexicon),
-        "embedder": _dumps(embedder_document),
-    }
-    entities = (
-        (encode_entity_id(record.entity_id), _dumps(dict(record.objective)))
-        for record in database._entities.values()
-    )
-    reviews = (
-        (
-            review.review_id,
-            encode_entity_id(review.entity_id),
-            review.text,
-            review.reviewer_id,
-            review.rating,
-            review.year,
-            review.helpful_votes,
+    with span("storage_catalog", phase="write"):
+        summary_rows: list[tuple] = []
+        for (entity_id, attribute), summary in database._summaries.items():
+            encoded = encode_entity_id(entity_id)
+            placement = placements.get(attribute)
+            if placement is not None:
+                row_of, dimension = placement
+                row = row_of.get(entity_id)
+                if row is not None and (summary._dimension or 0) in (0, dimension):
+                    summary_rows.append((attribute, encoded, int(row), None))
+                    continue
+            summary_rows.append((attribute, encoded, None, _summary_payload(summary)))
+
+        meta = {
+            "data_version": str(database.data_version),
+            "next_extraction_id": str(database._next_extraction_id),
+            "embedding_dimension": str(database.embedding_dimension),
+            "schema": _dumps(_schema_document(database.schema)),
+            "sentiment_lexicon": _dumps(database.sentiment._lexicon),
+            "embedder": _dumps(embedder_document),
+        }
+        entities = (
+            (encode_entity_id(record.entity_id), _dumps(dict(record.objective)))
+            for record in database._entities.values()
         )
-        for review in database._reviews.values()
-    )
-    extractions = (
-        (
-            record.extraction_id,
-            encode_entity_id(record.entity_id),
-            record.review_id,
-            record.sentence,
-            record.aspect_term,
-            record.opinion_term,
-            record.attribute,
-            record.marker,
-            record.sentiment,
+        reviews = (
+            (
+                review.review_id,
+                encode_entity_id(review.entity_id),
+                review.text,
+                review.reviewer_id,
+                review.rating,
+                review.year,
+                review.helpful_votes,
+            )
+            for review in database._reviews.values()
         )
-        for record in database._extractions.values()
-    )
-    variations = (
-        (attribute, variation, marker)
-        for (attribute, variation), marker in database._variation_marker.items()
-    )
-    provenance = (
-        (encode_entity_id(entity_id), attribute, marker, extraction_id)
-        for (entity_id, attribute, marker), ids in database.provenance._by_cell.items()
-        for extraction_id in ids
-    )
-    with StorageCatalog(directory, create=True) as catalog:
-        catalog.replace_state(
-            meta=meta,
-            entities=entities,
-            reviews=reviews,
-            extractions=extractions,
-            variations=variations,
-            provenance=provenance,
-            attributes=attribute_rows,
-            summaries=summary_rows,
-            models=model_rows,
+        extractions = (
+            (
+                record.extraction_id,
+                encode_entity_id(record.entity_id),
+                record.review_id,
+                record.sentence,
+                record.aspect_term,
+                record.opinion_term,
+                record.attribute,
+                record.marker,
+                record.sentiment,
+            )
+            for record in database._extractions.values()
         )
+        variations = (
+            (attribute, variation, marker)
+            for (attribute, variation), marker in database._variation_marker.items()
+        )
+        provenance = (
+            (encode_entity_id(entity_id), attribute, marker, extraction_id)
+            for (entity_id, attribute, marker), ids in database.provenance._by_cell.items()
+            for extraction_id in ids
+        )
+        with StorageCatalog(directory, create=True) as catalog:
+            catalog.replace_state(
+                meta=meta,
+                entities=entities,
+                reviews=reviews,
+                extractions=extractions,
+                variations=variations,
+                provenance=provenance,
+                attributes=attribute_rows,
+                summaries=summary_rows,
+                models=model_rows,
+            )
 
 
 # --------------------------------------------------------------------- reader
@@ -823,37 +835,42 @@ def open_database(directory: str) -> SubjectiveDatabase:
     equals the catalog's, which is what lets cluster nodes booting from
     the same directory skip wire hydration.
     """
-    reader = StoreReader(directory).verify()
-    with StorageCatalog(directory) as catalog:
-        schema = _schema_from_document(json.loads(catalog.require_meta("schema")))
-        sentiment = SentimentAnalyzer()
-        sentiment._lexicon = {
-            str(word): float(value)
-            for word, value in json.loads(catalog.require_meta("sentiment_lexicon")).items()
-        }
-        database = SubjectiveDatabase(
-            schema,
-            embedding_dimension=int(catalog.require_meta("embedding_dimension")),
-            sentiment=sentiment,
-        )
-        _load_relational_state(database, catalog)
-        for attribute, variation, marker in catalog.rows(
-            "SELECT attribute, variation, marker FROM variations"
-        ):
-            database._variation_marker[(attribute, variation)] = marker
-        for encoded, attribute, marker, extraction_id in catalog.rows(
-            "SELECT entity_id, attribute, marker, extraction_id FROM provenance"
-            " ORDER BY seq"
-        ):
-            database.provenance.record(
-                decode_entity_id(encoded), attribute, marker, int(extraction_id)
+    with span("storage_open", directory=directory):
+        with span("storage_map"):
+            reader = StoreReader(directory).verify()
+        with span("storage_relational_load"), StorageCatalog(directory) as catalog:
+            schema = _schema_from_document(json.loads(catalog.require_meta("schema")))
+            sentiment = SentimentAnalyzer()
+            sentiment._lexicon = {
+                str(word): float(value)
+                for word, value in json.loads(
+                    catalog.require_meta("sentiment_lexicon")
+                ).items()
+            }
+            database = SubjectiveDatabase(
+                schema,
+                embedding_dimension=int(catalog.require_meta("embedding_dimension")),
+                sentiment=sentiment,
             )
-        database._next_extraction_id = int(catalog.require_meta("next_extraction_id"))
-        embedder_document = json.loads(catalog.require_meta("embedder"))
-        data_version = catalog.data_version
-    if embedder_document is not None:
-        database.phrase_embedder = _restore_embedder(embedder_document, reader)
-    database.rebuild_text_indexes()
+            _load_relational_state(database, catalog)
+            for attribute, variation, marker in catalog.rows(
+                "SELECT attribute, variation, marker FROM variations"
+            ):
+                database._variation_marker[(attribute, variation)] = marker
+            for encoded, attribute, marker, extraction_id in catalog.rows(
+                "SELECT entity_id, attribute, marker, extraction_id FROM provenance"
+                " ORDER BY seq"
+            ):
+                database.provenance.record(
+                    decode_entity_id(encoded), attribute, marker, int(extraction_id)
+                )
+            database._next_extraction_id = int(catalog.require_meta("next_extraction_id"))
+            embedder_document = json.loads(catalog.require_meta("embedder"))
+            data_version = catalog.data_version
+        with span("storage_text_indexes"):
+            if embedder_document is not None:
+                database.phrase_embedder = _restore_embedder(embedder_document, reader)
+            database.rebuild_text_indexes()
     database._summary_loader = SummaryLoader(database, reader)
     database._store_factory = lambda db, reader=reader: PersistentColumnarStore(db, reader)
     database._data_version = data_version

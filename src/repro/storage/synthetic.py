@@ -1,15 +1,16 @@
 """Direct-to-disk synthetic storage directories for scale benchmarks.
 
-The ≥100k-entity arm of ``benchmarks/bench_persistent_boot.py`` needs a
-storage directory far larger than the extraction pipeline (or even the
-in-RAM synthetic builder in :mod:`repro.testing`) can produce in bench
-time.  This generator writes the column file and catalog *directly* —
-vectorized NumPy draws straight into the on-disk layout, no
-``SubjectiveDatabase``, no ``MarkerSummary`` objects — yet the result is a
-fully consistent directory: ``open_database`` boots it, the mmap store
-serves it, and the raw sections reconstruct summaries that re-derive the
-stored serving arrays bit-identically (the derived sections are computed
-with :func:`~repro.storage.columns.derive_attribute_columns`, the same
+A ≥100k-entity run needs a storage directory far larger than the
+extraction pipeline (or even the in-RAM synthetic builder in
+:mod:`repro.testing`) can produce in bench time.  This generator writes
+the column file and catalog *directly* — vectorized NumPy draws laid out
+and streamed by the same ``pack_column_file`` / ``write_bytes_atomically``
+pair ``save_database`` uses, no ``SubjectiveDatabase``, no
+``MarkerSummary`` objects — yet the result is a fully consistent
+directory: ``open_database`` boots it, the mmap store serves it, and the
+raw sections reconstruct summaries that re-derive the stored serving
+arrays bit-identically (the derived sections are computed with
+:func:`~repro.storage.columns.derive_attribute_columns`, the same
 vectorized arithmetic the durability tests pin against the scalar path).
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 
 import numpy as np
 
@@ -103,9 +103,9 @@ def generate_synthetic_store(
         "markers": marker_triples,
         "dimension": dimension,
     }
-    payload = pack_column_file(meta, sections)
+    image = pack_column_file(meta, sections)
     filename = columns_filename(0, SYNTHETIC_ATTRIBUTE, 1)
-    write_bytes_atomically(os.path.join(directory, "columns", filename), payload)
+    write_bytes_atomically(os.path.join(directory, "columns", filename), image.chunks)
 
     schema_document = {
         "name": "synthetic_store",
@@ -149,7 +149,7 @@ def generate_synthetic_store(
                     0,
                     1,
                     filename,
-                    zlib.crc32(payload),
+                    image.crc,
                     sections_crc(sections),
                     num_entities,
                 )

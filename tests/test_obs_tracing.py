@@ -16,6 +16,8 @@ Pins the tracing half of the observability layer (ISSUE 10):
 * The slow-query log captures SQL, span tree, and pruning counters for
   queries over the threshold, and ``tools/trace_report.py`` renders the
   exported spans as a tree with self-times.
+* ``save`` and ``open`` of the storage tier each leave one span tree whose
+  children account for the root's duration.
 """
 
 from __future__ import annotations
@@ -299,6 +301,51 @@ class TestGatewayTraces:
             assert filtered and {row["trace_id"] for row in filtered} == {one}
             limited = client.traces(trace_id=one, limit=1)
             assert len(limited) == 1
+
+
+class TestStorageSpans:
+    """``database.save`` / ``SubjectiveDatabase.open`` as span trees (ROADMAP 6a)."""
+
+    @staticmethod
+    def _tree(store: TraceStore, root_name: str):
+        (root,) = [record for record in store.spans() if record.name == root_name]
+        children = [record for record in store.spans() if record.parent_id == root.span_id]
+        assert {child.trace_id for child in children} == {root.trace_id}
+        return root, children
+
+    def test_save_and_open_each_leave_one_covered_tree(self, tmp_path):
+        from repro.core.database import SubjectiveDatabase
+        from repro.testing import build_synthetic_columnar_database
+
+        database = build_synthetic_columnar_database(num_entities=400, seed=2)
+        directory = str(tmp_path / "store")
+        database.save(directory)  # tracing off: nothing recorded
+        assert len(global_trace_store()) == 0
+
+        store = _fresh_tracing()
+        database.store_summary("e00001", database.marker_summary("e00002", "quality"))
+        database.save(directory)  # one attribute rewritten, one reused
+        root, children = self._tree(store, "storage_save")
+        assert {child.name for child in children} == {
+            "storage_columns",
+            "storage_pack",
+            "storage_write",
+            "storage_catalog",
+        }
+        assert [c.attrs["file"] for c in children if c.name == "storage_write"] == [
+            "00_quality.v2.snap"
+        ]
+        assert sum(child.duration for child in children) >= 0.9 * root.duration
+
+        store.clear()
+        SubjectiveDatabase.open(directory)
+        root, children = self._tree(store, "storage_open")
+        assert [child.name for child in children] == [
+            "storage_map",
+            "storage_relational_load",
+            "storage_text_indexes",
+        ]
+        assert sum(child.duration for child in children) >= 0.9 * root.duration
 
 
 class TestSlowQueryForensics:

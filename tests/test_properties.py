@@ -1004,6 +1004,35 @@ class TestPersistentStorageProperties:
             assert _storage_tree_digest(directory) == first
             assert booted.data_version == database.data_version
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=0, max_value=4), max_size=3),  # shape
+                st.sampled_from(["<f8", ">f8", "<f4", "<i8"]),
+                st.sampled_from(["C", "F"]),
+            ),
+            max_size=6,
+        ),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_streamed_column_file_equals_the_reference_layout(self, layout, seed):
+        import tempfile
+
+        from test_storage_persistent import assert_image_is_reference
+
+        rng = np.random.default_rng(seed)
+        sections = {}
+        for index, (shape, dtype, order) in enumerate(layout):
+            values = np.round(rng.normal(size=shape) * 8.0, 2)
+            if values.size and dtype.endswith("f8"):
+                flat = values.reshape(-1)  # a view: shape came from a fresh C array
+                flat[0] = rng.choice([-0.0, np.nan, np.inf, 5e-324])
+            sections[f"s{index}"] = np.asarray(values.astype(dtype), order=order)
+        meta = {"attribute": "random", "version": int(seed % 7), "entity_ids": ["a", 3]}
+        with tempfile.TemporaryDirectory() as directory:
+            assert_image_is_reference(meta, sections, directory)
+
     @given(st.integers(min_value=0, max_value=2**31), st.data())
     @settings(max_examples=8, deadline=None)
     def test_catalog_versions_are_monotonic_under_ingest(self, seed, data):

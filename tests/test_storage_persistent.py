@@ -12,6 +12,12 @@ views survive concurrent ingest because saves copy-on-bump into fresh
 generation files; and a shard node restarted over a warm local catalog
 hydrates itself without a single ``OP_HYDRATE`` frame on the wire.
 
+The write path has its own contract on top: the streamed writer produces,
+byte for byte, the file the join-based :func:`reference_column_file` kept
+here produces; a save allocates a small multiple of the largest file it
+writes; "unchanged" means bit-equal to the previous generation *as it is on
+disk*; and a one-entity ingest rewrites one attribute's file.
+
 Set ``REPRO_STORAGE_DIR`` to relocate the scratch directories (the CI
 matrix points it at tmpfs and at real disk).
 """
@@ -19,13 +25,18 @@ matrix points it at tmpfs and at real disk).
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sqlite3
+import struct
 import tempfile
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.core.columnar import SNAPSHOT_FLAG_COLUMN_FILE, _pack_container
 from repro.core.database import SubjectiveDatabase
 from repro.core.markers import MarkerSummary
 from repro.errors import CatalogError, StorageError
@@ -36,12 +47,22 @@ from repro.serving import (
     SubjectiveQueryEngine,
 )
 from repro.storage import (
+    MappedColumnFile,
     PersistentColumnarStore,
+    StorageCatalog,
     StoreReader,
     derive_attribute_columns,
     generate_synthetic_store,
+    pack_column_file,
+    write_bytes_atomically,
 )
 from repro.storage.catalog import CATALOG_FILENAME
+from repro.storage.columns import (
+    COLUMN_FILE_DTYPE,
+    SECTION_ALIGNMENT,
+    attribute_sections,
+    raw_summary_columns,
+)
 from repro.storage.synthetic import SYNTHETIC_ATTRIBUTE
 from repro.testing import build_synthetic_columnar_database, corrupt_frame
 
@@ -391,3 +412,313 @@ class TestSyntheticStore:
         summary = database.marker_summary("e0000007", SYNTHETIC_ATTRIBUTE)
         assert summary is not None
         assert summary.num_phrases == raw.num_phrases[7]
+
+
+# --------------------------------------------------------------------------
+# The write path: one layout rule, streamed, compared in place
+# --------------------------------------------------------------------------
+
+#: magic (4) + format version (u16) + crc32 (u32) + flags (u8).
+HEADER_BYTES = 11
+
+
+def reference_column_file(meta, sections) -> bytes:
+    """The join-based column-file writer the streamed one replaced.
+
+    Kept as the byte-level oracle of the on-disk format: meta JSON with the
+    dtype tag and section table, every section copied to bytes and joined
+    behind its zero padding, the whole body wrapped by the wire snapshot's
+    own ``_pack_container``.  It materialises the file several times over,
+    which is exactly why production code no longer does this.
+    """
+    full_meta = dict(meta)
+    full_meta["dtype"] = COLUMN_FILE_DTYPE
+    full_meta["sections"] = [
+        [name, [int(size) for size in np.shape(array)]] for name, array in sections.items()
+    ]
+    meta_bytes = json.dumps(full_meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [struct.pack("!I", len(meta_bytes)), meta_bytes]
+    position = HEADER_BYTES + 4 + len(meta_bytes)
+    for array in sections.values():
+        start = -(-position // SECTION_ALIGNMENT) * SECTION_ALIGNMENT
+        parts.append(b"\x00" * (start - position))
+        payload = np.ascontiguousarray(array, dtype=np.float64).tobytes()
+        parts.append(payload)
+        position = start + len(payload)
+    return _pack_container(b"".join(parts), SNAPSHOT_FLAG_COLUMN_FILE, compress=False)
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def flip_byte(path: str, offset: int) -> None:
+    payload = read_bytes(path)
+    with open(path, "wb") as handle:
+        handle.write(corrupt_frame(payload, offset))
+
+
+def catalog_rows(directory: str) -> tuple[dict[str, dict], dict[str, dict]]:
+    """The catalog's attribute and model rows, keyed by name."""
+    with StorageCatalog(directory) as catalog:
+        return (
+            {row["name"]: dict(row) for row in catalog.attribute_rows()},
+            {row["name"]: dict(row) for row in catalog.model_rows()},
+        )
+
+
+def file_identities(directory: str) -> dict[str, tuple[int, int]]:
+    """``(inode, mtime_ns)`` of every column/model file, keyed by relative path."""
+    identities = {}
+    for subdir in ("columns", "models"):
+        for name in sorted(os.listdir(os.path.join(directory, subdir))):
+            status = os.stat(os.path.join(directory, subdir, name))
+            identities[f"{subdir}/{name}"] = (status.st_ino, status.st_mtime_ns)
+    return identities
+
+
+def replace_summary(database, entity_id, attribute, marker, **accumulators) -> None:
+    """One single-entity ingest: a replaced marker summary (bumps ``data_version``)."""
+    summary = MarkerSummary(attribute, list(database.schema.subjective(attribute).markers))
+    summary.add_phrase(marker, sentiment=0.5)
+    for name, values in accumulators.items():
+        getattr(summary, name).update(values)
+    database.store_summary(entity_id, summary)
+
+
+def assert_image_is_reference(meta, sections, directory: str) -> None:
+    """Streamed image == reference bytes, on every surface the image has."""
+    reference = reference_column_file(meta, sections)
+    image = pack_column_file(meta, sections)
+    assert all(len(chunk) for chunk in image.chunks)
+    assert b"".join(bytes(chunk) for chunk in image.chunks) == reference
+    assert image.nbytes == len(reference)
+    assert image.crc == zlib.crc32(reference)
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, "image.snap")
+    write_bytes_atomically(path, image.chunks)
+    assert read_bytes(path) == reference
+    write_bytes_atomically(path, reference)  # one joined buffer is still accepted
+    assert image.equals_file(path)
+    mapped = MappedColumnFile(path)
+    assert [entry[0] for entry in mapped.meta["sections"]] == list(sections)
+    for name, array in sections.items():
+        section = mapped.section(name)
+        assert section.shape == np.shape(array)
+        np.testing.assert_array_equal(section, np.asarray(array, dtype=np.float64))
+
+
+class TestStreamedLayout:
+    """The streamed writer against the join-based reference, byte for byte."""
+
+    @pytest.mark.parametrize("fixture", ["hotel_database", "restaurant_database", "small_database"])
+    def test_saved_files_equal_the_reference_layout(self, fixture, request, storage_dir):
+        database = request.getfixturevalue(fixture)
+        database.save(storage_dir)
+        attributes, models = catalog_rows(storage_dir)
+        assert attributes
+        store = database.columnar_store()
+        for name, row in attributes.items():
+            columns = store.columns(name)
+            raw = raw_summary_columns(columns, database.summaries_for_attribute(name))
+            meta = {
+                "attribute": name,
+                "version": row["version"],
+                "entity_ids": list(columns.entity_ids),
+                "markers": [[m.name, m.position, m.sentiment] for m in columns.markers],
+                "dimension": columns.dimension,
+            }
+            reference = reference_column_file(meta, attribute_sections(columns, raw))
+            assert read_bytes(os.path.join(storage_dir, "columns", row["file"])) == reference
+            assert row["crc"] == zlib.crc32(reference)
+        row = models["embeddings"]
+        reference = reference_column_file(
+            {"model": "embeddings", "version": row["version"]},
+            {"matrix": database.phrase_embedder.embeddings._matrix},
+        )
+        assert read_bytes(os.path.join(storage_dir, "models", row["file"])) == reference
+        assert row["crc"] == zlib.crc32(reference)
+
+    def test_image_of_an_attribute_round_trips(self, small_database, storage_dir):
+        columns = small_database.columnar_store().columns("quality")
+        raw = raw_summary_columns(columns, small_database.summaries_for_attribute("quality"))
+        meta = {"attribute": "quality", "version": 7, "entity_ids": list(columns.entity_ids)}
+        assert_image_is_reference(meta, attribute_sections(columns, raw), storage_dir)
+
+    def test_zero_size_sections_contribute_no_chunk(self, storage_dir):
+        # A database without an embedder has dimension 0: (E, M, 0) sections,
+        # which ``memoryview.cast`` refuses — including as the last section,
+        # where the padding before it is the file's tail.
+        sections = {
+            "fractions": np.arange(15.0).reshape(3, 5),
+            "centroids_unit": np.zeros((3, 5, 0)),
+            "totals": np.arange(3.0),
+            "vector_sums": np.zeros((3, 5, 0)),
+        }
+        assert_image_is_reference({"attribute": "a", "version": 1}, sections, storage_dir)
+        empty = {"fractions": np.zeros((0, 5)), "totals": np.zeros(0)}
+        assert_image_is_reference({"attribute": "a", "version": 1}, empty, storage_dir)
+
+    def test_inputs_are_converted_never_reinterpreted(self, storage_dir):
+        values = np.arange(24.0).reshape(4, 6)
+        sections = {
+            "fortran": np.asfortranarray(values),
+            "strided": values[::2, ::3],
+            "float32": values.astype(np.float32),
+            "integers": np.arange(5),
+            "swapped": values.astype(np.dtype(np.float64).newbyteorder()),
+        }
+        assert_image_is_reference({"attribute": "a", "version": 1}, sections, storage_dir)
+
+    def test_bit_equality_not_float_equality(self, storage_dir):
+        os.makedirs(storage_dir, exist_ok=True)
+        path = os.path.join(storage_dir, "image.snap")
+        meta = {"attribute": "a", "version": 1}
+        write_bytes_atomically(path, pack_column_file(meta, {"x": np.array([0.0, 1.0])}).chunks)
+        assert pack_column_file(meta, {"x": np.array([0.0, 1.0])}).equals_file(path)
+        assert not pack_column_file(meta, {"x": np.array([-0.0, 1.0])}).equals_file(path)
+        assert not pack_column_file(meta, {"x": np.array([0.0, 1.0, 2.0])}).equals_file(path)
+        assert not pack_column_file(meta, {"x": np.array([0.0, 1.0])}).equals_file(path + ".gone")
+
+
+class TestSaveMemoryCeiling:
+    """A save holds the sections once — it never materialises a file in RAM."""
+
+    CEILING = 3.0  # × the largest column file written; the joined writer needed > 5 ×
+
+    @staticmethod
+    def _largest_column_file(directory: str) -> int:
+        root = os.path.join(directory, "columns")
+        return max(os.path.getsize(os.path.join(root, name)) for name in os.listdir(root))
+
+    def _peak_over(self, action) -> int:
+        tracemalloc.start()
+        try:
+            action()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_database_save_stays_under_the_ceiling(self, storage_dir):
+        database = build_synthetic_columnar_database(num_entities=1600, seed=11)
+        peak = self._peak_over(lambda: database.save(storage_dir))
+        assert peak < self.CEILING * self._largest_column_file(storage_dir)
+
+    def test_synthetic_generator_stays_under_the_ceiling(self, storage_dir):
+        peak = self._peak_over(lambda: generate_synthetic_store(storage_dir, num_entities=5000))
+        assert peak < self.CEILING * self._largest_column_file(storage_dir)
+
+
+class TestChangeDetection:
+    """A file is unchanged when it is bit-equal to the previous generation on disk."""
+
+    @pytest.fixture()
+    def database(self):
+        return build_synthetic_columnar_database(
+            num_entities=40, markers_per_attribute=8, dimension=8, seed=5
+        )
+
+    @staticmethod
+    def _regions(path: str) -> dict[str, int]:
+        """One byte offset inside each kind of region of a column file."""
+        mapped = MappedColumnFile(path)
+        (meta_length,) = struct.unpack("!I", read_bytes(path)[HEADER_BYTES : HEADER_BYTES + 4])
+        meta_end = HEADER_BYTES + 4 + meta_length
+        position, padding = meta_end, None
+        for _, shape in mapped.meta["sections"]:
+            start = -(-position // SECTION_ALIGNMENT) * SECTION_ALIGNMENT
+            if padding is None and start > position:
+                padding = position
+            position = start + int(np.prod(shape)) * 8
+        assert padding is not None
+        return {
+            "header_crc": 7,
+            "meta_json": HEADER_BYTES + 4 + meta_length // 2,
+            "padding": padding,
+            "section": (meta_end + position) // 2,
+        }
+
+    @pytest.mark.parametrize("region", ["header_crc", "meta_json", "padding", "section"])
+    def test_a_byte_flipped_on_disk_forces_the_next_generation(
+        self, database, storage_dir, region
+    ):
+        database.save(storage_dir)
+        attributes, models = catalog_rows(storage_dir)
+        damaged = os.path.join(storage_dir, "columns", attributes["quality"]["file"])
+        flip_byte(damaged, self._regions(damaged)[region])
+        database.save(storage_dir)
+        after, models_after = catalog_rows(storage_dir)
+        assert after["quality"]["version"] == attributes["quality"]["version"] + 1
+        assert after["quality"]["file"] != attributes["quality"]["file"]
+        assert after["service"] == attributes["service"]  # intact: reused
+        assert models_after == models
+        booted = SubjectiveDatabase.open(storage_dir)
+        np.testing.assert_array_equal(
+            booted.columnar_store().columns("quality").fractions,
+            database.columnar_store().columns("quality").fractions,
+        )
+
+    def test_unchanged_files_are_not_touched(self, database, storage_dir):
+        database.save(storage_dir)
+        before = file_identities(storage_dir)
+        rows = catalog_rows(storage_dir)
+        database.save(storage_dir)
+        SubjectiveDatabase.open(storage_dir).save(storage_dir)
+        assert file_identities(storage_dir) == before
+        assert catalog_rows(storage_dir) == rows
+
+    def test_a_sign_bit_counts_as_a_change(self, database, storage_dir):
+        # Two summaries that are == cell for cell and differ in one sign bit:
+        # the unmatched marker's sentiment sum is 0.0 in one and -0.0 in the other.
+        replace_summary(database, "e00003", "quality", "word000")
+        database.save(storage_dir)
+        first, _ = catalog_rows(storage_dir)
+        replace_summary(
+            database, "e00003", "quality", "word000", _sentiment_sums={"word001": -0.0}
+        )
+        database.save(storage_dir)
+        second, _ = catalog_rows(storage_dir)
+        assert second["quality"]["version"] == first["quality"]["version"] + 1
+        old = MappedColumnFile(os.path.join(storage_dir, "columns", first["quality"]["file"]))
+        new = MappedColumnFile(os.path.join(storage_dir, "columns", second["quality"]["file"]))
+        for name, _ in new.meta["sections"]:
+            np.testing.assert_array_equal(old.section(name), new.section(name))
+        row = old.entity_ids.index("e00003")
+        assert not np.signbit(old.section("sentiment_sums")[row, 1])
+        assert np.signbit(new.section("sentiment_sums")[row, 1])
+
+    def test_one_entity_ingest_rewrites_one_attribute_file(self, database, storage_dir):
+        database.save(storage_dir)
+        before = file_identities(storage_dir)
+        first, models = catalog_rows(storage_dir)
+        replace_summary(database, "e00007", "service", "word010")
+        database.save(storage_dir)
+        after = file_identities(storage_dir)
+        second, models_after = catalog_rows(storage_dir)
+        written = set(after) - set(before)
+        assert written == {f"columns/{second['service']['file']}"}
+        assert second["service"]["version"] == first["service"]["version"] + 1
+        assert {path: after[path] for path in before} == before  # nothing else touched
+        assert second["quality"] == first["quality"]
+        assert models_after == models
+
+
+class TestStaleTemporaries:
+    def test_a_killed_saves_temp_files_are_ignored_by_open_and_swept_by_save(
+        self, small_database, storage_dir
+    ):
+        small_database.save(storage_dir)
+        listing = file_identities(storage_dir)
+        stale = [
+            os.path.join(storage_dir, "columns", "00_quality.v2.snap.tmp.99999"),
+            os.path.join(storage_dir, "models", "model_embeddings.v2.snap.tmp.99999"),
+        ]
+        for path in stale:
+            with open(path, "wb") as handle:
+                handle.write(b"half a file")
+        booted = SubjectiveDatabase.open(storage_dir)
+        assert booted.data_version == small_database.data_version
+        booted.save(storage_dir)
+        assert not any(os.path.exists(path) for path in stale)
+        assert file_identities(storage_dir) == listing
