@@ -37,13 +37,14 @@ import json
 import struct
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
 from repro.core.markers import Marker
 from repro.errors import SchemaError, SnapshotError, SnapshotIntegrityError
+from repro.obs import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.database import SubjectiveDatabase
@@ -1076,63 +1077,87 @@ class ScoreBounds:
     @classmethod
     def of_columns(cls, columns: AttributeColumns) -> "ScoreBounds":
         """Build bound summaries for ``columns`` (one pass over the arrays)."""
-        num_entities, num_markers = columns.num_entities, columns.num_markers
-        deviations = np.zeros((num_entities, num_markers))
-        if columns.dimension and num_markers:
-            # Row blocks: the arithmetic is row-independent, and one shot
-            # would materialise two E×M×D temporaries (the difference and
-            # its square) beside the tensor itself.
-            for start in range(0, num_entities, BOUNDS_BLOCK_ROWS):
-                block = columns.centroids_unit[start : start + BOUNDS_BLOCK_ROWS]
-                # A zero centroid scores cosine 0, never name-similarity ± 1:
-                # its true similarity is exactly the name similarity floor, so
-                # deviation 0 is both sound and maximally tight there.
-                deviations[start : start + BOUNDS_BLOCK_ROWS] = np.where(
-                    np.linalg.norm(block, axis=-1) == 0.0,
-                    0.0,
-                    np.linalg.norm(block - columns.name_units[np.newaxis, :, :], axis=-1),
-                )
-        if num_markers and num_entities:
-            fraction_peaks = columns.fractions.max(axis=1)
-            fraction_mins = columns.fractions.min(axis=1)
-            sentiment_mins = columns.average_sentiments.min(axis=1)
-            sentiment_maxs = columns.average_sentiments.max(axis=1)
-        else:
-            fraction_peaks = np.zeros(num_entities)
-            fraction_mins = np.zeros(num_entities)
-            sentiment_mins = np.zeros(num_entities)
-            sentiment_maxs = np.zeros(num_entities)
-        return cls(
+        num_entities = columns.num_entities
+        bounds = cls(
             columns=columns,
-            deviations=deviations,
-            fraction_peaks=fraction_peaks,
-            fraction_mins=fraction_mins,
-            sentiment_mins=sentiment_mins,
-            sentiment_maxs=sentiment_maxs,
-            max_fraction=float(fraction_peaks.max(initial=0.0)),
-            max_abs_sentiment=max(
-                float(np.abs(sentiment_mins).max(initial=0.0)),
-                float(np.abs(sentiment_maxs).max(initial=0.0)),
-            ),
+            deviations=np.zeros((num_entities, columns.num_markers)),
+            fraction_peaks=np.zeros(num_entities),
+            fraction_mins=np.zeros(num_entities),
+            sentiment_mins=np.zeros(num_entities),
+            sentiment_maxs=np.zeros(num_entities),
+            max_fraction=0.0,
+            max_abs_sentiment=0.0,
+        )
+        # Row blocks: the arithmetic is row-independent, and one shot would
+        # materialise two E×M×D temporaries (the difference and its square)
+        # beside the tensor itself.
+        for start in range(0, num_entities, BOUNDS_BLOCK_ROWS):
+            bounds._fill(np.s_[start : start + BOUNDS_BLOCK_ROWS])
+        bounds._set_caps()
+        return bounds
+
+    def patched(self, columns: AttributeColumns, rows: "list[int]") -> "ScoreBounds":
+        """Bounds of ``columns``, a generation differing from this one's in ``rows``.
+
+        The per-row arrays are copied and only ``rows`` recomputed, by the
+        code :meth:`of_columns` runs on every row, so the result equals
+        ``of_columns(columns)`` bit for bit; this object is left untouched.
+        """
+        bounds = replace(
+            self,
+            columns=columns,
+            deviations=self.deviations.copy(),
+            fraction_peaks=self.fraction_peaks.copy(),
+            fraction_mins=self.fraction_mins.copy(),
+            sentiment_mins=self.sentiment_mins.copy(),
+            sentiment_maxs=self.sentiment_maxs.copy(),
+        )
+        bounds._fill(rows)
+        bounds._set_caps()
+        return bounds
+
+    def _fill(self, index) -> None:
+        """Compute the per-row bound arrays at ``index`` (a slice or row list)."""
+        columns = self.columns
+        if not columns.num_markers:
+            return
+        if columns.dimension:
+            block = columns.centroids_unit[index]
+            # A zero centroid scores cosine 0, never name-similarity ± 1:
+            # its true similarity is exactly the name similarity floor, so
+            # deviation 0 is both sound and maximally tight there.
+            self.deviations[index] = np.where(
+                np.linalg.norm(block, axis=-1) == 0.0,
+                0.0,
+                np.linalg.norm(block - columns.name_units[np.newaxis, :, :], axis=-1),
+            )
+        fractions = columns.fractions[index]
+        sentiments = columns.average_sentiments[index]
+        self.fraction_peaks[index] = fractions.max(axis=1)
+        self.fraction_mins[index] = fractions.min(axis=1)
+        self.sentiment_mins[index] = sentiments.min(axis=1)
+        self.sentiment_maxs[index] = sentiments.max(axis=1)
+
+    def _set_caps(self) -> None:
+        """Derive the two whole-slice scalar caps from the per-row arrays."""
+        self.max_fraction = float(self.fraction_peaks.max(initial=0.0))
+        self.max_abs_sentiment = max(
+            float(np.abs(self.sentiment_mins).max(initial=0.0)),
+            float(np.abs(self.sentiment_maxs).max(initial=0.0)),
         )
 
     def _restrict(self, columns: AttributeColumns, index) -> "ScoreBounds":
-        fraction_peaks = self.fraction_peaks[index]
-        sentiment_mins = self.sentiment_mins[index]
-        sentiment_maxs = self.sentiment_maxs[index]
-        return ScoreBounds(
+        bounds = replace(
+            self,
             columns=columns,
             deviations=self.deviations[index],
-            fraction_peaks=fraction_peaks,
+            fraction_peaks=self.fraction_peaks[index],
             fraction_mins=self.fraction_mins[index],
-            sentiment_mins=sentiment_mins,
-            sentiment_maxs=sentiment_maxs,
-            max_fraction=float(fraction_peaks.max(initial=0.0)),
-            max_abs_sentiment=max(
-                float(np.abs(sentiment_mins).max(initial=0.0)),
-                float(np.abs(sentiment_maxs).max(initial=0.0)),
-            ),
+            sentiment_mins=self.sentiment_mins[index],
+            sentiment_maxs=self.sentiment_maxs[index],
         )
+        bounds._set_caps()
+        return bounds
 
     def slice(self, start: int, stop: int) -> "ScoreBounds":
         """Bounds of the contiguous row range ``[start, stop)`` (views)."""
@@ -1335,6 +1360,24 @@ def scalar_fallback_scorer(
     return score
 
 
+def _fill_rows(columns: AttributeColumns, rows, summaries) -> None:
+    """Write each summary's per-entity values into its row of ``columns``.
+
+    The one per-row fill behind both a full build and a patch.  Centroids
+    land *raw*; the caller L2-normalises the rows it filled.
+    """
+    dimension = columns.dimension
+    for row, summary in zip(rows, summaries):
+        arrays = summary.arrays()
+        columns.fractions[row] = arrays.fractions
+        columns.average_sentiments[row] = arrays.average_sentiments
+        columns.totals[row] = arrays.total
+        columns.unmatched[row] = summary.num_unmatched
+        columns.overall_sentiments[row] = summary.overall_sentiment()
+        if dimension:
+            columns.centroids_unit[row] = summary.vector_matrix(dimension)
+
+
 # --------------------------------------------------------------------------
 # The store
 # --------------------------------------------------------------------------
@@ -1342,10 +1385,15 @@ def scalar_fallback_scorer(
 class ColumnarSummaryStore:
     """Lazily built per-attribute column arrays over a subjective database.
 
-    Columns are built on first use per attribute and dropped whenever
-    :attr:`SubjectiveDatabase.data_version` moves (the same invalidation
-    protocol as the serving-layer caches), so they can never serve degrees
-    computed from stale summaries.
+    Columns are built on first use per attribute.  Whenever
+    :attr:`SubjectiveDatabase.data_version` moves, the next read catches up
+    (:meth:`sync`): when the database's change journal names the summaries
+    replaced since, only their rows are rewritten, into a *new*
+    :class:`AttributeColumns` generation — a published generation is never
+    mutated, so a reader (or a delta base) holding the previous one keeps
+    seeing the old values.  Any change the journal cannot explain drops
+    everything, so the store can never serve degrees computed from stale
+    summaries.
     """
 
     def __init__(self, database: "SubjectiveDatabase") -> None:
@@ -1359,6 +1407,8 @@ class ColumnarSummaryStore:
         self._version = database.data_version
         self.builds = 0
         self.invalidations = 0
+        self.patches = 0
+        self.rows_patched = 0
 
     # ------------------------------------------------------------ lifecycle
     def invalidate(self) -> None:
@@ -1370,9 +1420,65 @@ class ColumnarSummaryStore:
         self._version = self.database.data_version
         self.invalidations += 1
 
-    def _check_version(self) -> None:
-        if self._version != self.database.data_version:
+    def sync(self) -> None:
+        """Catch up with the database: patch the replaced rows, else drop all.
+
+        Runs before every read.  Review-only ingests keep every object;
+        replaced summaries of entities that have a row (and still conform
+        to the attribute's markers) cost their rows; everything else is
+        :meth:`invalidate`.
+        """
+        version = self.database.data_version
+        if self._version == version:
+            return
+        replaced = self.database.changes_since(self._version)
+        if replaced is not None and self._patch(replaced):
+            self._version = version
+        else:
             self.invalidate()
+
+    def _patch(self, replaced: "frozenset[tuple[Hashable, str]]") -> bool:
+        """Publish patched generations of the built attributes in ``replaced``.
+
+        ``False`` (nothing changed) when a replaced summary cannot take the
+        row it had: its entity has none, or its markers no longer conform.
+        Attributes not built yet are skipped — their first read builds them
+        from the current summaries.
+        """
+        touched: dict[str, dict[int, object]] = {}
+        for entity_id, attribute in replaced:
+            if attribute not in self._columns:
+                continue
+            columns = self._columns[attribute]
+            row = None if columns is None else columns.row_of.get(entity_id)
+            summary = self.database.marker_summary(entity_id, attribute)
+            if row is None or summary.markers != columns.markers:
+                return False
+            touched.setdefault(attribute, {})[row] = summary
+        for attribute, summaries in touched.items():
+            rows = sorted(summaries)
+            with span("columns_patch", attribute=attribute, rows=len(rows)):
+                old = self._columns[attribute]
+                # Copies of the per-entity arrays (mapped ones land in RAM):
+                # the old generation stays as its readers saw it.
+                columns = replace(
+                    old,
+                    **{
+                        name: np.array(getattr(old, name))
+                        for name in SnapshotDelta._ROW_ARRAYS
+                    },
+                )
+                _fill_rows(columns, rows, [summaries[row] for row in rows])
+                if columns.dimension:
+                    columns.centroids_unit[rows] = _unit_rows(columns.centroids_unit[rows])
+                self._columns[attribute] = columns
+                if attribute in self._bounds:
+                    self._bounds[attribute] = self._bounds[attribute].patched(columns, rows)
+                for key in [key for key in self._envelopes if key[0] == attribute]:
+                    del self._envelopes[key]
+            self.patches += 1
+            self.rows_patched += len(rows)
+        return True
 
     @property
     def data_version(self) -> int:
@@ -1381,7 +1487,7 @@ class ColumnarSummaryStore:
 
     def columns(self, attribute: str) -> AttributeColumns | None:
         """Column arrays of one attribute (``None`` when it has no summaries)."""
-        self._check_version()
+        self.sync()
         if attribute not in self._columns:
             built = self._build(attribute)
             self._columns[attribute] = built
@@ -1397,13 +1503,13 @@ class ColumnarSummaryStore:
     ) -> "ScoreBounds | None":
         """Bound summaries of one attribute (``None`` without columns).
 
-        Built lazily from the attribute's columns and cached under the same
-        ``data_version`` contract: any ingest drops columns and bounds
-        together, so a stale bound can never justify a prune.  Pass
+        Built lazily from the attribute's columns and kept in step with
+        them: :meth:`sync` patches or drops columns and bounds together,
+        so a stale bound can never justify a prune.  Pass
         ``start`` / ``stop`` to get the bounds of one contiguous slice —
         the per-slice view the sharded, RPC and cluster layers request.
         """
-        self._check_version()
+        self.sync()
         if attribute not in self._bounds:
             columns = self.columns(attribute)
             self._bounds[attribute] = (
@@ -1436,7 +1542,7 @@ class ColumnarSummaryStore:
         membership function has no usable columnar kernel or bound form, or
         the attribute has no columns.
         """
-        self._check_version()
+        self.sync()
         if columnar_kernel(membership, self.database) is None:
             return None
         if self._envelope_membership is not membership:
@@ -1609,28 +1715,8 @@ class ColumnarSummaryStore:
             return None
         num_entities = len(entity_ids)
         num_markers = len(reference)
-
-        fractions = np.empty((num_entities, num_markers))
-        average_sentiments = np.empty((num_entities, num_markers))
-        totals = np.empty(num_entities)
-        unmatched = np.empty(num_entities)
-        overall_sentiments = np.empty(num_entities)
-
         embedder = self.database.phrase_embedder
         dimension = embedder.dimension if embedder is not None else 0
-        centroids = np.zeros((num_entities, num_markers, dimension))
-
-        for row, entity_id in enumerate(entity_ids):
-            summary = summaries[entity_id]
-            arrays = summary.arrays()
-            fractions[row] = arrays.fractions
-            average_sentiments[row] = arrays.average_sentiments
-            totals[row] = arrays.total
-            unmatched[row] = summary.num_unmatched
-            overall_sentiments[row] = summary.overall_sentiment()
-            if dimension:
-                centroids[row] = summary.vector_matrix(dimension)
-
         if dimension:
             name_vectors = np.vstack(
                 [embedder.represent(marker.name) for marker in reference]
@@ -1638,28 +1724,36 @@ class ColumnarSummaryStore:
         else:
             name_vectors = np.zeros((num_markers, 0))
 
-        return AttributeColumns(
+        columns = AttributeColumns(
             attribute=attribute,
             entity_ids=entity_ids,
             row_of={entity_id: row for row, entity_id in enumerate(entity_ids)},
             markers=reference,
             marker_sentiments=np.array([marker.sentiment for marker in reference]),
-            fractions=fractions,
-            average_sentiments=average_sentiments,
-            totals=totals,
-            unmatched=unmatched,
-            overall_sentiments=overall_sentiments,
-            centroids_unit=_unit_rows(centroids) if dimension else centroids,
+            fractions=np.empty((num_entities, num_markers)),
+            average_sentiments=np.empty((num_entities, num_markers)),
+            totals=np.empty(num_entities),
+            unmatched=np.empty(num_entities),
+            overall_sentiments=np.empty(num_entities),
+            centroids_unit=np.zeros((num_entities, num_markers, dimension)),
             name_units=_unit_rows(name_vectors) if dimension else name_vectors,
         )
+        _fill_rows(
+            columns, range(num_entities), [summaries[entity_id] for entity_id in entity_ids]
+        )
+        if dimension:
+            columns.centroids_unit = _unit_rows(columns.centroids_unit)
+        return columns
 
     # ------------------------------------------------------------ statistics
     def stats_snapshot(self) -> dict[str, object]:
-        """Build/invalidation counters plus the currently resident columns."""
+        """Build/invalidation/patch counters plus the currently resident columns."""
         return {
             "data_version": self._version,
             "builds": self.builds,
             "invalidations": self.invalidations,
+            "patches": self.patches,
+            "rows_patched": self.rows_patched,
             "attributes": {
                 name: (columns.num_entities if columns is not None else 0)
                 for name, columns in self._columns.items()

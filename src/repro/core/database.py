@@ -22,7 +22,9 @@ the IR baseline).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
@@ -87,6 +89,13 @@ class ExtractionRecord:
 
 ReviewFilter = Callable[[ReviewRecord], bool]
 
+#: Version bumps the change journal can explain before the oldest falls off
+#: (a store further behind than this rebuilds instead of patching).
+CHANGE_JOURNAL_ENTRIES = 1024
+
+#: Journal marker of a bump whose effect on the summaries is not recorded.
+_UNKNOWN_CHANGE = object()
+
 
 class SubjectiveDatabase:
     """Entities + reviews + extractions + marker summaries + text models."""
@@ -118,6 +127,12 @@ class SubjectiveDatabase:
         self.entity_index: Bm25Index | None = None
         self._next_extraction_id = 0
         self._data_version = 0
+        # One entry per version bump, newest last: the summary key the bump
+        # replaced, or None when it touched no summary.  A bump of any other
+        # kind empties it, so the entries always explain the latest versions.
+        self._journal: deque[tuple[Hashable, str] | None] = deque(
+            maxlen=CHANGE_JOURNAL_ENTRIES
+        )
 
         # Installed by repro.storage.open_database: a lazy materialiser for
         # persisted marker summaries and a factory producing the mmap-backed
@@ -136,8 +151,36 @@ class SubjectiveDatabase:
         """
         return self._data_version
 
-    def _bump_version(self) -> None:
+    def _bump_version(self, replaced: object = _UNKNOWN_CHANGE) -> None:
+        """Move ``data_version`` and journal what the bump did to the summaries.
+
+        ``replaced`` is the ``(entity, attribute)`` key of the one summary
+        the change replaced, ``None`` when it touched no summary, and left
+        out when the effect is not recorded — nothing before such a bump
+        can be explained any more, so the journal starts over.
+        """
         self._data_version += 1
+        if replaced is _UNKNOWN_CHANGE:
+            self._journal.clear()
+        else:
+            self._journal.append(replaced)
+
+    def changes_since(self, version: int) -> frozenset[tuple[Hashable, str]] | None:
+        """Summary keys replaced since ``version``, or ``None`` when unknown.
+
+        The answer is a set of ``(entity_id, attribute)`` keys — empty when
+        only reviews arrived — exactly when every bump after ``version`` was
+        a :meth:`store_summary` or an :meth:`add_review` the journal still
+        holds.  Any other change in between (a new entity, a text-model
+        rebuild, cleared summaries, ...), a version the bounded journal has
+        forgotten, or one that is not this database's past, yields ``None``:
+        the caller must rebuild whatever it derived from the summaries.
+        """
+        missing = self._data_version - version
+        if not 0 <= missing <= len(self._journal):
+            return None
+        recent = islice(self._journal, len(self._journal) - missing, None)
+        return frozenset(key for key in recent if key is not None)
 
     # ----------------------------------------------------------- engine DDL
     def _create_engine_tables(self) -> None:
@@ -247,7 +290,7 @@ class SubjectiveDatabase:
                 "helpful_votes": review.helpful_votes,
             }
         )
-        self._bump_version()
+        self._bump_version(replaced=None)
 
     def add_reviews(self, reviews: Iterable[ReviewRecord]) -> int:
         count = 0
@@ -434,7 +477,7 @@ class SubjectiveDatabase:
             table.insert(row)
         else:
             table.update(str(entity_id), {summary.attribute: summary.to_record()})
-        self._bump_version()
+        self._bump_version(replaced=key)
 
     def marker_summary(self, entity_id: Hashable, attribute: str) -> MarkerSummary | None:
         """The stored marker summary of (entity, attribute), or ``None``."""

@@ -182,10 +182,11 @@ class LRUCache:
             if key in entries:
                 entries.move_to_end(key)
             entries[key] = value
-        if self.maxsize is not None:
-            while len(entries) > self.maxsize:
+        overflow = 0 if self.maxsize is None else len(entries) - self.maxsize
+        if overflow > 0:
+            for _ in range(overflow):
                 entries.popitem(last=False)
-                self.stats.evictions += 1
+            self.stats.evictions += overflow  # one cell write per call, not per entry
 
     def clear(self) -> None:
         """Drop all entries (counters are kept; they describe the lifetime)."""

@@ -1193,10 +1193,12 @@ class ClusterShardStore:
     :class:`~repro.serving.protocol.WorkerCrashedError`, exactly like the
     socketpair RPC layer.
 
-    A ``data_version`` bump drops base columns and hydration records
-    together, pushes ``invalidate`` to every reachable node (dropping node
-    caches *and* hydrated slices), and the next fan-out re-hydrates lazily
-    — snapshot re-hydration instead of the RPC layer's fleet re-fork.
+    A ``data_version`` bump lets the base store catch up (patched rows
+    where the change journal allows, a full drop otherwise), drops the
+    hydration records, pushes ``invalidate`` to every reachable node
+    (dropping node caches *and* hydrated slices), and the next fan-out
+    re-hydrates lazily — snapshot re-hydration instead of the RPC layer's
+    fleet re-fork.
 
     Three cold-path controls (all default-off / lossless):
 
@@ -1303,6 +1305,9 @@ class ClusterShardStore:
         self._slice_deltas: dict[tuple[str, int], tuple[int, int, bytes | None]] = {}
         self._membership: object | None = None
         self._version = database.data_version
+        # The version before the latest bump: the one generation a node
+        # still holds retired slices of (its delta bases).
+        self._retired_version = self._version
         self.metrics = MetricsRegistry()
         self._invalidations_cell = self.metrics.counter(
             "invalidations", help="Data-version bumps pushed to the node fleet"
@@ -1369,21 +1374,28 @@ class ClusterShardStore:
 
     def _check_version(self) -> None:
         if self._version != self.database.data_version:
-            self.invalidate()
+            self.base.sync()  # patches the replaced rows where it can
+            self._retire_hydration()
 
     def invalidate(self) -> None:
-        """Honor a ``data_version`` bump: drop columns, push node invalidation.
-
-        Base columns and hydration records drop immediately; every
-        reachable node receives an ``invalidate`` frame carrying the new
-        version, which makes it drop its degree caches *and* its hydrated
-        slices (they are stale by definition).  Fresh snapshots ship lazily
-        with the next fan-out — re-hydration, not re-fork.  A node that
-        cannot be reached is dropped and reconnected-or-respawned on the
-        next query; invalidation itself never raises.
-        """
+        """Drop the base columns outright, then retire the fleet's hydration."""
         self.base.invalidate()
+        self._retire_hydration()
+
+    def _retire_hydration(self) -> None:
+        """Honor a ``data_version`` bump on the fleet: push node invalidation.
+
+        Hydration records drop immediately; every reachable node receives
+        an ``invalidate`` frame carrying the new version, which makes it
+        drop its degree caches *and* its hydrated slices (they are stale by
+        definition).  Fresh snapshots — deltas against the generation each
+        node last received, wherever it still holds one — ship lazily with
+        the next fan-out: re-hydration, not re-fork.  A node that cannot be
+        reached is dropped and reconnected-or-respawned on the next query;
+        this never raises.
+        """
         self._hydrated.clear()
+        self._retired_version = self._version
         self._version = self.database.data_version
         self.invalidations += 1
         replies: list[NodeReply] = []
@@ -1610,9 +1622,10 @@ class ClusterShardStore:
         version matches the previous generation, the frame is a
         :class:`~repro.core.columnar.SnapshotDelta` carrying only the
         changed rows (packed once per slice per version step, shared by
-        every replica); in every other case — first hydration, a node more
-        than one generation behind, a reconnect that wiped its records, or
-        a slice where too much changed — it is a full snapshot.
+        every replica); in every other case — first hydration, a slice the
+        node last received more than one version step ago (nodes retire a
+        single generation), a reconnect that wiped its records, or a slice
+        where too much changed — it is a full snapshot.
         Compression and centroid quantization apply to both shapes.
         """
         key = (attribute, slice_id)
@@ -1626,7 +1639,7 @@ class ClusterShardStore:
         node_version = self._node_bases.get((node, attribute, slice_id))
         if (
             prev is not None
-            and node_version == prev.data_version
+            and node_version == prev.data_version == self._retired_version
             and prev.data_version != self._version
         ):
             cached = self._slice_deltas.get(key)
@@ -2246,7 +2259,7 @@ class ClusterShardStore:
             "rpc_bytes_received": sum(c["bytes_received"] for c in self._node_counters),
             "node_reconnects": sum(c["reconnects"] for c in self._node_counters),
             "node_respawns": sum(c["respawns"] for c in self._node_counters),
-            "snapshot_hydrations": self.hydrations,
+            "snapshot_hydrations": self.hydrations - self.delta_hydrations,
             "snapshot_delta_hydrations": self.delta_hydrations,
             "slice_failovers": self.failovers,
         }
@@ -2415,11 +2428,11 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         )
 
     # ----------------------------------------------------- vector-level reuse
-    def invalidate(self) -> None:
+    def _drop_caches(self) -> None:
         """Drop engine caches and the batch-local vector memo together."""
         self._vector_memo = None if self._vector_memo is None else {}
         self._prefetched_pairs = {}
-        super().invalidate()
+        super()._drop_caches()
 
     @staticmethod
     def _same_ids(stored: Sequence[Hashable], unique_ids: Sequence[Hashable]) -> bool:

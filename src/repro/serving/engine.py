@@ -319,19 +319,25 @@ class SubjectiveQueryEngine:
 
     # ------------------------------------------------------------ invalidation
     def invalidate(self) -> None:
-        """Drop every cache (called automatically when the database changes)."""
+        """Drop every cache, the columnar store's columns included."""
+        self._drop_caches()
+        if self.processor.columnar_store is not None:
+            self.processor.columnar_store.invalidate()
+
+    def _drop_caches(self) -> None:
+        """Drop the engine's own caches and adopt the current data version."""
         self.plan_cache.clear()
         self.membership_cache.clear()
         self.candidate_cache.clear()
         self.processor.interpreter.invalidate()
-        if self.processor.columnar_store is not None:
-            self.processor.columnar_store.invalidate()
         self.stats.invalidations += 1
         self._data_version = self.database.data_version
 
     def _check_data_version(self) -> None:
+        # The columnar store is left alone here: it checks the version on
+        # its own next read and patches the replaced rows where it can.
         if self.database.data_version != self._data_version:
-            self.invalidate()
+            self._drop_caches()
 
     # ------------------------------------------------------------------ plans
     def plan(self, sql: str) -> QueryPlan:

@@ -342,9 +342,11 @@ class ShardedColumnarStore:
     performs the same per-row arithmetic as one full pass.
 
     Invalidation is ``data_version``-driven like every other serving-layer
-    cache: a version bump drops the shard slices *and* the base store's
-    columns together (and recycles process-backend workers, whose forked
-    snapshots are stale).
+    cache: a version bump drops the shard slices (and recycles
+    process-backend workers, whose forked snapshots are stale) while the
+    base store catches up through
+    :meth:`~repro.core.columnar.ColumnarSummaryStore.sync` — patched rows
+    where the change journal allows, a full drop otherwise.
     """
 
     def __init__(
@@ -393,15 +395,20 @@ class ShardedColumnarStore:
     # ------------------------------------------------------------ lifecycle
     def invalidate(self) -> None:
         """Drop shard slices and base columns together; recycle stale workers."""
-        self._slices.clear()
         self.base.invalidate()
-        self.backend.invalidate()
-        self._version = self.database.data_version
-        self.invalidations += 1
+        self._retire_slices()
 
     def _check_version(self) -> None:
         if self._version != self.database.data_version:
-            self.invalidate()
+            self.base.sync()  # patches the replaced rows where it can
+            self._retire_slices()
+
+    def _retire_slices(self) -> None:
+        """Forget the slice views (and forked snapshots) of the previous version."""
+        self._slices.clear()
+        self.backend.invalidate()
+        self._version = self.database.data_version
+        self.invalidations += 1
 
     @property
     def data_version(self) -> int:

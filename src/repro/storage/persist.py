@@ -874,4 +874,5 @@ def open_database(directory: str) -> SubjectiveDatabase:
     database._summary_loader = SummaryLoader(database, reader)
     database._store_factory = lambda db, reader=reader: PersistentColumnarStore(db, reader)
     database._data_version = data_version
+    database._journal.clear()  # it explains the load's own bumps, not the saved past
     return database

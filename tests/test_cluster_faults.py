@@ -337,6 +337,27 @@ class TestDeltaHydration:
         finally:
             store.close()
 
+    def test_a_slice_skipped_for_one_version_reships_in_full(self, mutable_database):
+        """A node keeps one retired generation: no delta against an older one."""
+        membership = _membership(mutable_database)
+        quality, service = (a.name for a in mutable_database.schema.subjective_attributes)
+        ids = list(ColumnarSummaryStore(mutable_database).columns(quality).entity_ids)
+        store = ClusterShardStore(mutable_database, num_nodes=2, num_slices=4, **FAST)
+        try:
+            for attribute in (quality, service):
+                store.pair_degrees(membership, ids, attribute, "word003")
+            _store_summary(mutable_database, ids[3], "word003", 0.7)
+            store.pair_degrees(membership, ids, quality, "word003")  # service sits this one out
+            _store_summary(mutable_database, ids[4], "word003", 0.6)
+            full_frames = store.transport_counters()["snapshot_hydrations"]
+            expected = ColumnarSummaryStore(mutable_database).pair_degrees(
+                membership, ids, service, "word003"
+            )
+            assert store.pair_degrees(membership, ids, service, "word003") == expected
+            assert store.transport_counters()["snapshot_hydrations"] == full_frames + 4
+        finally:
+            store.close()
+
     def test_compressed_hydration_bit_identical(self, fault_database):
         membership = _membership(fault_database)
         base = ColumnarSummaryStore(fault_database)

@@ -354,14 +354,34 @@ class TestEnvelopeCacheIsBounded:
             store.degree_envelope(membership, "service", f"word{index:03d} filler")
             assert store.degree_envelope(membership, "quality", "word001") is kept
 
-    def test_ingest_still_clears_it(self, database):
+    def test_an_ingest_drops_what_it_touched(self, database):
         store = ColumnarSummaryStore(database)
         membership = SubjectiveQueryProcessor(database).membership
-        stale = store.degree_envelope(membership, "quality", "word001")
+        kept = {
+            name: store.degree_envelope(membership, name, "word001")
+            for name in ("quality", "service")
+        }
+        quality, service = store.columns("quality"), store.columns("service")
+        builds = store.builds
+
+        # A review replaces no summary: every object survives.
         database.add_review(ReviewRecord(99_999, "e00000", "word001 again"))
-        fresh = store.degree_envelope(membership, "quality", "word001")
-        assert fresh is not stale
-        assert list(store._envelopes) == [("quality", "word001")]
+        for name, envelope in kept.items():
+            assert store.degree_envelope(membership, name, "word001") is envelope
+        assert store.columns("quality") is quality
+        assert store.columns("service") is service
+
+        # A replaced summary costs its own attribute's envelopes only.
+        attribute = database.schema.subjective("quality")
+        summary = MarkerSummary("quality", list(attribute.markers))
+        summary.add_phrase(attribute.markers[0].name, sentiment=0.9)
+        database.store_summary("e00000", summary)
+        assert store.degree_envelope(membership, "quality", "word001") is not kept["quality"]
+        assert store.degree_envelope(membership, "service", "word001") is kept["service"]
+        assert store.columns("quality") is not quality
+        assert store.columns("service") is service
+        assert store.builds == builds and store.invalidations == 0
+        assert (store.patches, store.rows_patched) == (1, 1)
 
 
 class TestBatchedBm25:

@@ -194,3 +194,54 @@ class TestSummariesAndModels:
         evidence = database.explain("h1", "room_cleanliness", "clean")
         assert evidence[0].sentence == "the room was very clean"
         assert database.explain("h2", "room_cleanliness", "clean") == []
+
+
+class TestChangeJournal:
+    def _summary(self, database, attribute="service"):
+        return database.schema.subjective(attribute).new_summary()
+
+    def test_reviews_and_summaries_are_explained(self):
+        database = make_database()
+        start = database.data_version
+        assert database.changes_since(start) == frozenset()
+        database.add_review(ReviewRecord(10, "h2", "good service"))
+        assert database.changes_since(start) == frozenset()
+        database.store_summary("h1", self._summary(database))
+        database.store_summary("h1", self._summary(database))
+        database.store_summary("h2", self._summary(database, "room_cleanliness"))
+        assert database.changes_since(start) == {("h1", "service"), ("h2", "room_cleanliness")}
+        assert database.changes_since(database.data_version - 1) == {("h2", "room_cleanliness")}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda db: db.add_entity("h3"),
+            lambda db: db.add_extraction("h1", 0, "s", "room", "clean", "room_cleanliness"),
+            lambda db: db.set_variation_marker("service", "nice staff", "good"),
+            lambda db: db.rebuild_text_indexes(),
+            lambda db: db.clear_summaries(),
+        ],
+    )
+    def test_any_other_change_makes_the_past_unknown(self, change):
+        database = make_database()
+        start = database.data_version
+        database.store_summary("h1", self._summary(database))
+        change(database)
+        assert database.changes_since(start) is None
+        after = database.data_version
+        database.store_summary("h2", self._summary(database))
+        assert database.changes_since(after) == {("h2", "service")}
+        assert database.changes_since(start) is None
+
+    def test_versions_outside_the_journal_are_unknown(self):
+        from repro.core.database import CHANGE_JOURNAL_ENTRIES
+
+        database = make_database()
+        start = database.data_version
+        assert database.changes_since(start + 1) is None  # not this database's past
+        for serial in range(CHANGE_JOURNAL_ENTRIES):
+            database.add_review(ReviewRecord(100 + serial, "h1", "good"))
+        assert database.changes_since(start) == frozenset()
+        database.add_review(ReviewRecord(99, "h1", "good"))
+        assert database.changes_since(start) is None  # the oldest entry fell off
+        assert database.changes_since(start + 1) == frozenset()

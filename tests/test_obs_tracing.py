@@ -18,6 +18,8 @@ Pins the tracing half of the observability layer (ISSUE 10):
   exported spans as a tree with self-times.
 * ``save`` and ``open`` of the storage tier each leave one span tree whose
   children account for the root's duration.
+* The first answer after an ingest carries a ``columns_patch`` span
+  (attribute, rows) where it used to pay a column build.
 """
 
 from __future__ import annotations
@@ -346,6 +348,26 @@ class TestStorageSpans:
             "storage_text_indexes",
         ]
         assert sum(child.duration for child in children) >= 0.9 * root.duration
+
+
+class TestColumnsPatchSpan:
+    def test_a_fresh_answer_shows_the_patch_inside_its_query_trace(self):
+        from repro.testing import build_synthetic_columnar_database
+
+        database = build_synthetic_columnar_database(num_entities=40, seed=2)
+        sql = 'select * from Entities where "word003" and "word019" limit 5'
+        with SubjectiveQueryEngine(database=database) as engine:
+            engine.execute(sql)
+            database.store_summary("e00001", database.marker_summary("e00002", "quality"))
+            database.store_summary("e00003", database.marker_summary("e00002", "quality"))
+            store = _fresh_tracing()
+            engine.execute(sql)
+        (patch,) = [record for record in store.spans() if record.name == "columns_patch"]
+        assert patch.attrs == {"attribute": "quality", "rows": 2}
+        (query,) = [record for record in store.spans() if record.name == "query"]
+        assert patch.trace_id == query.trace_id
+        snapshot = engine.processor.columnar_store.stats_snapshot()
+        assert (snapshot["patches"], snapshot["rows_patched"], snapshot["builds"]) == (1, 2, 2)
 
 
 class TestSlowQueryForensics:

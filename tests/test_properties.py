@@ -958,6 +958,192 @@ class TestAdmissionControlInvariants:
 
 
 # --------------------------------------------------------------------------
+# Incremental ingest: patched column generations equal fresh builds
+# --------------------------------------------------------------------------
+
+def _small_ingest_database(seed: int = 5):
+    """Eight entities with summaries plus ``bare``, an entity that has none."""
+    from repro.testing import build_synthetic_columnar_database
+
+    database = build_synthetic_columnar_database(
+        num_entities=8, markers_per_attribute=4, dimension=8, seed=seed
+    )
+    database.add_entity("bare", {"city": "rome", "price": 10.0})
+    return database
+
+
+def _replacement_summary(database, attribute: str, phrases, unmatched: float = 0.0):
+    """A conforming summary of ``(marker index, sentiment, with vector)`` phrases."""
+    markers = list(database.schema.subjective(attribute).markers)
+    summary = MarkerSummary(attribute, markers, embedding_dimension=database.embedding_dimension)
+    for index, sentiment, with_vector in phrases:
+        name = markers[index % len(markers)].name
+        vector = database.phrase_vector(name) * (1.0 + index) if with_vector else None
+        summary.add_phrase(name, sentiment=sentiment, vector=vector)
+    summary.add_unmatched(unmatched)
+    return summary
+
+
+def _assert_equals_a_fresh_store(store, database) -> None:
+    """Every array of every attribute's columns and bounds, bit for bit."""
+    from dataclasses import fields
+
+    from repro.core.columnar import ColumnarSummaryStore
+
+    fresh = ColumnarSummaryStore(database)
+    for attribute in database.schema.subjective_attributes:
+        got, want = store.columns(attribute.name), fresh.columns(attribute.name)
+        assert (got is None) == (want is None)
+        if want is None:
+            continue
+        bounds = (store.score_bounds(attribute.name), fresh.score_bounds(attribute.name))
+        for left, right in ((got, want), bounds):
+            for field in fields(right):
+                mine, theirs = getattr(left, field.name), getattr(right, field.name)
+                if isinstance(theirs, np.ndarray):
+                    assert np.array_equal(mine, theirs), (attribute.name, field.name)
+                elif field.name != "columns":
+                    assert mine == theirs, (attribute.name, field.name)
+
+
+_ingest_ops = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=7),  # entity
+        st.one_of(
+            st.none(),  # a review only
+            st.tuples(
+                st.sampled_from(["quality", "service"]),
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=0, max_value=3),
+                        st.floats(min_value=-1.0, max_value=1.0),
+                        st.booleans(),
+                    ),
+                    max_size=4,
+                ),
+                st.sampled_from([0.0, 1.0, 2.5]),
+            ),
+        ),
+        st.booleans(),  # read (and compare) right after this op
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestPatchedColumnsEqualFreshBuild:
+    """``ColumnarSummaryStore.sync``: patch where the journal allows, else rebuild."""
+
+    @given(_ingest_ops)
+    @settings(max_examples=25, deadline=None)
+    def test_any_journaled_sequence_patches_to_the_fresh_arrays(self, ops):
+        from repro.core.columnar import ColumnarSummaryStore
+        from repro.core.database import ReviewRecord
+
+        database = _small_ingest_database()
+        store = ColumnarSummaryStore(database)
+        _assert_equals_a_fresh_store(store, database)  # builds columns and bounds
+        for serial, (entity, change, read) in enumerate(ops):
+            entity_id = f"e{entity:05d}"
+            if change is None:
+                database.add_review(ReviewRecord(10_000 + serial, entity_id, "word001 word002"))
+            else:
+                attribute, phrases, unmatched = change
+                database.store_summary(
+                    entity_id, _replacement_summary(database, attribute, phrases, unmatched)
+                )
+            if read:
+                _assert_equals_a_fresh_store(store, database)
+        _assert_equals_a_fresh_store(store, database)
+        assert store.data_version == database.data_version
+        assert (store.builds, store.invalidations) == (2, 0)
+
+    @pytest.mark.parametrize(
+        "fallback",
+        [
+            "add_entity",
+            "first_summary_of_an_entity_without_a_row",
+            "non_conforming_markers",
+            "clear_summaries",
+            "rebuild_text_indexes",
+            "more_changes_than_the_journal_holds",
+        ],
+    )
+    def test_each_fallback_ends_in_a_full_rebuild(self, fallback):
+        from repro.core import database as database_module
+        from repro.core.columnar import ColumnarSummaryStore
+        from repro.core.database import ReviewRecord
+
+        database = _small_ingest_database()
+        store = ColumnarSummaryStore(database)
+        _assert_equals_a_fresh_store(store, database)
+
+        def replacement(attribute, *phrase):
+            return _replacement_summary(database, attribute, [phrase])
+
+        # A patchable change rides along: the fallback must not lose it.
+        database.store_summary("e00001", replacement("service", 1, 0.5, True))
+        if fallback == "add_entity":
+            database.add_entity("late")
+        elif fallback == "first_summary_of_an_entity_without_a_row":
+            database.store_summary("bare", replacement("quality", 0, 0.9, True))
+        elif fallback == "non_conforming_markers":
+            markers = list(database.schema.subjective("quality").markers)[:-1]
+            database.store_summary("e00002", MarkerSummary("quality", markers))
+        elif fallback == "clear_summaries":
+            database.clear_summaries()
+            database.store_summary("e00003", replacement("quality", 2, -0.4, False))
+        elif fallback == "rebuild_text_indexes":
+            database.rebuild_text_indexes()
+        else:
+            for serial in range(database_module.CHANGE_JOURNAL_ENTRIES):
+                database.add_review(ReviewRecord(20_000 + serial, "e00004", "word003"))
+        journal_explains = fallback in (
+            "first_summary_of_an_entity_without_a_row",
+            "non_conforming_markers",
+        )  # there the journal names the key and the store finds it cannot patch it
+        assert (database.changes_since(store.data_version) is not None) == journal_explains
+        _assert_equals_a_fresh_store(store, database)
+        assert (store.invalidations, store.patches) == (1, 0)
+
+    def test_a_store_opened_from_disk_at_an_older_version_rebuilds(self):
+        import tempfile
+
+        from repro.core.columnar import ColumnarSummaryStore
+        from repro.core.database import SubjectiveDatabase
+
+        with tempfile.TemporaryDirectory() as directory:
+            _small_ingest_database().save(directory)
+            database = SubjectiveDatabase.open(directory)
+            database.store_summary(
+                "e00001", _replacement_summary(database, "service", [(1, 0.5, True)])
+            )
+            store = database.columnar_store()  # mapped files are one version behind
+            _assert_equals_a_fresh_store(store, database)
+            assert (store.mmap_serves, store.builds, store.patches) == (0, 2, 0)
+
+            # Opened at the saved version it serves the maps, then patches in RAM.
+            database = SubjectiveDatabase.open(directory)
+            store = database.columnar_store()
+            mapped = store.columns("service")
+            database.store_summary(
+                "e00001", _replacement_summary(database, "service", [(1, 0.5, True)])
+            )
+            patched = store.columns("service")
+            assert (store.mmap_serves, store.patches, store.invalidations) == (1, 1, 0)
+            assert isinstance(mapped.fractions, np.memmap)
+            assert not isinstance(patched.fractions, np.memmap)
+            # Same rows as a fresh build, entity by entity: a rebuild over the
+            # lazily loaded summaries lists the replaced entity first.
+            fresh = ColumnarSummaryStore(database).columns("service")
+            order = [fresh.row_of[entity_id] for entity_id in patched.entity_ids]
+            for name in ("fractions", "average_sentiments", "totals", "centroids_unit"):
+                assert np.array_equal(getattr(patched, name), getattr(fresh, name)[order])
+            row = patched.row_of["e00001"]
+            assert not np.array_equal(patched.fractions[row], mapped.fractions[row])
+
+
+# --------------------------------------------------------------------------
 # Persistent storage tier invariants
 # --------------------------------------------------------------------------
 

@@ -67,6 +67,18 @@ class TestLRUCache:
         assert len(cache) == 0
         assert cache.stats.hits == 1
 
+    def test_put_many_equals_per_key_puts(self):
+        items = [(key, key * 10) for key in (1, 2, 3, 2, 4, 5)]
+        batched, single = LRUCache(maxsize=3), LRUCache(maxsize=3)
+        for cache in (batched, single):
+            cache.put("old", 0)
+        batched.put_many(items)
+        for key, value in items:
+            single.put(key, value)
+        assert list(batched.keys()) == list(single.keys()) == [2, 4, 5]
+        assert batched.stats == single.stats
+        assert batched.stats.evictions == 3
+
     def test_invalid_maxsize_rejected(self):
         with pytest.raises(ValueError):
             LRUCache(0)
