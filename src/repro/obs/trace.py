@@ -13,9 +13,9 @@ Stores are queryable over the ``OP_TRACES`` opcode, which is how the
 coordinator assembles one cross-process span tree per trace id.
 
 Tracing is **off by default** and every instrumentation point funnels
-through :func:`span`, whose disabled path is a single flag test — the
-``bench_obs_overhead`` benchmark gates the enabled warm path within 5%
-of disabled.  Enable with :func:`enable_tracing` or ``REPRO_TRACE=1``
+through :func:`span`, whose disabled path is a single flag test (the
+end-to-end benchmark reports the enabled cost as
+``obs.trace_overhead_share``).  Enable with :func:`enable_tracing` or ``REPRO_TRACE=1``
 in the environment (forked workers and spawned nodes inherit either).
 """
 

@@ -7,8 +7,10 @@ candidate entity from scratch.  This package amortises that work across a
 query stream, which is what a production deployment serving repeated and
 overlapping queries needs:
 
-* :class:`LRUCache` / :class:`PartitionedLRUCache` — the bounded cache
-  primitives shared by the layers below;
+* :class:`LRUCache` / :class:`DegreeColumnCache` /
+  :class:`PartitionedLRUCache` — the bounded cache primitives shared by
+  the layers below (plans and candidates, membership-degree columns, the
+  shard worker's per-slice vectors);
 * :func:`normalize_sql` / :class:`QueryPlan` — normalised-SQL keyed plans
   bundling the parsed statement with its predicate interpretations;
 * :class:`SubjectiveQueryEngine` — the serving front end: an LRU plan cache,
@@ -17,8 +19,8 @@ overlapping queries needs:
   API, and cache/latency statistics;
 * :class:`ShardedSubjectiveQueryEngine` / :class:`ShardedColumnarStore` —
   the entity-sharded scale-out tier: K contiguous slice views per
-  attribute, per-slice kernel fan-out (serial/thread/process backends), a
-  per-shard membership-cache partition, vectorized WHERE-tree scoring and
+  attribute, per-slice kernel fan-out (serial/thread/process backends),
+  per-shard membership-cache counters, vectorized WHERE-tree scoring and
   per-shard top-k merge;
 * :class:`CoordinatorQueryEngine` / :class:`RpcShardStore`
   (:mod:`repro.serving.rpc`) — the disaggregated tier: long-lived shard
@@ -47,7 +49,7 @@ cache hierarchy, and the ``data_version`` invalidation contract in one
 place.
 """
 
-from repro.serving.cache import CacheStats, LRUCache, PartitionedLRUCache
+from repro.serving.cache import CacheStats, DegreeColumnCache, LRUCache, PartitionedLRUCache
 from repro.serving.cluster import (
     ClusterQueryEngine,
     ClusterShardStore,
@@ -103,6 +105,7 @@ __all__ = [
     "ClusterQueryEngine",
     "ClusterShardStore",
     "CoordinatorQueryEngine",
+    "DegreeColumnCache",
     "FrameTooLargeError",
     "GatewayClient",
     "GatewayHandle",

@@ -1,13 +1,14 @@
 """LRU caches with hit/miss accounting.
 
-:class:`LRUCache` backs the serving engine's query-plan, candidate and
-membership-degree caches.  :class:`PartitionedLRUCache` splits one logical
-cache into independent LRU partitions keyed by a router function — the
-sharded serving engine partitions its membership cache so each shard's
-degree entries live (and are evicted) in their own partition, while
-invalidation stays ``data_version``-driven: the engine clears every
-partition together whenever the database version moves, exactly like the
-unsharded cache.
+:class:`LRUCache` backs the serving engine's query-plan and candidate
+caches.  :class:`DegreeColumnCache` is every engine's membership cache: one
+exact-degree column per ``(attribute, phrase)`` condition over the engine's
+entity index, so a scan gathers and scatters arrays instead of walking
+per-entity dict entries.  :class:`PartitionedLRUCache` splits one logical
+cache into independent LRU partitions keyed by a router function — the RPC
+shard-service worker keeps one partition per owned slice.  Invalidation is
+``data_version``-driven everywhere: an engine resets its caches together
+whenever the database version moves.
 
 Individual caches are not thread-safe; the serving engines only touch them
 from the coordinating thread (shard workers run pure NumPy kernels and
@@ -16,8 +17,12 @@ never see a cache).
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Sequence
+
+import numpy as np
 
 from repro.obs.metrics import Counter
 
@@ -132,16 +137,6 @@ class LRUCache:
         """Look up ``key`` without touching recency or counters."""
         return self._entries.get(key, default)
 
-    def peek_many(self, keys: Sequence[Hashable], default: object = None) -> list[object]:
-        """Batch :meth:`peek`: one value (or ``default``) per key, in order.
-
-        No recency updates, no counters — the probe the concurrent batch
-        coordinator uses to plan prefetches without perturbing the cache
-        statistics a serial execution would have produced.
-        """
-        get = self._entries.get
-        return [get(key, default) for key in keys]
-
     def put(self, key: Hashable, value: object) -> None:
         """Insert or refresh ``key``, evicting the LRU entry when full."""
         if key in self._entries:
@@ -150,30 +145,6 @@ class LRUCache:
         if self.maxsize is not None and len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-
-    def get_many(self, keys: Sequence[Hashable], default: object = None) -> list[object]:
-        """Batch :meth:`get`: one value (or ``default``) per key, in order.
-
-        Counts hits/misses and refreshes recency exactly like per-key
-        ``get`` calls, with the per-key call layering hoisted out — the
-        serving engines look up hundreds of membership degrees per
-        predicate, which makes the bookkeeping itself a hot path.
-        """
-        entries = self._entries
-        move_to_end = entries.move_to_end
-        hits = 0
-        values: list[object] = []
-        append = values.append
-        for key in keys:
-            if key in entries:
-                move_to_end(key)
-                hits += 1
-                append(entries[key])
-            else:
-                append(default)
-        self.stats.hits += hits
-        self.stats.misses += len(values) - hits
-        return values
 
     def put_many(self, items: Sequence[tuple[Hashable, object]]) -> None:
         """Batch :meth:`put`; final contents and counters equal per-key puts."""
@@ -203,13 +174,232 @@ class LRUCache:
         return iter(self._entries.keys())
 
 
-def _default_router(key: Hashable) -> int:
-    """Route a cache key by its first element (the entity id, by convention).
+class DegreeColumnCache:
+    """The membership cache: one exact-degree column per ``(attribute, phrase)``.
 
-    The serving caches key membership degrees as ``(entity_id, attribute,
-    phrase)`` tuples; routing on the entity id keeps all of one entity's
-    degrees in one partition, which is the ownership unit the sharded
-    engine cares about.  Non-tuple keys hash whole.
+    The paper evaluates a condition ``A ≐ m`` as one degree per candidate
+    entity, so the unit of reuse is a column.  Rows are the engine's *entity
+    index* — ``database.entity_ids()`` order, installed by :meth:`reset` on
+    every ``data_version`` move — and an entry is a ``float64[N]`` value
+    column plus a ``bool[N]`` known mask; retrieval degrees use the key
+    ``(None, predicate)``.  Callers resolve ids to rows once
+    (:meth:`rows_of`), then :meth:`lookup` gathers ``(values, known)`` and
+    :meth:`store` scatters exact degrees — no per-entity key is ever built.
+
+    ``maxsize`` is a number of degrees, counted in allocated slots
+    (``columns × N``, never fewer than one column); the least recently used
+    column is dropped to make room, and an eviction adds the column's known
+    degrees to ``stats.evictions`` once.  ``hits`` / ``misses`` count
+    degrees looked up.  ``partitioner`` maps a row count to the K+1 bounds
+    of K contiguous row ranges; :meth:`partition_stats` then reports the
+    counters per range (they sum to the totals).
+
+    :meth:`keys`, :meth:`peek` and ``len`` are the per-degree inspection
+    surface: they speak ``(entity_id, attribute, phrase)``.
+    """
+
+    def __init__(
+        self,
+        maxsize: int | None = None,
+        entity_ids: Sequence[Hashable] = (),
+        partitioner: Callable[[int], Sequence[int]] | None = None,
+    ) -> None:
+        if maxsize is not None and maxsize <= 0:
+            raise ValueError(f"maxsize must be positive or None, got {maxsize}")
+        self.maxsize = maxsize
+        self._partitioner = partitioner or (lambda num_rows: (0, num_rows))
+        #: Contiguous row ranges the counters are reported over.
+        self.num_partitions = len(self._partitioner(0)) - 1
+        self._columns: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self.stats = CacheStats()
+        # hits / misses / evictions per partition, cumulative like ``stats``.
+        self._partition_counts = np.zeros((3, self.num_partitions), dtype=np.int64)
+        self.reset(entity_ids)
+
+    # ---------------------------------------------------------- entity index
+    def reset(self, entity_ids: Sequence[Hashable]) -> None:
+        """Drop every column and install a new entity index (counters are kept)."""
+        self.row_index: dict[Hashable, int] = {}
+        self._entity_ids = np.empty(0, dtype=object)
+        self._extend_index(entity_ids)
+
+    def _extend_index(self, entity_ids: Sequence[Hashable]) -> None:
+        """Append ``entity_ids`` to the index; columns are index-long, so they go."""
+        self._columns.clear()
+        self.row_index.update(zip(entity_ids, itertools.count(self.num_rows)))
+        appended = np.fromiter(entity_ids, dtype=object, count=len(entity_ids))
+        self._entity_ids = np.concatenate([self._entity_ids, appended])
+        bounds = self._partitioner(self.num_rows)
+        self._partition_of = np.repeat(np.arange(self.num_partitions), np.diff(bounds))
+
+    @property
+    def num_rows(self) -> int:
+        """Rows of the entity index (the length of every column)."""
+        return self._entity_ids.size
+
+    def rows_of(self, entity_ids: Sequence[Hashable]) -> np.ndarray:
+        """Entity-index row of every id, in order.
+
+        An id the database does not list (a row inserted into the entities
+        table directly) is appended to the index; columns are as long as the
+        index, so they are dropped — :attr:`row_index` keeps its identity
+        and every row handed out before stays valid.
+        """
+        index = self.row_index
+        try:
+            rows = [index[entity_id] for entity_id in entity_ids]
+        except KeyError:
+            self._extend_index(
+                list(dict.fromkeys(e for e in entity_ids if e not in index))
+            )
+            rows = [index[entity_id] for entity_id in entity_ids]
+        return np.fromiter(rows, dtype=np.intp, count=len(rows))
+
+    def ids_of(self, rows: np.ndarray) -> list[Hashable]:
+        """The entity ids at ``rows`` — the store boundary is id-based."""
+        return self._entity_ids[rows].tolist()
+
+    # --------------------------------------------------------------- columns
+    def lookup(self, key: tuple, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, known)`` of column ``key`` at ``rows`` (fresh arrays).
+
+        Counts one hit per known and one miss per unknown row and refreshes
+        the column's recency; ``values`` is 0.0 where ``known`` is false.
+        """
+        column = self._columns.get(key)
+        if column is None:
+            values, known = np.zeros(rows.size), np.zeros(rows.size, dtype=bool)
+        else:
+            self._columns.move_to_end(key)
+            values, known = column[0][rows], column[1][rows]
+        hits = int(np.count_nonzero(known))
+        self.stats.hits_cell.inc(hits)
+        self.stats.misses_cell.inc(rows.size - hits)
+        partitions = self._partition_of[rows]
+        self._partition_counts[0] += self._per_partition(partitions[known])
+        self._partition_counts[1] += self._per_partition(partitions[~known])
+        return values, known
+
+    def store(self, key: tuple, rows: np.ndarray, exact_values: np.ndarray) -> None:
+        """Write exact degrees at ``rows`` of column ``key``, allocating it if new.
+
+        Only exact degrees may be stored — an upper bound is not a degree.
+        Storing no rows allocates nothing.
+        """
+        if not len(rows):
+            return
+        column = self._columns.get(key)
+        if column is None:
+            self._make_room()
+            column = self._columns[key] = (
+                np.zeros(self.num_rows),
+                np.zeros(self.num_rows, dtype=bool),
+            )
+        else:
+            self._columns.move_to_end(key)
+        column[0][rows] = exact_values
+        column[1][rows] = True
+
+    def _make_room(self) -> None:
+        """Evict least-recently-used columns until one more fits ``maxsize``."""
+        if self.maxsize is None:
+            return
+        most = max(1, self.maxsize // max(1, self.num_rows))
+        while len(self._columns) >= most:
+            _key, (_values, known) = self._columns.popitem(last=False)
+            self.stats.evictions_cell.inc(int(np.count_nonzero(known)))
+            self._partition_counts[2] += self._per_partition(self._partition_of[known])
+
+    def _per_partition(self, partitions: np.ndarray) -> np.ndarray:
+        return np.bincount(partitions, minlength=self.num_partitions)
+
+    def clear(self) -> None:
+        """Drop every column (index and counters are kept)."""
+        self._columns.clear()
+
+    @property
+    def allocated_slots(self) -> int:
+        """Degrees the allocated columns have room for (``columns × N``)."""
+        return len(self._columns) * self.num_rows
+
+    # ------------------------------------------------------------ inspection
+    def __len__(self) -> int:
+        return sum(int(np.count_nonzero(known)) for _values, known in self._columns.values())
+
+    def keys(self) -> Iterator[tuple]:
+        """``(entity_id, attribute, phrase)`` of every known degree, LRU column first."""
+        for (attribute, phrase), (_values, known) in self._columns.items():
+            for entity_id in self.ids_of(np.flatnonzero(known)):
+                yield (entity_id, attribute, phrase)
+
+    def peek(self, key: tuple, default: object = None) -> object:
+        """The degree under ``(entity_id, attribute, phrase)``; no counters, no recency."""
+        entity_id, attribute, phrase = key
+        row = self.row_index.get(entity_id)
+        column = self._columns.get((attribute, phrase))
+        if row is None or column is None or not column[1][row]:
+            return default
+        return float(column[0][row])
+
+    # ---------------------------------------------------- per-degree batches
+    # The LRUCache batch protocol over ``(entity_id, attribute, phrase)``
+    # keys, for the call sites that still speak entity ids (the full-vector
+    # and scalar ranking paths, the cluster prefetch): each run of keys
+    # sharing a condition becomes one column operation.
+    def _runs(self, keys: Sequence[tuple]) -> Iterator[tuple[tuple, np.ndarray]]:
+        for column_key, run in itertools.groupby(keys, key=itemgetter(1, 2)):
+            yield column_key, self.rows_of([key[0] for key in run])
+
+    def get_many(self, keys: Sequence[tuple], default: object = None) -> list[object]:
+        """:meth:`lookup` per key: one degree (or ``default``) per key, in order."""
+        degrees: list[object] = []
+        for column_key, rows in self._runs(keys):
+            degrees += self._with_default(*self.lookup(column_key, rows), default)
+        return degrees
+
+    def peek_many(self, keys: Sequence[tuple], default: object = None) -> list[object]:
+        """:meth:`get_many` without counters or recency."""
+        degrees: list[object] = []
+        for column_key, rows in self._runs(keys):
+            column = self._columns.get(column_key)
+            if column is None:
+                degrees += [default] * rows.size
+            else:
+                degrees += self._with_default(column[0][rows], column[1][rows], default)
+        return degrees
+
+    @staticmethod
+    def _with_default(values: np.ndarray, known: np.ndarray, default: object) -> list[object]:
+        degrees = values.tolist()
+        for position in np.flatnonzero(~known).tolist():
+            degrees[position] = default
+        return degrees
+
+    def put_many(self, items: Sequence[tuple[tuple, float]]) -> None:
+        """:meth:`store` per ``(key, exact degree)`` item."""
+        position = 0
+        for column_key, rows in self._runs([key for key, _degree in items]):
+            degrees = [degree for _key, degree in items[position : position + rows.size]]
+            self.store(column_key, rows, degrees)
+            position += rows.size
+
+    def partition_stats(self) -> list[dict[str, float]]:
+        """Per-partition ``entries`` plus hit statistics, in row-range order."""
+        entries = np.zeros(self.num_partitions, dtype=np.int64)
+        for _values, known in self._columns.values():
+            entries += self._per_partition(self._partition_of[known])
+        return [
+            {"entries": int(count), **CacheStats(*counters).as_dict()}
+            for count, counters in zip(entries, self._partition_counts.T.tolist())
+        ]
+
+
+def _default_router(key: Hashable) -> int:
+    """Route a cache key by its first element (the slice id, by convention).
+
+    The shard-service worker keys degree vectors as ``(slice_id, attribute,
+    phrase, ...)`` tuples; routing on the slice id keeps each owned slice's
+    vectors in their own partition.  Non-tuple keys hash whole.
     """
     if isinstance(key, tuple) and key:
         return hash(key[0])
@@ -258,83 +448,9 @@ class PartitionedLRUCache:
         """Look up ``key`` without touching recency or counters."""
         return self.partition_of(key).peek(key, default)
 
-    def peek_many(self, keys: Sequence[Hashable], default: object = None) -> list[object]:
-        """Batch :meth:`peek` with the per-key partition routing inlined.
-
-        No recency updates, no counters; values (or ``default``) come back
-        in key order exactly like :meth:`get_many`.
-        """
-        partitions = self.partitions
-        num = len(partitions)
-        router = self._router
-        default_routing = router is _default_router
-        values: list[object] = []
-        append = values.append
-        for key in keys:
-            if default_routing:
-                index = hash(key[0] if isinstance(key, tuple) and key else key) % num
-            else:
-                index = router(key) % num
-            append(partitions[index]._entries.get(key, default))
-        return values
-
     def put(self, key: Hashable, value: object) -> None:
         """Insert or refresh ``key`` in its partition (partition-local eviction)."""
         self.partition_of(key).put(key, value)
-
-    def get_many(self, keys: Sequence[Hashable], default: object = None) -> list[object]:
-        """Batch :meth:`get` with the per-key partition routing inlined.
-
-        Equivalent to per-key ``get`` calls (same values, recency updates
-        and per-partition counters); hit/miss counts are accumulated per
-        partition and flushed once.
-        """
-        partitions = self.partitions
-        num = len(partitions)
-        router = self._router
-        default_routing = router is _default_router
-        hits = [0] * num
-        misses = [0] * num
-        values: list[object] = []
-        append = values.append
-        for key in keys:
-            if default_routing:
-                # Inlined _default_router: the per-key call layering is
-                # measurable when batches span hundreds of entities.
-                index = hash(key[0] if isinstance(key, tuple) and key else key) % num
-            else:
-                index = router(key) % num
-            entries = partitions[index]._entries
-            if key in entries:
-                entries.move_to_end(key)
-                hits[index] += 1
-                append(entries[key])
-            else:
-                misses[index] += 1
-                append(default)
-        for index in range(num):
-            if hits[index]:
-                partitions[index].stats.hits += hits[index]
-            if misses[index]:
-                partitions[index].stats.misses += misses[index]
-        return values
-
-    def put_many(self, items: Sequence[tuple[Hashable, object]]) -> None:
-        """Batch :meth:`put`: items grouped per partition, then batch-inserted."""
-        num = len(self.partitions)
-        router = self._router
-        default_routing = router is _default_router
-        grouped: list[list[tuple[Hashable, object]]] = [[] for _ in range(num)]
-        for item in items:
-            key = item[0]
-            if default_routing:
-                index = hash(key[0] if isinstance(key, tuple) and key else key) % num
-            else:
-                index = router(key) % num
-            grouped[index].append(item)
-        for partition, group in zip(self.partitions, grouped):
-            if group:
-                partition.put_many(group)
 
     def clear(self) -> None:
         """Drop every partition's entries together (one invalidation unit)."""

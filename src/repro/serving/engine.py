@@ -10,9 +10,11 @@ with the amortisation layers a query-serving deployment needs:
   skeleton (table, alias, join and the WHERE clause with every subjective
   predicate's text blanked), so every query that differs from an earlier
   one only in its phrases skips the table scan/join/filter;
-* a **membership cache** — ``(entity_id, attribute, phrase) → degree`` (and
-  ``(entity_id, None, predicate)`` for the text-retrieval fallback), shared
-  across all queries touching the same predicate/entity combinations;
+* a **membership cache** — one exact-degree column per ``(attribute,
+  phrase)`` condition (``(None, predicate)`` for the text-retrieval
+  fallback) over the engine's entity index
+  (:class:`~repro.serving.cache.DegreeColumnCache`), shared across all
+  queries touching the same condition;
 * **columnar batch scoring** — uncached degrees are computed for all missing
   entities of a predicate in one :meth:`SubjectiveQueryProcessor.pair_degrees`
   call, which routes through the processor's
@@ -41,7 +43,7 @@ from repro.core.processor import QueryResult, SubjectiveQueryProcessor
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog, global_slow_query_log
 from repro.obs.trace import span
-from repro.serving.cache import LRUCache
+from repro.serving.cache import DegreeColumnCache, LRUCache
 from repro.serving.plans import QueryPlan, candidate_key, normalize_sql
 from repro.utils.timing import now
 
@@ -56,15 +58,27 @@ class CandidateSet:
     (:func:`repro.serving.plans.candidate_key`) and the data version alone,
     so it is computed once and shared by every plan with that skeleton:
     row → entity-id resolution and deduplication eagerly, and — on first
-    use by the pruned scan — each candidate's row in an attribute's column
-    arrays.  ``rows`` is shared between the results of all those queries
-    and must be treated as read-only.
+    use — each candidate's row in the membership cache's entity index and
+    in an attribute's column arrays.  ``rows`` is shared between the
+    results of all those queries and must be treated as read-only.
     """
 
     rows: list[dict]
     row_entities: list[Hashable]
     unique_ids: list[Hashable]
     _store_rows: dict = field(default_factory=dict, repr=False, compare=False)
+    _entity_rows: list = field(default_factory=list, repr=False, compare=False)
+
+    def entity_rows(self, cache: DegreeColumnCache) -> np.ndarray:
+        """Row of every unique candidate in ``cache``'s entity index, in order.
+
+        Resolved once per entity index (the memo is checked against the
+        index object, so rows can never be used against a newer index).
+        """
+        memo = self._entity_rows
+        if not memo or memo[0] is not cache.row_index:
+            memo[:] = [cache.row_index, cache.rows_of(self.unique_ids)]
+        return memo[1]
 
     def store_rows(self, columns: AttributeColumns) -> np.ndarray | None:
         """Row of every candidate entity in ``columns``, in candidate order.
@@ -197,8 +211,8 @@ class SubjectiveQueryEngine:
     plan_cache_size:
         Maximum cached query plans (normalised-SQL keyed LRU).
     membership_cache_size:
-        Maximum cached membership degrees; sized generously by default since
-        entries are tiny and recomputation is the dominant query cost.
+        Maximum cached membership degrees, counted in allocated column slots
+        (columns × entities, at least one column); 9 bytes per slot.
     candidate_cache_size:
         Maximum cached objective candidate sets, keyed by
         :func:`repro.serving.plans.candidate_key`.  Cached rows are shared
@@ -241,17 +255,10 @@ class SubjectiveQueryEngine:
         self.metrics.register(
             "candidate_cache_evictions", self.candidate_cache.stats.evictions_cell
         )
-        # The membership cache may be partitioned (its aggregate stats are
-        # computed, not a single cell), so it is exported as collect-time
-        # views instead of registered cells.
-        self.metrics.func_gauge(
-            "membership_cache_hits", lambda: int(self.membership_cache.stats.hits)
-        )
-        self.metrics.func_gauge(
-            "membership_cache_misses", lambda: int(self.membership_cache.stats.misses)
-        )
-        self.metrics.func_gauge(
-            "membership_cache_evictions", lambda: int(self.membership_cache.stats.evictions)
+        self.metrics.register("membership_cache_hits", self.membership_cache.stats.hits_cell)
+        self.metrics.register("membership_cache_misses", self.membership_cache.stats.misses_cell)
+        self.metrics.register(
+            "membership_cache_evictions", self.membership_cache.stats.evictions_cell
         )
         self.latency_histogram = self.metrics.histogram(
             "query_latency_seconds", help="Per-query serving latency"
@@ -307,15 +314,14 @@ class SubjectiveQueryEngine:
         """Close the engine when the ``with`` block exits."""
         self.close()
 
-    def _build_membership_cache(self, maxsize: int | None):
-        """The membership-degree cache; subclasses may partition it.
+    def _build_membership_cache(self, maxsize: int | None) -> DegreeColumnCache:
+        """The membership-degree cache over the database's entities.
 
-        The sharded engine returns a
-        :class:`repro.serving.cache.PartitionedLRUCache` with one partition
-        per shard here; everything else about cache handling (lookup keys,
-        miss batching, ``data_version`` invalidation) is shared.
+        The sharded engine reports its counters per shard row range;
+        everything else about cache handling (column keys, miss batching,
+        ``data_version`` invalidation) is shared.
         """
-        return LRUCache(maxsize)
+        return DegreeColumnCache(maxsize, self.database.entity_ids())
 
     # ------------------------------------------------------------ invalidation
     def invalidate(self) -> None:
@@ -327,7 +333,7 @@ class SubjectiveQueryEngine:
     def _drop_caches(self) -> None:
         """Drop the engine's own caches and adopt the current data version."""
         self.plan_cache.clear()
-        self.membership_cache.clear()
+        self.membership_cache.reset(self.database.entity_ids())
         self.candidate_cache.clear()
         self.processor.interpreter.invalidate()
         self.stats.invalidations += 1

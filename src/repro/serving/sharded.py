@@ -44,6 +44,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable, Hashable, Sequence
 
@@ -81,8 +82,8 @@ from repro.engine.expressions import (
 from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry, cell_property
 from repro.obs.trace import span
-from repro.serving.cache import PartitionedLRUCache
-from repro.serving.engine import _MISSING, CandidateSet, SubjectiveQueryEngine
+from repro.serving.cache import DegreeColumnCache
+from repro.serving.engine import CandidateSet, SubjectiveQueryEngine
 from repro.serving.plans import QueryPlan
 
 BACKENDS = ("serial", "thread", "process")
@@ -953,10 +954,10 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
     * **degrees** — the processor's columnar store is replaced by a
       :class:`ShardedColumnarStore`, so every uncached membership degree is
       computed per contiguous entity slice (optionally on an executor);
-    * **membership cache** — partitioned per shard
-      (:class:`~repro.serving.cache.PartitionedLRUCache`), all partitions
-      invalidated together when :attr:`SubjectiveDatabase.data_version`
-      moves;
+    * **membership cache** — the shared
+      :class:`~repro.serving.cache.DegreeColumnCache`, its counters also
+      reported per shard row range (:func:`partition_bounds` of the entity
+      index), reset when :attr:`SubjectiveDatabase.data_version` moves;
     * **ranking** — each query's candidate rows are scored as degree
       vectors per shard (:func:`fuzzy_score_arrays`) and the per-shard
       top-k heaps are merged into the global ranking
@@ -1069,8 +1070,12 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
             max_workers=max_workers,
         )
 
-    def _build_membership_cache(self, maxsize: int | None) -> PartitionedLRUCache:
-        return PartitionedLRUCache(self.num_shards, maxsize)
+    def _build_membership_cache(self, maxsize: int | None) -> DegreeColumnCache:
+        return DegreeColumnCache(
+            maxsize,
+            self.database.entity_ids(),
+            partitioner=partial(partition_bounds, num_shards=self.num_shards),
+        )
 
     def close(self) -> None:
         """Shut down shard executor workers (idempotent)."""
@@ -1269,7 +1274,9 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
             key=lambda entry: not entry[2],
         )
         rows = candidates.rows
+        entity_rows = candidates.entity_rows(self.membership_cache)
         heap = TopKThreshold(limit)
+        offered = 0
         # Vectorized pre-screen out of the store's cached envelopes: the
         # conjunction of the eligible AND-path predicate bounds caps the
         # query score under any t-norm, so it both *orders* the scan
@@ -1307,11 +1314,14 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                 self.entities_pruned += total - chunk_start
                 break
             chunk_stop = min(chunk_start + chunk_size, total)
-            # Ids and row dicts exist only for the chunk being scanned; the
-            # tie-break key is the *original* candidate position, so the
-            # ranking is identical however the scan happens to be ordered.
-            positions = scan_order[chunk_start:chunk_stop].tolist()
-            chunk_ids = [row_entities[position] for position in positions]
+            # The chunk travels as candidate positions and entity-index rows;
+            # row dicts exist only for the chunk being scanned, ids only for
+            # the rows offered to the heap.  The tie-break key is the
+            # *original* candidate position, so the ranking is identical
+            # however the scan happens to be ordered.
+            chunk_positions = scan_order[chunk_start:chunk_stop]
+            positions = chunk_positions.tolist()
+            chunk_index = entity_rows[chunk_positions]
             chunk_rows = [rows[position] for position in positions]
             size = chunk_stop - chunk_start
             alive = np.ones(size, dtype=bool)
@@ -1325,7 +1335,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                 alive_index = np.flatnonzero(alive)
                 if alive_index.size == 0:
                     break
-                alive_ids = [chunk_ids[position] for position in alive_index]
+                alive_rows = chunk_index[alive_index]
                 # A pair-level threshold is sound only when the pair value
                 # caps the predicate (t-norm combination, or a single pair)
                 # *and* the predicate caps the query (AND path).
@@ -1342,15 +1352,14 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                 pair_highs: list[np.ndarray] = []
                 for pair in interpretation.pairs:
                     fetched = self._bounded_cached_pair_degrees(
-                        alive_ids,
+                        alive_rows,
                         pair.attribute,
                         self.processor.phrase_for_pair(interpretation, pair.marker),
                         pair_threshold,
                     )
                     if fetched is None:
                         return None  # no bound support after all: full path
-                    values, exact = fetched
-                    hi = np.asarray(values, dtype=float)
+                    hi, exact = fetched
                     pair_highs.append(hi)
                     pair_lows.append(np.where(exact, hi, 0.0))
                 combine = _pair_combiner(logic, interpretation)
@@ -1377,28 +1386,31 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                     return None
                 _lo_env, hi_env = envelope
                 survivors = np.flatnonzero(alive & (hi_env >= prune_threshold))
+                offered += survivors.size
                 for index, score in zip(survivors.tolist(), hi_env[survivors].tolist()):
+                    position = positions[index]
                     heap.offer(
                         score,
-                        chunk_ids[index],
-                        positions[index],
-                        payload=(score, positions[index], index, bound_vectors),
+                        row_entities[position],
+                        position,
+                        payload=(score, position, index, bound_vectors),
                     )
             chunk_start = chunk_stop
             chunk_size *= max(2, self.prune_chunk_growth)
         # Result objects are built for the k winners only.
-        entities = [
-            RankedEntity(
-                entity_id=row_entities[position],
-                score=score,
-                row=rows[position],
-                predicate_degrees={
-                    text: float(vectors[1][index])
-                    for text, vectors in chunk_vectors.items()
-                },
-            )
-            for score, position, index, chunk_vectors in heap.selected()
-        ]
+        with span("merge", num_shards=self.num_shards, rows=offered):
+            entities = [
+                RankedEntity(
+                    entity_id=row_entities[position],
+                    score=score,
+                    row=rows[position],
+                    predicate_degrees={
+                        text: float(vectors[1][index])
+                        for text, vectors in chunk_vectors.items()
+                    },
+                )
+                for score, position, index, chunk_vectors in heap.selected()
+            ]
         return QueryResult(sql=sql, entities=entities, interpretations=plan.interpretations)
 
     def _scan_bound(
@@ -1448,58 +1460,43 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
 
     def _bounded_cached_pair_degrees(
         self,
-        entity_ids: Sequence[Hashable],
+        entity_rows: np.ndarray,
         attribute: str,
         phrase: str,
         threshold: float,
-    ) -> tuple[list[float], list[bool]] | None:
+    ) -> tuple[np.ndarray, np.ndarray] | None:
         """Membership degrees with per-row exactness, pruned below ``threshold``.
 
-        The bounded twin of the base engine's ``_cached_pair_degrees``:
-        cache hits are exact by construction (only exact degrees are ever
+        The bounded twin of the base engine's ``_cached_degrees``: cache
+        hits are exact by construction (only exact degrees are ever
         cached), misses go through the store's bounded path, and of the
         returned values only the exact ones enter the cache — a pruned
         row's upper bound is *not* its degree and must be recomputed if a
-        later query needs it.  Returns ``(values, exact_flags)`` aligned
-        with ``entity_ids``, or ``None`` when the store or membership
-        function cannot bound this phrase.
+        later query needs it.  Returns ``(values, exact)`` aligned with
+        ``entity_rows``, or ``None`` when the store or membership function
+        cannot bound this phrase.
         """
-        keys = [(entity_id, attribute, phrase) for entity_id in entity_ids]
-        cached = self.membership_cache.get_many(keys, _MISSING)
-        missing = [
-            entity_id
-            for entity_id, value in zip(entity_ids, cached)
-            if value is _MISSING
-        ]
-        if not missing:
-            return cached, [True] * len(cached)
+        cache = self.membership_cache
+        key = (attribute, phrase)
+        values, exact = cache.lookup(key, entity_rows)
+        missing = np.flatnonzero(~exact)
+        if not missing.size:
+            return values, exact
+        missing_rows = entity_rows[missing]
         result = self.processor.columnar_store.pair_degrees_bounded(
-            self.processor.membership, missing, attribute, phrase, threshold
+            self.processor.membership, cache.ids_of(missing_rows), attribute, phrase, threshold
         )
         if result is None:
             return None
-        values, exact_mask, scored, pruned = result
+        fetched, fetched_exact, scored, pruned = result
         self.entities_scored += scored
         self.entities_pruned += pruned
-        self.membership_cache.put_many(
-            [
-                ((entity_id, attribute, phrase), float(value))
-                for entity_id, value, exact in zip(missing, values, exact_mask)
-                if exact
-            ]
-        )
-        filled_values = iter(values)
-        filled_exact = iter(exact_mask)
-        out_values: list[float] = []
-        out_exact: list[bool] = []
-        for value in cached:
-            if value is _MISSING:
-                out_values.append(float(next(filled_values)))
-                out_exact.append(bool(next(filled_exact)))
-            else:
-                out_values.append(value)
-                out_exact.append(True)
-        return out_values, out_exact
+        fetched = np.asarray(fetched, dtype=float)
+        fetched_exact = np.asarray(fetched_exact, dtype=bool)
+        cache.store(key, missing_rows[fetched_exact], fetched[fetched_exact])
+        values[missing] = fetched
+        exact[missing] = fetched_exact
+        return values, exact
 
     # ----------------------------------------------------------- statistics
     def _cache_counters(self) -> dict[str, int]:

@@ -20,6 +20,8 @@ Pins the tracing half of the observability layer (ISSUE 10):
   children account for the root's duration.
 * The first answer after an ingest carries a ``columns_patch`` span
   (attribute, rows) where it used to pay a column build.
+* The pruned ranking path emits a ``merge`` span under ``score``, like the
+  full-vector path.
 """
 
 from __future__ import annotations
@@ -368,6 +370,28 @@ class TestColumnsPatchSpan:
         assert patch.trace_id == query.trace_id
         snapshot = engine.processor.columnar_store.stats_snapshot()
         assert (snapshot["patches"], snapshot["rows_patched"], snapshot["builds"]) == (1, 2, 2)
+
+
+class TestPrunedMergeSpan:
+    def test_the_pruned_path_emits_merge_under_score(self):
+        from repro.serving import ShardedSubjectiveQueryEngine
+        from repro.testing import build_synthetic_columnar_database
+
+        database = build_synthetic_columnar_database(num_entities=300, seed=11)
+        sql = 'select * from Entities where "word003" and "word019" limit 5'
+        with ShardedSubjectiveQueryEngine(database=database, num_shards=2) as engine:
+            engine.execute(sql)  # builds columns and bounds outside the traced query
+            engine.membership_cache.clear()
+            store = _fresh_tracing()
+            pruned_before = engine.entities_pruned
+            result = engine.execute(sql)
+            assert engine.entities_pruned > pruned_before  # the pruned path answered
+        (merge,) = [record for record in store.spans() if record.name == "merge"]
+        (score,) = [record for record in store.spans() if record.name == "score"]
+        assert merge.parent_id == score.span_id
+        # ``rows`` is what the scan offered to the top-k heap, not the candidates.
+        assert len(result.entities) == 5 <= merge.attrs["rows"] < 300
+        assert merge.attrs["num_shards"] == 2
 
 
 class TestSlowQueryForensics:

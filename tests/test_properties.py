@@ -442,6 +442,254 @@ class TestScanBoundOnRandomTrees:
             assert [entity.score for entity in served] == [float(scores[i]) for i in expected]
 
 
+class TestDegreeColumnCacheAgainstDictModel:
+    """Any interleaving of store / lookup / peek / clear equals a plain dict model.
+
+    The model is an ``OrderedDict`` of ``column key → {row: value}`` with
+    the same capacity rule (``max(1, maxsize // N)`` columns, least recently
+    used first out), so after every operation: a degree reported known is
+    the last value stored for that row and key, a row never stored is never
+    known, the allocated slots stay within ``max(maxsize, N)``, ``hits +
+    misses`` is the number of rows looked up, and ``evictions`` is the known
+    degrees of exactly the columns dropped — in total and per partition.
+    The per-degree batch forms (``put_many`` / ``get_many`` / ``peek_many``)
+    are drawn in place of ``store`` / ``lookup`` / ``peek`` at random.
+    """
+
+    KEYS = [("quality", "a"), ("quality", "b"), ("service", "a"), (None, "free text")]
+
+    @staticmethod
+    def operations(num_rows: int):
+        rows = st.lists(st.integers(0, num_rows - 1), unique=True, max_size=num_rows)
+        key = st.integers(0, len(TestDegreeColumnCacheAgainstDictModel.KEYS) - 1)
+        return st.lists(
+            st.one_of(
+                st.tuples(st.just("store"), key, rows, st.floats(0.0, 1.0), st.booleans()),
+                st.tuples(st.just("lookup"), key, rows, st.booleans()),
+                st.tuples(st.just("peek"), key, rows),
+                st.tuples(st.just("clear")),
+            ),
+            max_size=40,
+        )
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cache_equals_model(self, data):
+        from collections import OrderedDict
+
+        from repro.serving.cache import DegreeColumnCache
+        from repro.serving.sharded import partition_bounds
+
+        num_rows = data.draw(st.integers(1, 9))
+        maxsize = data.draw(st.one_of(st.none(), st.integers(1, 4 * num_rows)))
+        num_partitions = data.draw(st.integers(1, 3))
+        entity_ids = [f"e{row}" for row in range(num_rows)]
+        cache = DegreeColumnCache(
+            maxsize,
+            entity_ids,
+            partitioner=(
+                None
+                if num_partitions == 1
+                else lambda count: partition_bounds(count, num_partitions)
+            ),
+        )
+        most = None if maxsize is None else max(1, maxsize // num_rows)
+        model: OrderedDict[tuple, dict[int, float]] = OrderedDict()
+        looked_up = evicted = 0
+        for operation in data.draw(self.operations(num_rows)):
+            if operation[0] == "clear":
+                cache.clear()
+                model.clear()
+                continue
+            key = self.KEYS[operation[1]]
+            if operation[0] == "store":
+                _, _, rows, base, by_ids = operation
+                values = [base / (1 + row) for row in rows]
+                if by_ids:
+                    cache.put_many([((entity_ids[row], *key), v) for row, v in zip(rows, values)])
+                else:
+                    cache.store(key, np.asarray(rows, dtype=np.intp), np.asarray(values))
+                if rows:
+                    if key not in model:
+                        while most is not None and len(model) >= most:
+                            evicted += len(model.popitem(last=False)[1])
+                        model[key] = {}
+                    model.move_to_end(key)
+                    model[key].update(zip(rows, values))
+            elif operation[0] == "lookup":
+                _, _, rows, by_ids = operation
+                column = model.get(key, {})
+                if key in model and (rows or not by_ids):  # no key names no column
+                    model.move_to_end(key)
+                looked_up += len(rows)
+                if by_ids:
+                    degrees = cache.get_many([(entity_ids[row], *key) for row in rows], "absent")
+                    assert degrees == [column.get(row, "absent") for row in rows]
+                else:
+                    values, known = cache.lookup(key, np.asarray(rows, dtype=np.intp))
+                    assert known.tolist() == [row in column for row in rows]
+                    assert values.tolist() == [column.get(row, 0.0) for row in rows]
+            else:
+                rows = operation[2]
+                column = model.get(key, {})
+                for row in rows:
+                    assert cache.peek((entity_ids[row], *key)) == column.get(row)
+                degrees = cache.peek_many([(entity_ids[row], *key) for row in rows], "absent")
+                assert degrees == [column.get(row, "absent") for row in rows]
+            stats = cache.stats
+            assert stats.hits + stats.misses == looked_up
+            assert stats.evictions == evicted
+            assert cache.allocated_slots <= max(maxsize or 0, num_rows) or maxsize is None
+            assert len(cache) == sum(len(column) for column in model.values())
+            assert list(cache.keys()) == [
+                (entity_ids[row], *column_key)
+                for column_key, column in model.items()
+                for row in sorted(column)
+            ]
+            partitions = cache.partition_stats()
+            assert len(partitions) == num_partitions
+            for field, total in (
+                ("entries", len(cache)),
+                ("hits", stats.hits),
+                ("misses", stats.misses),
+                ("evictions", stats.evictions),
+            ):
+                assert sum(partition[field] for partition in partitions) == total
+
+    def test_an_unlisted_entity_is_appended_to_the_index(self):
+        from repro.serving.cache import DegreeColumnCache
+
+        cache = DegreeColumnCache(8, ["a", "b"])
+        index = cache.row_index
+        cache.store(("q", "x"), cache.rows_of(["a"]), [0.5])
+        rows = cache.rows_of(["b", "stranger", "a", "stranger"])
+        assert rows.tolist() == [1, 2, 0, 2]
+        assert cache.row_index is index and cache.num_rows == 3
+        assert len(cache) == 0  # columns are as long as the index: dropped
+        cache.store(("q", "x"), rows[:2], [0.25, 0.75])
+        assert cache.peek(("stranger", "q", "x")) == 0.75
+        assert cache.ids_of(rows) == ["b", "stranger", "a", "stranger"]
+
+
+class TestMembershipColumnsHoldExactDegreesOnly:
+    """On the 1600-entity fixture, whatever mix of pruned queries ran.
+
+    Every known degree of every column equals
+    ``ColumnarSummaryStore.pair_degrees`` for that entity — a pruned row's
+    upper bound is never stored — and an answer served from warm columns is
+    bit-identical to the cold answer, through ``execute`` and ``run_batch``
+    alike, on the serial-sharded, RPC and cluster engines.
+    """
+
+    words = st.sampled_from(["word001", "word004", "word005", "word017", "word020", "word021"])
+    shapes = st.sampled_from(
+        [
+            '"{a}" and "{b}"',
+            '"{a}" or "{b}"',
+            'not "{a}" or "{b}"',
+            "city = 'london' and \"{a}\"",
+            'price < 60 or "{a}"',
+            '"{a}" and ("{b}" or "{a}")',
+        ]
+    )
+    queries = st.builds(
+        lambda shape, a, b, limit: (
+            f"select * from Entities where {shape.format(a=a, b=b)} limit {limit}"
+        ),
+        shapes,
+        words,
+        words,
+        st.integers(3, 7),
+    )
+
+    @pytest.fixture(scope="class")
+    def database(self):
+        from repro.testing import build_synthetic_columnar_database
+
+        return build_synthetic_columnar_database(num_entities=1600, seed=11)
+
+    @pytest.fixture(scope="class")
+    def engines(self, database):
+        from repro.serving import (
+            ClusterQueryEngine,
+            CoordinatorQueryEngine,
+            ShardedSubjectiveQueryEngine,
+        )
+
+        engines = [
+            ShardedSubjectiveQueryEngine(database=database, num_shards=2),
+            CoordinatorQueryEngine(database=database, num_workers=2),
+            ClusterQueryEngine(database=database, num_nodes=2),
+        ]
+        yield engines
+        for engine in engines:
+            engine.close()
+
+    @staticmethod
+    def _answer(result):
+        return [
+            (entity.entity_id, entity.score, entity.predicate_degrees, entity.row)
+            for entity in result.entities
+        ]
+
+    @given(st.lists(queries, min_size=1, max_size=4))
+    @settings(max_examples=12, deadline=None)
+    def test_known_degrees_are_exact_and_warm_equals_cold(self, database, engines, sqls):
+        from repro.core.columnar import ColumnarSummaryStore
+
+        exact_store = ColumnarSummaryStore(database)
+        # A selective conjunction first, so every mix prunes at least once.
+        sqls = ['select * from Entities where "word001" and "word002" limit 4', *sqls]
+        for engine in engines:
+            cache = engine.membership_cache
+            cache.clear()
+            pruned_before = engine.entities_pruned
+            cold = [self._answer(engine.execute(sql)) for sql in sqls]
+            assert engine.entities_pruned > pruned_before  # bounds were returned ...
+            all_rows = np.arange(cache.num_rows)
+            columns = {(attribute, phrase) for _entity, attribute, phrase in cache.keys()}
+            assert columns
+            for attribute, phrase in columns:  # ... and none of them was stored
+                known = np.flatnonzero(cache.lookup((attribute, phrase), all_rows)[1])
+                values, _ = cache.lookup((attribute, phrase), known)
+                assert values.tolist() == exact_store.pair_degrees(
+                    engine.processor.membership, cache.ids_of(known), attribute, phrase
+                )
+            warm = [self._answer(engine.execute(sql)) for sql in sqls]
+            assert warm == cold
+            batch = engine.run_batch(sqls + sqls)
+            assert [self._answer(result) for result in batch.results] == cold + cold
+
+    @given(words, st.floats(0.05, 0.95))
+    @settings(max_examples=12, deadline=None)
+    def test_a_returned_bound_is_never_written(self, database, engines, word, quantile):
+        from repro.core.columnar import ColumnarSummaryStore
+
+        key = ("quality", word)
+        for engine in engines:
+            cache = engine.membership_cache
+            cache.clear()
+            rows = np.arange(cache.num_rows)
+            full = np.asarray(
+                ColumnarSummaryStore(database).pair_degrees(
+                    engine.processor.membership, cache.ids_of(rows), *key
+                )
+            )
+            threshold = float(np.quantile(full, quantile))
+            values, exact = engine._bounded_cached_pair_degrees(rows, *key, threshold)
+            if engine is engines[0]:
+                # (A worker or node that memoised the exact vector on an
+                # earlier example answers exactly whatever the threshold.)
+                assert not exact.all()  # some rows came back as bounds ...
+            assert np.array_equal(values[exact], full[exact])
+            assert np.all(values[~exact] >= full[~exact])
+            assert np.array_equal(cache.lookup(key, rows)[1], exact)  # ... and stayed unknown
+            # With no threshold the same rows are scored, not served the bound.
+            values, exact = engine._bounded_cached_pair_degrees(rows, *key, 0.0)
+            assert exact.all() and np.array_equal(values, full)
+            assert cache.lookup(key, rows)[1].all()
+
+
 class TestTopKThresholdHeap:
     """The incremental threshold heap equals the batch top-k merge, ties included."""
 

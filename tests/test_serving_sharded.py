@@ -27,6 +27,7 @@ from repro.serving import (
     ShardedColumnarStore,
     ShardedSubjectiveQueryEngine,
     SubjectiveQueryEngine,
+    partition_bounds,
 )
 
 SHARD_COUNTS = [1, 2, 3, 7]
@@ -381,19 +382,79 @@ class TestInterleavedIngest:
 
 
 class TestPartitionedMembershipCache:
-    def test_cache_is_partitioned_per_shard(self, hotel_database):
+    def test_counters_are_reported_per_shard_row_range(self, hotel_database):
         engine = ShardedSubjectiveQueryEngine(database=hotel_database, num_shards=4)
-        engine.execute(HOTEL_QUERIES[0])
+        for sql in HOTEL_QUERIES[:3]:
+            engine.execute(sql)
+        engine.execute(HOTEL_QUERIES[0])  # a repeat, so hits move too
         cache = engine.membership_cache
         assert cache.num_partitions == 4
-        assert len(cache) == sum(len(partition) for partition in cache.partitions)
         assert len(cache) > 0
-        # Each key lives in exactly the partition its entity id routes to.
         for key in cache.keys():
             assert cache.peek(key) is not None
+        # Partitions are the partition_bounds row ranges of the entity index.
+        bounds = partition_bounds(len(hotel_database.entity_ids()), 4)
+        entity_ids = hotel_database.entity_ids()
+        entries = [0] * 4
+        for entity_id, _attribute, _phrase in cache.keys():
+            row = entity_ids.index(entity_id)
+            entries[next(i for i in range(4) if bounds[i] <= row < bounds[i + 1])] += 1
+        partitions = cache.partition_stats()
+        assert [partition["entries"] for partition in partitions] == entries
+        totals = cache.stats.as_dict()
+        assert totals["hits"] > 0 and totals["misses"] > 0
+        for field in ("hits", "misses", "evictions"):
+            assert sum(partition[field] for partition in partitions) == totals[field]
+        assert sum(entries) == len(cache)
         snapshot = engine.stats_snapshot()
         assert snapshot["num_shards"] == 4
-        assert len(snapshot["membership_cache_partitions"]) == 4
+        assert snapshot["membership_cache_partitions"] == partitions
+        assert set(partitions[0]) == {"entries", "hits", "misses", "evictions", "hit_rate"}
+
+
+class TestEntityIndex:
+    def test_a_candidate_the_database_does_not_list_is_served(self):
+        """A row inserted into the entities table directly has no database
+        entity: it joins the cache's entity index on first sight and scores
+        exactly as the processor scores it, cold and warm."""
+        from repro.testing import build_synthetic_columnar_database
+
+        database = build_synthetic_columnar_database(num_entities=30, seed=3)
+        table = database.engine.table("entities")
+        table.insert({**table.scan()[0], database.schema.entity_key: "stranger"})
+        sqls = [
+            'select * from Entities where "word001" limit 40',
+            'select * from Entities where "word001" and "word004" limit 5',
+        ]
+        processor = SubjectiveQueryProcessor(database)
+        assert "stranger" in processor.execute(sqls[0]).entity_ids
+        for engine in (
+            SubjectiveQueryEngine(database=database),
+            ShardedSubjectiveQueryEngine(database=database, num_shards=2),
+        ):
+            for sql in sqls + sqls:
+                expected = processor.execute(sql)
+                _assert_identical_results(expected, engine.execute(sql))
+            assert engine.membership_cache.num_rows == 31
+            assert engine.membership_cache.stats.hits > 0
+
+
+    def test_a_version_bump_resets_columns_and_index_together(self):
+        database = build_mutable_database(num_entities=6)
+        engine = ShardedSubjectiveQueryEngine(database=database, num_shards=3)
+        engine.execute(INGEST_QUERY)
+        cache = engine.membership_cache
+        index = cache.row_index
+        assert len(cache) > 0 and cache.num_rows == 6
+        database.add_entity("h-new", {"city": "rome", "price_pn": 80.0})
+        engine.plan(INGEST_QUERY)  # the next use notices the bump
+        assert len(cache) == 0
+        assert cache.row_index is not index  # rows resolved against the old index are void
+        assert cache.ids_of(np.arange(cache.num_rows)) == database.entity_ids()
+        _assert_identical_results(
+            SubjectiveQueryProcessor(database).execute(INGEST_QUERY),
+            engine.execute(INGEST_QUERY),
+        )
 
 
 class TestDefaults:
