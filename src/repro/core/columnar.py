@@ -114,29 +114,6 @@ def gather_rows(columns: "AttributeColumns", rows: list[int]) -> "AttributeColum
     )
 
 
-def resolve_slice(
-    columns: "AttributeColumns",
-    start: int,
-    stop: int,
-    rows: "list[int] | None" = None,
-) -> "AttributeColumns":
-    """The kernel-ready view of one shipped ``(start, stop, rows)`` slice spec.
-
-    This is the receiving half of the slice-shipping contract used by the
-    process shard backend and the RPC shard service: the sender ships only
-    indices — a contiguous ``[start, stop)`` row range of an attribute's
-    columns, optionally narrowed to slice-relative ``rows`` for a sparse
-    request — and the receiver resolves them against its own deterministic
-    rebuild of the column arrays.  Both sides build identical arrays from
-    the same database snapshot, so the resolved view (and every kernel
-    result computed from it) is bit-identical to the sender's.
-    """
-    view = slice_view(columns, start, stop)
-    if rows is not None:
-        view = gather_rows(view, rows)
-    return view
-
-
 def plan_slice_requests(
     bounds: Sequence[int],
     resident: Sequence[int],
@@ -224,15 +201,17 @@ class AttributeColumns:
 
 #: Magic prefix + format version of the packed column-snapshot layout.
 #: Version 2 added the flags byte after the checksum: zlib body
-#: compression, optional f32 centroid quantization, and delta frames.
+#: compression and delta frames.
 SNAPSHOT_MAGIC = b"OPSN"
 SNAPSHOT_FORMAT_VERSION = 2
 
 #: Container flag bits (one u8 between the checksum and the body).
 SNAPSHOT_FLAG_ZLIB = 0x01  # body is zlib-compressed
-SNAPSHOT_FLAG_F32_CENTROIDS = 0x02  # centroid tensor quantized to f32
 SNAPSHOT_FLAG_DELTA = 0x04  # body is a SnapshotDelta, not a full snapshot
 SNAPSHOT_FLAG_COLUMN_FILE = 0x08  # body is an mmap-layout column file (repro.storage)
+#: Every bit a reader understands; 0x02 (a retired f32 centroid encoding)
+#: and the high bits are refused, never ignored.
+_SNAPSHOT_KNOWN_FLAGS = SNAPSHOT_FLAG_ZLIB | SNAPSHOT_FLAG_DELTA | SNAPSHOT_FLAG_COLUMN_FILE
 
 _SNAP_U16 = struct.Struct("!H")
 _SNAP_U32 = struct.Struct("!I")
@@ -240,41 +219,14 @@ _SNAP_U64 = struct.Struct("!Q")
 _SNAP_U8 = struct.Struct("!B")
 
 #: Canonical big-endian f64 wire dtype — the byte swap is lossless, so
-#: every array bit survives the pack/unpack round trip.  The f32 dtype is
-#: used only for quantized centroid tensors behind an explicit tolerance.
+#: every array bit survives the pack/unpack round trip.
 _SNAP_F64 = ">f8"
-_SNAP_F32 = ">f4"
 _SNAP_ROW = ">u4"
 
 
 def _pack_f64(array: np.ndarray) -> bytes:
     """One array as big-endian f64 bytes in C order (deterministic)."""
     return np.ascontiguousarray(array, dtype=np.float64).astype(_SNAP_F64).tobytes()
-
-
-def _pack_centroids(array: np.ndarray, tolerance: float | None) -> tuple[bytes, int]:
-    """The centroid tensor as wire bytes; ``(bytes, container flags)``.
-
-    Lossless f64 by default.  With an explicit ``tolerance``, the tensor is
-    quantized to f32 *iff* every element's round-trip error stays within
-    the tolerance — otherwise a typed :class:`SnapshotError` refuses the
-    pack, so a caller can never silently ship degrees it did not sign up
-    for.  (Unit-normalized centroids round-trip through f32 with error
-    ~6e-8, so tolerances down to 1e-7 are routinely satisfiable.)
-    """
-    if tolerance is None:
-        return _pack_f64(array), 0
-    if tolerance < 0:
-        raise SnapshotError(f"centroid tolerance must be >= 0, got {tolerance}")
-    exact = np.ascontiguousarray(array, dtype=np.float64)
-    quantized = exact.astype(np.float32)
-    error = float(np.max(np.abs(exact - quantized.astype(np.float64)))) if exact.size else 0.0
-    if error > tolerance:
-        raise SnapshotError(
-            f"f32 centroid quantization error {error:g} exceeds the "
-            f"declared tolerance {tolerance:g}"
-        )
-    return quantized.astype(_SNAP_F32).tobytes(), SNAPSHOT_FLAG_F32_CENTROIDS
 
 
 def _snapshot_meta(columns: "AttributeColumns", entity_ids: Sequence[Hashable]) -> bytes:
@@ -334,7 +286,8 @@ def _unpack_container(payload: bytes) -> tuple[int, bytes]:
     """Verify one container's header + checksum; ``(flags, body bytes)``.
 
     Raises :class:`SnapshotError` for a wrong magic, an unsupported format
-    version or a truncated payload, and :class:`SnapshotIntegrityError`
+    version, an unknown flag bit or a truncated payload, and
+    :class:`SnapshotIntegrityError`
     when the checksum over ``flags | stored body`` does not match.  The
     checksum is verified *before* decompression, so corrupted compressed
     bytes fail typed instead of feeding garbage to zlib.
@@ -362,6 +315,10 @@ def _unpack_container(payload: bytes) -> tuple[int, bytes]:
             "column snapshot failed its checksum (corrupted in transit)"
         )
     flags = stored[0]
+    if flags & ~_SNAPSHOT_KNOWN_FLAGS:
+        raise SnapshotError(
+            f"snapshot carries unknown flag bits {flags & ~_SNAPSHOT_KNOWN_FLAGS:#04x}"
+        )
     body = stored[1:]
     if flags & SNAPSHOT_FLAG_ZLIB:
         try:
@@ -433,7 +390,7 @@ class ColumnSnapshot:
             columns=slice_view(columns, start, stop),
         )
 
-    def pack(self, compress: bool = False, centroid_tolerance: float | None = None) -> bytes:
+    def pack(self, compress: bool = False) -> bytes:
         """Serialize to deterministic, checksummed bytes.
 
         Layout: ``magic (4) | format version (u16) | crc32 (u32) | flags
@@ -448,15 +405,10 @@ class ColumnSnapshot:
         else raises :class:`SnapshotError`.
 
         ``compress=True`` wraps the body in zlib framing — still lossless,
-        every unpacked bit identical.  ``centroid_tolerance`` opts into f32
-        quantization of the E×M×D centroid tensor (the dominant term of a
-        hydrate frame): the pack is refused with :class:`SnapshotError`
-        unless every element's f64→f32→f64 round-trip error is within the
-        tolerance.  The default (``None``) keeps full bit-identity.
+        every unpacked bit identical.
         """
         columns = self.columns
         meta = _snapshot_meta(columns, columns.entity_ids)
-        centroid_bytes, flags = _pack_centroids(columns.centroids_unit, centroid_tolerance)
         body = b"".join(
             [
                 _SNAP_U64.pack(self.data_version),
@@ -471,11 +423,11 @@ class ColumnSnapshot:
                 _pack_f64(columns.totals),
                 _pack_f64(columns.unmatched),
                 _pack_f64(columns.overall_sentiments),
-                centroid_bytes,
+                _pack_f64(columns.centroids_unit),
                 _pack_f64(columns.name_units),
             ]
         )
-        return _pack_container(body, flags, compress)
+        return _pack_container(body, 0, compress)
 
     @classmethod
     def unpack(cls, payload: bytes) -> "ColumnSnapshot":
@@ -498,12 +450,12 @@ class ColumnSnapshot:
                 "payload is a persistent column file; read it with repro.storage"
             )
         try:
-            return cls._unpack_body(body, flags)
+            return cls._unpack_body(body)
         except (struct.error, IndexError, KeyError, TypeError, UnicodeDecodeError) as error:
             raise SnapshotError(f"malformed column snapshot body ({error})") from error
 
     @classmethod
-    def _unpack_body(cls, body: bytes, flags: int) -> "ColumnSnapshot":
+    def _unpack_body(cls, body: bytes) -> "ColumnSnapshot":
         offset = 0
         (data_version,) = _SNAP_U64.unpack_from(body, offset)
         offset += _SNAP_U64.size
@@ -528,24 +480,23 @@ class ColumnSnapshot:
                 f"snapshot row range [{start}, {stop}) does not match its "
                 f"{num_entities} entity ids"
             )
-        def take(shape: tuple[int, ...], dtype: str = _SNAP_F64) -> np.ndarray:
+        def take(shape: tuple[int, ...]) -> np.ndarray:
             nonlocal offset
             count = int(np.prod(shape)) if shape else 1
-            size = np.dtype(dtype).itemsize * count
+            size = 8 * count
             if offset + size > len(body):
                 raise SnapshotError("truncated column snapshot (arrays)")
-            array = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+            array = np.frombuffer(body, dtype=_SNAP_F64, count=count, offset=offset)
             offset += size
             return array.astype(np.float64).reshape(shape)
 
-        centroid_dtype = _SNAP_F32 if flags & SNAPSHOT_FLAG_F32_CENTROIDS else _SNAP_F64
         marker_sentiments = take((num_markers,))
         fractions = take((num_entities, num_markers))
         average_sentiments = take((num_entities, num_markers))
         totals = take((num_entities,))
         unmatched = take((num_entities,))
         overall_sentiments = take((num_entities,))
-        centroids_unit = take((num_entities, num_markers, dimension), centroid_dtype)
+        centroids_unit = take((num_entities, num_markers, dimension))
         name_units = take((num_markers, dimension))
         if offset != len(body):
             raise SnapshotError(
@@ -604,9 +555,7 @@ class SnapshotDelta:
     rows: tuple[int, ...]
     columns: AttributeColumns
 
-    #: Per-entity arrays a delta ships, in wire order.  ``centroids_unit``
-    #: is packed last of the row arrays so the f32-quantization flag can
-    #: apply to it alone, exactly as in the full snapshot layout.
+    #: Per-entity arrays a delta ships, in wire order.
     _ROW_ARRAYS = (
         "fractions",
         "average_sentiments",
@@ -681,19 +630,17 @@ class SnapshotDelta:
             columns=gather_rows(fresh, rows),
         )
 
-    def pack(self, compress: bool = False, centroid_tolerance: float | None = None) -> bytes:
+    def pack(self, compress: bool = False) -> bytes:
         """Serialize to the shared snapshot container with the delta flag set.
 
         Body layout: ``base_version (u64) | data_version (u64) | slice_id |
         start | stop | row count (u32 each) | rows (u32 each, ascending,
         slice-relative) | meta JSON (u32 length + bytes; the *changed*
         rows' entity ids) | per-row arrays`` in :attr:`_ROW_ARRAYS` order.
-        ``compress`` / ``centroid_tolerance`` behave exactly as in
-        :meth:`ColumnSnapshot.pack`.
+        ``compress`` behaves exactly as in :meth:`ColumnSnapshot.pack`.
         """
         columns = self.columns
         meta = _snapshot_meta(columns, columns.entity_ids)
-        centroid_bytes, flags = _pack_centroids(columns.centroids_unit, centroid_tolerance)
         body = b"".join(
             [
                 _SNAP_U64.pack(self.base_version),
@@ -710,10 +657,10 @@ class SnapshotDelta:
                 _pack_f64(columns.totals),
                 _pack_f64(columns.unmatched),
                 _pack_f64(columns.overall_sentiments),
-                centroid_bytes,
+                _pack_f64(columns.centroids_unit),
             ]
         )
-        return _pack_container(body, flags | SNAPSHOT_FLAG_DELTA, compress)
+        return _pack_container(body, SNAPSHOT_FLAG_DELTA, compress)
 
     @classmethod
     def unpack(cls, payload: bytes) -> "SnapshotDelta":
@@ -730,12 +677,12 @@ class SnapshotDelta:
                 "payload is a full snapshot frame; unpack it with ColumnSnapshot.unpack"
             )
         try:
-            return cls._unpack_body(body, flags)
+            return cls._unpack_body(body)
         except (struct.error, IndexError, KeyError, TypeError, UnicodeDecodeError) as error:
             raise SnapshotError(f"malformed delta snapshot body ({error})") from error
 
     @classmethod
-    def _unpack_body(cls, body: bytes, flags: int) -> "SnapshotDelta":
+    def _unpack_body(cls, body: bytes) -> "SnapshotDelta":
         offset = 0
         base_version, data_version = struct.unpack_from("!QQ", body, offset)
         offset += 16
@@ -776,23 +723,22 @@ class SnapshotDelta:
         num_markers = len(markers)
         dimension = int(meta["dimension"])
 
-        def take(shape: tuple[int, ...], dtype: str = _SNAP_F64) -> np.ndarray:
+        def take(shape: tuple[int, ...]) -> np.ndarray:
             nonlocal offset
             count = int(np.prod(shape)) if shape else 1
-            size = np.dtype(dtype).itemsize * count
+            size = 8 * count
             if offset + size > len(body):
                 raise SnapshotError("truncated delta snapshot (arrays)")
-            array = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+            array = np.frombuffer(body, dtype=_SNAP_F64, count=count, offset=offset)
             offset += size
             return array.astype(np.float64).reshape(shape)
 
-        centroid_dtype = _SNAP_F32 if flags & SNAPSHOT_FLAG_F32_CENTROIDS else _SNAP_F64
         fractions = take((num_rows, num_markers))
         average_sentiments = take((num_rows, num_markers))
         totals = take((num_rows,))
         unmatched = take((num_rows,))
         overall_sentiments = take((num_rows,))
-        centroids_unit = take((num_rows, num_markers, dimension), centroid_dtype)
+        centroids_unit = take((num_rows, num_markers, dimension))
         if offset != len(body):
             raise SnapshotError(
                 f"delta snapshot has {len(body) - offset} trailing bytes"

@@ -8,7 +8,7 @@ Dependency-free subsystem threaded through every serving layer:
   (``partition_stats()``, ``stats_snapshot()``, ``transport_counters()``)
   are thin views over the same cells.
 * :mod:`repro.obs.trace` — per-query :class:`TraceContext` propagation
-  (contextvars in-process, an optional protocol-v5 frame field across
+  (contextvars in-process, an optional trailing frame field across
   the wire) with spans collected into a ring-buffer :class:`TraceStore`
   queryable over ``OP_TRACES``.
 * :mod:`repro.obs.slowlog` — a threshold-gated :class:`SlowQueryLog`

@@ -6,8 +6,8 @@ context propagates through a :mod:`contextvars` variable, so nested
 :func:`span` blocks parent themselves automatically; across the wire the
 coordinator appends ``(trace_id, span_id)`` as an optional trailing
 field on ``OP_SCORE`` / ``OP_SCORE_BOUNDED`` / ``OP_QUERY`` frames
-(protocol v5 — v4 peers negotiate the field off at hello) and the remote
-side records its spans with :func:`record_span`, parented on the
+(an untraced frame carries zero bytes for it) and the remote side
+records its spans with :func:`record_span`, parented on the
 coordinator's span id, into its own process-global :class:`TraceStore`.
 Stores are queryable over the ``OP_TRACES`` opcode, which is how the
 coordinator assembles one cross-process span tree per trace id.

@@ -7,10 +7,9 @@ candidate entity from scratch.  This package amortises that work across a
 query stream, which is what a production deployment serving repeated and
 overlapping queries needs:
 
-* :class:`LRUCache` / :class:`DegreeColumnCache` /
-  :class:`PartitionedLRUCache` — the bounded cache primitives shared by
-  the layers below (plans and candidates, membership-degree columns, the
-  shard worker's per-slice vectors);
+* :class:`LRUCache` / :class:`DegreeColumnCache` — the bounded cache
+  primitives shared by the layers below (plans and candidates, the shard
+  service's per-slice vectors, membership-degree columns);
 * :func:`normalize_sql` / :class:`QueryPlan` — normalised-SQL keyed plans
   bundling the parsed statement with its predicate interpretations;
 * :class:`SubjectiveQueryEngine` — the serving front end: an LRU plan cache,
@@ -19,9 +18,13 @@ overlapping queries needs:
   API, and cache/latency statistics;
 * :class:`ShardedSubjectiveQueryEngine` / :class:`ShardedColumnarStore` —
   the entity-sharded scale-out tier: K contiguous slice views per
-  attribute, per-slice kernel fan-out (serial/thread/process backends),
+  attribute, per-slice kernel fan-out (serial/thread backends),
   per-shard membership-cache counters, vectorized WHERE-tree scoring and
   per-shard top-k merge;
+* :class:`ShardService` (:mod:`repro.serving.service`) — the one frame
+  handler behind both tiers below: ``score`` / ``score bounded`` /
+  ``invalidate`` / ``stats`` / ``traces`` over a *slice source* (the
+  forked worker's own store, or the node's hydrated snapshots);
 * :class:`CoordinatorQueryEngine` / :class:`RpcShardStore`
   (:mod:`repro.serving.rpc`) — the disaggregated tier: long-lived shard
   worker processes serving a length-prefixed binary ``score`` protocol
@@ -49,7 +52,7 @@ cache hierarchy, and the ``data_version`` invalidation contract in one
 place.
 """
 
-from repro.serving.cache import CacheStats, DegreeColumnCache, LRUCache, PartitionedLRUCache
+from repro.serving.cache import CacheStats, DegreeColumnCache, LRUCache
 from repro.serving.cluster import (
     ClusterQueryEngine,
     ClusterShardStore,
@@ -75,8 +78,6 @@ from repro.serving.plans import QueryPlan, normalize_sql
 from repro.serving.protocol import (
     OP_TRACES,
     PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOL_VERSIONS,
-    TRACE_PROTOCOL_VERSION,
     FrameTooLargeError,
     GatewayOverloadedError,
     HandshakeError,
@@ -89,6 +90,7 @@ from repro.serving.rpc import (
     ShardServiceClient,
     ShardServiceWorker,
 )
+from repro.serving.service import ShardService
 from repro.serving.sharded import (
     ShardedColumnarStore,
     ShardedSubjectiveQueryEngine,
@@ -115,20 +117,18 @@ __all__ = [
     "LRUCache",
     "OP_TRACES",
     "PROTOCOL_VERSION",
-    "PartitionedLRUCache",
     "QueryPlan",
     "RpcError",
     "RpcShardStore",
-    "SUPPORTED_PROTOCOL_VERSIONS",
     "ServingGateway",
     "ServingStats",
     "ShardNodeServer",
+    "ShardService",
     "ShardServiceClient",
     "ShardServiceWorker",
     "ShardedColumnarStore",
     "ShardedSubjectiveQueryEngine",
     "SubjectiveQueryEngine",
-    "TRACE_PROTOCOL_VERSION",
     "WorkerCrashedError",
     "coalescing_key",
     "default_num_shards",

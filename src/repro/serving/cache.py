@@ -4,11 +4,9 @@
 caches.  :class:`DegreeColumnCache` is every engine's membership cache: one
 exact-degree column per ``(attribute, phrase)`` condition over the engine's
 entity index, so a scan gathers and scatters arrays instead of walking
-per-entity dict entries.  :class:`PartitionedLRUCache` splits one logical
-cache into independent LRU partitions keyed by a router function — the RPC
-shard-service worker keeps one partition per owned slice.  Invalidation is
-``data_version``-driven everywhere: an engine resets its caches together
-whenever the database version moves.
+per-entity dict entries.  Invalidation is ``data_version``-driven
+everywhere: an engine resets its caches together whenever the database
+version moves.
 
 Individual caches are not thread-safe; the serving engines only touch them
 from the coordinating thread (shard workers run pure NumPy kernels and
@@ -391,100 +389,4 @@ class DegreeColumnCache:
         return [
             {"entries": int(count), **CacheStats(*counters).as_dict()}
             for count, counters in zip(entries, self._partition_counts.T.tolist())
-        ]
-
-
-def _default_router(key: Hashable) -> int:
-    """Route a cache key by its first element (the slice id, by convention).
-
-    The shard-service worker keys degree vectors as ``(slice_id, attribute,
-    phrase, ...)`` tuples; routing on the slice id keeps each owned slice's
-    vectors in their own partition.  Non-tuple keys hash whole.
-    """
-    if isinstance(key, tuple) and key:
-        return hash(key[0])
-    return hash(key)
-
-
-class PartitionedLRUCache:
-    """One logical cache split into independent LRU partitions.
-
-    ``maxsize`` bounds the *total* entry count; each partition gets an equal
-    share (rounded up), so eviction pressure in one partition never evicts
-    another partition's entries.  The interface mirrors :class:`LRUCache`
-    (``get``/``put``/``peek``/``clear``/``len``/``in``); :attr:`stats`
-    aggregates across partitions, and per-partition statistics stay
-    available on the partitions themselves.
-    """
-
-    def __init__(
-        self,
-        num_partitions: int,
-        maxsize: int | None = None,
-        router: Callable[[Hashable], int] | None = None,
-    ) -> None:
-        if num_partitions <= 0:
-            raise ValueError(f"num_partitions must be positive, got {num_partitions}")
-        per_partition = None
-        if maxsize is not None:
-            per_partition = -(-maxsize // num_partitions)  # ceil division
-        self.partitions = [LRUCache(per_partition) for _ in range(num_partitions)]
-        self._router = router or _default_router
-
-    @property
-    def num_partitions(self) -> int:
-        """Number of independent LRU partitions."""
-        return len(self.partitions)
-
-    def partition_of(self, key: Hashable) -> LRUCache:
-        """The partition owning ``key``."""
-        return self.partitions[self._router(key) % len(self.partitions)]
-
-    def get(self, key: Hashable, default: object = None) -> object:
-        """Look up ``key`` in its partition (counts and recency as ``LRUCache.get``)."""
-        return self.partition_of(key).get(key, default)
-
-    def peek(self, key: Hashable, default: object = None) -> object:
-        """Look up ``key`` without touching recency or counters."""
-        return self.partition_of(key).peek(key, default)
-
-    def put(self, key: Hashable, value: object) -> None:
-        """Insert or refresh ``key`` in its partition (partition-local eviction)."""
-        self.partition_of(key).put(key, value)
-
-    def clear(self) -> None:
-        """Drop every partition's entries together (one invalidation unit)."""
-        for partition in self.partitions:
-            partition.clear()
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self.partition_of(key)
-
-    def __len__(self) -> int:
-        return sum(len(partition) for partition in self.partitions)
-
-    def keys(self) -> Iterator[Hashable]:
-        """All keys, partition by partition (least- to most-recently used)."""
-        for partition in self.partitions:
-            yield from partition.keys()
-
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregate counters summed over all partitions (a fresh snapshot)."""
-        return CacheStats(
-            hits=sum(partition.stats.hits for partition in self.partitions),
-            misses=sum(partition.stats.misses for partition in self.partitions),
-            evictions=sum(partition.stats.evictions for partition in self.partitions),
-        )
-
-    def partition_stats(self) -> list[dict[str, float]]:
-        """Per-partition counter dicts (``entries`` plus the hit statistics).
-
-        One dict per partition, in partition order — the shard-local view
-        the sharded engine's ``stats_snapshot`` and the shard-service
-        ``stats()`` RPC report, so operators can spot a hot or cold shard.
-        """
-        return [
-            {"entries": len(partition), **partition.stats.as_dict()}
-            for partition in self.partitions
         ]

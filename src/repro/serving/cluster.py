@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import select
 import socket
 import threading
@@ -62,22 +61,17 @@ from repro.core.columnar import (
     AttributeColumns,
     ColumnarSummaryStore,
     ColumnSnapshot,
-    ScoreBounds,
     SnapshotDelta,
-    bounded_pair_degrees,
     columnar_kernel,
     gather_degrees,
-    gather_rows,
     plan_slice_requests,
     scalar_fallback_scorer,
 )
 from repro.core.database import SubjectiveDatabase
 from repro.core.interpreter import InterpretationMethod
 from repro.core.processor import SubjectiveQueryProcessor
-from repro.errors import SnapshotError
 from repro.obs.metrics import MetricsRegistry, cell_property
-from repro.obs.trace import current_wire_trace, global_trace_store, record_span, span
-from repro.serving.cache import LRUCache
+from repro.obs.trace import current_wire_trace, global_trace_store, span
 from repro.serving.engine import BatchResult
 from repro.serving.plans import normalize_sql
 from repro.serving.protocol import (
@@ -85,15 +79,9 @@ from repro.serving.protocol import (
     OP_HELLO,
     OP_HYDRATE,
     OP_HYDRATE_DELTA,
-    OP_INVALIDATE,
-    OP_SCORE,
-    OP_SCORE_BOUNDED,
     OP_SHUTDOWN,
     OP_STATS,
-    OP_TRACES,
     PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOL_VERSIONS,
-    TRACE_PROTOCOL_VERSION,
     STATUS_ERROR,
     STATUS_OK,
     FrameTooLargeError,
@@ -108,31 +96,27 @@ from repro.serving.protocol import (
     encode_hydrate_request,
     encode_invalidate_request,
     encode_score_bounded_request,
-    encode_score_bounded_response,
     encode_score_request,
     encode_traces_request,
     frame_bytes,
-    pack_str,
     read_hello_ack,
     read_score_bounded_response,
-    read_trace_field,
     recv_frame,
     send_frame,
 )
-from repro.utils.timing import now
-from repro.serving.rpc import DEFAULT_WORKER_CACHE_SIZE
-from repro.serving.sharded import (
-    ShardedSubjectiveQueryEngine,
-    default_num_shards,
-    partition_bounds,
-)
-
 from repro.serving.protocol import (
     _HEADER,
     _U8,
     _U32,
     _U64,
 )
+from repro.serving.service import DEFAULT_WORKER_CACHE_SIZE, HydratedSliceSource, ShardService
+from repro.serving.sharded import (
+    ShardedSubjectiveQueryEngine,
+    default_num_shards,
+    partition_bounds,
+)
+from repro.utils.timing import now
 
 #: Default bound on score/hydrate requests in flight per node connection.
 DEFAULT_INFLIGHT_WINDOW = 32
@@ -157,30 +141,34 @@ _PREFETCH_MISSING = object()
 # The shard node (server side)
 # --------------------------------------------------------------------------
 
-class ShardNodeServer:
+class ShardNodeServer(ShardService):
     """One TCP shard node: hydrated column slices, scored over the wire.
 
-    Unlike the fork-based :class:`~repro.serving.rpc.ShardServiceWorker`,
-    the node owns **no database** — it is constructed with only the
-    membership function (the scoring model, a deployment artifact) and
-    receives its column data as packed
-    :class:`~repro.core.columnar.ColumnSnapshot` bytes through ``hydrate``
-    frames.  Snapshots are checksummed and bit-exact, so a hydrated node
-    computes exactly the degrees the coordinator's own store would.
+    The node is the :class:`~repro.serving.service.ShardService` every
+    shard transport shares, over a
+    :class:`~repro.serving.service.HydratedSliceSource`: unlike the
+    fork-based :class:`~repro.serving.rpc.ShardServiceWorker` it owns **no
+    database** — it is constructed with only the membership function (the
+    scoring model, a deployment artifact) and receives its column data as
+    packed :class:`~repro.core.columnar.ColumnSnapshot` bytes.  Snapshots
+    are checksummed and bit-exact, so a hydrated node computes exactly the
+    degrees the coordinator's own store would.
 
-    Every connection must open with a ``hello`` frame; the node refuses a
-    protocol version other than its own with a transported error (a typed
+    On top of the shared scoring frames the node answers three opcodes of
+    its own — ``hello``, ``hydrate`` and ``hydrate delta`` — and runs the
+    TCP accept loop.  Every connection must open with a ``hello`` frame;
+    the node refuses a protocol version other than its own with a
+    transported error (a typed
     :class:`~repro.serving.protocol.HandshakeError` on the client side) and
     otherwise acknowledges with its protocol version, the ``data_version``
     of its hydrated snapshots (0 before any hydration) and the slice ids
-    it currently owns.  Scored slice vectors are memoised per slice; an
-    ``invalidate`` frame carrying a *newer* data version drops the hydrated
-    slices too, so the next scores can only be served after re-hydration.
+    it currently owns.  An ``invalidate`` frame carrying a *newer* data
+    version drops the hydrated slices too, so the next scores can only be
+    served after re-hydration.
 
     ``serve_forever`` accepts connections sequentially (the coordinator
     holds one pipelined connection per node and reconnects after a loss);
-    :meth:`stop` wakes and stops the accept loop.  ``handle_frame`` is the
-    transport-free dispatch used directly by in-process tests.
+    :meth:`stop` wakes and stops the accept loop.
     """
 
     def __init__(
@@ -191,94 +179,37 @@ class ShardNodeServer:
         cache_size: int | None = DEFAULT_WORKER_CACHE_SIZE,
         data_dir: str | None = None,
     ) -> None:
-        self.node_id = node_id
-        self.membership = membership
-        self.max_frame_bytes = max_frame_bytes
-        self.cache_size = cache_size
+        super().__init__(
+            "node",
+            node_id,
+            membership,
+            HydratedSliceSource(data_dir),
+            max_frame_bytes,
+            cache_size,
+        )
         self.data_dir = data_dir
-        self.data_version = 0
-        # Warm-restart path: a node given ``data_dir`` maps the persistent
-        # storage tier's column files and adopts the catalog's durable
-        # ``data_version`` as its own, so the hello acknowledgement
-        # advertises a local store the coordinator can skip ``hydrate``
-        # frames for.  An unreadable or corrupt directory downgrades to the
-        # ordinary wire-hydrated cold start — never a refusal to serve.
-        self._local: "object | None" = None
-        if data_dir is not None:
-            from repro.errors import StorageError
-            from repro.storage import StoreReader
-
-            try:
-                self._local = StoreReader(data_dir).verify()
-            except StorageError:
-                self._local = None
-            else:
-                self.data_version = self._local.data_version
-        self._slices: dict[tuple[str, int], ColumnSnapshot] = {}
-        # One generation of superseded snapshots, kept as delta bases: an
-        # ``invalidate`` (or the first snapshot of a newer version) retires
-        # the current slices here instead of discarding them, so a
-        # subsequent ``hydrate delta`` built against the retired version
-        # can re-hydrate without re-downloading unchanged rows.  Never
-        # served from — scoring reads ``_slices`` only.
-        self._stale: dict[tuple[str, int], ColumnSnapshot] = {}
-        self._stale_version = 0
-        # Degree-vector memos, one bounded cache per hydrated
-        # (attribute, slice) — re-hydrating one attribute's slice must not
-        # evict another attribute's still-valid vectors.
-        self._caches: dict[tuple[str, int], LRUCache] = {}
-        # Bound summaries per hydrated (attribute, slice), built lazily
-        # from the snapshot's columns on the first bounded score and
-        # dropped wherever the snapshot itself is dropped.
-        self._bounds: dict[tuple[str, int], ScoreBounds] = {}
         self._listener: socket.socket | None = None
         self._active: socket.socket | None = None
         self._stopped = False
-        # Protocol version agreed at the last hello (min of both peers);
-        # pre-handshake frames are served at the node's own version.
-        self.negotiated_version = PROTOCOL_VERSION
-        self.metrics = MetricsRegistry()
-        self._score_requests_cell = self.metrics.counter(
-            "score_requests", help="Exact score frames served"
-        )
-        self._bounded_requests_cell = self.metrics.counter(
-            "bounded_requests", help="Bounded score frames served"
-        )
-        self._kernel_calls_cell = self.metrics.counter(
-            "kernel_calls", help="Columnar kernel invocations (cache misses)"
-        )
-        self._entities_scored_cell = self.metrics.counter(
-            "entities_scored", help="Requested rows scored exactly (bounded path)"
-        )
-        self._entities_pruned_cell = self.metrics.counter(
-            "entities_pruned", help="Requested rows dismissed on a bound alone"
-        )
         self._hydrations_cell = self.metrics.counter(
             "hydrations", help="Full snapshot installs over the wire"
         )
         self._delta_hydrations_cell = self.metrics.counter(
             "delta_hydrations", help="Snapshots rebuilt locally from a delta"
         )
-        self._local_hydrations_cell = self.metrics.counter(
-            "local_hydrations", help="Snapshots served from the local mmap store"
-        )
-        self._invalidations_cell = self.metrics.counter(
-            "invalidations", help="Invalidate frames that dropped hydrated state"
-        )
+        self.metrics.register("local_hydrations", self.source.local_hydrations)
         self._connections_cell = self.metrics.counter(
             "connections", help="Coordinator connections accepted"
         )
 
-    score_requests = cell_property("_score_requests_cell")
-    bounded_requests = cell_property("_bounded_requests_cell")
-    kernel_calls = cell_property("_kernel_calls_cell")
-    entities_scored = cell_property("_entities_scored_cell")
-    entities_pruned = cell_property("_entities_pruned_cell")
     hydrations = cell_property("_hydrations_cell")
     delta_hydrations = cell_property("_delta_hydrations_cell")
-    local_hydrations = cell_property("_local_hydrations_cell")
-    invalidations = cell_property("_invalidations_cell")
     connections = cell_property("_connections_cell")
+
+    @property
+    def node_id(self) -> int:
+        """The id this node reports in stats and spans."""
+        return self.index
 
     # ------------------------------------------------------------- lifecycle
     def bind(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
@@ -303,11 +234,6 @@ class ShardNodeServer:
         if self._listener is None:
             raise RpcError("node is not bound; call bind() first")
         return self._listener.getsockname()
-
-    @property
-    def owned_slice_ids(self) -> list[int]:
-        """Slice ids currently hydrated on this node (sorted)."""
-        return sorted({slice_id for _, slice_id in self._slices})
 
     def stop(self) -> None:
         """Stop the accept loop and close the listener (thread-safe wake)."""
@@ -376,31 +302,8 @@ class ShardNodeServer:
             send_frame(sock, response, self.max_frame_bytes)
         except OSError:
             return
-        if not accepted:
-            return
-        while not self._stopped:
-            try:
-                payload = recv_frame(sock, self.max_frame_bytes)
-            except FrameTooLargeError as error:
-                # The stream cannot be resynchronised after refusing a
-                # frame; report why, then drop the connection.
-                try:
-                    send_frame(sock, encode_error(str(error)), self.max_frame_bytes)
-                except OSError:
-                    pass
-                return
-            except (RpcError, OSError):
-                return  # peer vanished mid-frame
-            if payload is None:
-                return  # clean EOF: the coordinator closed its end
-            response, stop = self.handle_frame(payload)
-            try:
-                send_frame(sock, response, self.max_frame_bytes)
-            except OSError:
-                return
-            if stop:
-                self._stopped = True
-                return
+        if accepted and self.serve(sock):
+            self._stopped = True
 
     def _handle_hello(self, payload: bytes) -> tuple[bytes, bool]:
         """Validate the connection-opening hello; ``(response, accepted?)``."""
@@ -414,86 +317,49 @@ class ShardNodeServer:
                     ),
                     False,
                 )
-            peer_version = reader.read_u32()
-            reader.read_u64()  # the coordinator's data_version (diagnostic)
+            return self._acknowledge(reader)
         except RpcError as error:
             return encode_error(f"malformed hello frame ({error})"), False
-        if peer_version not in SUPPORTED_PROTOCOL_VERSIONS:
+
+    def _acknowledge(self, reader: Reader) -> tuple[bytes, bool]:
+        """Answer a hello whose opcode has been read: the ack, or a refusal."""
+        peer_version = reader.read_u32()
+        reader.read_u64()  # the coordinator's data_version (diagnostic)
+        if peer_version != PROTOCOL_VERSION:
             return (
                 encode_error(
                     f"protocol version mismatch: peer speaks {peer_version}, "
-                    f"node supports {sorted(SUPPORTED_PROTOCOL_VERSIONS)}"
+                    f"node speaks {PROTOCOL_VERSION}"
                 ),
                 False,
             )
-        # The connection runs at the lower of the two versions: a v4
-        # coordinator sees a v4 ack and never learns about trace fields.
-        self.negotiated_version = min(peer_version, PROTOCOL_VERSION)
         ack = encode_hello_ack(
-            self.negotiated_version,
+            PROTOCOL_VERSION,
             self.data_version,
             self.owned_slice_ids,
-            local_store=self._local_store_fresh,
+            local_store=self.source.local_store_fresh,
         )
         return ack, True
 
     # ------------------------------------------------------------- dispatch
-    def handle_frame(self, payload: bytes) -> tuple[bytes, bool]:
-        """One request payload → ``(response payload, stop serving?)``.
-
-        Node-side failures are transported as error responses, never
-        exceptions — a bad request must not take the node down.
-        """
-        try:
-            reader = Reader(payload)
-            opcode = reader.read_u8()
-            if opcode == OP_SCORE:
-                return self._handle_score(reader), False
-            if opcode == OP_SCORE_BOUNDED:
-                return self._handle_score_bounded(reader), False
-            if opcode == OP_HYDRATE:
-                return self._handle_hydrate(reader), False
-            if opcode == OP_HYDRATE_DELTA:
-                return self._handle_hydrate_delta(reader), False
-            if opcode == OP_INVALIDATE:
-                return self._handle_invalidate(reader), False
-            if opcode == OP_STATS:
-                return self._handle_stats(), False
-            if opcode == OP_TRACES:
-                return self._handle_traces(reader), False
-            if opcode == OP_HELLO:
-                return self._handle_hello(payload)[0], False
-            if opcode == OP_SHUTDOWN:
-                return _U8.pack(STATUS_OK), True
-            return encode_error(f"unknown opcode {opcode}"), False
-        except Exception as error:  # noqa: BLE001 - transported to the peer
-            return encode_error(f"{type(error).__name__}: {error}"), False
-
-    def _retire_slices(self, new_version: int) -> None:
-        """Supersede every hydrated slice, keeping one generation as delta bases.
-
-        A new data version invalidates all current slices together —
-        mixed-version scoring is impossible by construction.  Instead of
-        discarding them, the slices are retired to :attr:`_stale` (tagged
-        with their version) so a later ``hydrate delta`` against that
-        version can rebuild locally instead of re-downloading.
-        """
-        if self._slices:
-            self._stale = dict(self._slices)
-            self._stale_version = self.data_version
-        self._slices = {}
-        self._caches.clear()
-        self._bounds.clear()
-        self.data_version = new_version
+    def dispatch(self, opcode: int, reader: Reader) -> bytes:
+        """The shared scoring frames plus the node-only opcodes."""
+        if opcode == OP_HYDRATE:
+            return self._handle_hydrate(reader)
+        if opcode == OP_HYDRATE_DELTA:
+            return self._handle_hydrate_delta(reader)
+        if opcode == OP_HELLO:
+            return self._acknowledge(reader)[0]
+        return super().dispatch(opcode, reader)
 
     def _install_snapshot(self, snapshot: ColumnSnapshot) -> bytes:
         """Install one unpacked snapshot; the shared hydrate OK response."""
-        if snapshot.data_version != self.data_version:
-            self._retire_slices(snapshot.data_version)
-        key = (snapshot.columns.attribute, snapshot.slice_id)
-        self._slices[key] = snapshot
-        self._caches.pop(key, None)
-        self._bounds.pop(key, None)
+        if self.source.install(snapshot):
+            self._caches.clear()  # a new version outdates every memoised vector
+        else:
+            # Re-hydrating one attribute's slice must not evict another
+            # attribute's still-valid vectors.
+            self._caches.pop((snapshot.columns.attribute, snapshot.slice_id), None)
         self.hydrations += 1
         return (
             _U8.pack(STATUS_OK)
@@ -502,320 +368,29 @@ class ShardNodeServer:
         )
 
     def _handle_hydrate(self, reader: Reader) -> bytes:
-        try:
-            snapshot = ColumnSnapshot.unpack(reader.read_rest())
-        except SnapshotError as error:
-            return encode_error(f"{type(error).__name__}: {error}")
-        return self._install_snapshot(snapshot)
+        return self._install_snapshot(ColumnSnapshot.unpack(reader.read_rest()))
 
     def _handle_hydrate_delta(self, reader: Reader) -> bytes:
         """Re-hydrate one slice from a delta over a base the node still holds.
 
-        The base is looked up first among the live slices (the delta's base
-        version may still be current here) and then among the retired
-        generation.  A missing or version-skewed base, a corrupt frame, or
-        a delta whose expectations do not match the base all transport a
-        typed error back — the coordinator responds by re-shipping a full
-        snapshot; the node never installs a doubtful slice.
+        A missing or version-skewed base, a corrupt frame, or a delta whose
+        expectations do not match the base all transport a typed error back
+        — the coordinator responds by re-shipping a full snapshot; the node
+        never installs a doubtful slice.
         """
-        try:
-            delta = SnapshotDelta.unpack(reader.read_rest())
-        except SnapshotError as error:
-            return encode_error(f"{type(error).__name__}: {error}")
-        key = (delta.columns.attribute, delta.slice_id)
-        base: ColumnSnapshot | None = None
-        if self.data_version == delta.base_version:
-            base = self._slices.get(key)
-        if base is None and self._stale_version == delta.base_version:
-            base = self._stale.get(key)
-        if base is None:
-            return encode_error(
-                f"SnapshotError: node {self.node_id} holds no base snapshot at "
-                f"version {delta.base_version} for slice {delta.slice_id} of "
-                f"{delta.columns.attribute!r} (have version {self.data_version}, "
-                f"stale {self._stale_version}); ship a full snapshot"
-            )
-        try:
-            snapshot = delta.apply(base)
-        except SnapshotError as error:
-            return encode_error(f"{type(error).__name__}: {error}")
-        response = self._install_snapshot(snapshot)
+        delta = SnapshotDelta.unpack(reader.read_rest())
+        response = self._install_snapshot(self.source.apply_delta(delta))
         self.delta_hydrations += 1
         return response
 
-    def _handle_score(self, reader: Reader) -> bytes:
-        slice_id = reader.read_u32()
-        attribute = reader.read_str()
-        phrase = reader.read_str()
-        start = reader.read_u32()
-        stop = reader.read_u32()
-        rows: list[int] | None = None
-        if reader.read_u8():
-            rows = reader.read_u32_array(reader.read_u32())
-        trace = read_trace_field(reader)
-        started = now()
-        self.score_requests += 1
-        key = (phrase, start, stop, tuple(rows) if rows is not None else None)
-        cache = self._caches.get((attribute, slice_id))
-        if cache is None:
-            cache = self._caches[(attribute, slice_id)] = LRUCache(self.cache_size)
-        vector = cache.get(key)
-        cached = vector is not None
-        if vector is None:
-            vector = self._score(slice_id, attribute, phrase, start, stop, rows)
-            cache.put(key, vector)
-        if trace is not None:
-            record_span(
-                "node_score",
-                trace_id=trace[0],
-                parent_id=trace[1],
-                duration=now() - started,
-                node=self.node_id,
-                slice_id=slice_id,
-                attribute=attribute,
-                cached=cached,
-            )
-        return _U8.pack(STATUS_OK) + _U32.pack(len(vector)) + vector.astype(">f8").tobytes()
-
-    @property
-    def _local_store_fresh(self) -> bool:
-        """Whether the node's local store matches its current data version.
-
-        True only while no ``invalidate`` (or newer-versioned hydrate) has
-        moved the node past the catalog the store was opened from — a stale
-        store must never answer a score, exactly as a stale snapshot never
-        does.
-        """
-        local = self._local
-        return local is not None and self.data_version == local.data_version
-
-    def _local_slice(
-        self, attribute: str, slice_id: int, start: int, stop: int
-    ) -> "ColumnSnapshot | None":
-        """Carve one slice out of the local mmap store instead of the wire.
-
-        Returns ``None`` whenever the local store cannot serve the request
-        bit-exactly (stale version, unknown attribute, bounds outside the
-        persisted rows) so the caller falls back to the not-hydrated error
-        and the coordinator re-ships the snapshot.  A served slice is a
-        zero-copy view over the mapped column file, installed in
-        ``_slices`` exactly as a wire hydration would be.
-        """
-        if not self._local_store_fresh:
-            return None
-        from repro.errors import StorageError
-
-        try:
-            columns = self._local.columns(attribute)
-        except StorageError:
-            return None
-        if columns is None or not (0 <= start <= stop <= columns.num_entities):
-            return None
-        snapshot = ColumnSnapshot.of_slice(columns, slice_id, start, stop, self.data_version)
-        self._slices[(attribute, slice_id)] = snapshot
-        self.local_hydrations += 1
-        return snapshot
-
-    def _score(
-        self,
-        slice_id: int,
-        attribute: str,
-        phrase: str,
-        start: int,
-        stop: int,
-        rows: list[int] | None,
-    ) -> np.ndarray:
-        if self.membership is None:
-            raise RpcError(f"node {self.node_id} has no membership function installed")
-        kernel = getattr(self.membership, "degrees_columnar", None)
-        if kernel is None:
-            raise RpcError(
-                f"the membership function of node {self.node_id} has no columnar kernel"
-            )
-        snapshot = self._slices.get((attribute, slice_id))
-        if snapshot is None:
-            snapshot = self._local_slice(attribute, slice_id, start, stop)
-        if snapshot is None:
-            raise RpcError(
-                f"slice {slice_id} of attribute {attribute!r} is not hydrated "
-                f"on node {self.node_id} (data_version {self.data_version})"
-            )
-        if snapshot.start != start or snapshot.stop != stop:
-            raise RpcError(
-                f"slice bounds mismatch for slice {slice_id} of {attribute!r}: "
-                f"request [{start}, {stop}) vs hydrated "
-                f"[{snapshot.start}, {snapshot.stop})"
-            )
-        view = snapshot.columns
-        if rows is not None:
-            view = gather_rows(view, rows)
-        self.kernel_calls += 1
-        return np.asarray(kernel(view, phrase), dtype=np.float64)
-
-    def _handle_score_bounded(self, reader: Reader) -> bytes:
-        slice_id = reader.read_u32()
-        attribute = reader.read_str()
-        phrase = reader.read_str()
-        start = reader.read_u32()
-        stop = reader.read_u32()
-        rows: list[int] | None = None
-        if reader.read_u8():
-            rows = reader.read_u32_array(reader.read_u32())
-        threshold = float(reader.read_f64_array(1)[0])
-        trace = read_trace_field(reader)
-        started = now()
-        self.bounded_requests += 1
-
-        def finish(response: bytes, scored: int, pruned: int, cached: bool) -> bytes:
-            if trace is not None:
-                record_span(
-                    "node_score_bounded",
-                    trace_id=trace[0],
-                    parent_id=trace[1],
-                    duration=now() - started,
-                    node=self.node_id,
-                    slice_id=slice_id,
-                    attribute=attribute,
-                    scored=scored,
-                    pruned=pruned,
-                    cached=cached,
-                )
-            return response
-
-        key = (phrase, start, stop, tuple(rows) if rows is not None else None)
-        cache = self._caches.get((attribute, slice_id))
-        if cache is None:
-            cache = self._caches[(attribute, slice_id)] = LRUCache(self.cache_size)
-        vector = cache.get(key)
-        if vector is not None:
-            # A memoised exact vector answers any threshold without new
-            # kernel work — nothing was scored or pruned by this request.
-            return finish(
-                encode_score_bounded_response(
-                    vector, np.ones(len(vector), dtype=bool), 0, 0
-                ),
-                0,
-                0,
-                True,
-            )
-        result = self._score_bounded(slice_id, attribute, phrase, start, stop, rows, threshold)
-        if result is None:
-            # No bound envelope for this membership/phrase: degrade to one
-            # exact pass — the response is still well-formed (all exact).
-            vector = self._score(slice_id, attribute, phrase, start, stop, rows)
-            cache.put(key, vector)
-            self.entities_scored += len(vector)
-            return finish(
-                encode_score_bounded_response(
-                    vector, np.ones(len(vector), dtype=bool), len(vector), 0
-                ),
-                len(vector),
-                0,
-                False,
-            )
-        values, exact_mask, scored, pruned = result
-        self.entities_scored += scored
-        self.entities_pruned += pruned
-        if pruned == 0:
-            # Fully exact results are interchangeable with plain ``score``
-            # responses; mixed vectors must never enter the cache (a bound
-            # is not a degree).
-            cache.put(key, values)
-        return finish(
-            encode_score_bounded_response(values, exact_mask, scored, pruned),
-            scored,
-            pruned,
-            False,
-        )
-
-    def _score_bounded(
-        self,
-        slice_id: int,
-        attribute: str,
-        phrase: str,
-        start: int,
-        stop: int,
-        rows: list[int] | None,
-        threshold: float,
-    ) -> "tuple[np.ndarray, np.ndarray, int, int] | None":
-        if self.membership is None:
-            raise RpcError(f"node {self.node_id} has no membership function installed")
-        if getattr(self.membership, "degrees_columnar", None) is None:
-            raise RpcError(
-                f"the membership function of node {self.node_id} has no columnar kernel"
-            )
-        snapshot = self._slices.get((attribute, slice_id))
-        if snapshot is None:
-            snapshot = self._local_slice(attribute, slice_id, start, stop)
-        if snapshot is None:
-            raise RpcError(
-                f"slice {slice_id} of attribute {attribute!r} is not hydrated "
-                f"on node {self.node_id} (data_version {self.data_version})"
-            )
-        if snapshot.start != start or snapshot.stop != stop:
-            raise RpcError(
-                f"slice bounds mismatch for slice {slice_id} of {attribute!r}: "
-                f"request [{start}, {stop}) vs hydrated "
-                f"[{snapshot.start}, {snapshot.stop})"
-            )
-        bounds_key = (attribute, slice_id)
-        bounds = self._bounds.get(bounds_key)
-        if bounds is None:
-            # Snapshot columns already are the slice: bound them whole.
-            bounds = self._bounds[bounds_key] = ScoreBounds.of_columns(snapshot.columns)
-        if rows is not None:
-            bounds = bounds.narrowed(rows)
-        result = bounded_pair_degrees(
-            self.membership, bounds.columns, bounds, phrase, threshold
-        )
-        if result is not None and result[2]:
-            self.kernel_calls += 1
-        return result
-
-    def _handle_invalidate(self, reader: Reader) -> bytes:
-        caller_version = reader.read_u64()
-        reported = self.data_version
-        dropped = sum(len(cache) for cache in self._caches.values())
-        self._caches.clear()
-        if caller_version != self.data_version:
-            # The coordinator moved on: every hydrated slice is stale.  The
-            # node returns to the unhydrated state — it can never serve a
-            # stale degree — but retires the slices as delta bases so the
-            # coming re-hydration can ship only changed rows.
-            self._retire_slices(caller_version)
-        self.invalidations += 1
-        return _U8.pack(STATUS_OK) + _U64.pack(reported) + _U32.pack(dropped)
-
-    def _handle_stats(self) -> bytes:
-        stats = {
-            "node": self.node_id,
-            "pid": os.getpid(),
-            "data_version": self.data_version,
-            "owned_slices": self.owned_slice_ids,
-            "hydrated_slices": len(self._slices),
-            "score_requests": self.score_requests,
-            "bounded_requests": self.bounded_requests,
-            "kernel_calls": self.kernel_calls,
-            "entities_scored": self.entities_scored,
-            "entities_pruned": self.entities_pruned,
-            "cache_hits": sum(cache.stats.hits for cache in self._caches.values()),
+    def stats(self) -> dict[str, object]:
+        """The shared ``stats`` dict plus hydration and connection counters."""
+        return {
+            **super().stats(),
             "hydrations": self.hydrations,
             "delta_hydrations": self.delta_hydrations,
-            "local_store": self._local_store_fresh,
-            "local_hydrations": self.local_hydrations,
-            "stale_slices": len(self._stale),
-            "invalidations": self.invalidations,
             "connections": self.connections,
-            "cache_entries": sum(len(cache) for cache in self._caches.values()),
         }
-        return _U8.pack(STATUS_OK) + pack_str(json.dumps(stats))
-
-    def _handle_traces(self, reader: Reader) -> bytes:
-        """Serve the node's recorded spans as JSON (``traces`` frames)."""
-        trace_id = reader.read_u64()
-        limit = reader.read_u32()
-        payload = global_trace_store().to_json(trace_id=trace_id, limit=limit)
-        return _U8.pack(STATUS_OK) + pack_str(payload)
 
 
 def _node_main(
@@ -950,9 +525,6 @@ class ClusterNodeClient:
         self.remote_data_version = 0
         self.remote_owned: list[int] = []
         self.remote_local_store = False
-        # Protocol version the node acked (min of both peers); trace fields
-        # are only stamped on frames when this reaches TRACE_PROTOCOL_VERSION.
-        self.negotiated_version = PROTOCOL_VERSION
         self.queue: deque[tuple[bytes, NodeReply]] = deque()
         self.inflight: deque[NodeReply] = deque()
         self._out = bytearray()
@@ -984,12 +556,8 @@ class ClusterNodeClient:
                 raise HandshakeError(
                     f"cluster node {self.index} closed the connection during the handshake"
                 )
-            (
-                self.negotiated_version,
-                self.remote_data_version,
-                self.remote_owned,
-                self.remote_local_store,
-            ) = read_hello_ack(payload)
+            ack = read_hello_ack(payload)
+            _, self.remote_data_version, self.remote_owned, self.remote_local_store = ack
         except HandshakeError:
             sock.close()
             self.dead = True
@@ -1008,17 +576,6 @@ class ClusterNodeClient:
     def fileno(self) -> int:
         """The connected socket's file descriptor (for ``select``)."""
         return self.sock.fileno()
-
-    def wire_trace(self) -> "tuple[int, int] | None":
-        """The active trace as a wire ``(trace_id, span_id)`` pair.
-
-        ``None`` when tracing is off, no trace is active, or the node
-        negotiated a protocol below :data:`~repro.serving.protocol.
-        TRACE_PROTOCOL_VERSION` — a v4 node must never see a trace field.
-        """
-        if self.negotiated_version < TRACE_PROTOCOL_VERSION:
-            return None
-        return current_wire_trace()
 
     @property
     def has_work(self) -> bool:
@@ -1200,7 +757,7 @@ class ClusterShardStore:
     re-hydrates lazily — snapshot re-hydration instead of the RPC layer's
     fleet re-fork.
 
-    Three cold-path controls (all default-off / lossless):
+    Two cold-path controls (both default-off and lossless):
 
     * ``replication`` — hydrate every slice on R nodes (the owner plus its
       R−1 ring successors) and route each score to the least-loaded live
@@ -1212,9 +769,6 @@ class ClusterShardStore:
       exactly the pre-replication ones.
     * ``snapshot_compression`` — zlib framing on hydrate payloads;
       lossless, every hydrated bit unchanged.
-    * ``centroid_tolerance`` — opt-in f32 quantization of snapshot
-      centroid tensors (the dominant hydrate bytes) under an explicit
-      error bound; ``None`` (default) keeps full bit-identity.
 
     Independent of those flags, re-hydration after an ingest ships **delta
     frames** wherever it can: the coordinator keeps the previous packed
@@ -1238,7 +792,6 @@ class ClusterShardStore:
         io_timeout: float = DEFAULT_IO_TIMEOUT,
         replication: int = 1,
         snapshot_compression: bool = False,
-        centroid_tolerance: float | None = None,
         data_dir: str | None = None,
     ) -> None:
         self._managed = addresses is None
@@ -1277,7 +830,6 @@ class ClusterShardStore:
         # node twice buys nothing.
         self.replication = min(replication, num_nodes)
         self.snapshot_compression = snapshot_compression
-        self.centroid_tolerance = centroid_tolerance
         # Directory of the persistent storage tier the managed nodes boot
         # from (None → nodes cold-start and hydrate over the wire).
         self.data_dir = data_dir
@@ -1626,7 +1178,7 @@ class ClusterShardStore:
         node last received more than one version step ago (nodes retire a
         single generation), a reconnect that wiped its records, or a slice
         where too much changed — it is a full snapshot.
-        Compression and centroid quantization apply to both shapes.
+        Compression applies to both shapes.
         """
         key = (attribute, slice_id)
         current = self._slice_bases.get(key)
@@ -1645,19 +1197,13 @@ class ClusterShardStore:
             cached = self._slice_deltas.get(key)
             if cached is None or cached[0] != prev.data_version or cached[1] != self._version:
                 delta = SnapshotDelta.between(prev, current)
-                blob = (
-                    delta.pack(self.snapshot_compression, self.centroid_tolerance)
-                    if delta is not None
-                    else None
-                )
+                blob = delta.pack(self.snapshot_compression) if delta is not None else None
                 cached = (prev.data_version, self._version, blob)
                 self._slice_deltas[key] = cached
             if cached[2] is not None:
                 self.delta_hydrations += 1
                 return encode_hydrate_delta_request(cached[2])
-        return encode_hydrate_request(
-            current.pack(self.snapshot_compression, self.centroid_tolerance)
-        )
+        return encode_hydrate_request(current.pack(self.snapshot_compression))
 
     def _enqueue_hydration(
         self,
@@ -1737,7 +1283,7 @@ class ClusterShardStore:
                 self._enqueue_hydration(node, columns, attribute, slice_id, start, stop)
             )
         target = min(replicas, key=self._channel_load)
-        trace = self._channels[target].wire_trace()
+        trace = current_wire_trace()
         if threshold is None:
             payload = encode_score_request(
                 slice_id, attribute, phrase, start, stop, rows, trace=trace
@@ -1806,7 +1352,7 @@ class ClusterShardStore:
                     node, columns, call.attribute, call.slice_id, call.start, call.stop
                 )
             )
-        trace = channel.wire_trace()
+        trace = current_wire_trace()
         if call.threshold is None:
             payload = encode_score_request(
                 call.slice_id,
@@ -2193,16 +1739,14 @@ class ClusterShardStore:
     def node_traces(self, trace_id: int = 0, limit: int = 0) -> list[dict]:
         """Span records collected from every reachable node's trace store.
 
-        Nodes record spans whenever a score frame carries a trace field
-        (negotiated protocol v5+), so the coordinator can stitch one
+        Nodes record spans whenever a score frame carries a trace field,
+        so the coordinator can stitch one
         cross-process span tree by querying the fleet after a traced
         query.  Dead nodes are skipped, mirroring :meth:`node_stats`.
         """
         replies: list[NodeReply] = []
         for channel in self._channels:
             if channel is None or channel.dead or channel.sock is None:
-                continue
-            if channel.negotiated_version < TRACE_PROTOCOL_VERSION:
                 continue
             replies.append(channel.enqueue(encode_traces_request(trace_id, limit), _decode_traces))
         if replies:
@@ -2363,7 +1907,6 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         io_timeout: float = DEFAULT_IO_TIMEOUT,
         replication: int = 1,
         snapshot_compression: bool = False,
-        centroid_tolerance: float | None = None,
         data_dir: str | None = None,
     ) -> None:
         if addresses is not None:
@@ -2386,7 +1929,6 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         self.io_timeout = io_timeout
         self.replication = replication
         self.snapshot_compression = snapshot_compression
-        self.centroid_tolerance = centroid_tolerance
         self.data_dir = data_dir
         # Batch-local (attribute, phrase) → (unique_ids, degrees) memo;
         # active only inside a concurrent run_batch, cleared on every
@@ -2423,7 +1965,6 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
             io_timeout=self.io_timeout,
             replication=self.replication,
             snapshot_compression=self.snapshot_compression,
-            centroid_tolerance=self.centroid_tolerance,
             data_dir=self.data_dir,
         )
 
@@ -2819,7 +2360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     host, port = server.bind(options.host, options.port)
     print(
         f"node {options.node_id} serving {options.data_dir} "
-        f"(data_version {server.data_version}, local_store={server._local_store_fresh}) "
+        f"(data_version {server.data_version}, local_store={server.source.local_store_fresh}) "
         f"on {host}:{port}",
         flush=True,
     )

@@ -29,28 +29,25 @@ socketpair and TCP paths can never drift apart:
 * **errors** — the transport error hierarchy (:class:`RpcError`,
   :class:`FrameTooLargeError`, :class:`WorkerCrashedError`,
   :class:`HandshakeError`) shared by all shard-service layers.
-
-:mod:`repro.serving.rpc` re-exports all of this under its original names,
-so code (and pickles of it) written against PR 4 keeps working unchanged.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import ExecutionError
 
 #: Version of the frame/handshake protocol this build speaks.  Bumped on
-#: any wire-visible change; the ``hello`` handshake negotiates (and
-#: refuses unknown versions) — see :data:`SUPPORTED_PROTOCOL_VERSIONS`.
+#: any wire-visible change; the ``hello`` handshake refuses every other
+#: version with a typed :class:`HandshakeError`.
 #: Version 2 added the ``score bounded`` opcode (threshold-pruned scoring
 #: with a per-row exactness mask in the response).  Version 3 added the
 #: ``hydrate delta`` opcode and the snapshot container's flags byte
-#: (compressed / f32-quantized / delta hydration frames).  Version 4 added
+#: (compressed / delta hydration frames).  Version 4 added
 #: the ``local_store`` flag to the hello acknowledgement: a node backed by
 #: a persistent data directory (``repro.storage``) advertises that it can
 #: hydrate slices from local disk, so a coordinator at the same
@@ -60,17 +57,6 @@ from repro.errors import ExecutionError
 #: :mod:`repro.obs`) and the ``traces`` opcode for querying a peer's span
 #: ring buffer.
 PROTOCOL_VERSION = 5
-
-#: Protocol versions this build can interoperate with.  The hello
-#: handshake negotiates ``min(coordinator, node)``: a v5 coordinator
-#: talking to a v4 node (or vice versa) simply never sends trace fields
-#: or ``traces`` requests on that connection, and versions outside this
-#: set stay a typed :class:`HandshakeError`.
-SUPPORTED_PROTOCOL_VERSIONS = frozenset({4, 5})
-
-#: Lowest negotiated version at which trace fields / ``traces`` requests
-#: may be sent on a connection.
-TRACE_PROTOCOL_VERSION = 5
 
 #: Default ceiling on one frame's payload size (requests and responses).
 #: Generous for degree vectors (8 bytes per entity) while still refusing a
@@ -277,10 +263,9 @@ class Reader:
 def pack_trace_field(trace: tuple[int, int] | None) -> bytes:
     """The optional trailing trace field: ``(trace_id, span_id)`` or absent.
 
-    Protocol v5.  Encoded as a presence byte plus two u64 ids; ``None``
-    encodes to **zero bytes** — which is exactly what a v4 frame looks
-    like, so receivers detect the field purely from leftover payload
-    (:func:`read_trace_field`) and v4 peers never see it at all.
+    Encoded as a presence byte plus two u64 ids; ``None`` encodes to
+    **zero bytes**, so an untraced frame pays nothing and receivers detect
+    the field purely from leftover payload (:func:`read_trace_field`).
     """
     if trace is None:
         return b""
@@ -292,14 +277,49 @@ def read_trace_field(reader: Reader) -> tuple[int, int] | None:
     """Decode the optional trailing trace field; ``None`` when absent.
 
     Must be called after every fixed field of the request has been read:
-    the field is detected by payload remaining, so a v4 frame (nothing
-    left) and an explicit absent marker both return ``None``.
+    the field is detected by payload remaining, so an untraced frame
+    (nothing left) and an explicit absent marker both return ``None``.
     """
     if reader.remaining == 0:
         return None
     if not reader.read_u8():
         return None
     return reader.read_u64(), reader.read_u64()
+
+
+_F64 = struct.Struct("!d")
+
+
+def _encode_slice_request(
+    opcode: int,
+    slice_id: int,
+    attribute: str,
+    phrase: str,
+    start: int,
+    stop: int,
+    rows: Sequence[int] | None,
+    threshold: float | None,
+    trace: tuple[int, int] | None,
+) -> bytes:
+    """The field layout ``score`` and ``score bounded`` requests share."""
+    parts = [
+        _U8.pack(opcode),
+        _U32.pack(slice_id),
+        pack_str(attribute),
+        pack_str(phrase),
+        _U32.pack(start),
+        _U32.pack(stop),
+    ]
+    if rows is None:
+        parts.append(_U8.pack(0))
+    else:
+        parts.append(_U8.pack(1))
+        parts.append(_U32.pack(len(rows)))
+        parts.append(np.asarray(rows, dtype=WIRE_U32).tobytes())
+    if threshold is not None:
+        parts.append(_F64.pack(threshold))
+    parts.append(pack_trace_field(trace))
+    return b"".join(parts)
 
 
 def encode_score_request(
@@ -314,32 +334,14 @@ def encode_score_request(
     """The ``score`` request frame: one slice's scoring work, indices only.
 
     ``rows`` (slice-relative, ``None`` for a full-slice pass) mirrors the
-    in-process sparse-gather heuristic.  Arrays never travel — the worker
-    resolves ``(attribute, start, stop, rows)`` against its own rebuilt or
-    hydrated columns, exactly like the PR 3 process backend's payloads.
-    ``trace`` optionally appends the v5 trace field (see
-    :func:`pack_trace_field`); only pass it on connections negotiated at
-    :data:`TRACE_PROTOCOL_VERSION` or above.
+    in-process sparse-gather heuristic.  Arrays never travel — the service
+    resolves ``(slice_id, attribute, start, stop, rows)`` against its own
+    rebuilt or hydrated columns.  ``trace`` optionally appends the trace
+    field (see :func:`pack_trace_field`).
     """
-    parts = [
-        _U8.pack(OP_SCORE),
-        _U32.pack(slice_id),
-        pack_str(attribute),
-        pack_str(phrase),
-        _U32.pack(start),
-        _U32.pack(stop),
-    ]
-    if rows is None:
-        parts.append(_U8.pack(0))
-    else:
-        parts.append(_U8.pack(1))
-        parts.append(_U32.pack(len(rows)))
-        parts.append(np.asarray(rows, dtype=WIRE_U32).tobytes())
-    parts.append(pack_trace_field(trace))
-    return b"".join(parts)
-
-
-_F64 = struct.Struct("!d")
+    return _encode_slice_request(
+        OP_SCORE, slice_id, attribute, phrase, start, stop, rows, None, trace
+    )
 
 
 def encode_score_bounded_request(
@@ -354,31 +356,51 @@ def encode_score_bounded_request(
 ) -> bytes:
     """The ``score bounded`` request: a score request plus a prune threshold.
 
-    Identical field layout to :func:`encode_score_request` (so workers
+    Identical field layout to :func:`encode_score_request` (so services
     resolve the slice and rows the same way) with one trailing big-endian
-    f64: the coordinator's current k-th best score.  The worker may answer
+    f64: the coordinator's current k-th best score.  The service may answer
     any row with its degree *upper bound* instead of its exact degree as
     long as that bound is below the threshold — the response's exactness
-    mask says which is which.  ``trace`` optionally appends the v5 trace
+    mask says which is which.  ``trace`` optionally appends the trace
     field after the threshold.
     """
-    parts = [
-        _U8.pack(OP_SCORE_BOUNDED),
-        _U32.pack(slice_id),
-        pack_str(attribute),
-        pack_str(phrase),
-        _U32.pack(start),
-        _U32.pack(stop),
-    ]
-    if rows is None:
-        parts.append(_U8.pack(0))
-    else:
-        parts.append(_U8.pack(1))
-        parts.append(_U32.pack(len(rows)))
-        parts.append(np.asarray(rows, dtype=WIRE_U32).tobytes())
-    parts.append(_F64.pack(threshold))
-    parts.append(pack_trace_field(trace))
-    return b"".join(parts)
+    return _encode_slice_request(
+        OP_SCORE_BOUNDED, slice_id, attribute, phrase, start, stop, rows, threshold, trace
+    )
+
+
+class ScoreRequest(NamedTuple):
+    """One decoded ``score`` / ``score bounded`` request (opcode already read)."""
+
+    slice_id: int
+    attribute: str
+    phrase: str
+    start: int
+    stop: int
+    rows: list[int] | None
+    threshold: float | None
+    trace: tuple[int, int] | None
+
+
+def read_score_request(reader: Reader, bounded: bool) -> ScoreRequest:
+    """Decode the body of a ``score`` (or ``score bounded``) request frame.
+
+    The receiving half of :func:`encode_score_request` /
+    :func:`encode_score_bounded_request`.  Bytes left over after the trace
+    field make the frame malformed — a :class:`RpcError`, never a served
+    answer.
+    """
+    slice_id = reader.read_u32()
+    attribute = reader.read_str()
+    phrase = reader.read_str()
+    start = reader.read_u32()
+    stop = reader.read_u32()
+    rows = reader.read_u32_array(reader.read_u32()) if reader.read_u8() else None
+    threshold = _F64.unpack(reader.read_raw(_F64.size))[0] if bounded else None
+    trace = read_trace_field(reader)
+    if reader.remaining:
+        raise RpcError(f"{reader.remaining} trailing bytes after the request's last field")
+    return ScoreRequest(slice_id, attribute, phrase, start, stop, rows, threshold, trace)
 
 
 def encode_score_bounded_response(
@@ -461,7 +483,8 @@ def encode_hello(protocol_version: int, data_version: int) -> bytes:
 
     The first frame on every new TCP connection.  The node refuses any
     other opcode first, and refuses a protocol version other than its own
-    with a transported error — so skew is always a typed failure.
+    (:data:`PROTOCOL_VERSION`) with a transported error — so skew is always
+    a typed failure.
     """
     return _U8.pack(OP_HELLO) + _U32.pack(protocol_version) + _U64.pack(data_version)
 
@@ -511,7 +534,7 @@ def encode_gateway_query(
 ) -> bytes:
     """The gateway ``query`` request frame: one SQL string plus an optional top-k.
 
-    ``trace`` optionally appends the v5 trace field so a client carrying
+    ``trace`` optionally appends the trace field so a client carrying
     its own trace context can parent the gateway's spans on it.
     """
     parts = [_U8.pack(OP_QUERY), _U32.pack(request_id), pack_str(sql)]
@@ -530,8 +553,7 @@ def encode_traces_request(trace_id: int = 0, limit: int = 0) -> bytes:
     ``trace_id`` filters to one trace (0 = all buffered spans); ``limit``
     keeps only the newest N matches (0 = no limit).  The response is a
     :data:`STATUS_OK` byte plus one string field holding a JSON array of
-    span dicts (:meth:`repro.obs.TraceStore.to_json`).  Protocol v5 —
-    only send on connections negotiated at that version.
+    span dicts (:meth:`repro.obs.TraceStore.to_json`).
     """
     return _U8.pack(OP_TRACES) + _U64.pack(trace_id) + _U32.pack(limit)
 
@@ -593,11 +615,8 @@ def read_hello_ack(payload: bytes) -> tuple[int, int, list[int], bool]:
     """Decode a ``hello`` acknowledgement; typed errors, never a hang.
 
     Returns ``(protocol_version, data_version, owned_slice_ids,
-    local_store)``.  The acknowledged version may be any member of
-    :data:`SUPPORTED_PROTOCOL_VERSIONS` — the connection then runs at
-    ``min(PROTOCOL_VERSION, acked)``, which is how a v5 coordinator
-    negotiates trace fields *off* against a v4 node.  A transported
-    node-side error or an unsupported version raises
+    local_store)``.  A transported node-side error or an acknowledged
+    version other than :data:`PROTOCOL_VERSION` raises
     :class:`HandshakeError`; a malformed (truncated) acknowledgement does
     too.
     """
@@ -607,10 +626,10 @@ def read_hello_ack(payload: bytes) -> tuple[int, int, list[int], bool]:
         if status != STATUS_OK:
             raise HandshakeError(f"node refused the handshake: {reader.read_str()}")
         version = reader.read_u32()
-        if version not in SUPPORTED_PROTOCOL_VERSIONS:
+        if version != PROTOCOL_VERSION:
             raise HandshakeError(
                 f"protocol version mismatch: node speaks {version}, "
-                f"coordinator supports {sorted(SUPPORTED_PROTOCOL_VERSIONS)}"
+                f"coordinator speaks {PROTOCOL_VERSION}"
             )
         data_version = reader.read_u64()
         owned = reader.read_u32_array(reader.read_u32())

@@ -6,22 +6,17 @@ boundary — the deployment shape of a disaggregated, coordinator/worker
 query engine — while pinning the same exact-equality contract as every
 other serving layer:
 
-* **Frame protocol** — a small length-prefixed binary protocol over local
-  stream sockets: every message is a 4-byte big-endian length followed by
-  that many payload bytes (:func:`send_frame` / :func:`recv_frame`), with
-  oversized frames rejected on both ends before any allocation.  Requests
-  carry a one-byte opcode — ``score``, ``invalidate``, ``stats``,
-  ``shutdown`` — and responses a one-byte status (OK or a transported
-  error message);
+* **Frame protocol** — the length-prefixed binary frames, opcodes and
+  error types of :mod:`repro.serving.protocol` (one definition shared with
+  the TCP cluster transport of :mod:`repro.serving.cluster`), spoken here
+  over local stream sockets;
 * :class:`ShardServiceWorker` — the server side: a long-lived worker
-  process owning a set of contiguous entity slices.  ``score(attribute,
-  phrase, slice_id, start, stop[, rows])`` resolves the shipped indices
-  against the worker's own deterministic rebuild of the column arrays
-  (:func:`repro.core.columnar.resolve_slice` — exactly the PR 3 process
-  backend's inherited-snapshot model) and returns the slice's degree
-  vector; results are memoised in a per-slice
-  :class:`~repro.serving.cache.PartitionedLRUCache` that ``invalidate``
-  drops;
+  process owning a set of contiguous entity slices.  It is a
+  :class:`~repro.serving.service.ShardService` — the one frame handler
+  every shard transport shares — over a
+  :class:`~repro.serving.service.StoreSliceSource`: shipped
+  ``(attribute, start, stop[, rows])`` indices are resolved against the
+  worker's own deterministic rebuild of the column arrays;
 * :class:`ShardServiceClient` — the coordinator's per-worker handle:
   pipelined request writes, typed response reads, and clean
   :class:`WorkerCrashedError` surfacing when a worker dies mid-request;
@@ -43,32 +38,24 @@ other serving layer:
 
 Workers are forked, so they inherit the database snapshot of the moment
 they were spawned; ingest in the coordinator process can never reach them.
-The coordinator therefore honors :attr:`SubjectiveDatabase.data_version`
-the same way the process shard backend does: a version bump tears the
-worker fleet down and the next query re-forks it over the current data —
-one invalidation unit with the engine caches and the base column arrays.
-The ``invalidate`` RPC drops worker-side degree caches *within* a
-snapshot's lifetime (used by benchmarks and by deployments that recycle
-caches without re-forking); it reports the worker's snapshot version so
-the coordinator can detect skew.
+A ``data_version`` bump therefore tears the worker fleet down and the next
+query re-forks it over the current data — one invalidation unit with the
+engine caches and the base column arrays.  The ``invalidate`` RPC drops
+worker-side degree caches *within* a snapshot's lifetime (used by
+benchmarks and by deployments that recycle caches without re-forking); it
+reports the worker's snapshot version so the coordinator can detect skew.
 
 Because worker slices are rebuilt deterministically from the same snapshot
 the coordinator's own base store reads, every shipped kernel result is
 bit-identical to an in-process pass — the differential suite pins
 rankings, scores and degrees of :class:`CoordinatorQueryEngine` exactly
 equal to the unsharded engine across worker counts {1, 2, 4}.
-
-The frame codec, opcodes and error types now live in
-:mod:`repro.serving.protocol` (one definition shared with the TCP cluster
-transport of :mod:`repro.serving.cluster`); this module re-exports them
-under their original names for backwards compatibility.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import socket
 from typing import Hashable, Sequence
 
@@ -77,93 +64,54 @@ import numpy as np
 from repro.core.columnar import (
     AttributeColumns,
     ColumnarSummaryStore,
-    bounded_pair_degrees,
     columnar_kernel,
     gather_degrees,
     plan_slice_requests,
-    resolve_slice,
     scalar_fallback_scorer,
 )
 from repro.core.database import SubjectiveDatabase
 from repro.core.processor import SubjectiveQueryProcessor
 from repro.errors import ExecutionError
-from repro.serving.cache import PartitionedLRUCache
-from repro.serving.protocol import (
-    DEFAULT_MAX_FRAME_BYTES as DEFAULT_MAX_FRAME_BYTES,
-)
-from repro.serving.protocol import (
-    OP_HYDRATE_DELTA as OP_HYDRATE_DELTA,  # re-export: cluster wire-format parity
-)
 from repro.obs.metrics import MetricsRegistry, cell_property
-from repro.obs.trace import current_wire_trace, global_trace_store, record_span, span
+from repro.obs.trace import current_wire_trace, global_trace_store, span
 from repro.serving.protocol import (
-    OP_INVALIDATE,
-    OP_SCORE,
-    OP_SCORE_BOUNDED,
+    _HEADER,
+    _U8,
+    DEFAULT_MAX_FRAME_BYTES,
     OP_SHUTDOWN,
     OP_STATS,
-    OP_TRACES,
     STATUS_ERROR,
-    STATUS_OK,
     FrameTooLargeError,
     Reader,
     RpcError,
     WorkerCrashedError,
-    encode_error,
+    encode_invalidate_request,
     encode_score_bounded_request,
-    encode_score_bounded_response,
     encode_score_request,
     encode_traces_request,
-    pack_str,
     read_score_bounded_response,
-    read_trace_field,
     recv_frame,
     send_frame,
 )
-from repro.serving.protocol import (
-    WIRE_F64 as _WIRE_F64,
-)
-from repro.serving.protocol import (
-    _HEADER,
-    _U8,
-    _U32,
-    _U64,
-)
+from repro.serving.service import DEFAULT_WORKER_CACHE_SIZE, ShardService, StoreSliceSource
 from repro.serving.sharded import (
     ShardedSubjectiveQueryEngine,
     default_num_shards,
     partition_bounds,
 )
-from repro.utils.timing import now
-
-#: Default per-worker bound on memoised slice degree vectors.
-DEFAULT_WORKER_CACHE_SIZE = 4096
-
-#: Backwards-compatible aliases for the pre-extraction private names.
-_Reader = Reader
-_pack_str = pack_str
-_encode_error = encode_error
-
 
 # --------------------------------------------------------------------------
 # The worker (server side)
 # --------------------------------------------------------------------------
 
-class ShardServiceWorker:
-    """One shard-service worker: owns contiguous slices, serves score RPCs.
+
+class ShardServiceWorker(ShardService):
+    """One forked shard-service worker: the shard service over its own store.
 
     The worker holds a forked snapshot of the database and rebuilds its
     column arrays from it on demand (:class:`ColumnarSummaryStore` builds
     deterministically, so the arrays — and every kernel result — are
-    bit-identical to the coordinator's own).  Scored slice vectors are
-    memoised in a :class:`~repro.serving.cache.PartitionedLRUCache` with
-    one partition per owned slice, so eviction pressure from a hot slice
-    never evicts a colder slice's entries; the ``invalidate`` RPC drops
-    every partition together.
-
-    ``handle_frame`` is the transport-free dispatch (one request payload in,
-    one response payload out), used directly by the in-process tests;
-    :meth:`serve` wraps it in the framed socket loop.
+    bit-identical to the coordinator's own).
     """
 
     def __init__(
@@ -175,280 +123,14 @@ class ShardServiceWorker:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         cache_size: int | None = DEFAULT_WORKER_CACHE_SIZE,
     ) -> None:
-        self.index = index
-        self.database = database
-        self.membership = membership
-        self.owned_slice_ids = list(owned_slice_ids)
-        self.max_frame_bytes = max_frame_bytes
-        self.store = database.columnar_store()
-        # Owned slice ids are a contiguous range, so ``slice_id % count``
-        # (the default router's hash of the key's first element) maps each
-        # owned slice onto its own partition.
-        self.cache = PartitionedLRUCache(max(1, len(self.owned_slice_ids)), cache_size)
-        # Worker counters live in a per-worker registry; the attributes
-        # below are value-read/cell-write properties over the cells, so
-        # the ``stats`` RPC dict and the registry always agree.
-        self.metrics = MetricsRegistry()
-        self._score_requests_cell = self.metrics.counter("score_requests")
-        self._kernel_calls_cell = self.metrics.counter("kernel_calls")
-        self._invalidations_cell = self.metrics.counter("invalidations")
-        self._bounded_requests_cell = self.metrics.counter("bounded_requests")
-        self._entities_scored_cell = self.metrics.counter(
-            "entities_scored", help="Rows scored exactly on the bounded path"
+        super().__init__(
+            "worker",
+            index,
+            membership,
+            StoreSliceSource(database, owned_slice_ids),
+            max_frame_bytes,
+            cache_size,
         )
-        self._entities_pruned_cell = self.metrics.counter(
-            "entities_pruned", help="Rows answered with a bound alone"
-        )
-
-    score_requests = cell_property("_score_requests_cell")
-    kernel_calls = cell_property("_kernel_calls_cell")
-    invalidations = cell_property("_invalidations_cell")
-    bounded_requests = cell_property("_bounded_requests_cell")
-    entities_scored = cell_property("_entities_scored_cell")
-    entities_pruned = cell_property("_entities_pruned_cell")
-
-    # ------------------------------------------------------------- dispatch
-    def handle_frame(self, payload: bytes) -> tuple[bytes, bool]:
-        """One request payload → ``(response payload, stop serving?)``.
-
-        Worker-side failures are transported as error responses, never
-        exceptions — a bad request must not take the service down.
-        """
-        try:
-            reader = _Reader(payload)
-            opcode = reader.read_u8()
-            if opcode == OP_SCORE:
-                return self._handle_score(reader), False
-            if opcode == OP_SCORE_BOUNDED:
-                return self._handle_score_bounded(reader), False
-            if opcode == OP_INVALIDATE:
-                return self._handle_invalidate(reader), False
-            if opcode == OP_STATS:
-                return self._handle_stats(), False
-            if opcode == OP_TRACES:
-                return self._handle_traces(reader), False
-            if opcode == OP_SHUTDOWN:
-                return _U8.pack(STATUS_OK), True
-            return _encode_error(f"unknown opcode {opcode}"), False
-        except Exception as error:  # noqa: BLE001 - transported to the peer
-            return _encode_error(f"{type(error).__name__}: {error}"), False
-
-    def _handle_score(self, reader: _Reader) -> bytes:
-        slice_id = reader.read_u32()
-        attribute = reader.read_str()
-        phrase = reader.read_str()
-        start = reader.read_u32()
-        stop = reader.read_u32()
-        rows: list[int] | None = None
-        if reader.read_u8():
-            rows = reader.read_u32_array(reader.read_u32())
-        trace = read_trace_field(reader)
-        started = now()
-        self.score_requests += 1
-        key = (slice_id, attribute, phrase, start, stop, tuple(rows) if rows is not None else None)
-        vector = self.cache.get(key)
-        cached = vector is not None
-        if vector is None:
-            vector = self._score(attribute, phrase, start, stop, rows)
-            self.cache.put(key, vector)
-        if trace is not None:
-            record_span(
-                "worker_score",
-                trace[0],
-                trace[1],
-                now() - started,
-                worker=self.index,
-                slice_id=slice_id,
-                attribute=attribute,
-                cached=cached,
-            )
-        return _U8.pack(STATUS_OK) + _U32.pack(len(vector)) + vector.astype(_WIRE_F64).tobytes()
-
-    def _handle_score_bounded(self, reader: _Reader) -> bytes:
-        slice_id = reader.read_u32()
-        attribute = reader.read_str()
-        phrase = reader.read_str()
-        start = reader.read_u32()
-        stop = reader.read_u32()
-        rows: list[int] | None = None
-        if reader.read_u8():
-            rows = reader.read_u32_array(reader.read_u32())
-        threshold = float(reader.read_f64_array(1)[0])
-        trace = read_trace_field(reader)
-        started = now()
-        self.bounded_requests += 1
-        key = (slice_id, attribute, phrase, start, stop, tuple(rows) if rows is not None else None)
-
-        def finish(response: bytes, scored: int, pruned: int, cached: bool) -> bytes:
-            if trace is not None:
-                record_span(
-                    "worker_score_bounded",
-                    trace[0],
-                    trace[1],
-                    now() - started,
-                    worker=self.index,
-                    slice_id=slice_id,
-                    attribute=attribute,
-                    scored=scored,
-                    pruned=pruned,
-                    cached=cached,
-                )
-            return response
-
-        vector = self.cache.get(key)
-        if vector is not None:
-            # A memoised exact vector answers any threshold without new
-            # kernel work — nothing was scored or pruned by this request.
-            return finish(
-                encode_score_bounded_response(vector, np.ones(len(vector), dtype=bool), 0, 0),
-                0,
-                0,
-                True,
-            )
-        result = self._score_bounded(attribute, phrase, start, stop, rows, threshold)
-        if result is None:
-            # No bound envelope for this membership/phrase: degrade to one
-            # exact pass — the response is still well-formed (all exact).
-            vector = self._score(attribute, phrase, start, stop, rows)
-            self.cache.put(key, vector)
-            self.entities_scored += len(vector)
-            return finish(
-                encode_score_bounded_response(
-                    vector, np.ones(len(vector), dtype=bool), len(vector), 0
-                ),
-                len(vector),
-                0,
-                False,
-            )
-        values, exact_mask, scored, pruned = result
-        self.entities_scored += scored
-        self.entities_pruned += pruned
-        if pruned == 0:
-            # Fully exact results are interchangeable with plain ``score``
-            # responses; mixed vectors must never enter the cache (a bound
-            # is not a degree).
-            self.cache.put(key, values)
-        return finish(
-            encode_score_bounded_response(values, exact_mask, scored, pruned),
-            scored,
-            pruned,
-            False,
-        )
-
-    def _score_bounded(
-        self,
-        attribute: str,
-        phrase: str,
-        start: int,
-        stop: int,
-        rows: list[int] | None,
-        threshold: float,
-    ) -> "tuple[np.ndarray, np.ndarray, int, int] | None":
-        kernel = columnar_kernel(self.membership, self.database)
-        if kernel is None:
-            raise ExecutionError(
-                "the membership function has no usable columnar kernel in this worker"
-            )
-        columns = self.store.columns(attribute)
-        if columns is None:
-            raise ExecutionError(f"attribute {attribute!r} has no columns in worker {self.index}")
-        if stop > columns.num_entities or start > stop:
-            raise ExecutionError(
-                f"slice [{start}, {stop}) out of range for attribute {attribute!r} "
-                f"({columns.num_entities} entities in worker {self.index})"
-            )
-        bounds = self.store.score_bounds(attribute, start, stop)
-        if bounds is None:
-            return None
-        if rows is not None:
-            bounds = bounds.narrowed(rows)
-        view = resolve_slice(columns, start, stop, rows)
-        result = bounded_pair_degrees(self.membership, view, bounds, phrase, threshold)
-        if result is not None and result[2]:
-            self.kernel_calls += 1
-        return result
-
-    def _score(
-        self, attribute: str, phrase: str, start: int, stop: int, rows: list[int] | None
-    ) -> np.ndarray:
-        kernel = columnar_kernel(self.membership, self.database)
-        if kernel is None:
-            raise ExecutionError(
-                "the membership function has no usable columnar kernel in this worker"
-            )
-        columns = self.store.columns(attribute)
-        if columns is None:
-            raise ExecutionError(f"attribute {attribute!r} has no columns in worker {self.index}")
-        if stop > columns.num_entities or start > stop:
-            raise ExecutionError(
-                f"slice [{start}, {stop}) out of range for attribute {attribute!r} "
-                f"({columns.num_entities} entities in worker {self.index})"
-            )
-        self.kernel_calls += 1
-        view = resolve_slice(columns, start, stop, rows)
-        return np.asarray(kernel(view, phrase), dtype=np.float64)
-
-    def _handle_invalidate(self, reader: _Reader) -> bytes:
-        reader.read_u64()  # coordinator's version; returned version reports skew
-        dropped = len(self.cache)
-        self.cache.clear()
-        self.invalidations += 1
-        return _U8.pack(STATUS_OK) + _U64.pack(self.database.data_version) + _U32.pack(dropped)
-
-    def _handle_stats(self) -> bytes:
-        stats = {
-            "worker": self.index,
-            "pid": os.getpid(),
-            "data_version": self.database.data_version,
-            "owned_slices": self.owned_slice_ids,
-            "score_requests": self.score_requests,
-            "kernel_calls": self.kernel_calls,
-            "invalidations": self.invalidations,
-            "bounded_requests": self.bounded_requests,
-            "entities_scored": self.entities_scored,
-            "entities_pruned": self.entities_pruned,
-            "cache_entries": len(self.cache),
-            "cache_partitions": self.cache.partition_stats(),
-        }
-        return _U8.pack(STATUS_OK) + _pack_str(json.dumps(stats))
-
-    def _handle_traces(self, reader: _Reader) -> bytes:
-        """Serve the worker's buffered spans (``OP_TRACES``, protocol v5).
-
-        The request carries a trace-id filter (0 = all) and a newest-N
-        limit (0 = no limit); the response is a JSON array of span dicts
-        from this process's global :class:`~repro.obs.TraceStore`.
-        """
-        trace_id = reader.read_u64()
-        limit = reader.read_u32()
-        payload = global_trace_store().to_json(trace_id=trace_id, limit=limit)
-        return _U8.pack(STATUS_OK) + _pack_str(payload)
-
-    # ---------------------------------------------------------- socket loop
-    def serve(self, sock: socket.socket) -> None:
-        """Serve framed requests on ``sock`` until shutdown or peer EOF."""
-        while True:
-            try:
-                payload = recv_frame(sock, self.max_frame_bytes)
-            except FrameTooLargeError as error:
-                # The stream cannot be resynchronised after refusing a
-                # frame; report why, then drop the connection.
-                try:
-                    send_frame(sock, _encode_error(str(error)), self.max_frame_bytes)
-                except OSError:
-                    pass
-                return
-            except (RpcError, OSError):
-                return  # peer vanished mid-frame
-            if payload is None:
-                return  # clean EOF: the coordinator closed its end
-            response, stop = self.handle_frame(payload)
-            try:
-                send_frame(sock, response, self.max_frame_bytes)
-            except OSError:
-                return
-            if stop:
-                return
 
 
 def _worker_main(
@@ -539,7 +221,7 @@ class ShardServiceClient:
         self.counters["requests"] += 1
         self.counters["bytes_sent"] += _HEADER.size + len(payload)
 
-    def read_ok(self) -> _Reader:
+    def read_ok(self) -> Reader:
         """Read one response frame, raising transported worker errors."""
         try:
             payload = recv_frame(self.sock, self.max_frame_bytes)
@@ -550,7 +232,7 @@ class ShardServiceClient:
         if payload is None:
             raise self._crashed("closed its connection with a request in flight")
         self.counters["bytes_received"] += _HEADER.size + len(payload)
-        reader = _Reader(payload)
+        reader = Reader(payload)
         if reader.read_u8() == STATUS_ERROR:
             raise RpcError(f"shard worker {self.index}: {reader.read_str()}")
         return reader
@@ -566,7 +248,7 @@ class ShardServiceClient:
 
     def invalidate(self, data_version: int) -> tuple[int, int]:
         """Drop the worker's degree caches; returns (snapshot version, dropped)."""
-        self.send(_U8.pack(OP_INVALIDATE) + _U64.pack(data_version))
+        self.send(encode_invalidate_request(data_version))
         reader = self.read_ok()
         return reader.read_u64(), reader.read_u32()
 
@@ -1042,8 +724,8 @@ class RpcShardStore:
         Transport counters (``requests``, ``bytes_sent``, ``bytes_received``,
         ``respawns``) are tracked coordinator-side and survive fleet
         respawns.  For live, reachable workers the dict additionally merges
-        the worker's own ``stats()`` RPC result (cache entries and
-        per-partition hit counts as ``cache_hits``); dead workers report
+        the worker's own ``stats()`` RPC result (cache entries and hits,
+        owned slices, pruning counters); dead workers report
         transport counters only — the statistics surface must stay usable
         while a crash is being handled.
         """
@@ -1060,10 +742,7 @@ class RpcShardStore:
                     remote = None
                 if remote is not None:
                     entry["cache_entries"] = remote.get("cache_entries")
-                    entry["cache_hits"] = sum(
-                        int(partition.get("hits", 0))
-                        for partition in remote.get("cache_partitions", [])
-                    )
+                    entry["cache_hits"] = remote.get("cache_hits", 0)
                     entry["owned_slices"] = remote.get("owned_slices")
                     entry["entities_scored"] = remote.get("entities_scored", 0)
                     entry["entities_pruned"] = remote.get("entities_pruned", 0)

@@ -1,0 +1,591 @@
+"""The shard service: one frame handler behind every shard transport.
+
+A shard service answers the scoring frames of
+:mod:`repro.serving.protocol` — ``score``, ``score bounded``,
+``invalidate``, ``stats``, ``traces``, ``shutdown`` — over any stream
+socket.  The forked RPC worker (:class:`repro.serving.rpc.ShardServiceWorker`)
+and the TCP cluster node (:class:`repro.serving.cluster.ShardNodeServer`)
+are both this class; they differ only in their **slice source**, the object
+that turns a request's ``(slice_id, attribute, start, stop)`` into the
+slice's column arrays and bound summaries:
+
+* :class:`StoreSliceSource` — the forked worker's: slice views over the
+  database snapshot inherited at fork time, rebuilt deterministically by
+  :class:`~repro.core.columnar.ColumnarSummaryStore`;
+* :class:`HydratedSliceSource` — the node's: snapshots shipped over the
+  wire (``hydrate`` / ``hydrate delta`` frames, handled by the node), or
+  carved out of a local persistent store the node was booted from.
+
+Either way the arrays are bit-identical to the coordinator's own, so every
+degree a service returns is exactly the in-process kernel's.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import socket
+from typing import Protocol, Sequence
+
+import numpy as np
+
+from repro.core.columnar import (
+    AttributeColumns,
+    ColumnSnapshot,
+    ScoreBounds,
+    SnapshotDelta,
+    bounded_pair_degrees,
+    gather_rows,
+    slice_view,
+)
+from repro.core.database import SubjectiveDatabase
+from repro.errors import ExecutionError, SnapshotError, StorageError
+from repro.obs.metrics import Counter, MetricsRegistry, cell_property
+from repro.obs.trace import global_trace_store, record_span
+from repro.serving.cache import LRUCache
+from repro.serving.protocol import (
+    DEFAULT_MAX_FRAME_BYTES,
+    OP_INVALIDATE,
+    OP_SCORE,
+    OP_SCORE_BOUNDED,
+    OP_SHUTDOWN,
+    OP_STATS,
+    OP_TRACES,
+    STATUS_OK,
+    WIRE_F64,
+    FrameTooLargeError,
+    Reader,
+    RpcError,
+    ScoreRequest,
+    _U8,
+    _U32,
+    _U64,
+    encode_error,
+    encode_score_bounded_response,
+    pack_str,
+    read_score_request,
+    recv_frame,
+    send_frame,
+)
+from repro.utils.timing import now
+
+#: Default bound on memoised degree vectors per served ``(attribute, slice)``.
+DEFAULT_WORKER_CACHE_SIZE = 4096
+
+
+class SliceSource(Protocol):
+    """Where a :class:`ShardService` gets a requested slice's arrays from."""
+
+    data_version: int
+
+    @property
+    def owned_slice_ids(self) -> list[int]:
+        """Slice ids this source serves (sorted)."""
+
+    def slice_columns(
+        self, slice_id: int, attribute: str, start: int, stop: int
+    ) -> AttributeColumns:
+        """Rows ``[start, stop)`` of ``attribute``; raises when unservable."""
+
+    def slice_bounds(self, slice_id: int, attribute: str, start: int, stop: int) -> ScoreBounds:
+        """Bound summaries over exactly the rows :meth:`slice_columns` returns."""
+
+    def invalidate(self, caller_version: int) -> None:
+        """The coordinator announced ``caller_version``; drop what it outdates."""
+
+    def stats(self) -> dict[str, object]:
+        """Source-specific entries of the ``stats`` response."""
+
+
+class StoreSliceSource:
+    """Slices resolved against a database's own columnar store.
+
+    The forked worker's source: the worker inherits the database of the
+    moment it was forked and rebuilds the column arrays from it on demand —
+    the build is deterministic, so a resolved slice is bit-identical to the
+    coordinator's.  The fork pins the data: ``invalidate`` cannot move it to
+    another version (the coordinator re-forks the fleet instead).
+    """
+
+    def __init__(self, database: SubjectiveDatabase, owned_slice_ids: Sequence[int]) -> None:
+        self.database = database
+        self.store = database.columnar_store()
+        self.owned_slice_ids = list(owned_slice_ids)
+
+    @property
+    def data_version(self) -> int:
+        """The version of the inherited database snapshot."""
+        return self.database.data_version
+
+    def _check_range(self, attribute: str, start: int, stop: int) -> AttributeColumns:
+        columns = self.store.columns(attribute)
+        if columns is None:
+            raise ExecutionError(f"attribute {attribute!r} has no columns in this worker")
+        if stop > columns.num_entities or start > stop:
+            raise ExecutionError(
+                f"slice [{start}, {stop}) out of range for attribute {attribute!r} "
+                f"({columns.num_entities} entities in this worker)"
+            )
+        return columns
+
+    def slice_columns(
+        self, slice_id: int, attribute: str, start: int, stop: int
+    ) -> AttributeColumns:
+        """A zero-copy view of rows ``[start, stop)`` of the rebuilt columns."""
+        return slice_view(self._check_range(attribute, start, stop), start, stop)
+
+    def slice_bounds(self, slice_id: int, attribute: str, start: int, stop: int) -> ScoreBounds:
+        """The store's bound summaries restricted to ``[start, stop)``."""
+        self._check_range(attribute, start, stop)
+        return self.store.score_bounds(attribute, start, stop)
+
+    def invalidate(self, caller_version: int) -> None:
+        """Nothing to drop: the inherited snapshot cannot change."""
+
+    def stats(self) -> dict[str, object]:
+        """No source-specific statistics."""
+        return {}
+
+
+class HydratedSliceSource:
+    """Slices installed from shipped snapshots, or carved from a local store.
+
+    The cluster node's source.  It holds **no database**: column data
+    arrives as :class:`~repro.core.columnar.ColumnSnapshot` objects
+    (:meth:`install`, :meth:`apply_delta`), all at one ``data_version`` —
+    a snapshot of a newer version (or an ``invalidate`` naming one) retires
+    every held slice together, so mixed-version scoring is impossible by
+    construction.  One retired generation is kept as delta bases: never
+    served from, only patched by :meth:`apply_delta`.
+
+    Given ``data_dir``, the source maps the persistent storage tier's
+    column files and adopts the catalog's durable ``data_version``; while
+    that version stays current, a slice nobody hydrated is carved out of
+    the mapped file on first use.  An unreadable or corrupt directory
+    downgrades to the ordinary wire-hydrated cold start.
+    """
+
+    def __init__(self, data_dir: str | None = None) -> None:
+        self.data_version = 0
+        self._local: "object | None" = None
+        if data_dir is not None:
+            from repro.storage import StoreReader
+
+            try:
+                self._local = StoreReader(data_dir).verify()
+            except StorageError:
+                self._local = None
+            else:
+                self.data_version = self._local.data_version
+        self._slices: dict[tuple[str, int], ColumnSnapshot] = {}
+        self._stale: dict[tuple[str, int], ColumnSnapshot] = {}
+        self._stale_version = 0
+        # Built lazily from a slice's columns on its first bounded score,
+        # dropped wherever the snapshot itself is dropped.
+        self._bounds: dict[tuple[str, int], ScoreBounds] = {}
+        self.local_hydrations = Counter(
+            "local_hydrations", help="Snapshots served from the local mmap store"
+        )
+
+    @property
+    def owned_slice_ids(self) -> list[int]:
+        """Slice ids currently hydrated (sorted)."""
+        return sorted({slice_id for _, slice_id in self._slices})
+
+    @property
+    def local_store_fresh(self) -> bool:
+        """Whether the local store matches the current data version.
+
+        A store the node has moved past (an ``invalidate`` or a newer
+        hydrate) must never answer a score, exactly as a stale snapshot
+        never does.
+        """
+        local = self._local
+        return local is not None and self.data_version == local.data_version
+
+    def retire(self, new_version: int) -> None:
+        """Supersede every held slice, keeping one generation as delta bases."""
+        if self._slices:
+            self._stale = dict(self._slices)
+            self._stale_version = self.data_version
+        self._slices = {}
+        self._bounds.clear()
+        self.data_version = new_version
+
+    def install(self, snapshot: ColumnSnapshot) -> bool:
+        """Hold ``snapshot``; whether its version retired the previous slices."""
+        retired = snapshot.data_version != self.data_version
+        if retired:
+            self.retire(snapshot.data_version)
+        key = (snapshot.columns.attribute, snapshot.slice_id)
+        self._slices[key] = snapshot
+        self._bounds.pop(key, None)
+        return retired
+
+    def apply_delta(self, delta: SnapshotDelta) -> ColumnSnapshot:
+        """The snapshot ``delta`` produces over the base this source still holds.
+
+        The base is looked up among the live slices (the delta's base
+        version may still be current here) and then among the retired
+        generation; a missing base or one the delta does not fit raises
+        :class:`~repro.errors.SnapshotError` — a doubtful slice is never
+        built.
+        """
+        key = (delta.columns.attribute, delta.slice_id)
+        base: ColumnSnapshot | None = None
+        if self.data_version == delta.base_version:
+            base = self._slices.get(key)
+        if base is None and self._stale_version == delta.base_version:
+            base = self._stale.get(key)
+        if base is None:
+            raise SnapshotError(
+                f"no base snapshot at version {delta.base_version} for slice "
+                f"{delta.slice_id} of {delta.columns.attribute!r} (have version "
+                f"{self.data_version}, stale {self._stale_version}); ship a full snapshot"
+            )
+        return delta.apply(base)
+
+    def _local_slice(
+        self, attribute: str, slice_id: int, start: int, stop: int
+    ) -> "ColumnSnapshot | None":
+        """Carve one slice out of the local mmap store instead of the wire.
+
+        ``None`` whenever the store cannot serve the request bit-exactly
+        (stale version, unknown attribute, bounds outside the persisted
+        rows), so the caller reports the slice as not hydrated and the
+        coordinator ships it.  A served slice is a zero-copy view over the
+        mapped column file, held exactly as a wire hydration would be.
+        """
+        if not self.local_store_fresh:
+            return None
+        try:
+            columns = self._local.columns(attribute)
+        except StorageError:
+            return None
+        if columns is None or not (0 <= start <= stop <= columns.num_entities):
+            return None
+        snapshot = ColumnSnapshot.of_slice(columns, slice_id, start, stop, self.data_version)
+        self._slices[(attribute, slice_id)] = snapshot
+        self.local_hydrations += 1
+        return snapshot
+
+    def slice_columns(
+        self, slice_id: int, attribute: str, start: int, stop: int
+    ) -> AttributeColumns:
+        """The held (or locally carved) slice's columns."""
+        snapshot = self._slices.get((attribute, slice_id))
+        if snapshot is None:
+            snapshot = self._local_slice(attribute, slice_id, start, stop)
+        if snapshot is None:
+            raise RpcError(
+                f"slice {slice_id} of attribute {attribute!r} is not hydrated "
+                f"(data_version {self.data_version})"
+            )
+        if snapshot.start != start or snapshot.stop != stop:
+            raise RpcError(
+                f"slice bounds mismatch for slice {slice_id} of {attribute!r}: "
+                f"request [{start}, {stop}) vs hydrated "
+                f"[{snapshot.start}, {snapshot.stop})"
+            )
+        return snapshot.columns
+
+    def slice_bounds(self, slice_id: int, attribute: str, start: int, stop: int) -> ScoreBounds:
+        """Bound summaries of the held slice, built on first use."""
+        columns = self.slice_columns(slice_id, attribute, start, stop)
+        key = (attribute, slice_id)
+        bounds = self._bounds.get(key)
+        if bounds is None:
+            bounds = self._bounds[key] = ScoreBounds.of_columns(columns)
+        return bounds
+
+    def invalidate(self, caller_version: int) -> None:
+        """Retire every slice when the coordinator has moved to another version."""
+        if caller_version != self.data_version:
+            self.retire(caller_version)
+
+    def stats(self) -> dict[str, object]:
+        """Hydration state for the ``stats`` response."""
+        return {
+            "hydrated_slices": len(self._slices),
+            "stale_slices": len(self._stale),
+            "local_store": self.local_store_fresh,
+            "local_hydrations": self.local_hydrations.value,
+        }
+
+
+class ShardService:
+    """Serve the scoring frames of the shard protocol from one slice source.
+
+    ``role`` (``"worker"`` or ``"node"``) and ``index`` name the service in
+    its span names (``{role}_score`` / ``{role}_score_bounded``), its
+    ``stats`` response and its error messages.  Exact degree vectors are
+    memoised in one bounded :class:`~repro.serving.cache.LRUCache` per
+    served ``(attribute, slice)``, so pressure on a hot slice never evicts a
+    colder slice's vectors; ``invalidate`` drops them all.
+
+    :meth:`handle_frame` is the transport-free dispatch (one request payload
+    in, one response payload out); :meth:`serve` wraps it in the framed
+    socket loop.  Subclasses add opcodes by overriding :meth:`dispatch`.
+    """
+
+    def __init__(
+        self,
+        role: str,
+        index: int,
+        membership: object | None,
+        source: SliceSource,
+        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+        cache_size: int | None = DEFAULT_WORKER_CACHE_SIZE,
+    ) -> None:
+        self.role = role
+        self.index = index
+        self.membership = membership
+        self.source = source
+        self.max_frame_bytes = max_frame_bytes
+        self.cache_size = cache_size
+        self._caches: dict[tuple[str, int], LRUCache] = {}
+        # Counters live in a per-service registry; the attributes below are
+        # value-read/cell-write properties over the cells, so the ``stats``
+        # response and the registry always agree.
+        self.metrics = MetricsRegistry()
+        self._score_requests_cell = self.metrics.counter(
+            "score_requests", help="Exact score frames served"
+        )
+        self._bounded_requests_cell = self.metrics.counter(
+            "bounded_requests", help="Bounded score frames served"
+        )
+        self._kernel_calls_cell = self.metrics.counter(
+            "kernel_calls", help="Columnar kernel invocations (cache misses)"
+        )
+        self._entities_scored_cell = self.metrics.counter(
+            "entities_scored", help="Rows scored exactly on the bounded path"
+        )
+        self._entities_pruned_cell = self.metrics.counter(
+            "entities_pruned", help="Rows answered with a bound alone"
+        )
+        self._invalidations_cell = self.metrics.counter(
+            "invalidations", help="Invalidate frames served"
+        )
+
+    score_requests = cell_property("_score_requests_cell")
+    bounded_requests = cell_property("_bounded_requests_cell")
+    kernel_calls = cell_property("_kernel_calls_cell")
+    entities_scored = cell_property("_entities_scored_cell")
+    entities_pruned = cell_property("_entities_pruned_cell")
+    invalidations = cell_property("_invalidations_cell")
+
+    @property
+    def data_version(self) -> int:
+        """The data version of the slices this service can score."""
+        return self.source.data_version
+
+    @property
+    def owned_slice_ids(self) -> list[int]:
+        """Slice ids the source currently serves."""
+        return self.source.owned_slice_ids
+
+    @property
+    def cache_entries(self) -> int:
+        """Memoised degree vectors across every ``(attribute, slice)`` cache."""
+        return sum(len(cache) for cache in self._caches.values())
+
+    # ------------------------------------------------------------- dispatch
+    def handle_frame(self, payload: bytes) -> tuple[bytes, bool]:
+        """One request payload → ``(response payload, stop serving?)``.
+
+        Service-side failures are transported as error responses, never
+        exceptions — a bad request must not take the service down.
+        """
+        try:
+            reader = Reader(payload)
+            opcode = reader.read_u8()
+            if opcode == OP_SHUTDOWN:
+                return _U8.pack(STATUS_OK), True
+            return self.dispatch(opcode, reader), False
+        except Exception as error:  # noqa: BLE001 - transported to the peer
+            return encode_error(f"{type(error).__name__}: {error}"), False
+
+    def dispatch(self, opcode: int, reader: Reader) -> bytes:
+        """The response to one decoded opcode (``shutdown`` never gets here)."""
+        if opcode == OP_SCORE:
+            return self._handle_score(read_score_request(reader, bounded=False))
+        if opcode == OP_SCORE_BOUNDED:
+            return self._handle_score_bounded(read_score_request(reader, bounded=True))
+        if opcode == OP_INVALIDATE:
+            return self._handle_invalidate(reader)
+        if opcode == OP_STATS:
+            return self._handle_stats()
+        if opcode == OP_TRACES:
+            return self._handle_traces(reader)
+        return encode_error(f"unknown opcode {opcode}")
+
+    # -------------------------------------------------------------- scoring
+    def _cache_for(self, request: ScoreRequest) -> tuple[LRUCache, tuple]:
+        """The request's ``(attribute, slice)`` cache and its key within it."""
+        served = (request.attribute, request.slice_id)
+        cache = self._caches.get(served)
+        if cache is None:
+            cache = self._caches[served] = LRUCache(self.cache_size)
+        rows = tuple(request.rows) if request.rows is not None else None
+        return cache, (request.phrase, request.start, request.stop, rows)
+
+    def _score(self, request: ScoreRequest) -> np.ndarray:
+        """One exact kernel pass over the requested rows of the slice."""
+        kernel = getattr(self.membership, "degrees_columnar", None)
+        if kernel is None:
+            raise RpcError(
+                f"{self.role} {self.index} has no membership function with a columnar kernel"
+            )
+        view = self.source.slice_columns(
+            request.slice_id, request.attribute, request.start, request.stop
+        )
+        if request.rows is not None:
+            view = gather_rows(view, request.rows)
+        self.kernel_calls += 1
+        return np.asarray(kernel(view, request.phrase), dtype=np.float64)
+
+    def _score_bounded(
+        self, request: ScoreRequest
+    ) -> "tuple[np.ndarray, np.ndarray, int, int] | None":
+        """Bounds first, the exact kernel on the rows they cannot dismiss."""
+        bounds = self.source.slice_bounds(
+            request.slice_id, request.attribute, request.start, request.stop
+        )
+        if request.rows is not None:
+            bounds = bounds.narrowed(request.rows)
+        result = bounded_pair_degrees(
+            self.membership, bounds.columns, bounds, request.phrase, request.threshold
+        )
+        if result is not None and result[2]:
+            self.kernel_calls += 1
+        return result
+
+    def _record(self, name: str, request: ScoreRequest, started: float, **attributes) -> None:
+        if request.trace is not None:
+            record_span(
+                f"{self.role}_{name}",
+                request.trace[0],
+                request.trace[1],
+                now() - started,
+                **{self.role: self.index},
+                slice_id=request.slice_id,
+                attribute=request.attribute,
+                **attributes,
+            )
+
+    def _handle_score(self, request: ScoreRequest) -> bytes:
+        started = now()
+        self.score_requests += 1
+        cache, key = self._cache_for(request)
+        vector = cache.get(key)
+        cached = vector is not None
+        if vector is None:
+            vector = self._score(request)
+            cache.put(key, vector)
+        self._record("score", request, started, cached=cached)
+        return _U8.pack(STATUS_OK) + _U32.pack(len(vector)) + vector.astype(WIRE_F64).tobytes()
+
+    def _handle_score_bounded(self, request: ScoreRequest) -> bytes:
+        started = now()
+        self.bounded_requests += 1
+        cache, key = self._cache_for(request)
+        cached = False
+        vector = cache.get(key)
+        if vector is not None:
+            # A memoised exact vector answers any threshold without new
+            # kernel work — nothing was scored or pruned by this request.
+            cached = True
+            values, exact_mask, scored, pruned = vector, np.ones(len(vector), dtype=bool), 0, 0
+        else:
+            result = self._score_bounded(request)
+            if result is None:
+                # No bound envelope for this membership/phrase: degrade to
+                # one exact pass — the response is still well-formed.
+                vector = self._score(request)
+                result = vector, np.ones(len(vector), dtype=bool), len(vector), 0
+            values, exact_mask, scored, pruned = result
+            self.entities_scored += scored
+            self.entities_pruned += pruned
+            if pruned == 0:
+                # Fully exact results are interchangeable with plain
+                # ``score`` responses; mixed vectors must never enter the
+                # cache (a bound is not a degree).
+                cache.put(key, values)
+        self._record(
+            "score_bounded", request, started, scored=scored, pruned=pruned, cached=cached
+        )
+        return encode_score_bounded_response(values, exact_mask, scored, pruned)
+
+    # ------------------------------------------------- invalidate and stats
+    def _handle_invalidate(self, reader: Reader) -> bytes:
+        caller_version = reader.read_u64()
+        # The version *before* the source reacts: the coordinator compares
+        # it with its own to detect skew.
+        reported = self.source.data_version
+        dropped = self.cache_entries
+        self._caches.clear()
+        self.source.invalidate(caller_version)
+        self.invalidations += 1
+        return _U8.pack(STATUS_OK) + _U64.pack(reported) + _U32.pack(dropped)
+
+    def stats(self) -> dict[str, object]:
+        """The ``stats`` response as a dict: counters, caches, source state."""
+        return {
+            self.role: self.index,
+            "pid": os.getpid(),
+            "data_version": self.source.data_version,
+            "owned_slices": self.source.owned_slice_ids,
+            "score_requests": self.score_requests,
+            "bounded_requests": self.bounded_requests,
+            "kernel_calls": self.kernel_calls,
+            "entities_scored": self.entities_scored,
+            "entities_pruned": self.entities_pruned,
+            "invalidations": self.invalidations,
+            "cache_hits": sum(cache.stats.hits for cache in self._caches.values()),
+            "cache_entries": self.cache_entries,
+            **self.source.stats(),
+        }
+
+    def _handle_stats(self) -> bytes:
+        return _U8.pack(STATUS_OK) + pack_str(json.dumps(self.stats()))
+
+    def _handle_traces(self, reader: Reader) -> bytes:
+        """Serve this process's buffered spans as a JSON array.
+
+        The request carries a trace-id filter (0 = all) and a newest-N
+        limit (0 = no limit).
+        """
+        trace_id = reader.read_u64()
+        limit = reader.read_u32()
+        payload = global_trace_store().to_json(trace_id=trace_id, limit=limit)
+        return _U8.pack(STATUS_OK) + pack_str(payload)
+
+    # ---------------------------------------------------------- socket loop
+    def serve(self, sock: socket.socket) -> bool:
+        """Serve framed requests on ``sock``; whether a ``shutdown`` ended it.
+
+        ``False`` when the peer closed its end (cleanly or mid-frame) or a
+        frame had to be refused.
+        """
+        while True:
+            try:
+                payload = recv_frame(sock, self.max_frame_bytes)
+            except FrameTooLargeError as error:
+                # The stream cannot be resynchronised after refusing a
+                # frame; report why, then drop the connection.
+                try:
+                    send_frame(sock, encode_error(str(error)), self.max_frame_bytes)
+                except OSError:
+                    pass
+                return False
+            except (RpcError, OSError):
+                return False  # peer vanished mid-frame
+            if payload is None:
+                return False  # clean EOF: the coordinator closed its end
+            response, stop = self.handle_frame(payload)
+            try:
+                send_frame(sock, response, self.max_frame_bytes)
+            except OSError:
+                return False
+            if stop:
+                return True

@@ -11,10 +11,9 @@ results concatenated.  This module makes the shard the unit of placement:
   :class:`~repro.core.columnar.ColumnarSummaryStore`'s E axis into K
   contiguous *slice views* (NumPy basic slices — no copies) and fans a
   predicate's uncached-degree computation out across them, serially or
-  through a ``concurrent.futures`` executor.  Threads release the GIL
-  inside the NumPy kernels; the process backend ships ``(attribute, start,
-  stop)`` slice indices — never arrays — to forked workers that rebuild
-  their columns from the inherited database;
+  through a thread pool (threads release the GIL inside the NumPy
+  kernels).  Process and multi-node placement live behind the shard
+  service of :mod:`repro.serving.rpc` / :mod:`repro.serving.cluster`;
 * :func:`fuzzy_score_arrays` — the WHERE tree evaluated over degree
   *vectors* instead of row by row, using the fuzzy logic's array
   connectives (bit-identical elementwise to the scalar walk);
@@ -39,10 +38,8 @@ cache partition together.
 from __future__ import annotations
 
 import heapq
-import itertools
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -57,7 +54,6 @@ from repro.core.columnar import (
     gather_degrees,
     gather_rows,
     plan_slice_requests,
-    resolve_slice,
     scalar_fallback_scorer,
     slice_view,
 )
@@ -79,14 +75,13 @@ from repro.engine.expressions import (
     OrExpression,
     SubjectivePredicate,
 )
-from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry, cell_property
 from repro.obs.trace import span
 from repro.serving.cache import DegreeColumnCache
 from repro.serving.engine import CandidateSet, SubjectiveQueryEngine
 from repro.serving.plans import QueryPlan
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 
 # --------------------------------------------------------------------------
@@ -163,9 +158,6 @@ class _SerialBackend:
         """Score every task inline, in task order."""
         return [fn(task) for task in tasks]
 
-    def invalidate(self) -> None:
-        """No state to drop (tasks run inline on current data)."""
-
     def shutdown(self) -> None:
         """Nothing to shut down."""
 
@@ -213,9 +205,6 @@ class _ThreadBackend:
             results[start::stride] = chunk
         return results
 
-    def invalidate(self) -> None:
-        """No-op: threads hold no data-version state."""
-
     def shutdown(self) -> None:
         """Stop the thread pool (recreated lazily on the next fan-out)."""
         if self._pool is not None:
@@ -223,108 +212,11 @@ class _ThreadBackend:
             self._pool = None
 
 
-# Registry of (database, membership) states visible to forked workers.  A
-# forked child inherits the registry as of fork time; tasks carry the token
-# of the state they need, so concurrently registered stores never collide.
-_PROCESS_REGISTRY: dict[int, tuple[SubjectiveDatabase, object]] = {}
-_PROCESS_TOKENS = itertools.count(1)
-_CHILD_STORES: dict[int, ColumnarSummaryStore] = {}
-
-
-def _process_score(payload: tuple) -> np.ndarray:
-    """Score one shard task inside a forked worker.
-
-    Only slice indices travel over the pipe; the worker rebuilds its column
-    arrays (once, cached per token) from the database snapshot it inherited
-    at fork time.  Deterministic construction makes the arrays — and hence
-    the kernel results — identical to the parent's.
-    """
-    token, attribute, phrase, start, stop, rows = payload
-    database, membership = _PROCESS_REGISTRY[token]
-    store = _CHILD_STORES.get(token)
-    if store is None:
-        store = database.columnar_store()
-        _CHILD_STORES[token] = store
-    columns = store.columns(attribute)
-    kernel = columnar_kernel(membership, database)
-    return kernel(resolve_slice(columns, start, stop, rows), phrase)
-
-
-class _ProcessBackend:
-    """Fan shard tasks out over forked worker processes.
-
-    Workers inherit the database at fork time and rebuild their own column
-    arrays; tasks ship slice indices, not arrays.  Requires the ``fork``
-    start method (the inherited-snapshot contract cannot hold under
-    ``spawn``); invalidation recycles the pool so no worker ever serves a
-    stale snapshot.
-    """
-
-    kind = "process"
-
-    def __init__(self, max_workers: int) -> None:
-        if multiprocessing.get_start_method(allow_none=False) != "fork":
-            raise ExecutionError(
-                "the process shard backend requires the 'fork' start method; "
-                "use backend='thread' on this platform"
-            )
-        self.max_workers = max(1, max_workers)
-        self._pool: ProcessPoolExecutor | None = None
-        self._token: int | None = None
-
-    def register(self, database: SubjectiveDatabase, membership: object) -> int:
-        """Publish the state workers must inherit; returns its task token.
-
-        Forked workers pin the registry as of fork time, so registering a
-        *different* database or membership recycles the pool — the next
-        fan-out re-forks with the new state instead of silently scoring
-        with the stale snapshot.
-        """
-        if self._token is None:
-            self._token = next(_PROCESS_TOKENS)
-        current = _PROCESS_REGISTRY.get(self._token)
-        if current is not None and (
-            current[0] is not database or current[1] is not membership
-        ):
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-        _PROCESS_REGISTRY[self._token] = (database, membership)
-        return self._token
-
-    def map_payloads(self, payloads: Sequence[tuple]) -> list[np.ndarray]:
-        """Score slice payloads on the forked pool, in payload order."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        return list(self._pool.map(_process_score, payloads))
-
-    def invalidate(self) -> None:
-        """Recycle the pool: the data changed, so forked snapshots are stale.
-
-        A fresh fork re-inherits the registry with the current data.
-        """
-        self.shutdown()
-
-    def shutdown(self) -> None:
-        """Stop the forked pool and unpublish this backend's registry state."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._token is not None:
-            _PROCESS_REGISTRY.pop(self._token, None)
-            self._token = None
-
-
 def _make_backend(name: str, max_workers: int):
     if name == "serial":
         return _SerialBackend()
     if name == "thread":
         return _ThreadBackend(max_workers)
-    if name == "process":
-        return _ProcessBackend(max_workers)
     raise ValueError(f"unknown shard backend {name!r}; expected one of {BACKENDS}")
 
 
@@ -343,9 +235,8 @@ class ShardedColumnarStore:
     performs the same per-row arithmetic as one full pass.
 
     Invalidation is ``data_version``-driven like every other serving-layer
-    cache: a version bump drops the shard slices (and recycles
-    process-backend workers, whose forked snapshots are stale) while the
-    base store catches up through
+    cache: a version bump drops the shard slices while the base store
+    catches up through
     :meth:`~repro.core.columnar.ColumnarSummaryStore.sync` — patched rows
     where the change journal allows, a full drop otherwise.
     """
@@ -395,7 +286,7 @@ class ShardedColumnarStore:
 
     # ------------------------------------------------------------ lifecycle
     def invalidate(self) -> None:
-        """Drop shard slices and base columns together; recycle stale workers."""
+        """Drop shard slices and base columns together."""
         self.base.invalidate()
         self._retire_slices()
 
@@ -405,9 +296,8 @@ class ShardedColumnarStore:
             self._retire_slices()
 
     def _retire_slices(self) -> None:
-        """Forget the slice views (and forked snapshots) of the previous version."""
+        """Forget the slice views of the previous version."""
         self._slices.clear()
-        self.backend.invalidate()
         self._version = self.database.data_version
         self.invalidations += 1
 
@@ -489,7 +379,7 @@ class ShardedColumnarStore:
                 # Warm the phrase-embedding memo once so concurrent shard
                 # kernels all hit the cache instead of re-embedding.
                 embedder.represent(phrase)
-            results = self._run_tasks(membership, kernel, attribute, phrase, tasks)
+            results = self._run_tasks(kernel, phrase, tasks)
             for scatter_rows, result in zip(scatters, results):
                 batch[scatter_rows] = result
             self.fanouts += 1
@@ -562,22 +452,7 @@ class ShardedColumnarStore:
             scatters.append(scatter)
         return tasks, scatters
 
-    def _run_tasks(
-        self,
-        membership: object,
-        kernel,
-        attribute: str,
-        phrase: str,
-        tasks: list[ShardTask],
-    ) -> list[np.ndarray]:
-        if self.backend.kind == "process":
-            token = self.backend.register(self.database, membership)
-            payloads = [
-                (token, attribute, phrase, task.shard.start, task.shard.stop, task.rows)
-                for task in tasks
-            ]
-            return self.backend.map_payloads(payloads)
-
+    def _run_tasks(self, kernel, phrase: str, tasks: list[ShardTask]) -> list[np.ndarray]:
         def score(task: ShardTask) -> np.ndarray:
             """Run the kernel over one task's (possibly gathered) slice view."""
             view = task.shard.columns
@@ -968,7 +843,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
     Parameters mirror :class:`~repro.serving.engine.SubjectiveQueryEngine`
     plus ``num_shards`` (K contiguous slices of every attribute's E axis;
     defaults to :func:`default_num_shards` — one per core), ``backend``
-    (``"serial"``, ``"thread"`` or ``"process"``), ``max_workers``
+    (``"serial"`` or ``"thread"``), ``max_workers``
     (defaults to ``num_shards``) and ``prune_topk`` (bound-based top-k
     pruning, on by default).
 

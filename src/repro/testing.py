@@ -5,8 +5,9 @@ domain setups (synthetic corpus + subjective database) at different scales;
 this module holds the one implementation of the scale knobs and the setup
 construction so the two conftests stay thin wrappers.  It also hosts the
 cluster **fault-injection harness** (:class:`ClusterFaultInjector`) that
-the fault suites and the recovery benchmark drive kill-node /
-drop-connection / delay scenarios with.
+the fault suites drive kill-node / drop-connection / delay scenarios with,
+and the differential suites' one result oracle
+(:func:`assert_identical_results`).
 
 Scale knobs (benchmark defaults) can be overridden through environment
 variables:
@@ -69,6 +70,20 @@ def build_domain_setup(
 def print_result(text: str) -> None:
     """Print a formatted experiment table under pytest/benchmark output."""
     print("\n" + text + "\n")
+
+
+def assert_identical_results(expected, actual, context: str = "") -> None:
+    """Exact equality of two query results: ids, scores, degrees, rows.
+
+    The one result oracle of the differential suites: every engine must
+    return what the serial processor returns, bit for bit.
+    """
+    assert actual.entity_ids == expected.entity_ids, context
+    for exp, act in zip(expected.entities, actual.entities):
+        assert act.entity_id == exp.entity_id, context
+        assert act.score == exp.score, context
+        assert act.predicate_degrees == exp.predicate_degrees, context
+        assert act.row == exp.row, context
 
 
 def corrupt_frame(payload: bytes, position: int, flip: int = 0x01) -> bytes:

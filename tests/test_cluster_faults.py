@@ -48,6 +48,7 @@ from repro.serving.protocol import (
 )
 from repro.testing import (
     ClusterFaultInjector,
+    assert_identical_results,
     build_synthetic_columnar_database,
     corrupt_frame,
 )
@@ -75,13 +76,6 @@ def mutable_database():
 
 def _membership(database):
     return SubjectiveQueryProcessor(database).membership
-
-
-def _assert_identical_results(expected, actual, context: str = "") -> None:
-    assert actual.entity_ids == expected.entity_ids, context
-    for exp, act in zip(expected.entities, actual.entities):
-        assert act.score == exp.score, context
-        assert act.predicate_degrees == exp.predicate_degrees, context
 
 
 def _store_summary(database, entity_id: str, phrase: str, sentiment: float) -> None:
@@ -157,7 +151,7 @@ class TestKillOneNode:
             faults = ClusterFaultInjector(engine.sharded_store)
             faults.kill_node(0)
             for sql in QUERIES:
-                _assert_identical_results(
+                assert_identical_results(
                     baseline.execute(sql), engine.execute(sql), context=sql
                 )
             # The dead node rejoined (respawned) during the fan-outs above
@@ -382,9 +376,9 @@ class TestDeltaHydration:
         ) as engine:
             sql = QUERIES[0]
             baseline = SubjectiveQueryEngine(database=mutable_database)
-            _assert_identical_results(baseline.execute(sql), engine.execute(sql))
+            assert_identical_results(baseline.execute(sql), engine.execute(sql))
             _store_summary(mutable_database, "e00005", "word003", 0.8)
-            _assert_identical_results(baseline.execute(sql), engine.execute(sql))
+            assert_identical_results(baseline.execute(sql), engine.execute(sql))
             counters = engine.sharded_store.transport_counters()
             assert counters["snapshot_delta_hydrations"] > 0
 

@@ -22,7 +22,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from test_pruned_topk import _assert_identical_results
 
 from repro.core import SubjectiveQueryProcessor
 from repro.core.columnar import AttributeColumns
@@ -34,7 +33,7 @@ from repro.serving import (
     ShardedSubjectiveQueryEngine,
     SubjectiveQueryEngine,
 )
-from repro.testing import build_synthetic_columnar_database
+from repro.testing import assert_identical_results, build_synthetic_columnar_database
 
 QUERIES = [
     'select * from Entities where "word003" and "word019" limit 5',
@@ -132,7 +131,7 @@ class TestInterleavedIngestDifferential:
             replaced = _ingest(database, serial)
             oracle = SubjectiveQueryProcessor(database)
             for sql in QUERIES:
-                _assert_identical_results(
+                assert_identical_results(
                     oracle.execute(sql), engine.execute(sql), f"{kind} round {serial} {sql!r}"
                 )
             for name in names:

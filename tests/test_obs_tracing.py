@@ -53,7 +53,6 @@ from repro.serving import (
     CoordinatorQueryEngine,
     GatewayClient,
     SubjectiveQueryEngine,
-    TRACE_PROTOCOL_VERSION,
     start_gateway,
 )
 from repro.serving.protocol import Reader, pack_trace_field, read_trace_field
@@ -231,11 +230,6 @@ class TestClusterNodeTraces:
         store = _fresh_tracing()
         with ClusterQueryEngine(database=hotel_database, num_nodes=2) as engine:
             cluster_store = engine.sharded_store
-            assert all(
-                channel.negotiated_version >= TRACE_PROTOCOL_VERSION
-                for channel in cluster_store._channels
-                if channel is not None
-            )
             engine.execute(HOTEL_SQL)
             local = store.spans()
             trace_id = next(r.trace_id for r in local if r.name == "query")

@@ -14,7 +14,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fuzzy import ProductLogic, ZadehLogic
@@ -850,9 +850,43 @@ class TestFrameCodecRoundTrip:
         assert reader.remaining == 0
 
     @given(
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+        st.one_of(st.none(), st.tuples(st.integers(1, 2**64 - 1), st.integers(1, 2**64 - 1))),
+        st.binary(min_size=1, max_size=24),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_after_a_request_are_refused(self, threshold, trace, junk):
+        """The one request decoder reads every field and then demands the end."""
+        from repro.serving.protocol import (
+            Reader,
+            RpcError,
+            ScoreRequest,
+            encode_score_bounded_request,
+            encode_score_request,
+            read_score_request,
+        )
+
+        fields = (7, "room", "clean", 2, 9, [0, 3])
+        if threshold is None:
+            frame = encode_score_request(*fields, trace=trace)
+        else:
+            frame = encode_score_bounded_request(*fields, threshold, trace=trace)
+        bounded = threshold is not None
+        assert read_score_request(Reader(frame[1:]), bounded) == ScoreRequest(
+            *fields, threshold, trace
+        )
+        # After an explicit trace field — present, or the zero "absent"
+        # marker — any further byte makes the frame malformed.
+        closed = frame if trace is not None else frame + b"\x00"
+        assert read_score_request(Reader(closed[1:]), bounded).trace == trace
+        with pytest.raises(RpcError):
+            read_score_request(Reader(closed[1:] + junk), bounded)
+
+    @given(
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=0, max_value=2**64 - 1),
     )
+    @example(4, 0)  # the retired v4: no longer negotiated, a typed refusal
     @settings(max_examples=40, deadline=None)
     def test_version_mismatch_hello_is_typed(self, skew, data_version):
         from repro.serving.protocol import (
@@ -1091,6 +1125,30 @@ class TestSnapshotDeltaAndCompression:
         frame[position] ^= flip
         with pytest.raises(SnapshotError):
             SnapshotDelta.unpack(bytes(frame))
+
+    @given(shapes, st.data(), st.sampled_from([0x02, 0x80, 0x70]))
+    @settings(max_examples=20, deadline=None)
+    def test_unknown_flag_bits_are_typed_even_with_a_valid_checksum(self, shape, data, bit):
+        """0x02 (the retired f32 centroid encoding) and every unassigned bit
+        are refused, not ignored — also when the frame re-checksums cleanly."""
+        import struct
+        import zlib
+
+        from repro.core.columnar import ColumnSnapshot, SnapshotDelta
+        from repro.errors import SnapshotError
+
+        base, _new, delta = self._delta_pair(shape, data)
+        compress = data.draw(st.booleans())
+        for unpack, blob in (
+            (ColumnSnapshot.unpack, base.pack(compress=compress)),
+            (SnapshotDelta.unpack, delta.pack(compress=compress)),
+        ):
+            assert unpack(blob) is not None
+            stored = bytearray(blob[10:])  # magic (4) | version (2) | crc32 (4) | stored
+            stored[0] |= bit
+            forged = blob[:6] + struct.pack("!I", zlib.crc32(bytes(stored))) + bytes(stored)
+            with pytest.raises(SnapshotError, match="unknown flag"):
+                unpack(forged)
 
     @given(shapes, st.data())
     @settings(max_examples=20, deadline=None)

@@ -29,7 +29,7 @@ from repro.serving import (
     SubjectiveQueryEngine,
 )
 from repro.serving.sharded import and_path_predicates
-from repro.testing import build_synthetic_columnar_database
+from repro.testing import assert_identical_results, build_synthetic_columnar_database
 
 SHARD_COUNTS = [1, 2, 4]
 
@@ -73,24 +73,14 @@ def large_database():
     return build_synthetic_columnar_database(num_entities=1600, seed=11)
 
 
-def _assert_identical_results(expected, actual, context: str = "") -> None:
-    """Exact equality of two query results: ids, scores, degrees, rows."""
-    assert actual.entity_ids == expected.entity_ids, context
-    for exp, act in zip(expected.entities, actual.entities):
-        assert act.entity_id == exp.entity_id, context
-        assert act.score == exp.score, context
-        assert act.predicate_degrees == exp.predicate_degrees, context
-        assert act.row == exp.row, context
-
-
 def _assert_matches_baseline(database, engine, sqls, context=""):
     baseline = SubjectiveQueryEngine(database=database)
     for sql in sqls:
         expected = baseline.execute(sql)
         actual = engine.execute(sql)
-        _assert_identical_results(expected, actual, context=f"{context} {sql!r}")
+        assert_identical_results(expected, actual, context=f"{context} {sql!r}")
         # Warm (fully cached) executions must agree too.
-        _assert_identical_results(expected, engine.execute(sql), context=f"warm {sql!r}")
+        assert_identical_results(expected, engine.execute(sql), context=f"warm {sql!r}")
 
 
 def _assert_remote_pruning(database, engine) -> None:
@@ -154,7 +144,7 @@ class TestShardedPruning:
             database=synthetic_database, num_shards=2, prune_topk=False
         )
         for sql in ALL_QUERIES:
-            _assert_identical_results(full.execute(sql), pruned.execute(sql), context=sql)
+            assert_identical_results(full.execute(sql), pruned.execute(sql), context=sql)
         assert full.entities_pruned == 0
         assert pruned.entities_pruned > 0
 
@@ -201,10 +191,10 @@ class TestShardedPruning:
         engine = ShardedSubjectiveQueryEngine(database=database, num_shards=2)
         baseline = SubjectiveQueryEngine(database=database)
         sql = SELECTIVE_QUERIES[0]
-        _assert_identical_results(baseline.execute(sql), engine.execute(sql))
+        assert_identical_results(baseline.execute(sql), engine.execute(sql))
         entity = database.entities()[0]
         database.add_review(ReviewRecord(10_000, entity.entity_id, "word003 word019 again"))
-        _assert_identical_results(
+        assert_identical_results(
             baseline.execute(sql), engine.execute(sql), context="post-ingest"
         )
 
@@ -275,7 +265,7 @@ class TestClusterPruning:
         ) as engine:
             batch = engine.run_batch(SELECTIVE_QUERIES + MIXED_QUERIES)
             for sql, actual in zip(SELECTIVE_QUERIES + MIXED_QUERIES, batch.results):
-                _assert_identical_results(baseline.execute(sql), actual, context=sql)
+                assert_identical_results(baseline.execute(sql), actual, context=sql)
             # Serial execution afterwards re-enables the pruned path.
             engine.execute(SELECTIVE_QUERIES[0])
 
@@ -308,7 +298,7 @@ class TestMixedShapesOnEveryEngine:
         with make_engine(large_database) as engine:
             for sql in MIXED_QUERIES:
                 scored, unpruned = engine.entities_scored, full.entities_scored
-                _assert_identical_results(full.execute(sql), engine.execute(sql), context=sql)
+                assert_identical_results(full.execute(sql), engine.execute(sql), context=sql)
                 scored = engine.entities_scored - scored
                 unpruned = full.entities_scored - unpruned
                 assert 0 < scored <= unpruned, sql
@@ -356,8 +346,8 @@ class TestCoordinatorPreScreen:
         for sql, want, got, unscreened in zip(
             SELECTIVE_QUERIES, expected, results, unscreened_results
         ):
-            _assert_identical_results(want, got, context=sql)
-            _assert_identical_results(want, unscreened, context=f"unscreened {sql}")
+            assert_identical_results(want, got, context=sql)
+            assert_identical_results(want, unscreened, context=f"unscreened {sql}")
         assert scored <= in_process.entities_scored
         assert pruned >= in_process.entities_pruned
         assert 0 < requests < unscreened_requests

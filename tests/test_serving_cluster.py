@@ -47,6 +47,7 @@ from repro.serving.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.testing import assert_identical_results
 
 NODE_COUNTS = [1, 2, 4]
 
@@ -72,16 +73,6 @@ RESTAURANT_QUERIES = [
 FAST = {"connect_timeout": 10.0, "io_timeout": 30.0}
 
 
-def _assert_identical_results(expected, actual, context: str = "") -> None:
-    """Exact equality of two query results: ids, scores, degrees, rows."""
-    assert actual.entity_ids == expected.entity_ids, context
-    for exp, act in zip(expected.entities, actual.entities):
-        assert act.entity_id == exp.entity_id, context
-        assert act.score == exp.score, context
-        assert act.predicate_degrees == exp.predicate_degrees, context
-        assert act.row == exp.row, context
-
-
 def _assert_engines_agree(database, sqls, num_nodes, **engine_kwargs):
     baseline = SubjectiveQueryEngine(database=database)
     with ClusterQueryEngine(
@@ -90,11 +81,11 @@ def _assert_engines_agree(database, sqls, num_nodes, **engine_kwargs):
         for sql in sqls:
             expected = baseline.execute(sql)
             actual = cluster.execute(sql)
-            _assert_identical_results(
+            assert_identical_results(
                 expected, actual, context=f"{sql!r} nodes={num_nodes}"
             )
             # Warm (fully cached) executions must agree too.
-            _assert_identical_results(
+            assert_identical_results(
                 expected, cluster.execute(sql), context=f"warm {sql!r}"
             )
 
@@ -124,9 +115,10 @@ class TestHandshake:
             assert owned == []
             assert local_store is False  # no persistent data directory
 
-    def test_version_mismatch_is_typed_error(self, hotel_node):
+    @pytest.mark.parametrize("peer_version", [PROTOCOL_VERSION + 9, 4])
+    def test_version_mismatch_is_typed_error(self, hotel_node, peer_version):
         with socket.create_connection(hotel_node.address, timeout=5) as sock:
-            send_frame(sock, encode_hello(PROTOCOL_VERSION + 9, 0), 1 << 20)
+            send_frame(sock, encode_hello(peer_version, 0), 1 << 20)
             payload = recv_frame(sock, 1 << 20)
             with pytest.raises(HandshakeError) as excinfo:
                 read_hello_ack(payload)
@@ -260,8 +252,8 @@ class TestNodeDispatch:
         assert node.owned_slice_ids == []  # newer version: slices dropped
         assert node.data_version == version + 1  # node adopts the caller's version
         # The superseded generation is retired as a delta base, not discarded.
-        assert node._stale_version == version
-        assert set(node._stale) == {(attribute, 0)}
+        assert node.source._stale_version == version
+        assert set(node.source._stale) == {(attribute, 0)}
 
     def test_cross_version_hydration_drops_older_slices(self, hotel_database):
         node = self._node(hotel_database)
@@ -320,7 +312,7 @@ class TestDifferentialEquivalence:
             ) as cluster:
                 assert not cluster.sharded_store.managed
                 for sql in HOTEL_QUERIES[:3]:
-                    _assert_identical_results(
+                    assert_identical_results(
                         baseline.execute(sql), cluster.execute(sql), context=sql
                     )
         finally:
@@ -346,7 +338,7 @@ class TestDifferentialEquivalence:
         baseline = SubjectiveQueryEngine(database=hotel_database)
         with ClusterQueryEngine(database=hotel_database, num_nodes=3, **FAST) as engine:
             for top_k in (0, 1, 1000):
-                _assert_identical_results(
+                assert_identical_results(
                     baseline.execute(sql, top_k=top_k),
                     engine.execute(sql, top_k=top_k),
                     context=f"top_k={top_k}",
@@ -365,7 +357,7 @@ class TestConcurrentBatch:
             actual = concurrent.run_batch(batch)
             assert len(actual) == len(expected)
             for exp, act in zip(expected.results, actual.results):
-                _assert_identical_results(exp, act)
+                assert_identical_results(exp, act)
 
     def test_concurrent_cache_stats_match_serial_accounting(self, hotel_database):
         """The concurrent batch reports what a serial execution would count."""
@@ -433,7 +425,7 @@ class TestConcurrentBatch:
             expected = serial.run_batch(batch)
             actual = concurrent.run_batch(batch)
             for exp, act in zip(expected.results, actual.results):
-                _assert_identical_results(exp, act)
+                assert_identical_results(exp, act)
 
     def test_transport_counters_surface_in_batch_stats(self, hotel_database):
         with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as engine:
@@ -557,7 +549,7 @@ class TestInvalidation:
             for stats in store.node_stats():
                 assert stats["data_version"] == database.data_version
             fresh = SubjectiveQueryEngine(database=database).execute(sql)
-            _assert_identical_results(fresh, result)
+            assert_identical_results(fresh, result)
 
     def test_mid_batch_ingest_rehydrates_and_serves_fresh(self):
         """A ``data_version`` bump racing an in-flight batch leaves no stale degree."""
@@ -592,7 +584,7 @@ class TestInvalidation:
             assert store.invalidations >= 1
 
             fresh = SubjectiveQueryEngine(database=database).execute(sql)
-            _assert_identical_results(fresh, batch.results[1])
+            assert_identical_results(fresh, batch.results[1])
             stale_degrees = [entity.predicate_degrees for entity in stale.entities]
             fresh_degrees = [entity.predicate_degrees for entity in fresh.entities]
             assert stale_degrees != fresh_degrees

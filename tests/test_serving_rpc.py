@@ -33,16 +33,17 @@ from repro.serving import (
     SubjectiveQueryEngine,
     WorkerCrashedError,
 )
-from repro.serving.rpc import (
+from repro.serving.protocol import (
     OP_SHUTDOWN,
     OP_STATS,
     STATUS_OK,
-    _Reader,
-    _pack_str,
+    Reader,
     encode_score_request,
+    pack_str,
     recv_frame,
     send_frame,
 )
+from repro.testing import assert_identical_results
 
 WORKER_COUNTS = [1, 2, 4]
 
@@ -65,16 +66,6 @@ RESTAURANT_QUERIES = [
 ]
 
 
-def _assert_identical_results(expected, actual, context: str = "") -> None:
-    """Exact equality of two query results: ids, scores, degrees, rows."""
-    assert actual.entity_ids == expected.entity_ids, context
-    for exp, act in zip(expected.entities, actual.entities):
-        assert act.entity_id == exp.entity_id, context
-        assert act.score == exp.score, context
-        assert act.predicate_degrees == exp.predicate_degrees, context
-        assert act.row == exp.row, context
-
-
 def _assert_engines_agree(database, sqls, num_workers, **engine_kwargs):
     baseline = SubjectiveQueryEngine(database=database)
     with CoordinatorQueryEngine(
@@ -83,11 +74,11 @@ def _assert_engines_agree(database, sqls, num_workers, **engine_kwargs):
         for sql in sqls:
             expected = baseline.execute(sql)
             actual = coordinator.execute(sql)
-            _assert_identical_results(
+            assert_identical_results(
                 expected, actual, context=f"{sql!r} workers={num_workers}"
             )
             # Warm (fully cached) executions must agree too.
-            _assert_identical_results(
+            assert_identical_results(
                 expected, coordinator.execute(sql), context=f"warm {sql!r}"
             )
 
@@ -149,7 +140,7 @@ class TestFrameProtocol:
 
     def test_score_request_roundtrip(self):
         payload = encode_score_request(3, "rooms", "very clean", 10, 20, [0, 5, 9])
-        reader = _Reader(payload)
+        reader = Reader(payload)
         assert reader.read_u8() == 1  # OP_SCORE
         assert reader.read_u32() == 3
         assert reader.read_str() == "rooms"
@@ -160,7 +151,7 @@ class TestFrameProtocol:
         assert reader.read_u32_array(reader.read_u32()) == [0, 5, 9]
 
     def test_truncated_payload_raises(self):
-        reader = _Reader(_pack_str("abc")[:-1])
+        reader = Reader(pack_str("abc")[:-1])
         with pytest.raises(RpcError):
             reader.read_str()
 
@@ -198,7 +189,7 @@ class TestWorkerDispatch:
         )
         response, stop = hotel_worker.handle_frame(payload)
         assert not stop
-        reader = _Reader(response)
+        reader = Reader(response)
         assert reader.read_u8() == STATUS_OK
         vector = reader.read_f64_array(reader.read_u32())
         assert vector.tolist() == expected
@@ -211,7 +202,7 @@ class TestWorkerDispatch:
         attribute = self._attribute(hotel_database)
         payload = encode_score_request(0, attribute, "clean", 4, 4, None)
         response, _ = hotel_worker.handle_frame(payload)
-        reader = _Reader(response)
+        reader = Reader(response)
         assert reader.read_u8() == STATUS_OK
         assert reader.read_u32() == 0
 
@@ -220,7 +211,7 @@ class TestWorkerDispatch:
             encode_score_request(0, "no_such_attribute", "x", 0, 1, None)
         )
         assert not stop
-        reader = _Reader(response)
+        reader = Reader(response)
         assert reader.read_u8() != STATUS_OK
         assert "no_such_attribute" in reader.read_str()
 
@@ -229,27 +220,27 @@ class TestWorkerDispatch:
         response, _ = hotel_worker.handle_frame(
             encode_score_request(0, attribute, "x", 0, 10_000, None)
         )
-        assert _Reader(response).read_u8() != STATUS_OK
+        assert Reader(response).read_u8() != STATUS_OK
 
     def test_unknown_opcode_is_transported_error(self, hotel_worker):
         response, stop = hotel_worker.handle_frame(bytes([250]))
         assert not stop
-        assert _Reader(response).read_u8() != STATUS_OK
+        assert Reader(response).read_u8() != STATUS_OK
 
     def test_invalidate_drops_cache_and_reports_version(
         self, hotel_database, hotel_worker
     ):
         attribute = self._attribute(hotel_database)
         hotel_worker.handle_frame(encode_score_request(0, attribute, "clean", 0, 4, None))
-        assert len(hotel_worker.cache) == 1
+        assert hotel_worker.cache_entries == 1
         response, _ = hotel_worker.handle_frame(
             bytes([2]) + struct.pack("!Q", hotel_database.data_version)
         )
-        reader = _Reader(response)
+        reader = Reader(response)
         assert reader.read_u8() == STATUS_OK
         assert reader.read_u64() == hotel_database.data_version
         assert reader.read_u32() == 1  # entries dropped
-        assert len(hotel_worker.cache) == 0
+        assert hotel_worker.cache_entries == 0
 
     def test_serve_loop_over_socketpair(self, hotel_database, hotel_worker):
         """The framed socket loop end-to-end, including shutdown."""
@@ -259,18 +250,18 @@ class TestWorkerDispatch:
         thread.start()
         try:
             send_frame(client, bytes([OP_STATS]), hotel_worker.max_frame_bytes)
-            reader = _Reader(recv_frame(client, hotel_worker.max_frame_bytes))
+            reader = Reader(recv_frame(client, hotel_worker.max_frame_bytes))
             assert reader.read_u8() == STATUS_OK
             send_frame(
                 client,
                 encode_score_request(0, attribute, "clean", 0, 2, None),
                 hotel_worker.max_frame_bytes,
             )
-            reader = _Reader(recv_frame(client, hotel_worker.max_frame_bytes))
+            reader = Reader(recv_frame(client, hotel_worker.max_frame_bytes))
             assert reader.read_u8() == STATUS_OK
             assert reader.read_u32() == 2
             send_frame(client, bytes([OP_SHUTDOWN]), hotel_worker.max_frame_bytes)
-            assert _Reader(
+            assert Reader(
                 recv_frame(client, hotel_worker.max_frame_bytes)
             ).read_u8() == STATUS_OK
         finally:
@@ -294,7 +285,7 @@ class TestWorkerDispatch:
         thread.start()
         try:
             client.sendall(struct.pack("!I", 1 << 20))  # announce 1 MiB
-            reader = _Reader(recv_frame(client, 1024))
+            reader = Reader(recv_frame(client, 1024))
             assert reader.read_u8() != STATUS_OK
             assert "limit" in reader.read_str()
             # The serve loop refuses to continue on the poisoned stream (the
@@ -353,14 +344,14 @@ class TestDifferentialEquivalence:
             actual = engine.run_batch(HOTEL_QUERIES)
             assert len(actual) == len(expected)
             for exp, act in zip(expected.results, actual.results):
-                _assert_identical_results(exp, act)
+                assert_identical_results(exp, act)
 
     def test_top_k_edge_cases(self, hotel_database):
         sql = 'select * from Entities where "clean room" and "friendly staff"'
         baseline = SubjectiveQueryEngine(database=hotel_database)
         with CoordinatorQueryEngine(database=hotel_database, num_workers=3) as engine:
             for top_k in (0, 1, 1000):
-                _assert_identical_results(
+                assert_identical_results(
                     baseline.execute(sql, top_k=top_k),
                     engine.execute(sql, top_k=top_k),
                     context=f"top_k={top_k}",
@@ -477,7 +468,7 @@ class TestInvalidation:
             assert [c.process.pid for c in store.workers] != first_pids
             assert store.data_version == database.data_version
             fresh = SubjectiveQueryEngine(database=database).execute(sql)
-            _assert_identical_results(fresh, result)
+            assert_identical_results(fresh, result)
 
     def test_mid_batch_ingest_drops_fleet_and_serves_fresh(self):
         """A ``data_version`` bump racing an in-flight batch leaves no stale degree."""
@@ -511,7 +502,7 @@ class TestInvalidation:
             assert store.invalidations >= 1
 
             fresh = SubjectiveQueryEngine(database=database).execute(sql)
-            _assert_identical_results(fresh, batch.results[1])
+            assert_identical_results(fresh, batch.results[1])
             stale_degrees = [entity.predicate_degrees for entity in stale.entities]
             fresh_degrees = [entity.predicate_degrees for entity in fresh.entities]
             assert stale_degrees != fresh_degrees

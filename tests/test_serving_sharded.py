@@ -29,6 +29,7 @@ from repro.serving import (
     SubjectiveQueryEngine,
     partition_bounds,
 )
+from repro.testing import assert_identical_results
 
 SHARD_COUNTS = [1, 2, 3, 7]
 
@@ -52,16 +53,6 @@ RESTAURANT_QUERIES = [
 ]
 
 
-def _assert_identical_results(expected, actual, context: str = "") -> None:
-    """Exact equality of two query results: ids, scores, degrees, rows."""
-    assert actual.entity_ids == expected.entity_ids, context
-    for exp, act in zip(expected.entities, actual.entities):
-        assert act.entity_id == exp.entity_id, context
-        assert act.score == exp.score, context
-        assert act.predicate_degrees == exp.predicate_degrees, context
-        assert act.row == exp.row, context
-
-
 def _assert_engines_agree(database, sqls, num_shards, backend="serial", top_k=None):
     baseline = SubjectiveQueryEngine(database=database)
     sharded = ShardedSubjectiveQueryEngine(
@@ -71,11 +62,11 @@ def _assert_engines_agree(database, sqls, num_shards, backend="serial", top_k=No
         for sql in sqls:
             expected = baseline.execute(sql, top_k=top_k)
             actual = sharded.execute(sql, top_k=top_k)
-            _assert_identical_results(
+            assert_identical_results(
                 expected, actual, context=f"{sql!r} shards={num_shards} backend={backend}"
             )
             # Warm (fully cached) executions must agree too.
-            _assert_identical_results(
+            assert_identical_results(
                 expected, sharded.execute(sql, top_k=top_k), context=f"warm {sql!r}"
             )
     finally:
@@ -114,7 +105,7 @@ class TestDifferentialEquivalence:
         sql = 'select * from Entities where "clean room" and "friendly staff"'
         baseline = SubjectiveQueryEngine(database=hotel_database)
         sharded = ShardedSubjectiveQueryEngine(database=hotel_database, num_shards=3)
-        _assert_identical_results(
+        assert_identical_results(
             baseline.execute(sql, top_k=top_k),
             sharded.execute(sql, top_k=top_k),
             context=f"top_k={top_k}",
@@ -127,7 +118,7 @@ class TestDifferentialEquivalence:
         actual = sharded.run_batch(HOTEL_QUERIES)
         assert len(actual) == len(expected)
         for exp, act in zip(expected.results, actual.results):
-            _assert_identical_results(exp, act)
+            assert_identical_results(exp, act)
 
     def test_array_logic_fallback_identical(self, hotel_database):
         """A logic without array connectives ranks through the scalar path."""
@@ -136,7 +127,7 @@ class TestDifferentialEquivalence:
         baseline = SubjectiveQueryEngine(database=hotel_database)
         sharded = ShardedSubjectiveQueryEngine(processor=processor, num_shards=3)
         for sql in HOTEL_QUERIES:
-            _assert_identical_results(
+            assert_identical_results(
                 baseline.execute(sql), sharded.execute(sql), context=sql
             )
 
@@ -272,24 +263,14 @@ def assert_envelope_tracks_ingest(database, engine) -> None:
     assert not all(np.array_equal(got, old) for got, old in zip(after, before))
 
 
-class TestProcessBackend:
-    def test_process_backend_identical(self):
-        import multiprocessing
-
-        if multiprocessing.get_start_method(allow_none=False) != "fork":
-            pytest.skip("process shard backend requires the fork start method")
-        database = build_mutable_database()
-        baseline = SubjectiveQueryEngine(database=database)
-        sharded = ShardedSubjectiveQueryEngine(
-            database=database, num_shards=3, backend="process"
-        )
-        try:
-            for sql in (INGEST_QUERY, HOTEL_QUERIES[1]):
-                _assert_identical_results(
-                    baseline.execute(sql), sharded.execute(sql), context=sql
-                )
-        finally:
-            sharded.close()
+class TestBackendChoice:
+    @pytest.mark.parametrize("backend", ["process", "bogus"])
+    def test_unknown_backend_is_rejected(self, hotel_database, backend):
+        """Process placement is the RPC tier; the in-process engine has two backends."""
+        with pytest.raises(ValueError, match="unknown shard backend"):
+            ShardedSubjectiveQueryEngine(database=hotel_database, backend=backend)
+        with pytest.raises(ValueError, match="unknown shard backend"):
+            ShardedColumnarStore(hotel_database, backend=backend)
 
 
 class TestTieBreaking:
@@ -341,7 +322,7 @@ class TestInterleavedIngest:
 
         # The post-ingest result equals a fresh engine over the new data...
         fresh = SubjectiveQueryEngine(database=database).execute(INGEST_QUERY)
-        _assert_identical_results(fresh, batch.results[1])
+        assert_identical_results(fresh, batch.results[1])
         # ... and genuinely differs from the pre-ingest ranking, so a stale
         # survivor could not have passed the check above by accident.
         stale_degrees = [entity.predicate_degrees for entity in stale.entities]
@@ -434,7 +415,7 @@ class TestEntityIndex:
         ):
             for sql in sqls + sqls:
                 expected = processor.execute(sql)
-                _assert_identical_results(expected, engine.execute(sql))
+                assert_identical_results(expected, engine.execute(sql))
             assert engine.membership_cache.num_rows == 31
             assert engine.membership_cache.stats.hits > 0
 
@@ -451,7 +432,7 @@ class TestEntityIndex:
         assert len(cache) == 0
         assert cache.row_index is not index  # rows resolved against the old index are void
         assert cache.ids_of(np.arange(cache.num_rows)) == database.entity_ids()
-        _assert_identical_results(
+        assert_identical_results(
             SubjectiveQueryProcessor(database).execute(INGEST_QUERY),
             engine.execute(INGEST_QUERY),
         )
@@ -465,35 +446,3 @@ class TestDefaults:
         assert engine.num_shards == default_num_shards() >= 1
         store = ShardedColumnarStore(hotel_database)
         assert store.num_shards == default_num_shards()
-
-    def test_process_backend_reregister_recycles_pool(self):
-        """Registering different state must recycle forked workers (their
-        snapshots pin the registry as of fork time)."""
-        import multiprocessing
-
-        if multiprocessing.get_start_method(allow_none=False) != "fork":
-            pytest.skip("process shard backend requires the fork start method")
-        from repro.serving.sharded import _PROCESS_REGISTRY, _ProcessBackend
-
-        backend = _ProcessBackend(max_workers=1)
-
-        class _StubPool:
-            def __init__(self):
-                self.shut_down = False
-
-            def shutdown(self, wait=True):
-                self.shut_down = True
-
-        database, membership = object(), object()
-        token = backend.register(database, membership)
-        pool = _StubPool()
-        backend._pool = pool
-        # Same state: the pool survives.
-        assert backend.register(database, membership) == token
-        assert not pool.shut_down
-        # New membership: stale forked snapshots must be recycled.
-        backend.register(database, object())
-        assert pool.shut_down
-        assert backend._pool is None
-        backend.shutdown()
-        assert token not in _PROCESS_REGISTRY

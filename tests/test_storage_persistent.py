@@ -64,7 +64,11 @@ from repro.storage.columns import (
     raw_summary_columns,
 )
 from repro.storage.synthetic import SYNTHETIC_ATTRIBUTE
-from repro.testing import build_synthetic_columnar_database, corrupt_frame
+from repro.testing import (
+    assert_identical_results,
+    build_synthetic_columnar_database,
+    corrupt_frame,
+)
 
 QUERIES = [
     'select * from Entities where "word001 word003" limit 5',
@@ -104,15 +108,6 @@ def small_database():
 def saved_copy(database: SubjectiveDatabase, directory: str) -> SubjectiveDatabase:
     database.save(directory)
     return SubjectiveDatabase.open(directory)
-
-
-def assert_same_result(expected, actual, context: str = "") -> None:
-    """Exact equality of two query results: ids, scores, degrees."""
-    assert expected.entity_ids == actual.entity_ids, context
-    for left, right in zip(expected.entities, actual.entities):
-        assert left.score == right.score, context
-        assert left.predicate_degrees == right.predicate_degrees, context
-        assert left.row == right.row, context
 
 
 def tree_digest(directory: str) -> dict[str, str]:
@@ -156,21 +151,21 @@ class TestDiskBootBitIdentity:
         baseline = SubjectiveQueryEngine(database=small_database)
         engine = SubjectiveQueryEngine(database=booted)
         for sql in QUERIES:
-            assert_same_result(baseline.execute(sql), engine.execute(sql), context=sql)
+            assert_identical_results(baseline.execute(sql), engine.execute(sql), context=sql)
 
     def test_sharded_engine_equivalence(self, small_database, storage_dir):
         booted = saved_copy(small_database, storage_dir)
         baseline = SubjectiveQueryEngine(database=small_database)
         engine = ShardedSubjectiveQueryEngine(database=booted, num_shards=3)
         for sql in QUERIES:
-            assert_same_result(baseline.execute(sql), engine.execute(sql), context=sql)
+            assert_identical_results(baseline.execute(sql), engine.execute(sql), context=sql)
 
     def test_rpc_engine_equivalence(self, small_database, storage_dir):
         booted = saved_copy(small_database, storage_dir)
         baseline = SubjectiveQueryEngine(database=small_database)
         with CoordinatorQueryEngine(database=booted, num_workers=2) as engine:
             for sql in QUERIES:
-                assert_same_result(baseline.execute(sql), engine.execute(sql), context=sql)
+                assert_identical_results(baseline.execute(sql), engine.execute(sql), context=sql)
 
     def test_cluster_engine_equivalence(self, small_database, storage_dir):
         booted = saved_copy(small_database, storage_dir)
@@ -178,7 +173,7 @@ class TestDiskBootBitIdentity:
         engine = ClusterQueryEngine(database=booted, num_nodes=2)
         try:
             for sql in QUERIES:
-                assert_same_result(baseline.execute(sql), engine.execute(sql), context=sql)
+                assert_identical_results(baseline.execute(sql), engine.execute(sql), context=sql)
         finally:
             engine.close()
 
@@ -207,7 +202,7 @@ class TestWarmNodeRestart:
         engine = ClusterQueryEngine(database=booted, num_nodes=2, data_dir=storage_dir)
         try:
             for sql in QUERIES:
-                assert_same_result(baseline.execute(sql), engine.execute(sql), context=sql)
+                assert_identical_results(baseline.execute(sql), engine.execute(sql), context=sql)
             store = engine.sharded_store
             # The frame count: zero hydrate frames shipped, every slice
             # satisfied by the nodes' own mapped column files.
@@ -245,17 +240,17 @@ class TestWarmNodeRestart:
 
         saved_copy(small_database, storage_dir)
         node = ShardNodeServer(data_dir=storage_dir)
-        assert node._local_store_fresh
-        node.data_version += 1  # an invalidate moved the node past the catalog
-        assert not node._local_store_fresh
-        assert node._local_slice("quality", 0, 0, 10) is None
+        assert node.source.local_store_fresh
+        node.source.data_version += 1  # an invalidate moved the node past the catalog
+        assert not node.source.local_store_fresh
+        assert node.source._local_slice("quality", 0, 0, 10) is None
 
     def test_missing_data_dir_is_a_cold_start_not_a_refusal(self, storage_dir):
         from repro.serving.cluster import ShardNodeServer
 
         node = ShardNodeServer(data_dir=os.path.join(storage_dir, "nowhere"))
         assert node.data_version == 0
-        assert not node._local_store_fresh
+        assert not node.source.local_store_fresh
 
 
 # --------------------------------------------------------------------------
