@@ -136,9 +136,9 @@ def plan_slice_requests(
       gathers.
 
     Empty slices produce no request, so shipping a request per tuple never
-    sends empty work.  Shared by the in-process sharded store and the RPC
-    coordinator — both fan out exactly these requests, only the transport
-    differs.
+    sends empty work.  Shared by the in-process sharded store and the
+    cluster coordinator — both fan out exactly these requests, only the
+    transport differs.
     """
     requests: list[tuple[int, int, int, list[int] | None, object]] = []
     position = 0
@@ -1002,7 +1002,7 @@ class ScoreBounds:
       slice, the cheapest possible "can anything here still matter?" test.
 
     ``slice`` / ``narrowed`` mirror :func:`slice_view` / :func:`gather_rows`
-    so the sharded, RPC and cluster layers can bound exactly the rows a
+    so the sharded and cluster layers can bound exactly the rows a
     request ships.
     """
 
@@ -1453,7 +1453,7 @@ class ColumnarSummaryStore:
         them: :meth:`sync` patches or drops columns and bounds together,
         so a stale bound can never justify a prune.  Pass
         ``start`` / ``stop`` to get the bounds of one contiguous slice —
-        the per-slice view the sharded, RPC and cluster layers request.
+        the per-slice view the sharded and cluster layers request.
         """
         self.sync()
         if attribute not in self._bounds:

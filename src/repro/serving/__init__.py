@@ -21,21 +21,16 @@ overlapping queries needs:
   attribute, per-slice kernel fan-out (serial/thread backends),
   per-shard membership-cache counters, vectorized WHERE-tree scoring and
   per-shard top-k merge;
-* :class:`ShardService` (:mod:`repro.serving.service`) — the one frame
-  handler behind both tiers below: ``score`` / ``score bounded`` /
-  ``invalidate`` / ``stats`` / ``traces`` over a *slice source* (the
-  forked worker's own store, or the node's hydrated snapshots);
-* :class:`CoordinatorQueryEngine` / :class:`RpcShardStore`
-  (:mod:`repro.serving.rpc`) — the disaggregated tier: long-lived shard
-  worker processes serving a length-prefixed binary ``score`` protocol
-  over local sockets, a coordinator that fans WHERE-tree scoring out and
-  merges per-shard top-k heaps, same caches, same invalidation unit;
+* :class:`ShardService` (:mod:`repro.serving.service`) — the frame handler
+  behind every cluster node: ``score`` / ``score bounded`` /
+  ``invalidate`` / ``stats`` / ``traces`` over the node's hydrated slices;
 * :class:`ClusterQueryEngine` / :class:`ClusterShardStore` /
   :class:`ShardNodeServer` (:mod:`repro.serving.cluster`) — the
-  multi-node tier: shard nodes listening on **TCP** (same frame protocol,
-  shared in :mod:`repro.serving.protocol`), hydrated from shipped
-  :class:`~repro.core.columnar.ColumnSnapshot` bytes instead of fork, a
-  versioned ``hello`` handshake, pipelined per-node request queues, and a
+  multi-process tier: shard nodes listening on **TCP** (the frame protocol
+  of :mod:`repro.serving.protocol`), forked on this machine or started
+  anywhere, hydrated from shipped
+  :class:`~repro.core.columnar.ColumnSnapshot` bytes, a versioned
+  ``hello`` handshake, pipelined per-node request queues, and a
   concurrent ``run_batch`` that overlaps independent queries' fan-outs;
 * :class:`ServingGateway` / :class:`AsyncGatewayClient` / :class:`GatewayClient`
   (:mod:`repro.serving.gateway`) — the client-facing front door: an
@@ -46,8 +41,8 @@ overlapping queries needs:
 
 Every engine produces results identical to the wrapped processor — caches
 only short-circuit recomputation of values the processor would have
-produced, and sharded, RPC, cluster or gateway execution reorders work,
-never arithmetic.  ``docs/ARCHITECTURE.md`` documents all six layers, the
+produced, and sharded, cluster or gateway execution reorders work, never
+arithmetic.  ``docs/ARCHITECTURE.md`` documents every layer, the
 cache hierarchy, and the ``data_version`` invalidation contract in one
 place.
 """
@@ -84,12 +79,6 @@ from repro.serving.protocol import (
     RpcError,
     WorkerCrashedError,
 )
-from repro.serving.rpc import (
-    CoordinatorQueryEngine,
-    RpcShardStore,
-    ShardServiceClient,
-    ShardServiceWorker,
-)
 from repro.serving.service import ShardService
 from repro.serving.sharded import (
     ShardedColumnarStore,
@@ -106,7 +95,6 @@ __all__ = [
     "CacheStats",
     "ClusterQueryEngine",
     "ClusterShardStore",
-    "CoordinatorQueryEngine",
     "DegreeColumnCache",
     "FrameTooLargeError",
     "GatewayClient",
@@ -119,13 +107,10 @@ __all__ = [
     "PROTOCOL_VERSION",
     "QueryPlan",
     "RpcError",
-    "RpcShardStore",
     "ServingGateway",
     "ServingStats",
     "ShardNodeServer",
     "ShardService",
-    "ShardServiceClient",
-    "ShardServiceWorker",
     "ShardedColumnarStore",
     "ShardedSubjectiveQueryEngine",
     "SubjectiveQueryEngine",

@@ -1,14 +1,12 @@
 """Cluster transport: TCP shard nodes, snapshot hydration, a concurrent coordinator.
 
-PR 4 put the entity shards behind a service boundary, but the boundary was
-a local socketpair and the workers were forks — the column data reached
-them implicitly, by copy-on-write inheritance, and the coordinator executed
-queries strictly one at a time.  This module removes both limits and turns
-the stack into a true multi-node engine:
+The multi-process engine: entity shards served by node processes behind a
+TCP boundary.  Column data reaches the nodes explicitly, as shipped
+snapshots, never by copy-on-write inheritance, and the coordinator overlaps
+independent queries' fan-outs:
 
-* :class:`ShardNodeServer` — a shard worker that listens on **TCP** and
-  speaks exactly the frame protocol of :mod:`repro.serving.protocol` (the
-  same codec the socketpair path uses — one definition, no drift).  Every
+* :class:`ShardNodeServer` — a shard process that listens on **TCP** and
+  speaks exactly the frame protocol of :mod:`repro.serving.protocol`.  Every
   connection opens with a versioned ``hello`` handshake carrying the
   protocol version, the node's ``data_version`` and its owned slice ids;
   version skew is a typed :class:`~repro.serving.protocol.HandshakeError`,
@@ -24,8 +22,8 @@ the stack into a true multi-node engine:
   pump keeps every node fed while responses stream back), slices are
   hydrated lazily per ``(node, attribute, slice)`` and re-hydrated after
   every ``data_version`` bump, and a lost connection or dead node surfaces
-  as the same :class:`~repro.serving.protocol.WorkerCrashedError` the RPC
-  layer raises — the fleet reconnects or respawns on the next query;
+  as a typed :class:`~repro.serving.protocol.WorkerCrashedError` — the
+  fleet reconnects or respawns on the next query;
 * :class:`ClusterQueryEngine` — subclasses the sharded engine, so
   WHERE-tree vectorization and the exact ``(-score, str(entity_id),
   position)`` top-k merge are reused verbatim, and adds a **concurrent**
@@ -110,7 +108,7 @@ from repro.serving.protocol import (
     _U32,
     _U64,
 )
-from repro.serving.service import DEFAULT_WORKER_CACHE_SIZE, HydratedSliceSource, ShardService
+from repro.serving.service import DEFAULT_WORKER_CACHE_SIZE, HydratedSlices, ShardService
 from repro.serving.sharded import (
     ShardedSubjectiveQueryEngine,
     default_num_shards,
@@ -144,10 +142,8 @@ _PREFETCH_MISSING = object()
 class ShardNodeServer(ShardService):
     """One TCP shard node: hydrated column slices, scored over the wire.
 
-    The node is the :class:`~repro.serving.service.ShardService` every
-    shard transport shares, over a
-    :class:`~repro.serving.service.HydratedSliceSource`: unlike the
-    fork-based :class:`~repro.serving.rpc.ShardServiceWorker` it owns **no
+    The node is a :class:`~repro.serving.service.ShardService` over a
+    :class:`~repro.serving.service.HydratedSlices`.  It owns **no
     database** — it is constructed with only the membership function (the
     scoring model, a deployment artifact) and receives its column data as
     packed :class:`~repro.core.columnar.ColumnSnapshot` bytes.  Snapshots
@@ -180,10 +176,9 @@ class ShardNodeServer(ShardService):
         data_dir: str | None = None,
     ) -> None:
         super().__init__(
-            "node",
             node_id,
             membership,
-            HydratedSliceSource(data_dir),
+            HydratedSlices(data_dir),
             max_frame_bytes,
             cache_size,
         )
@@ -747,15 +742,13 @@ class ClusterShardStore:
     to already-running :class:`ShardNodeServer` instances and can reconnect
     after a connection loss but never spawns or shuts them down.  In both
     shapes a node lost mid-request surfaces as
-    :class:`~repro.serving.protocol.WorkerCrashedError`, exactly like the
-    socketpair RPC layer.
+    :class:`~repro.serving.protocol.WorkerCrashedError`.
 
     A ``data_version`` bump lets the base store catch up (patched rows
     where the change journal allows, a full drop otherwise), drops the
     hydration records, pushes ``invalidate`` to every reachable node
     (dropping node caches *and* hydrated slices), and the next fan-out
-    re-hydrates lazily — snapshot re-hydration instead of the RPC layer's
-    fleet re-fork.
+    re-hydrates lazily — the node processes stay up across versions.
 
     Two cold-path controls (both default-off and lossless):
 
@@ -1910,6 +1903,10 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         data_dir: str | None = None,
     ) -> None:
         if addresses is not None:
+            if num_nodes is not None and num_nodes != len(addresses):
+                raise ValueError(
+                    f"num_nodes ({num_nodes}) contradicts the {len(addresses)} addresses given"
+                )
             num_nodes = len(addresses)
         elif num_nodes is None:
             num_nodes = default_num_shards()

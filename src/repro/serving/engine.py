@@ -300,8 +300,8 @@ class SubjectiveQueryEngine:
         """Release executor or worker resources held by the engine.
 
         The base engine holds none, so this is a no-op; the sharded engine
-        shuts down its executor pool here and the RPC coordinator shuts
-        down its shard-service worker processes.  Always idempotent, so
+        shuts down its executor pool here and the cluster engine shuts
+        down its node processes.  Always idempotent, so
         ``finally: engine.close()`` (or the context-manager form) is safe
         for every engine flavour.
         """

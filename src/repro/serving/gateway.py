@@ -1,7 +1,7 @@
 """The async serving gateway: many concurrent clients, one coordinator.
 
 Every layer below this one scales *execution* — columnar kernels, entity
-shards, RPC workers, TCP cluster nodes — but none of them is a front door:
+shards, TCP cluster nodes — but none of them is a front door:
 nothing accepts many concurrent client connections and turns their
 overlapping traffic into the batched, cache-friendly query stream those
 layers were built for.  :class:`ServingGateway` is that front door, an
@@ -833,14 +833,14 @@ class ServingGateway:
 
         Coordinator-side spans come straight from the process-global
         :class:`~repro.obs.trace.TraceStore`; when the engine exposes a
-        remote collector (``node_traces`` on the cluster store,
-        ``worker_traces`` on the RPC store) and the engine thread is idle,
-        the fleet's spans are fetched through the engine executor and
-        appended — one flat list covering the whole distributed query.
+        remote collector (``node_traces`` on the cluster store) and the
+        engine thread is idle, the fleet's spans are fetched through the
+        engine executor and appended — one flat list covering the whole
+        distributed query.
         """
         records = [record.as_dict() for record in global_trace_store().spans(trace_id, limit)]
         store = getattr(self.engine, "sharded_store", None)
-        collector = getattr(store, "node_traces", None) or getattr(store, "worker_traces", None)
+        collector = getattr(store, "node_traces", None)
         if collector is not None and not self._engine_busy:
             try:
                 remote = await asyncio.get_running_loop().run_in_executor(

@@ -1,10 +1,10 @@
 """The shard-service wire protocol: one definition for every transport.
 
-PR 4 introduced a length-prefixed binary frame protocol between the query
-coordinator and shard workers over local socketpairs; the cluster transport
-(:mod:`repro.serving.cluster`) speaks the very same frames over TCP.  This
-module is the single home of everything both transports share, so the
-socketpair and TCP paths can never drift apart:
+A length-prefixed binary frame protocol between the query coordinator and
+its shard nodes (:mod:`repro.serving.cluster`, over TCP) and between
+gateway clients and the gateway (:mod:`repro.serving.gateway`).  This
+module is the single home of everything those peers share, so no two of
+them can drift apart:
 
 * **framing** — :func:`send_frame` / :func:`recv_frame`: every message is a
   4-byte big-endian payload length followed by that many payload bytes,
@@ -94,7 +94,7 @@ WIRE_U32 = ">u4"
 
 
 class RpcError(ExecutionError):
-    """A shard-service RPC failed (transport fault or worker-side error)."""
+    """A shard-service RPC failed (transport fault or node-side error)."""
 
 
 class FrameTooLargeError(RpcError):

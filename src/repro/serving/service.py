@@ -1,20 +1,13 @@
-"""The shard service: one frame handler behind every shard transport.
+"""The shard service: the frame handler behind every cluster node.
 
 A shard service answers the scoring frames of
 :mod:`repro.serving.protocol` — ``score``, ``score bounded``,
 ``invalidate``, ``stats``, ``traces``, ``shutdown`` — over any stream
-socket.  The forked RPC worker (:class:`repro.serving.rpc.ShardServiceWorker`)
-and the TCP cluster node (:class:`repro.serving.cluster.ShardNodeServer`)
-are both this class; they differ only in their **slice source**, the object
-that turns a request's ``(slice_id, attribute, start, stop)`` into the
-slice's column arrays and bound summaries:
-
-* :class:`StoreSliceSource` — the forked worker's: slice views over the
-  database snapshot inherited at fork time, rebuilt deterministically by
-  :class:`~repro.core.columnar.ColumnarSummaryStore`;
-* :class:`HydratedSliceSource` — the node's: snapshots shipped over the
-  wire (``hydrate`` / ``hydrate delta`` frames, handled by the node), or
-  carved out of a local persistent store the node was booted from.
+socket.  The TCP cluster node (:class:`repro.serving.cluster.ShardNodeServer`)
+is this class plus the node-only opcodes; its slices come from one
+:class:`HydratedSlices`: snapshots shipped over the wire (``hydrate`` /
+``hydrate delta`` frames, handled by the node), or carved out of a local
+persistent store the node was booted from.
 
 Either way the arrays are bit-identical to the coordinator's own, so every
 degree a service returns is exactly the in-process kernel's.
@@ -25,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import socket
-from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -36,10 +28,8 @@ from repro.core.columnar import (
     SnapshotDelta,
     bounded_pair_degrees,
     gather_rows,
-    slice_view,
 )
-from repro.core.database import SubjectiveDatabase
-from repro.errors import ExecutionError, SnapshotError, StorageError
+from repro.errors import SnapshotError, StorageError
 from repro.obs.metrics import Counter, MetricsRegistry, cell_property
 from repro.obs.trace import global_trace_store, record_span
 from repro.serving.cache import LRUCache
@@ -73,84 +63,10 @@ from repro.utils.timing import now
 DEFAULT_WORKER_CACHE_SIZE = 4096
 
 
-class SliceSource(Protocol):
-    """Where a :class:`ShardService` gets a requested slice's arrays from."""
-
-    data_version: int
-
-    @property
-    def owned_slice_ids(self) -> list[int]:
-        """Slice ids this source serves (sorted)."""
-
-    def slice_columns(
-        self, slice_id: int, attribute: str, start: int, stop: int
-    ) -> AttributeColumns:
-        """Rows ``[start, stop)`` of ``attribute``; raises when unservable."""
-
-    def slice_bounds(self, slice_id: int, attribute: str, start: int, stop: int) -> ScoreBounds:
-        """Bound summaries over exactly the rows :meth:`slice_columns` returns."""
-
-    def invalidate(self, caller_version: int) -> None:
-        """The coordinator announced ``caller_version``; drop what it outdates."""
-
-    def stats(self) -> dict[str, object]:
-        """Source-specific entries of the ``stats`` response."""
-
-
-class StoreSliceSource:
-    """Slices resolved against a database's own columnar store.
-
-    The forked worker's source: the worker inherits the database of the
-    moment it was forked and rebuilds the column arrays from it on demand —
-    the build is deterministic, so a resolved slice is bit-identical to the
-    coordinator's.  The fork pins the data: ``invalidate`` cannot move it to
-    another version (the coordinator re-forks the fleet instead).
-    """
-
-    def __init__(self, database: SubjectiveDatabase, owned_slice_ids: Sequence[int]) -> None:
-        self.database = database
-        self.store = database.columnar_store()
-        self.owned_slice_ids = list(owned_slice_ids)
-
-    @property
-    def data_version(self) -> int:
-        """The version of the inherited database snapshot."""
-        return self.database.data_version
-
-    def _check_range(self, attribute: str, start: int, stop: int) -> AttributeColumns:
-        columns = self.store.columns(attribute)
-        if columns is None:
-            raise ExecutionError(f"attribute {attribute!r} has no columns in this worker")
-        if stop > columns.num_entities or start > stop:
-            raise ExecutionError(
-                f"slice [{start}, {stop}) out of range for attribute {attribute!r} "
-                f"({columns.num_entities} entities in this worker)"
-            )
-        return columns
-
-    def slice_columns(
-        self, slice_id: int, attribute: str, start: int, stop: int
-    ) -> AttributeColumns:
-        """A zero-copy view of rows ``[start, stop)`` of the rebuilt columns."""
-        return slice_view(self._check_range(attribute, start, stop), start, stop)
-
-    def slice_bounds(self, slice_id: int, attribute: str, start: int, stop: int) -> ScoreBounds:
-        """The store's bound summaries restricted to ``[start, stop)``."""
-        self._check_range(attribute, start, stop)
-        return self.store.score_bounds(attribute, start, stop)
-
-    def invalidate(self, caller_version: int) -> None:
-        """Nothing to drop: the inherited snapshot cannot change."""
-
-    def stats(self) -> dict[str, object]:
-        """No source-specific statistics."""
-        return {}
-
-
-class HydratedSliceSource:
+class HydratedSlices:
     """Slices installed from shipped snapshots, or carved from a local store.
 
-    The cluster node's source.  It holds **no database**: column data
+    What a cluster node scores.  It holds **no database**: column data
     arrives as :class:`~repro.core.columnar.ColumnSnapshot` objects
     (:meth:`install`, :meth:`apply_delta`), all at one ``data_version`` —
     a snapshot of a newer version (or an ``invalidate`` naming one) retires
@@ -158,7 +74,7 @@ class HydratedSliceSource:
     construction.  One retired generation is kept as delta bases: never
     served from, only patched by :meth:`apply_delta`.
 
-    Given ``data_dir``, the source maps the persistent storage tier's
+    Given ``data_dir``, it maps the persistent storage tier's
     column files and adopts the catalog's durable ``data_version``; while
     that version stays current, a slice nobody hydrated is carved out of
     the mapped file on first use.  An unreadable or corrupt directory
@@ -223,7 +139,7 @@ class HydratedSliceSource:
         return retired
 
     def apply_delta(self, delta: SnapshotDelta) -> ColumnSnapshot:
-        """The snapshot ``delta`` produces over the base this source still holds.
+        """The snapshot ``delta`` produces over the base still held here.
 
         The base is looked up among the live slices (the delta's base
         version may still be current here) and then among the retired
@@ -314,11 +230,11 @@ class HydratedSliceSource:
 
 
 class ShardService:
-    """Serve the scoring frames of the shard protocol from one slice source.
+    """Serve the scoring frames of the shard protocol from hydrated slices.
 
-    ``role`` (``"worker"`` or ``"node"``) and ``index`` name the service in
-    its span names (``{role}_score`` / ``{role}_score_bounded``), its
-    ``stats`` response and its error messages.  Exact degree vectors are
+    ``index`` names the service in its spans (``node_score`` /
+    ``node_score_bounded``, attribute ``node``), its ``stats`` response
+    (key ``"node"``) and its error messages.  Exact degree vectors are
     memoised in one bounded :class:`~repro.serving.cache.LRUCache` per
     served ``(attribute, slice)``, so pressure on a hot slice never evicts a
     colder slice's vectors; ``invalidate`` drops them all.
@@ -330,14 +246,12 @@ class ShardService:
 
     def __init__(
         self,
-        role: str,
         index: int,
         membership: object | None,
-        source: SliceSource,
+        source: HydratedSlices,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         cache_size: int | None = DEFAULT_WORKER_CACHE_SIZE,
     ) -> None:
-        self.role = role
         self.index = index
         self.membership = membership
         self.source = source
@@ -381,7 +295,7 @@ class ShardService:
 
     @property
     def owned_slice_ids(self) -> list[int]:
-        """Slice ids the source currently serves."""
+        """Slice ids currently hydrated."""
         return self.source.owned_slice_ids
 
     @property
@@ -434,7 +348,7 @@ class ShardService:
         kernel = getattr(self.membership, "degrees_columnar", None)
         if kernel is None:
             raise RpcError(
-                f"{self.role} {self.index} has no membership function with a columnar kernel"
+                f"node {self.index} has no membership function with a columnar kernel"
             )
         view = self.source.slice_columns(
             request.slice_id, request.attribute, request.start, request.stop
@@ -463,11 +377,11 @@ class ShardService:
     def _record(self, name: str, request: ScoreRequest, started: float, **attributes) -> None:
         if request.trace is not None:
             record_span(
-                f"{self.role}_{name}",
+                f"node_{name}",
                 request.trace[0],
                 request.trace[1],
                 now() - started,
-                **{self.role: self.index},
+                node=self.index,
                 slice_id=request.slice_id,
                 attribute=request.attribute,
                 **attributes,
@@ -519,7 +433,7 @@ class ShardService:
     # ------------------------------------------------- invalidate and stats
     def _handle_invalidate(self, reader: Reader) -> bytes:
         caller_version = reader.read_u64()
-        # The version *before* the source reacts: the coordinator compares
+        # The version *before* the slices react: the coordinator compares
         # it with its own to detect skew.
         reported = self.source.data_version
         dropped = self.cache_entries
@@ -529,9 +443,9 @@ class ShardService:
         return _U8.pack(STATUS_OK) + _U64.pack(reported) + _U32.pack(dropped)
 
     def stats(self) -> dict[str, object]:
-        """The ``stats`` response as a dict: counters, caches, source state."""
+        """The ``stats`` response as a dict: counters, caches, hydration state."""
         return {
-            self.role: self.index,
+            "node": self.index,
             "pid": os.getpid(),
             "data_version": self.source.data_version,
             "owned_slices": self.source.owned_slice_ids,

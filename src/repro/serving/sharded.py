@@ -12,8 +12,8 @@ results concatenated.  This module makes the shard the unit of placement:
   contiguous *slice views* (NumPy basic slices — no copies) and fans a
   predicate's uncached-degree computation out across them, serially or
   through a thread pool (threads release the GIL inside the NumPy
-  kernels).  Process and multi-node placement live behind the shard
-  service of :mod:`repro.serving.rpc` / :mod:`repro.serving.cluster`;
+  kernels).  Multi-process placement lives behind the shard service of
+  :mod:`repro.serving.cluster`;
 * :func:`fuzzy_score_arrays` — the WHERE tree evaluated over degree
   *vectors* instead of row by row, using the fuzzy logic's array
   connectives (bit-identical elementwise to the scalar walk);
@@ -441,7 +441,7 @@ class ShardedColumnarStore:
         heuristic is applied per shard).  Scatter targets place each task's
         result back into the store-wide degree array.  The grouping itself
         is :func:`repro.core.columnar.plan_slice_requests` — the same plan
-        the RPC coordinator ships to shard-service workers.
+        the cluster coordinator ships to its nodes.
         """
         slices = self.shard_slices(attribute)
         bounds = [shard.start for shard in slices] + [slices[-1].stop if slices else 0]
@@ -862,7 +862,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
     WHERE node) falls back to the ordinary exact path for the whole query.
     """
 
-    #: Backend names this engine accepts; the RPC coordinator overrides it.
+    #: Backend names this engine accepts; the cluster engine overrides it.
     engine_backends = BACKENDS
 
     def __init__(
@@ -933,9 +933,9 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         """The shard-routed store this engine installs on its processor.
 
         The in-process engine wraps the base columnar store in a
-        :class:`ShardedColumnarStore`; the RPC coordinator overrides this to
-        return an :class:`repro.serving.rpc.RpcShardStore` speaking the same
-        ``pair_degrees`` protocol over shard-service workers.
+        :class:`ShardedColumnarStore`; the cluster engine overrides this to
+        return a :class:`repro.serving.cluster.ClusterShardStore` speaking
+        the same ``pair_degrees`` protocol over TCP shard nodes.
         """
         return ShardedColumnarStore(
             self.database,
@@ -1159,10 +1159,10 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         # the heap with the likeliest winners first) and provides a sorted
         # stop condition: once the head of the remainder is below the k-th
         # score, no remaining candidate can qualify.  Rows dropped here
-        # never cost any per-entity cache traffic — nor, on the RPC and
-        # cluster stores (which answer from the coordinator's base store),
-        # any fan-out; the threshold still ships with every bounded fetch
-        # so workers/nodes re-check their per-slice bounds.
+        # never cost any per-entity cache traffic — nor, on the cluster
+        # store (which answers from the coordinator's base store), any
+        # fan-out; the threshold still ships with every bounded fetch so
+        # nodes re-check their per-slice bounds.
         scan_bound = self._scan_bound(plan, and_path, candidates, store)
         if scan_bound is not None:
             scan_order = np.argsort(-scan_bound, kind="stable")
@@ -1378,8 +1378,8 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         """Cache counters plus the installed store's transport counters.
 
         The hook that puts per-fleet RPC activity into ``run_batch``
-        statistics: stores with a service boundary (the socketpair RPC
-        store, the TCP cluster store) expose ``transport_counters()`` —
+        statistics: a store with a service boundary (the TCP cluster
+        store) exposes ``transport_counters()`` —
         request/byte/reconnect totals — and ``run_batch`` reports their
         batch-local deltas alongside the cache hit/miss deltas.
         """
@@ -1391,12 +1391,12 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         return counters
 
     def partition_stats(self) -> list[dict[str, object]]:
-        """Per-partition serving statistics: one dict per shard/worker/node.
+        """Per-partition serving statistics: one dict per shard or node.
 
         For the in-process sharded engine these are the membership cache's
         per-shard partitions; engines whose store puts shards behind a
         service boundary override the *store* side — a store exposing its
-        own ``partition_stats()`` (per-worker/per-node RPC counters:
+        own ``partition_stats()`` (per-node RPC counters:
         requests, bytes, cache hits, reconnects) takes precedence here, so
         operators see the fleet, not just the local cache.
         """

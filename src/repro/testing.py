@@ -7,7 +7,8 @@ construction so the two conftests stay thin wrappers.  It also hosts the
 cluster **fault-injection harness** (:class:`ClusterFaultInjector`) that
 the fault suites drive kill-node / drop-connection / delay scenarios with,
 and the differential suites' one result oracle
-(:func:`assert_identical_results`).
+(:func:`assert_identical_results`, driven per engine by
+:func:`assert_engines_agree`).
 
 Scale knobs (benchmark defaults) can be overridden through environment
 variables:
@@ -32,6 +33,7 @@ from repro.core.markers import Marker, MarkerSummary
 from repro.engine.types import ColumnType
 from repro.experiments.common import DomainSetup, prepare_domain
 from repro.extraction.tagger import OpinionTagger
+from repro.serving import SubjectiveQueryEngine
 
 
 def env_int(name: str, default: int) -> int:
@@ -84,6 +86,25 @@ def assert_identical_results(expected, actual, context: str = "") -> None:
         assert act.score == exp.score, context
         assert act.predicate_degrees == exp.predicate_degrees, context
         assert act.row == exp.row, context
+
+
+def assert_engines_agree(database, make_engine, sqls) -> None:
+    """``make_engine(database)`` answers every SQL as the serial engine does.
+
+    Each query runs cold and then warm (fully cached) on the engine under
+    test, and both answers must equal the serial
+    :class:`~repro.serving.SubjectiveQueryEngine`'s under
+    :func:`assert_identical_results`.  The engine is closed afterwards.
+    """
+    baseline = SubjectiveQueryEngine(database=database)
+    engine = make_engine(database)
+    try:
+        for sql in sqls:
+            expected = baseline.execute(sql)
+            assert_identical_results(expected, engine.execute(sql), context=repr(sql))
+            assert_identical_results(expected, engine.execute(sql), context=f"warm {sql!r}")
+    finally:
+        engine.close()
 
 
 def corrupt_frame(payload: bytes, position: int, flip: int = 0x01) -> bytes:

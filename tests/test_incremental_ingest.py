@@ -3,11 +3,11 @@
 A journaled ingest no longer drops the columnar store: the next read patches
 the replaced rows into a *new* column generation (``ColumnarSummaryStore.sync``).
 This suite pins the two halves of that contract on the serial engine, the
-in-process sharded engine at 1/2/4 shards, the RPC coordinator, the TCP
-cluster and a database saved and opened from disk: after each of N
-interleaved ingests every answer equals a fresh ``SubjectiveQueryProcessor``
-bit for bit, and a reader still holding the previous generation's arrays
-sees the values it saw before.
+in-process sharded engine at 1/2/4 shards, the TCP cluster (with and
+without slice replicas) and a database saved and opened from disk: after
+each of N interleaved ingests every answer equals a fresh
+``SubjectiveQueryProcessor`` bit for bit, and a reader still holding the
+previous generation's arrays sees the values it saw before.
 
 Set ``REPRO_STORAGE_DIR`` to relocate the persisted variant's directory (the
 CI storage matrix points it at tmpfs and at real disk).
@@ -29,7 +29,6 @@ from repro.core.database import ReviewRecord, SubjectiveDatabase
 from repro.core.markers import MarkerSummary
 from repro.serving import (
     ClusterQueryEngine,
-    CoordinatorQueryEngine,
     ShardedSubjectiveQueryEngine,
     SubjectiveQueryEngine,
 )
@@ -103,8 +102,10 @@ ENGINE_KINDS = {
     "sharded-1": _sharded(1),
     "sharded-2": _sharded(2),
     "sharded-4": _sharded(4),
-    "rpc": lambda db: CoordinatorQueryEngine(database=db, num_workers=2),
     "cluster": lambda db: ClusterQueryEngine(database=db, num_nodes=2, num_shards=4),
+    "cluster-replicated": lambda db: ClusterQueryEngine(
+        database=db, num_nodes=3, num_shards=4, replication=2
+    ),
     "persisted": _sharded(2),  # over a database saved and opened from disk
 }
 
@@ -120,11 +121,11 @@ class TestInterleavedIngestDifferential:
     def _run_rounds(self, kind, database, engine) -> None:
         store = _base_store(engine)
         names = [attribute.name for attribute in database.schema.subjective_attributes]
-        for sql in QUERIES:  # builds columns, forks workers, hydrates nodes
+        for sql in QUERIES:  # builds columns, hydrates nodes
             engine.execute(sql)
         builds = store.builds
         transport = getattr(engine.processor.columnar_store, "transport_counters", None)
-        full_frames = transport()["snapshot_hydrations"] if kind == "cluster" else None
+        full_frames = transport()["snapshot_hydrations"] if kind.startswith("cluster") else None
         for serial in range(ROUNDS):
             held = {name: store.columns(name) for name in names}
             seen = {name: _frozen(columns) for name, columns in held.items()}
@@ -140,16 +141,12 @@ class TestInterleavedIngestDifferential:
                         f"{kind} round {serial}: the held generation of {name!r} "
                         f"changed in {array_name}"
                     )
-                if kind != "rpc":
-                    assert (store.columns(name) is held[name]) == (name not in replaced)
-        if kind == "rpc":  # forked workers pin the old database: re-fork, full rebuild
-            assert store.builds > builds and store.patches == 0
-        else:
-            assert store.builds == builds and store.invalidations == 0
-            assert store.patches == sum(serial % 3 for serial in range(ROUNDS))
+                assert (store.columns(name) is held[name]) == (name not in replaced)
+        assert store.builds == builds and store.invalidations == 0
+        assert store.patches == sum(serial % 3 for serial in range(ROUNDS))
         if kind == "persisted":
             assert store.mmap_serves == len(names)
-        if kind == "cluster":  # every slice re-ships as a delta, none in full
+        if kind.startswith("cluster"):  # every slice re-ships as a delta, none in full
             assert transport()["snapshot_hydrations"] == full_frames > 0
             assert transport()["snapshot_delta_hydrations"] > 0
             assert engine.sharded_store.hydrations == (

@@ -5,10 +5,9 @@ The observability migration (ISSUE 10) rewired every ad-hoc counter onto
 dict-returning APIs — ``stats_snapshot()``, ``partition_stats()``,
 ``transport_counters()``, ``GatewayCounters.as_dict()`` — as thin views
 over the same cells.  This suite drives real traffic through every layer
-(serial, in-process sharded, forked RPC workers, TCP cluster nodes, the
-asyncio gateway) and asserts the two surfaces agree *exactly*: a drift
-between a registry cell and its legacy view means a counter was forked,
-not migrated.
+(serial, in-process sharded, TCP cluster nodes, the asyncio gateway) and
+asserts the two surfaces agree *exactly*: a drift between a registry cell
+and its legacy view means a counter was forked, not migrated.
 
 The hypothesis properties at the bottom pin the two invariants the ISSUE
 calls out: histogram bucket counts are cumulative-monotone and conserve
@@ -27,7 +26,6 @@ from hypothesis import strategies as st
 from repro.obs import Histogram, MetricsRegistry
 from repro.serving import (
     ClusterQueryEngine,
-    CoordinatorQueryEngine,
     GatewayClient,
     ServingGateway,
     ShardedSubjectiveQueryEngine,
@@ -104,35 +102,6 @@ class TestShardedEngine:
         assert sum(p["misses"] for p in partitions) == registry["membership_cache_misses"]
 
 
-class TestRpcEngine:
-    def test_registry_matches_snapshot_and_partition_stats(self, hotel_database):
-        with CoordinatorQueryEngine(database=hotel_database, num_workers=2) as engine:
-            _drive(engine)
-            _assert_engine_registry_matches_snapshot(engine)
-            registry = engine.metrics.snapshot()
-            store = engine.sharded_store
-            legacy = store.stats_snapshot()
-            for name in (
-                "invalidations",
-                "respawns",
-                "fanouts",
-                "rpc_requests",
-                "entities_scored",
-                "entities_pruned",
-            ):
-                assert registry[f"store_{name}"] == legacy[name], name
-            assert registry["store_rpc_requests"] > 0
-            # Coordinator-side transport counters and the per-worker
-            # partition dicts are two views of the same tallies.
-            partitions = store.partition_stats()
-            transport = store.transport_counters()
-            assert len(partitions) == 2 and all(p["alive"] for p in partitions)
-            assert sum(p["requests"] for p in partitions) >= transport["rpc_requests"] - len(
-                partitions
-            )
-            assert sum(p["respawns"] for p in partitions) == transport["worker_respawns"]
-
-
 class TestClusterEngine:
     def test_registry_matches_snapshot_and_node_stats(self, hotel_database):
         with ClusterQueryEngine(database=hotel_database, num_nodes=2) as engine:
@@ -153,16 +122,49 @@ class TestClusterEngine:
                 "entities_pruned",
             ):
                 assert registry[f"store_{name}"] == legacy[name], name
+            # Coordinator-side transport counters and the per-node partition
+            # dicts are two views of the same tallies (partition_stats sends
+            # one stats frame per node itself).
+            transport = store.transport_counters()
+            partitions = store.partition_stats()
+            assert len(partitions) == 2 and all(p["connected"] for p in partitions)
+            assert sum(p["requests"] for p in partitions) == transport["rpc_requests"] + 2
+            assert sum(p["respawns"] for p in partitions) == transport["node_respawns"] == 2
             # Node-side registries answer the stats frame; the fleet must
             # have scored at least what the coordinator accounted (nodes
             # holding replicated slices may score a superset).
-            partitions = store.partition_stats()
-            assert len(partitions) == 2 and all(p["connected"] for p in partitions)
             assert (
                 sum(p.get("entities_scored", 0) for p in partitions)
                 >= legacy["entities_scored"]
                 > 0
             )
+
+
+    def test_failover_counters_agree_across_views(self, hotel_database):
+        """A replica serving a killed node's calls is counted once, everywhere."""
+        from repro.testing import ClusterFaultInjector
+
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=2, num_shards=4, replication=2
+        ) as engine:
+            _drive(engine)
+            store = engine.sharded_store
+            membership = engine.processor.membership
+            attribute = next(iter(hotel_database.schema.subjective_attributes)).name
+            ids = hotel_database.entity_ids()
+            faults = ClusterFaultInjector(store)
+            try:
+                faults.pause_node(0)
+                request = store.request_degrees(membership, ids, attribute, "spotless")
+                faults.kill_node(0)
+                store.collect_degrees(request)
+            finally:
+                faults.restore()
+            _assert_engine_registry_matches_snapshot(engine)
+            registry = engine.metrics.snapshot()
+            legacy = store.stats_snapshot()
+            assert registry["store_failovers"] == legacy["failovers"] > 0
+            assert store.transport_counters()["slice_failovers"] == legacy["failovers"]
 
 
 class TestGateway:

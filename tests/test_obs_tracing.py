@@ -8,9 +8,9 @@ Pins the tracing half of the observability layer (ISSUE 10):
   of the local flag (the coordinator's flag travels with the traffic).
 * The optional trailing trace field encodes to **zero bytes** when
   absent, so a v4 frame and an untraced v5 frame are the same bytes.
-* A query through the RPC coordinator leaves worker spans in the worker
-  processes, fetchable over ``OP_TRACES`` and sharing the coordinator's
-  trace id; likewise cluster nodes; and the ISSUE's acceptance path — a
+* A query through the cluster leaves node spans in the node processes,
+  fetchable over ``OP_TRACES`` and sharing the coordinator's trace id;
+  and the ISSUE's acceptance path — a
   gateway-to-cluster-node query — yields one trace holding the gateway
   root span, the coordinator stage spans, and the remote node spans.
 * The slow-query log captures SQL, span tree, and pruning counters for
@@ -50,7 +50,6 @@ from repro.obs import (
 )
 from repro.serving import (
     ClusterQueryEngine,
-    CoordinatorQueryEngine,
     GatewayClient,
     SubjectiveQueryEngine,
     start_gateway,
@@ -209,22 +208,6 @@ class TestWireCodec:
         assert read_trace_field(Reader(b"\x00")) is None
 
 
-class TestRpcWorkerTraces:
-    def test_worker_spans_share_the_coordinator_trace_id(self, hotel_database):
-        store = _fresh_tracing()
-        with CoordinatorQueryEngine(database=hotel_database, num_workers=2) as engine:
-            engine.execute(HOTEL_SQL)
-            local = store.spans()
-            trace_id = next(r.trace_id for r in local if r.name == "query")
-            remote = engine.sharded_store.worker_traces(trace_id=trace_id)
-        worker_names = {row["name"] for row in remote}
-        assert worker_names & {"worker_score", "worker_score_bounded"}
-        assert all(row["trace_id"] == trace_id for row in remote)
-        # Remote spans parent onto coordinator span ids from this process.
-        local_ids = {r.span_id for r in local}
-        assert all(row["parent_id"] in local_ids for row in remote)
-
-
 class TestClusterNodeTraces:
     def test_node_spans_share_the_coordinator_trace_id(self, hotel_database):
         store = _fresh_tracing()
@@ -239,6 +222,23 @@ class TestClusterNodeTraces:
         assert all(row["trace_id"] == trace_id for row in remote)
         local_ids = {r.span_id for r in local}
         assert all(row["parent_id"] in local_ids for row in remote)
+
+
+    def test_replica_spans_share_the_coordinator_trace_id(self, hotel_database):
+        """Whichever replica answers, its spans join the one query trace."""
+        store = _fresh_tracing()
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=3, replication=2
+        ) as engine:
+            engine.execute(HOTEL_SQL)
+            local = store.spans()
+            trace_id = next(r.trace_id for r in local if r.name == "query")
+            remote = engine.sharded_store.node_traces(trace_id=trace_id)
+        assert {row["name"] for row in remote} & {"node_score", "node_score_bounded"}
+        assert all(row["trace_id"] == trace_id for row in remote)
+        local_ids = {r.span_id for r in local}
+        assert all(row["parent_id"] in local_ids for row in remote)
+        assert {row["attrs"]["node"] for row in remote} <= {0, 1, 2}
 
     def test_forked_nodes_do_not_inherit_coordinator_spans(self, hotel_database):
         # Tracing is enabled *before* the engine exists, so any node
@@ -454,7 +454,7 @@ class TestTraceReport:
         trace_report = _load_trace_report()
         spans = [
             {
-                "name": "worker_score", "trace_id": 5, "span_id": 9,
+                "name": "node_score", "trace_id": 5, "span_id": 9,
                 "parent_id": 1234, "start": 0.0, "duration": 0.004, "attrs": {},
             }
         ]

@@ -578,7 +578,7 @@ class TestMembershipColumnsHoldExactDegreesOnly:
     ``ColumnarSummaryStore.pair_degrees`` for that entity — a pruned row's
     upper bound is never stored — and an answer served from warm columns is
     bit-identical to the cold answer, through ``execute`` and ``run_batch``
-    alike, on the serial-sharded, RPC and cluster engines.
+    alike, on the serial-sharded and cluster engines.
     """
 
     words = st.sampled_from(["word001", "word004", "word005", "word017", "word020", "word021"])
@@ -610,15 +610,10 @@ class TestMembershipColumnsHoldExactDegreesOnly:
 
     @pytest.fixture(scope="class")
     def engines(self, database):
-        from repro.serving import (
-            ClusterQueryEngine,
-            CoordinatorQueryEngine,
-            ShardedSubjectiveQueryEngine,
-        )
+        from repro.serving import ClusterQueryEngine, ShardedSubjectiveQueryEngine
 
         engines = [
             ShardedSubjectiveQueryEngine(database=database, num_shards=2),
-            CoordinatorQueryEngine(database=database, num_workers=2),
             ClusterQueryEngine(database=database, num_nodes=2),
         ]
         yield engines
@@ -678,7 +673,7 @@ class TestMembershipColumnsHoldExactDegreesOnly:
             threshold = float(np.quantile(full, quantile))
             values, exact = engine._bounded_cached_pair_degrees(rows, *key, threshold)
             if engine is engines[0]:
-                # (A worker or node that memoised the exact vector on an
+                # (A node that memoised the exact vector on an
                 # earlier example answers exactly whatever the threshold.)
                 assert not exact.all()  # some rows came back as bounds ...
             assert np.array_equal(values[exact], full[exact])
@@ -763,8 +758,8 @@ class TestFuzzyArrayConnectives:
 class TestFrameCodecRoundTrip:
     """Frame codec properties: round trips are exact, damage is typed.
 
-    The length-prefixed frame protocol (shared by the socketpair RPC layer
-    and the TCP cluster transport through ``repro.serving.protocol``) must
+    The length-prefixed frame protocol (shared by the TCP cluster transport
+    and the gateway through ``repro.serving.protocol``) must
     deliver arbitrary payload sequences byte-exactly, refuse oversized
     announcements before allocating, and raise a typed ``RpcError`` — never
     hang or resynchronise silently — on any truncation.
@@ -881,6 +876,33 @@ class TestFrameCodecRoundTrip:
         assert read_score_request(Reader(closed[1:]), bounded).trace == trace
         with pytest.raises(RpcError):
             read_score_request(Reader(closed[1:] + junk), bounded)
+
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(allow_nan=False, width=64), st.booleans()), max_size=40
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_response_round_trips_bit_exactly(self, rows, scored, pruned):
+        """Values (bounds and degrees alike), mask and counters survive the wire."""
+        from repro.serving.protocol import (
+            STATUS_OK,
+            Reader,
+            encode_score_bounded_response,
+            read_score_bounded_response,
+        )
+
+        values = np.array([value for value, _ in rows], dtype=np.float64)
+        mask = np.array([exact for _, exact in rows], dtype=bool)
+        reader = Reader(encode_score_bounded_response(values, mask, scored, pruned))
+        assert reader.read_u8() == STATUS_OK
+        got_values, got_mask, got_scored, got_pruned = read_score_bounded_response(reader)
+        assert got_values.tobytes() == values.astype(np.float64).tobytes()
+        assert got_mask.tolist() == mask.tolist()
+        assert (got_scored, got_pruned, reader.remaining) == (scored, pruned, 0)
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),

@@ -2,8 +2,8 @@
 
 The contract of the pruned ranking path is *exact* equality with the
 unpruned engines: same ranked entity ids, bit-identical scores and
-per-predicate degrees, at every serving layer (sharded serial/thread, RPC
-coordinator, TCP cluster) and for shard counts {1, 2, 4} — while doing
+per-predicate degrees, at every serving layer (sharded serial/thread, TCP
+cluster) and for shard counts {1, 2, 4} — while doing
 strictly less exact-kernel work on selective top-k queries.  These tests
 pin both halves of that contract: equality through the layer stack, and
 ``entities_scored`` strictly below the candidate count on a cold
@@ -23,8 +23,6 @@ from repro.core.interpreter import InterpretationMethod
 from repro.serving import (
     ClusterQueryEngine,
     ClusterShardStore,
-    CoordinatorQueryEngine,
-    RpcShardStore,
     ShardedSubjectiveQueryEngine,
     SubjectiveQueryEngine,
 )
@@ -81,34 +79,6 @@ def _assert_matches_baseline(database, engine, sqls, context=""):
         assert_identical_results(expected, actual, context=f"{context} {sql!r}")
         # Warm (fully cached) executions must agree too.
         assert_identical_results(expected, engine.execute(sql), context=f"warm {sql!r}")
-
-
-def _assert_remote_pruning(database, engine) -> None:
-    """A high threshold shipped straight through the store prunes remotely.
-
-    Bypasses the engine (whose pre-screen would drop these rows before any
-    fan-out): exact values must equal the unpruned kernel's, pruned values
-    must cap it, and the pruning must show in the remote partition counters.
-    """
-    store = engine.sharded_store
-    membership = engine.processor.membership
-    entity_ids = [entity.entity_id for entity in database.entities()]
-    full = np.asarray(
-        ColumnarSummaryStore(database).pair_degrees(
-            membership, entity_ids, "quality", "word003"
-        )
-    )
-    cutoff = float(np.median(full))
-    values, exact, scored, pruned = store.pair_degrees_bounded(
-        membership, entity_ids, "quality", "word003", cutoff
-    )
-    assert scored > 0 and pruned > 0 and scored + pruned == len(entity_ids)
-    assert np.array_equal(values[exact], full[exact])
-    assert np.all(values[~exact] >= full[~exact])
-    assert np.all(values[~exact] < cutoff)
-    remote = store.partition_stats()
-    assert sum(entry["entities_pruned"] for entry in remote) > 0
-    assert sum(entry["entities_scored"] for entry in remote) > 0
 
 
 ALL_QUERIES = SELECTIVE_QUERIES + MIXED_QUERIES + FALLBACK_QUERIES
@@ -199,34 +169,6 @@ class TestShardedPruning:
         )
 
 
-class TestRpcPruning:
-    @pytest.mark.parametrize("num_workers", SHARD_COUNTS)
-    def test_coordinator_identical(self, synthetic_database, num_workers):
-        with CoordinatorQueryEngine(
-            database=synthetic_database, num_workers=num_workers
-        ) as engine:
-            _assert_matches_baseline(
-                synthetic_database,
-                engine,
-                SELECTIVE_QUERIES + MIXED_QUERIES,
-                context=f"workers={num_workers}",
-            )
-
-    def test_coordinator_counts_pruning(self, synthetic_database):
-        """Engine-level counters: the coordinator's pre-screen prunes before
-        any fan-out, so on a small fixture the workers may see no prunable row."""
-        num_entities = len(synthetic_database.entities())
-        with CoordinatorQueryEngine(database=synthetic_database, num_workers=2) as engine:
-            engine.execute(SELECTIVE_QUERIES[0])
-            assert 0 < engine.entities_scored < 2 * num_entities
-            assert engine.entities_pruned > 0
-
-    def test_workers_prune_below_a_shipped_threshold(self, synthetic_database):
-        """Store-level: the workers' own bound check still prunes (second line)."""
-        with CoordinatorQueryEngine(database=synthetic_database, num_workers=2) as engine:
-            _assert_remote_pruning(synthetic_database, engine)
-
-
 class TestClusterPruning:
     @pytest.mark.parametrize("num_nodes", SHARD_COUNTS)
     def test_cluster_identical(self, synthetic_database, num_nodes):
@@ -240,8 +182,23 @@ class TestClusterPruning:
                 context=f"nodes={num_nodes}",
             )
 
+
+    def test_replicated_cluster_identical(self, synthetic_database):
+        """Replica routing feeds the pruned scan the same exact degrees."""
+        with ClusterQueryEngine(
+            database=synthetic_database, num_nodes=3, replication=2, max_inflight_queries=1
+        ) as engine:
+            _assert_matches_baseline(
+                synthetic_database,
+                engine,
+                SELECTIVE_QUERIES + MIXED_QUERIES,
+                context="nodes=3 replication=2",
+            )
+            assert engine.entities_pruned > 0
+
     def test_cluster_counts_pruning(self, synthetic_database):
-        """Engine-level counters (see the RPC twin for why not node-side)."""
+        """Engine-level counters: the coordinator's pre-screen prunes before
+        any fan-out, so on a small fixture the nodes may see no prunable row."""
         num_entities = len(synthetic_database.entities())
         with ClusterQueryEngine(
             database=synthetic_database, num_nodes=2, max_inflight_queries=1
@@ -251,11 +208,35 @@ class TestClusterPruning:
             assert engine.entities_pruned > 0
 
     def test_nodes_prune_below_a_shipped_threshold(self, synthetic_database):
-        """Store-level: the nodes' own bound check still prunes (second line)."""
+        """Store-level: the nodes' own bound check still prunes (second line).
+
+        Bypasses the engine (whose pre-screen would drop these rows before
+        any fan-out): exact values must equal the unpruned kernel's, pruned
+        values must cap it, and the pruning must show in the node counters.
+        """
+        database = synthetic_database
         with ClusterQueryEngine(
-            database=synthetic_database, num_nodes=2, max_inflight_queries=1
+            database=database, num_nodes=2, max_inflight_queries=1
         ) as engine:
-            _assert_remote_pruning(synthetic_database, engine)
+            store = engine.sharded_store
+            membership = engine.processor.membership
+            entity_ids = [entity.entity_id for entity in database.entities()]
+            full = np.asarray(
+                ColumnarSummaryStore(database).pair_degrees(
+                    membership, entity_ids, "quality", "word003"
+                )
+            )
+            cutoff = float(np.median(full))
+            values, exact, scored, pruned = store.pair_degrees_bounded(
+                membership, entity_ids, "quality", "word003", cutoff
+            )
+            assert scored > 0 and pruned > 0 and scored + pruned == len(entity_ids)
+            assert np.array_equal(values[exact], full[exact])
+            assert np.all(values[~exact] >= full[~exact])
+            assert np.all(values[~exact] < cutoff)
+            remote = store.partition_stats()
+            assert sum(entry["entities_pruned"] for entry in remote) > 0
+            assert sum(entry["entities_scored"] for entry in remote) > 0
 
     def test_concurrent_batch_still_identical(self, synthetic_database):
         """Pruning is disabled inside the concurrent batch, not broken by it."""
@@ -274,12 +255,14 @@ def _sharded(num_shards):
     return lambda database: ShardedSubjectiveQueryEngine(database=database, num_shards=num_shards)
 
 
-def _coordinator(database):
-    return CoordinatorQueryEngine(database=database, num_workers=2)
-
-
 def _cluster(database):
     return ClusterQueryEngine(database=database, num_nodes=2, max_inflight_queries=1)
+
+
+def _replicated_cluster(database):
+    return ClusterQueryEngine(
+        database=database, num_nodes=3, replication=2, max_inflight_queries=1
+    )
 
 
 class TestMixedShapesOnEveryEngine:
@@ -287,8 +270,8 @@ class TestMixedShapesOnEveryEngine:
 
     @pytest.mark.parametrize(
         "make_engine",
-        [_sharded(1), _sharded(2), _sharded(4), _coordinator, _cluster],
-        ids=["shards=1", "shards=2", "shards=4", "rpc", "cluster"],
+        [_sharded(1), _sharded(2), _sharded(4), _cluster, _replicated_cluster],
+        ids=["shards=1", "shards=2", "shards=4", "cluster", "cluster-replicated"],
     )
     def test_pruned_equals_unpruned_and_and_paths_score_fewer(self, large_database, make_engine):
         full = ShardedSubjectiveQueryEngine(
@@ -316,21 +299,17 @@ class TestMixedShapesOnEveryEngine:
 
 
 class TestCoordinatorPreScreen:
-    """The remote stores answer ``degree_envelope`` from the coordinator's
-    base store, so the fleet engines scan in the in-process engine's order."""
+    """The cluster store answers ``degree_envelope`` from the coordinator's
+    base store, so the fleet engine scans in the in-process engine's order."""
 
-    @pytest.mark.parametrize(
-        "make_engine, store_class",
-        [(_coordinator, RpcShardStore), (_cluster, ClusterShardStore)],
-    )
     def test_fleet_scan_matches_in_process_and_saves_requests(
-        self, synthetic_database, monkeypatch, make_engine, store_class
+        self, synthetic_database, monkeypatch
     ):
         in_process = ShardedSubjectiveQueryEngine(database=synthetic_database, num_shards=2)
         expected = [in_process.execute(sql) for sql in SELECTIVE_QUERIES]
 
         def run():
-            with make_engine(synthetic_database) as engine:
+            with _cluster(synthetic_database) as engine:
                 results = [engine.execute(sql) for sql in SELECTIVE_QUERIES]
                 return (
                     results,
@@ -340,7 +319,7 @@ class TestCoordinatorPreScreen:
                 )
 
         results, scored, pruned, requests = run()
-        monkeypatch.delattr(store_class, "degree_envelope")
+        monkeypatch.delattr(ClusterShardStore, "degree_envelope")
         unscreened_results, _, _, unscreened_requests = run()
 
         for sql, want, got, unscreened in zip(

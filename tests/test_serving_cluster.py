@@ -29,12 +29,16 @@ from repro.serving import (
     ClusterQueryEngine,
     ClusterShardStore,
     HandshakeError,
+    RpcError,
     ShardNodeServer,
     SubjectiveQueryEngine,
     WorkerCrashedError,
     start_local_node,
 )
 from repro.serving.protocol import (
+    OP_SCORE,
+    OP_SCORE_BOUNDED,
+    OP_STATS,
     PROTOCOL_VERSION,
     STATUS_OK,
     FrameTooLargeError,
@@ -47,7 +51,7 @@ from repro.serving.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.testing import assert_identical_results
+from repro.testing import assert_engines_agree, assert_identical_results
 
 NODE_COUNTS = [1, 2, 4]
 
@@ -73,21 +77,10 @@ RESTAURANT_QUERIES = [
 FAST = {"connect_timeout": 10.0, "io_timeout": 30.0}
 
 
-def _assert_engines_agree(database, sqls, num_nodes, **engine_kwargs):
-    baseline = SubjectiveQueryEngine(database=database)
-    with ClusterQueryEngine(
+def _cluster(num_nodes, **engine_kwargs):
+    return lambda database: ClusterQueryEngine(
         database=database, num_nodes=num_nodes, **FAST, **engine_kwargs
-    ) as cluster:
-        for sql in sqls:
-            expected = baseline.execute(sql)
-            actual = cluster.execute(sql)
-            assert_identical_results(
-                expected, actual, context=f"{sql!r} nodes={num_nodes}"
-            )
-            # Warm (fully cached) executions must agree too.
-            assert_identical_results(
-                expected, cluster.execute(sql), context=f"warm {sql!r}"
-            )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +274,20 @@ class TestNodeDispatch:
 class TestDifferentialEquivalence:
     @pytest.mark.parametrize("num_nodes", NODE_COUNTS)
     def test_hotels_rankings_identical(self, hotel_database, num_nodes):
-        _assert_engines_agree(hotel_database, HOTEL_QUERIES, num_nodes)
+        assert_engines_agree(hotel_database, _cluster(num_nodes), HOTEL_QUERIES)
 
     @pytest.mark.parametrize("num_nodes", NODE_COUNTS)
     def test_restaurants_rankings_identical(self, restaurant_database, num_nodes):
-        _assert_engines_agree(restaurant_database, RESTAURANT_QUERIES, num_nodes)
+        assert_engines_agree(restaurant_database, _cluster(num_nodes), RESTAURANT_QUERIES)
 
     def test_more_slices_than_nodes(self, hotel_database):
         """Nodes owning several contiguous slices each serve identically."""
-        _assert_engines_agree(hotel_database, HOTEL_QUERIES[:2], 2, num_shards=7)
+        assert_engines_agree(hotel_database, _cluster(2, num_shards=7), HOTEL_QUERIES[:2])
 
     def test_more_nodes_than_entities(self, hotel_database):
         """Empty slices ship no snapshots and change nothing (E < num_nodes)."""
         num_entities = len(hotel_database.entity_ids())
-        _assert_engines_agree(hotel_database, HOTEL_QUERIES[:2], num_entities + 3)
+        assert_engines_agree(hotel_database, _cluster(num_entities + 3), HOTEL_QUERIES[:2])
 
     def test_external_unmanaged_fleet(self, hotel_database):
         """Explicitly started TCP nodes (addresses=...) serve identically."""
@@ -315,6 +308,42 @@ class TestDifferentialEquivalence:
                     assert_identical_results(
                         baseline.execute(sql), cluster.execute(sql), context=sql
                     )
+        finally:
+            for server in servers:
+                server.stop()
+
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"window": 1}, {"snapshot_compression": True}],
+        ids=["one-frame-window", "compressed-snapshots"],
+    )
+    def test_transport_options_are_lossless(self, hotel_database, options):
+        """No pipelining, or zlib-framed hydration: not one bit changes."""
+        assert_engines_agree(hotel_database, _cluster(2, num_shards=4, **options), HOTEL_QUERIES)
+
+    def test_external_fleet_with_replicas(self, hotel_database):
+        """Replica routing over explicitly started nodes serves identically."""
+        processor = SubjectiveQueryProcessor(hotel_database)
+        servers = [
+            start_local_node(processor.membership, node_id=index)[0] for index in range(3)
+        ]
+        try:
+            baseline = SubjectiveQueryEngine(database=hotel_database)
+            with ClusterQueryEngine(
+                database=hotel_database,
+                processor=processor,
+                addresses=[server.address for server in servers],
+                replication=2,
+                **FAST,
+            ) as cluster:
+                assert cluster.sharded_store.replication == 2
+                for sql in HOTEL_QUERIES[:3]:
+                    assert_identical_results(
+                        baseline.execute(sql), cluster.execute(sql), context=sql
+                    )
+                node_stats = cluster.sharded_store.node_stats()
+                assert all(stats["hydrated_slices"] > 0 for stats in node_stats)
         finally:
             for server in servers:
                 server.stop()
@@ -343,6 +372,72 @@ class TestDifferentialEquivalence:
                     engine.execute(sql, top_k=top_k),
                     context=f"top_k={top_k}",
                 )
+
+
+    def test_serial_run_batch_identical(self, hotel_database):
+        """One query at a time through the batch path, fleet and all."""
+        baseline = SubjectiveQueryEngine(database=hotel_database)
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
+        ) as engine:
+            expected = baseline.run_batch(HOTEL_QUERIES)
+            actual = engine.run_batch(HOTEL_QUERIES)
+            assert len(actual) == len(expected)
+            for exp, act in zip(expected.results, actual.results):
+                assert_identical_results(exp, act)
+
+
+class TestReplicatedFleet:
+    """``replication=2`` routes each score to one of two warm replicas; which
+    one answers must never change a bit of any result."""
+
+    @pytest.mark.parametrize("num_nodes", [2, 4])
+    def test_hotels_rankings_identical(self, hotel_database, num_nodes):
+        assert_engines_agree(
+            hotel_database, _cluster(num_nodes, replication=2), HOTEL_QUERIES
+        )
+
+    @pytest.mark.parametrize("num_nodes", [2, 4])
+    def test_restaurants_rankings_identical(self, restaurant_database, num_nodes):
+        assert_engines_agree(
+            restaurant_database, _cluster(num_nodes, replication=2), RESTAURANT_QUERIES
+        )
+
+    def test_more_slices_than_nodes(self, hotel_database):
+        assert_engines_agree(
+            hotel_database, _cluster(3, num_shards=7, replication=2), HOTEL_QUERIES[:3]
+        )
+
+    def test_full_replication_hydrates_every_slice_everywhere(self, hotel_database):
+        """At R = N every node holds every slice it was routed, and answers agree."""
+        baseline = SubjectiveQueryEngine(database=hotel_database)
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=3, replication=3, **FAST
+        ) as engine:
+            store = engine.sharded_store
+            assert [store._replicas_of(slice_id) for slice_id in range(3)] == [
+                [0, 1, 2], [1, 2, 0], [2, 0, 1],
+            ]
+            for sql in HOTEL_QUERIES[:3]:
+                assert_identical_results(baseline.execute(sql), engine.execute(sql), context=sql)
+            assert all(stats["owned_slices"] == [0, 1, 2] for stats in store.node_stats())
+
+    def test_concurrent_run_batch_identical(self, hotel_database):
+        batch = HOTEL_QUERIES * 2
+        baseline = SubjectiveQueryEngine(database=hotel_database)
+        with ClusterQueryEngine(
+            database=hotel_database,
+            num_nodes=2,
+            replication=2,
+            max_inflight_queries=8,
+            **FAST,
+        ) as engine:
+            expected = baseline.run_batch(batch)
+            actual = engine.run_batch(batch)
+            assert len(actual) == len(expected)
+            for exp, act in zip(expected.results, actual.results):
+                assert_identical_results(exp, act)
+            assert engine.sharded_store.transport_counters()["slice_failovers"] == 0
 
 
 class TestConcurrentBatch:
@@ -490,6 +585,55 @@ class TestNodeLoss:
         finally:
             store.close()
 
+    def test_stats_call_to_dead_node_fails_cleanly(self, hotel_database):
+        """A frame to a killed node fails with a WorkerCrashedError naming it."""
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as engine:
+            engine.execute(HOTEL_QUERIES[0])
+            store = engine.sharded_store
+            victim = store.processes[0]
+            victim.kill()
+            victim.join(timeout=5)
+            reply = store.channels[0].enqueue(bytes([OP_STATS]), lambda reader: reader)
+            with pytest.raises(WorkerCrashedError) as excinfo:
+                store._pump_until([reply])
+            assert "cluster node 0" in str(excinfo.value)
+            # The statistics surface skips the dead node instead of raising.
+            assert len(store.node_stats()) == 1
+
+    def test_transported_node_error_raises_without_failover(
+        self, hotel_database, monkeypatch
+    ):
+        """A node-side scoring fault is a bug signal: it raises, even with a
+        warm replica to fail over to, and leaves the streams in sync — the
+        next query on the same engine is exact."""
+        faults = multiprocessing.get_context("fork").Value("i", 0)
+        dispatch = ShardNodeServer.dispatch
+
+        def flaky(server, opcode, reader):
+            if opcode in (OP_SCORE, OP_SCORE_BOUNDED):
+                with faults.get_lock():
+                    if faults.value:
+                        faults.value -= 1
+                        raise RuntimeError("injected node fault")
+            return dispatch(server, opcode, reader)
+
+        # The forks inherit the patched class and share the fault counter.
+        monkeypatch.setattr(ShardNodeServer, "dispatch", flaky)
+        sql = HOTEL_QUERIES[2]
+        expected = SubjectiveQueryEngine(database=hotel_database).execute(sql)
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=2, replication=2, **FAST
+        ) as engine:
+            engine.execute(HOTEL_QUERIES[0])  # fleet up and hydrated
+            faults.value = 1
+            with pytest.raises(RpcError) as excinfo:
+                engine.execute(sql)
+            assert not isinstance(excinfo.value, WorkerCrashedError)
+            assert "injected node fault" in str(excinfo.value)
+            assert faults.value == 0
+            assert engine.sharded_store.transport_counters()["slice_failovers"] == 0
+            assert_identical_results(expected, engine.execute(sql))
+
     def test_unmanaged_fleet_cannot_respawn(self, hotel_database):
         processor = SubjectiveQueryProcessor(hotel_database)
         server, _thread = start_local_node(processor.membership)
@@ -601,6 +745,35 @@ class TestInvalidation:
                 assert cached == recomputed, key
 
             assert_envelope_tracks_ingest(database, engine)
+
+
+    def test_version_bump_rehydrates_every_replica(self):
+        """After an ingest no replica may answer from the old snapshot."""
+        from test_serving_sharded import build_mutable_database
+
+        database = build_mutable_database(num_entities=6)
+        sql = 'select * from Entities where "clean room" limit 6'
+        with ClusterQueryEngine(
+            database=database, num_nodes=2, replication=2, **FAST
+        ) as engine:
+            store = engine.sharded_store
+            engine.execute(sql)
+            entity = database.entity_ids()[0]
+            summary = MarkerSummary(
+                "room_cleanliness",
+                list(database.marker_summary(entity, "room_cleanliness").markers),
+            )
+            summary.add_phrase("clean", sentiment=0.9)
+            database.store_summary(entity, summary)
+
+            fresh = SubjectiveQueryEngine(database=database).execute(sql)
+            # Each repeat may be routed to the other replica.
+            for _ in range(3):
+                assert_identical_results(fresh, engine.execute(sql))
+                engine.membership_cache.clear()
+                store.invalidate_node_caches()
+            for stats in store.node_stats():
+                assert stats["data_version"] == database.data_version
 
     def test_invalidate_node_caches_in_place(self, hotel_database):
         """Cache recycling within a snapshot keeps hydrated slices in place."""
@@ -751,6 +924,28 @@ class TestStatsAndLifecycle:
             ClusterShardStore(
                 hotel_database, num_nodes=3, addresses=[("127.0.0.1", 1)]
             )
+
+
+    def test_replication_is_positive_and_clamped_to_the_fleet(self, hotel_database):
+        with pytest.raises(ValueError, match="replication must be positive"):
+            ClusterShardStore(hotel_database, num_nodes=2, replication=0)
+        store = ClusterShardStore(hotel_database, num_nodes=2, replication=5)
+        try:
+            assert store.replication == 2
+            snapshot = store.stats_snapshot()
+            assert (snapshot["replication"], snapshot["managed"]) == (2, True)
+            assert snapshot["connected_nodes"] == 0  # nothing forks before a query
+        finally:
+            store.close()
+
+    def test_engine_refuses_num_nodes_contradicting_addresses(self, hotel_database):
+        """The engine refuses what its store refuses, before anything connects."""
+        addresses = [("127.0.0.1", 1), ("127.0.0.1", 2)]
+        with pytest.raises(ValueError, match="contradicts the 2 addresses"):
+            ClusterQueryEngine(database=hotel_database, num_nodes=3, addresses=addresses)
+        engine = ClusterQueryEngine(database=hotel_database, num_nodes=2, addresses=addresses)
+        assert engine.num_nodes == 2
+        engine.close()
 
     def test_unreachable_address_is_worker_crash(self, hotel_database):
         processor = SubjectiveQueryProcessor(hotel_database)

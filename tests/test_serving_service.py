@@ -1,19 +1,19 @@
-"""One shard service, two slice sources: the contract both transports share.
+"""The shard service and its wire protocol, driven without a cluster.
 
-:class:`repro.serving.service.ShardService` answers every scoring frame for
-the forked RPC worker and the TCP cluster node alike; the two differ only in
-their slice source.  The contract test drives one frame script through a
-worker-sourced and a node-sourced service over the same slice data and
-requires byte-identical responses and equal counters — whatever a fix to the
-bounded path changes, it changes for both.  The frame layouts themselves are
-pinned against bytes captured from the encoders of the commit before the two
-handlers were merged.
+:class:`repro.serving.service.ShardService` answers every scoring frame a
+cluster node serves.  These tests pin the framing and codec, the frame
+layouts (against bytes captured from the encoders of the commit before the
+worker and node handlers were merged), and one frame script through a
+service over hydrated slices, whose answers must be the in-process
+:meth:`ColumnarSummaryStore.pair_degrees` bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -21,8 +21,9 @@ import pytest
 from repro.core import SubjectiveQueryProcessor
 from repro.core.columnar import ColumnarSummaryStore, ColumnSnapshot
 from repro.obs import global_trace_store
-from repro.serving import ShardService, partition_bounds
+from repro.serving import FrameTooLargeError, RpcError, ShardService, partition_bounds
 from repro.serving.protocol import (
+    OP_SHUTDOWN,
     OP_STATS,
     STATUS_ERROR,
     STATUS_OK,
@@ -35,9 +36,81 @@ from repro.serving.protocol import (
     encode_score_bounded_response,
     encode_score_request,
     encode_traces_request,
+    pack_str,
     read_score_bounded_response,
+    recv_frame,
+    send_frame,
 )
-from repro.serving.service import HydratedSliceSource, StoreSliceSource
+from repro.serving.service import HydratedSlices
+
+
+class TestFrameProtocol:
+    def test_frame_roundtrip(self):
+        left, right = socket.socketpair()
+        try:
+            send_frame(left, b"hello frames", 1024)
+            assert recv_frame(right, 1024) == b"hello frames"
+            send_frame(left, b"", 1024)
+            assert recv_frame(right, 1024) == b""
+        finally:
+            left.close()
+            right.close()
+
+    def test_clean_eof_is_none(self):
+        left, right = socket.socketpair()
+        left.close()
+        try:
+            assert recv_frame(right, 1024) is None
+        finally:
+            right.close()
+
+    def test_send_rejects_oversized_payload(self):
+        left, right = socket.socketpair()
+        try:
+            with pytest.raises(FrameTooLargeError):
+                send_frame(left, b"x" * 100, max_frame_bytes=10)
+        finally:
+            left.close()
+            right.close()
+
+    def test_recv_rejects_oversized_announcement(self):
+        """A hostile/corrupt length prefix is refused before any allocation."""
+        left, right = socket.socketpair()
+        try:
+            left.sendall(struct.pack("!I", 1 << 30))
+            with pytest.raises(FrameTooLargeError):
+                recv_frame(right, max_frame_bytes=1024)
+        finally:
+            left.close()
+            right.close()
+
+    def test_mid_frame_eof_raises(self):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(struct.pack("!I", 100) + b"partial")
+            left.close()
+            with pytest.raises(RpcError):
+                recv_frame(right, max_frame_bytes=1024)
+        finally:
+            right.close()
+
+    def test_score_request_roundtrip(self):
+        payload = encode_score_request(3, "rooms", "very clean", 10, 20, [0, 5, 9])
+        reader = Reader(payload)
+        assert reader.read_u8() == 1  # OP_SCORE
+        assert reader.read_u32() == 3
+        assert reader.read_str() == "rooms"
+        assert reader.read_str() == "very clean"
+        assert reader.read_u32() == 10
+        assert reader.read_u32() == 20
+        assert reader.read_u8() == 1
+        assert reader.read_u32_array(reader.read_u32()) == [0, 5, 9]
+
+    def test_truncated_payload_raises(self):
+        reader = Reader(pack_str("abc")[:-1])
+        with pytest.raises(RpcError):
+            reader.read_str()
+
 
 #: Frames captured from the encoders of the parent commit (two handler
 #: classes, protocol v4+v5): a v5 peer must see the very same bytes.
@@ -101,20 +174,16 @@ def slices(hotel_database):
     return membership, attribute, columns, list(enumerate(zip(bounds, bounds[1:])))
 
 
-def _services(hotel_database, slices) -> dict[str, ShardService]:
-    """The same slices behind a worker-sourced and a node-sourced service."""
+def _service(hotel_database, slices, **kwargs) -> ShardService:
+    """A service over the slices, each shipped through a packed snapshot."""
     membership, _attribute, columns, ranges = slices
-    hydrated = HydratedSliceSource()
+    hydrated = HydratedSlices()
     for slice_id, (start, stop) in ranges:
         shipped = ColumnSnapshot.of_slice(
             columns, slice_id, start, stop, hotel_database.data_version
         )
         hydrated.install(ColumnSnapshot.unpack(shipped.pack()))
-    worker_source = StoreSliceSource(hotel_database, [slice_id for slice_id, _ in ranges])
-    return {
-        "worker": ShardService("worker", 0, membership, worker_source),
-        "node": ShardService("node", 0, membership, hydrated),
-    }
+    return ShardService(0, membership, hydrated, **kwargs)
 
 
 def _script(hotel_database, slices, trace):
@@ -159,52 +228,17 @@ def _script(hotel_database, slices, trace):
     ]
 
 
-#: ``stats`` entries that name the process or belong to one source only.
-_PER_SERVICE_STATS = {
-    "worker", "node", "pid", "hydrated_slices", "stale_slices", "local_store",
-    "local_hydrations",
-}
-
-
-def _comparable(name: str, response: bytes):
-    """A response in the form the two services must agree on."""
-    if name == "stats":
-        stats = json.loads(Reader(response[1:]).read_str())
-        return {key: value for key, value in stats.items() if key not in _PER_SERVICE_STATS}
-    if name == "traces":
-        # Both services share this process's span buffer, and each records
-        # under its own role name: compare what the spans say, not who.
-        spans = json.loads(Reader(response[1:]).read_str())
-        return [
-            (
-                span["name"].split("_", 1)[1],
-                {
-                    key: value
-                    for key, value in span["attrs"].items()
-                    if key not in ("worker", "node")
-                },
-            )
-            for span in spans
-        ]
-    return response
-
-
 @pytest.mark.parametrize("trace", [None, (11, 13)], ids=["untraced", "traced"])
-def test_worker_and_node_sourced_services_answer_identically(hotel_database, slices, trace):
+def test_frame_script_answers_are_the_in_process_kernel(hotel_database, slices, trace):
     membership, attribute, columns, ranges = slices
-    services = _services(hotel_database, slices)
+    service = _service(hotel_database, slices)
     script = _script(hotel_database, slices, trace)
-    responses: dict[str, list] = {}
-    for role, service in services.items():
-        global_trace_store().clear()
-        responses[role] = []
-        for name, frame in script:
-            response, stop = service.handle_frame(frame)
-            assert not stop, name
-            responses[role].append(_comparable(name, response))
-    for (name, _frame), worker, node in zip(script, responses["worker"], responses["node"]):
-        assert worker == node, name
-    by_name = dict(zip((name for name, _ in script), responses["worker"]))
+    global_trace_store().clear()
+    by_name: dict[str, bytes] = {}
+    for name, frame in script:
+        response, stop = service.handle_frame(frame)
+        assert not stop, name
+        by_name[name] = response
 
     # The answers are the in-process kernel's, bit for bit.
     base = ColumnarSummaryStore(hotel_database)
@@ -214,6 +248,8 @@ def test_worker_and_node_sourced_services_answer_identically(hotel_database, sli
     assert by_name["score full slice"] == bytes([STATUS_OK]) + struct.pack("!I", len(expected)) + wire
     assert by_name["score repeated: cache hit"] == by_name["score full slice"]
     assert by_name["score after invalidate: kernel runs again"] == by_name["score full slice"]
+    reader = Reader(by_name["score sparse rows"][1:])
+    assert reader.read_f64_array(reader.read_u32()).tolist() == [expected[0], expected[2]]
     values, mask, scored, pruned = read_score_bounded_response(
         Reader(by_name["bounded, threshold above every bound: all pruned"][1:])
     )
@@ -228,6 +264,10 @@ def test_worker_and_node_sourced_services_answer_identically(hotel_database, sli
         Reader(by_name["bounded repeated: served from the exact vector"][1:])
     )
     assert (values.tolist(), mask.all(), scored, pruned) == (exact, True, 0, 0)
+    values, mask, _scored, _pruned = read_score_bounded_response(
+        Reader(by_name["bounded over a slice an exact score cached"][1:])
+    )
+    assert (values.tolist(), mask.all()) == (expected, True)
 
     # Malformed frames are transported errors, never served answers.
     for name in (
@@ -239,20 +279,273 @@ def test_worker_and_node_sourced_services_answer_identically(hotel_database, sli
         assert by_name[name][0] == STATUS_ERROR, name
     assert "trailing bytes" in Reader(by_name["trailing bytes after the last field"][1:]).read_str()
 
-    # Equal counters, under each transport's own names.
-    worker, node = services["worker"], services["node"]
-    for counter in (
-        "score_requests", "bounded_requests", "kernel_calls", "entities_scored",
-        "entities_pruned", "invalidations", "cache_entries",
-    ):
-        assert getattr(worker, counter) == getattr(node, counter), counter
-    assert (worker.score_requests, worker.bounded_requests, worker.invalidations) == (4, 5, 1)
-    assert worker.stats()["worker"] == node.stats()["node"] == 0
+    assert (service.score_requests, service.bounded_requests, service.invalidations) == (4, 5, 1)
+    stats = json.loads(Reader(by_name["stats"][1:]).read_str())
+    assert stats["node"] == 0
+    assert stats["owned_slices"] == [0, 1]
+    assert stats["hydrated_slices"] == NUM_SLICES
+    assert stats["score_requests"] == service.score_requests
+    assert stats["kernel_calls"] == service.kernel_calls
+    spans = json.loads(Reader(by_name["traces"][1:]).read_str())
     if trace is not None:
-        kinds = [kind for kind, _attrs in by_name["traces"]]
-        assert kinds == ["score"] * 3 + ["score_bounded"] * 5
-        assert {span.name for span in global_trace_store().spans()} == {
-            "node_score", "node_score_bounded",
-        }
+        assert [span["name"] for span in spans] == ["node_score"] * 3 + ["node_score_bounded"] * 5
+        assert all(span["attrs"]["node"] == 0 for span in spans)
     else:
-        assert by_name["traces"] == []
+        assert spans == []
+
+
+def test_empty_slice_scores_empty_vector(hotel_database, slices):
+    membership, attribute, columns, _ranges = slices
+    hydrated = HydratedSlices()
+    hydrated.install(ColumnSnapshot.of_slice(columns, 0, 4, 4, hotel_database.data_version))
+    service = ShardService(0, membership, hydrated)
+    response, _ = service.handle_frame(encode_score_request(0, attribute, "clean", 4, 4, None))
+    reader = Reader(response)
+    assert reader.read_u8() == STATUS_OK
+    assert reader.read_u32() == 0
+
+
+def test_out_of_range_slice_is_transported_error(hotel_database, slices):
+    _membership, attribute, columns, _ranges = slices
+    service = _service(hotel_database, slices)
+    response, stop = service.handle_frame(
+        encode_score_request(0, attribute, "x", 0, 10_000, None)
+    )
+    assert not stop
+    reader = Reader(response)
+    assert reader.read_u8() == STATUS_ERROR
+    assert "bounds mismatch" in reader.read_str()
+
+
+def test_serve_loop_over_socketpair(hotel_database, slices):
+    """The framed socket loop end-to-end, including shutdown."""
+    _membership, attribute, _columns, ranges = slices
+    service = _service(hotel_database, slices)
+    _, (start, stop) = ranges[0]
+    server, client = socket.socketpair()
+    thread = threading.Thread(target=service.serve, args=(server,))
+    thread.start()
+    try:
+        send_frame(client, bytes([OP_STATS]), service.max_frame_bytes)
+        reader = Reader(recv_frame(client, service.max_frame_bytes))
+        assert reader.read_u8() == STATUS_OK
+        send_frame(
+            client,
+            encode_score_request(0, attribute, "clean", start, stop, None),
+            service.max_frame_bytes,
+        )
+        reader = Reader(recv_frame(client, service.max_frame_bytes))
+        assert reader.read_u8() == STATUS_OK
+        assert reader.read_u32() == stop - start
+        send_frame(client, bytes([OP_SHUTDOWN]), service.max_frame_bytes)
+        assert Reader(recv_frame(client, service.max_frame_bytes)).read_u8() == STATUS_OK
+    finally:
+        thread.join(timeout=5)
+        client.close()
+        server.close()
+    assert not thread.is_alive()
+
+
+def test_serve_rejects_oversized_frame_and_closes(hotel_database, slices):
+    """An oversized frame gets an error response, then the connection dies."""
+    service = _service(hotel_database, slices, max_frame_bytes=64)
+    server, client = socket.socketpair()
+    thread = threading.Thread(target=service.serve, args=(server,))
+    thread.start()
+    try:
+        client.sendall(struct.pack("!I", 1 << 20))  # announce 1 MiB
+        reader = Reader(recv_frame(client, 1024))
+        assert reader.read_u8() != STATUS_OK
+        assert "limit" in reader.read_str()
+        # The serve loop refuses to continue on the poisoned stream (the
+        # node's accept loop closes the socket right after it returns).
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        server.close()
+        assert recv_frame(client, 1024) is None
+    finally:
+        thread.join(timeout=5)
+        client.close()
+        server.close()
+
+
+def test_unhydrated_attribute_is_transported_error(hotel_database, slices):
+    """A score for an attribute no snapshot carried names it in the error."""
+    service = _service(hotel_database, slices)
+    response, stop = service.handle_frame(
+        encode_score_request(0, "no_such_attribute", "x", 0, 1, None)
+    )
+    assert not stop
+    reader = Reader(response)
+    assert reader.read_u8() == STATUS_ERROR
+    message = reader.read_str()
+    assert "no_such_attribute" in message and "not hydrated" in message
+
+
+def test_membership_without_a_columnar_kernel_is_transported_error(hotel_database, slices):
+    """Both scoring opcodes refuse a service whose membership has no kernel."""
+    _membership, attribute, _columns, ranges = slices
+    service = _service(hotel_database, slices)
+    service.membership = None
+    _, (start, stop) = ranges[0]
+    for frame in (
+        encode_score_request(0, attribute, PHRASE, start, stop, None),
+        encode_score_bounded_request(0, attribute, PHRASE, start, stop, None, 0.5),
+    ):
+        response, _ = service.handle_frame(frame)
+        reader = Reader(response)
+        assert reader.read_u8() == STATUS_ERROR
+        assert "columnar kernel" in reader.read_str()
+    assert service.kernel_calls == 0
+
+
+def test_invalidate_to_a_new_version_reports_the_old_and_retires_slices(
+    hotel_database, slices
+):
+    """The response carries the version *before* the call and the entries it
+    dropped; a newer caller version retires every hydrated slice."""
+    _membership, attribute, _columns, ranges = slices
+    service = _service(hotel_database, slices)
+    for slice_id, (start, stop) in ranges:
+        service.handle_frame(encode_score_request(slice_id, attribute, PHRASE, start, stop, None))
+    assert service.cache_entries == NUM_SLICES
+    version = hotel_database.data_version
+    response, _ = service.handle_frame(encode_invalidate_request(version + 1))
+    reader = Reader(response)
+    assert reader.read_u8() == STATUS_OK
+    assert reader.read_u64() == version
+    assert reader.read_u32() == NUM_SLICES
+    assert service.cache_entries == 0
+    assert service.data_version == version + 1
+    stats = service.stats()
+    assert (stats["hydrated_slices"], stats["stale_slices"]) == (0, NUM_SLICES)
+    # A retired slice is never served, only kept as a delta base.
+    _, (start, stop) = ranges[0]
+    response, _ = service.handle_frame(
+        encode_score_request(0, attribute, PHRASE, start, stop, None)
+    )
+    reader = Reader(response)
+    assert reader.read_u8() == STATUS_ERROR
+    assert "not hydrated" in reader.read_str()
+
+
+def test_caches_are_bounded_per_slice(hotel_database, slices):
+    """Pressure on one slice's cache never evicts another slice's vectors."""
+    _membership, attribute, _columns, ranges = slices
+    service = _service(hotel_database, slices, cache_size=1)
+    (first, (start0, stop0)), (second, (start1, stop1)) = ranges
+    cold = encode_score_request(second, attribute, PHRASE, start1, stop1, None)
+    service.handle_frame(cold)
+    for phrase in ("clean", "spotless", "dirty"):
+        service.handle_frame(encode_score_request(first, attribute, phrase, start0, stop0, None))
+    assert service.cache_entries == 2  # one per slice, at cache_size=1
+    calls = service.kernel_calls
+    service.handle_frame(cold)
+    assert service.kernel_calls == calls  # the other slice's vector survived
+    service.handle_frame(encode_score_request(first, attribute, "clean", start0, stop0, None))
+    assert service.kernel_calls == calls + 1  # evicted by "dirty"
+
+
+def test_row_subsets_are_cached_apart_from_the_full_slice(hotel_database, slices):
+    _membership, attribute, _columns, ranges = slices
+    service = _service(hotel_database, slices)
+    _, (start, stop) = ranges[0]
+    full = encode_score_request(0, attribute, PHRASE, start, stop, None)
+    sparse = encode_score_request(0, attribute, PHRASE, start, stop, [1])
+    answers = [service.handle_frame(frame)[0] for frame in (full, sparse, sparse, full)]
+    assert service.kernel_calls == 2
+    assert service.cache_entries == 2
+    assert answers[1] == answers[2] and answers[0] == answers[3]
+    reader = Reader(answers[1][1:])
+    assert reader.read_u32() == 1
+
+
+def test_a_pruned_bounded_answer_never_enters_the_cache(hotel_database, slices):
+    """A bound is not a degree: only fully exact bounded vectors are memoised."""
+    _membership, attribute, _columns, ranges = slices
+    service = _service(hotel_database, slices)
+    _, (start, stop) = ranges[1]
+    response, _ = service.handle_frame(
+        encode_score_bounded_request(1, attribute, PHRASE, start, stop, None, 2.0)
+    )
+    _values, mask, scored, pruned = read_score_bounded_response(Reader(response[1:]))
+    assert (scored, pruned, mask.any()) == (0, stop - start, False)
+    assert service.cache_entries == 0
+    service.handle_frame(encode_score_request(1, attribute, PHRASE, start, stop, None))
+    assert service.kernel_calls == 1  # the exact score ran the kernel
+    assert service.cache_entries == 1
+
+
+def test_traces_filter_by_trace_id_and_limit(hotel_database, slices):
+    _membership, attribute, _columns, ranges = slices
+    service = _service(hotel_database, slices)
+    _, (start, stop) = ranges[0]
+    global_trace_store().clear()
+    for trace_id, parent in ((21, 1), (21, 2), (22, 3)):
+        service.handle_frame(
+            encode_score_request(0, attribute, PHRASE, start, stop, None, trace=(trace_id, parent))
+        )
+
+    def spans(trace_id, limit):
+        response, _ = service.handle_frame(encode_traces_request(trace_id, limit))
+        return json.loads(Reader(response[1:]).read_str())
+
+    assert [span["trace_id"] for span in spans(21, 0)] == [21, 21]
+    assert [span["parent_id"] for span in spans(21, 1)] == [2]
+    assert sorted(span["trace_id"] for span in spans(0, 0)) == [21, 21, 22]
+    assert [span["attrs"]["cached"] for span in spans(21, 0)] == [False, True]
+
+
+def test_serve_reports_why_it_stopped(hotel_database, slices):
+    """``serve`` is True after a shutdown, False when the peer goes away."""
+    service = _service(hotel_database, slices)
+    outcomes = []
+    for ending in ("shutdown", "clean eof", "mid-frame eof"):
+        server, client = socket.socketpair()
+        try:
+            if ending == "shutdown":
+                send_frame(client, bytes([OP_SHUTDOWN]), service.max_frame_bytes)
+            elif ending == "mid-frame eof":
+                client.sendall(struct.pack("!I", 100) + b"partial")
+            client.shutdown(socket.SHUT_WR)
+            outcomes.append(service.serve(server))
+        finally:
+            client.close()
+            server.close()
+    assert outcomes == [True, False, False]
+
+
+def test_a_delta_patches_its_base_live_or_retired_and_refuses_without_one(
+    hotel_database, slices
+):
+    """The base a delta names is looked up among the live slices, then the
+    retired generation; with neither, the slice is refused, never guessed."""
+    from dataclasses import replace
+
+    from repro.core.columnar import SnapshotDelta
+    from repro.errors import SnapshotError
+
+    _membership, _attribute, columns, ranges = slices
+    _, (start, stop) = ranges[0]
+    version = hotel_database.data_version
+    base = ColumnSnapshot.of_slice(columns, 0, start, stop, version)
+    perturbed = replace(base.columns, totals=base.columns.totals.copy())
+    perturbed.totals[0] += 2.0
+    new = ColumnSnapshot(
+        data_version=version + 1, slice_id=0, start=start, stop=stop, columns=perturbed
+    )
+    delta = SnapshotDelta.between(base, new)
+    assert delta is not None and list(delta.rows) == [0]
+
+    live = HydratedSlices()
+    live.install(base)
+    assert live.apply_delta(delta).pack() == new.pack()
+
+    retired = HydratedSlices()
+    retired.install(base)
+    retired.invalidate(version + 1)
+    assert retired.owned_slice_ids == []
+    assert retired.apply_delta(delta).pack() == new.pack()
+
+    with pytest.raises(SnapshotError, match="ship a full snapshot"):
+        HydratedSlices().apply_delta(delta)

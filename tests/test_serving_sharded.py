@@ -29,7 +29,7 @@ from repro.serving import (
     SubjectiveQueryEngine,
     partition_bounds,
 )
-from repro.testing import assert_identical_results
+from repro.testing import assert_engines_agree, assert_identical_results
 
 SHARD_COUNTS = [1, 2, 3, 7]
 
@@ -53,40 +53,24 @@ RESTAURANT_QUERIES = [
 ]
 
 
-def _assert_engines_agree(database, sqls, num_shards, backend="serial", top_k=None):
-    baseline = SubjectiveQueryEngine(database=database)
-    sharded = ShardedSubjectiveQueryEngine(
+def _sharded(num_shards, backend="serial"):
+    return lambda database: ShardedSubjectiveQueryEngine(
         database=database, num_shards=num_shards, backend=backend
     )
-    try:
-        for sql in sqls:
-            expected = baseline.execute(sql, top_k=top_k)
-            actual = sharded.execute(sql, top_k=top_k)
-            assert_identical_results(
-                expected, actual, context=f"{sql!r} shards={num_shards} backend={backend}"
-            )
-            # Warm (fully cached) executions must agree too.
-            assert_identical_results(
-                expected, sharded.execute(sql, top_k=top_k), context=f"warm {sql!r}"
-            )
-    finally:
-        sharded.close()
 
 
 class TestDifferentialEquivalence:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_hotels_rankings_identical(self, hotel_database, num_shards):
-        _assert_engines_agree(hotel_database, HOTEL_QUERIES, num_shards)
+        assert_engines_agree(hotel_database, _sharded(num_shards), HOTEL_QUERIES)
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_restaurants_rankings_identical(self, restaurant_database, num_shards):
-        _assert_engines_agree(restaurant_database, RESTAURANT_QUERIES, num_shards)
+        assert_engines_agree(restaurant_database, _sharded(num_shards), RESTAURANT_QUERIES)
 
     @pytest.mark.parametrize("num_shards", [2, 7])
     def test_thread_backend_identical(self, hotel_database, num_shards):
-        _assert_engines_agree(
-            hotel_database, HOTEL_QUERIES, num_shards, backend="thread"
-        )
+        assert_engines_agree(hotel_database, _sharded(num_shards, "thread"), HOTEL_QUERIES)
 
     def test_retrieval_fallback_is_exercised(self, hotel_database):
         """The gibberish predicate really takes the BM25 fallback path."""
@@ -277,10 +261,10 @@ class TestTieBreaking:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_tied_scores_rank_identically(self, num_shards):
         database = build_mutable_database()
-        _assert_engines_agree(
+        assert_engines_agree(
             database,
+            _sharded(num_shards),
             [INGEST_QUERY, 'select * from Entities where "clean room" limit 9'],
-            num_shards,
         )
 
 

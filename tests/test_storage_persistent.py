@@ -3,7 +3,7 @@
 The storage tier's contract is *bit-identity under restart*: a database
 booted from disk must be indistinguishable — same ranked ids, bit-identical
 scores and column arrays — from the in-RAM database that saved it, across
-every serving layer (serial, sharded, rpc, cluster).  On top of that the
+every serving layer (serial, sharded, cluster).  On top of that the
 suite pins the failure modes durability introduces: a torn write (flipped
 byte, truncated file) is a typed :class:`~repro.errors.StorageError` and a
 clean re-save recovers the directory; a catalog whose versions disagree
@@ -42,7 +42,6 @@ from repro.core.markers import MarkerSummary
 from repro.errors import CatalogError, StorageError
 from repro.serving import (
     ClusterQueryEngine,
-    CoordinatorQueryEngine,
     ShardedSubjectiveQueryEngine,
     SubjectiveQueryEngine,
 )
@@ -159,13 +158,6 @@ class TestDiskBootBitIdentity:
         engine = ShardedSubjectiveQueryEngine(database=booted, num_shards=3)
         for sql in QUERIES:
             assert_identical_results(baseline.execute(sql), engine.execute(sql), context=sql)
-
-    def test_rpc_engine_equivalence(self, small_database, storage_dir):
-        booted = saved_copy(small_database, storage_dir)
-        baseline = SubjectiveQueryEngine(database=small_database)
-        with CoordinatorQueryEngine(database=booted, num_workers=2) as engine:
-            for sql in QUERIES:
-                assert_identical_results(baseline.execute(sql), engine.execute(sql), context=sql)
 
     def test_cluster_engine_equivalence(self, small_database, storage_dir):
         booted = saved_copy(small_database, storage_dir)
