@@ -630,6 +630,25 @@ class SnapshotDelta:
             columns=gather_rows(fresh, rows),
         )
 
+    @classmethod
+    def unchanged(cls, base: "ColumnSnapshot", data_version: int) -> "SnapshotDelta":
+        """The empty delta moving ``base`` to ``data_version``.
+
+        Exactly what :meth:`between` returns for ``base`` and a snapshot cut
+        from the same column generation at ``data_version``, without
+        comparing a row — for a sender that knows the generation did not
+        change.
+        """
+        return cls(
+            base_version=base.data_version,
+            data_version=data_version,
+            slice_id=base.slice_id,
+            start=base.start,
+            stop=base.stop,
+            rows=(),
+            columns=gather_rows(base.columns, []),
+        )
+
     def pack(self, compress: bool = False) -> bytes:
         """Serialize to the shared snapshot container with the delta flag set.
 
@@ -806,6 +825,10 @@ class SnapshotDelta:
         changed_ids = [old.entity_ids[row] for row in rows]
         if changed_ids != list(self.columns.entity_ids):
             raise SnapshotError("delta entity ids do not match the base rows")
+        if not rows:
+            # Snapshots are never written after construction, so the new
+            # version shares every array of its base.
+            return replace(base, data_version=self.data_version)
         fractions = old.fractions.copy()
         average_sentiments = old.average_sentiments.copy()
         totals = old.totals.copy()
@@ -1048,7 +1071,11 @@ class ScoreBounds:
         The per-row arrays are copied and only ``rows`` recomputed, by the
         code :meth:`of_columns` runs on every row, so the result equals
         ``of_columns(columns)`` bit for bit; this object is left untouched.
+        With no rows to recompute the arrays are shared, not copied: no
+        published bounds object is ever written again.
         """
+        if not rows:
+            return replace(self, columns=columns)
         bounds = replace(
             self,
             columns=columns,

@@ -161,6 +161,11 @@ class LRUCache:
         """Drop all entries (counters are kept; they describe the lifetime)."""
         self._entries.clear()
 
+    def retain(self, keep: Callable[[Hashable], bool]) -> None:
+        """Drop every entry whose key fails ``keep`` (counters are kept)."""
+        for key in [key for key in self._entries if not keep(key)]:
+            del self._entries[key]
+
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 

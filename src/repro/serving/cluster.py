@@ -59,6 +59,7 @@ from repro.core.columnar import (
     AttributeColumns,
     ColumnarSummaryStore,
     ColumnSnapshot,
+    ScoreBounds,
     SnapshotDelta,
     columnar_kernel,
     gather_degrees,
@@ -347,9 +348,11 @@ class ShardNodeServer(ShardService):
             return self._acknowledge(reader)[0]
         return super().dispatch(opcode, reader)
 
-    def _install_snapshot(self, snapshot: ColumnSnapshot) -> bytes:
-        """Install one unpacked snapshot; the shared hydrate OK response."""
-        if self.source.install(snapshot):
+    def _install_snapshot(
+        self, snapshot: ColumnSnapshot, bounds: ScoreBounds | None = None
+    ) -> bytes:
+        """Install one unpacked snapshot and its bounds; the shared hydrate OK response."""
+        if self.source.install(snapshot, bounds):
             self._caches.clear()  # a new version outdates every memoised vector
         else:
             # Re-hydrating one attribute's slice must not evict another
@@ -371,10 +374,11 @@ class ShardNodeServer(ShardService):
         A missing or version-skewed base, a corrupt frame, or a delta whose
         expectations do not match the base all transport a typed error back
         — the coordinator responds by re-shipping a full snapshot; the node
-        never installs a doubtful slice.
+        never installs a doubtful slice.  The base's bound summaries, when
+        built, are patched on the delta's rows and installed with the slice.
         """
         delta = SnapshotDelta.unpack(reader.read_rest())
-        response = self._install_snapshot(self.source.apply_delta(delta))
+        response = self._install_snapshot(*self.source.apply_delta(delta))
         self.delta_hydrations += 1
         return response
 
@@ -566,7 +570,6 @@ class ClusterNodeClient:
         sock.setblocking(False)
         self.sock = sock
         self.dead = False
-        self.counters["reconnects"] += 1
 
     def fileno(self) -> int:
         """The connected socket's file descriptor (for ``select``)."""
@@ -767,8 +770,10 @@ class ClusterShardStore:
     frames** wherever it can: the coordinator keeps the previous packed
     generation per slice, and a node still holding that base receives only
     the changed rows (:class:`~repro.core.columnar.SnapshotDelta`) instead
-    of the whole slice.  A node that cannot apply a delta answers with a
-    typed error and a full snapshot is shipped — never a stale slice.
+    of the whole slice, and patches the slice's bound summaries on the
+    delta's rows instead of rebuilding them.  A node that cannot apply a
+    delta answers with a typed error and a full snapshot is shipped — never
+    a stale slice.
     """
 
     def __init__(
@@ -845,6 +850,9 @@ class ClusterShardStore:
         # one-entry delta cache per slice so R replicas (and re-issues)
         # never pack the same delta twice.
         self._slice_bases: dict[tuple[str, int], ColumnSnapshot] = {}
+        # The attribute generation each current snapshot was cut from: cut
+        # again from the same one, a slice changed in no row.
+        self._slice_sources: dict[tuple[str, int], AttributeColumns] = {}
         self._slice_prev: dict[tuple[str, int], ColumnSnapshot] = {}
         self._node_bases: dict[tuple[int, str, int], int] = {}
         self._slice_deltas: dict[tuple[str, int], tuple[int, int, bytes | None]] = {}
@@ -885,6 +893,9 @@ class ClusterShardStore:
             {"requests": 0, "bytes_sent": 0, "bytes_received": 0, "reconnects": 0, "respawns": 0}
             for _ in range(num_nodes)
         ]
+        # Nodes connected at least once: only their later spawns and
+        # connects are respawns and reconnects, never the fleet's start.
+        self._connected_nodes: set[int] = set()
 
     invalidations = cell_property("_invalidations_cell")
     fanouts = cell_property("_fanouts_cell")
@@ -1054,7 +1065,6 @@ class ClusterShardStore:
         listener.close()
         self._processes[index] = process
         self._addresses[index] = address
-        self._node_counters[index]["respawns"] += 1
 
     def _ensure_nodes(self, membership: object) -> None:
         """Connect (and for managed fleets, spawn) every node that needs it.
@@ -1087,10 +1097,13 @@ class ClusterShardStore:
             channel = self._channels[index]
             if channel is not None and not channel.dead and channel.sock is not None:
                 continue
+            recovering = index in self._connected_nodes
             if self._managed:
                 process = self._processes[index]
                 if process is None or not process.is_alive():
                     self._spawn_node(index, membership)
+                    if recovering:
+                        self._node_counters[index]["respawns"] += 1
             channel = ClusterNodeClient(
                 index,
                 self._addresses[index],
@@ -1101,6 +1114,9 @@ class ClusterShardStore:
                 connect_timeout=self.connect_timeout,
             )
             self._connect_with_retry(channel)
+            if recovering:
+                self._node_counters[index]["reconnects"] += 1
+            self._connected_nodes.add(index)
             self._channels[index] = channel
             self._drop_hydration(index)
 
@@ -1170,16 +1186,26 @@ class ClusterShardStore:
         every replica); in every other case — first hydration, a slice the
         node last received more than one version step ago (nodes retire a
         single generation), a reconnect that wiped its records, or a slice
-        where too much changed — it is a full snapshot.
-        Compression applies to both shapes.
+        where too much changed — it is a full snapshot.  A slice cut again
+        from the attribute generation its previous snapshot came from (the
+        ingest did not patch it) ships :meth:`SnapshotDelta.unchanged`
+        without comparing a row.  Compression applies to both shapes.
         """
         key = (attribute, slice_id)
         current = self._slice_bases.get(key)
         if current is None or current.data_version != self._version:
             if current is not None:
                 self._slice_prev[key] = current
+                if self._slice_sources[key] is columns:
+                    # The ingest left this attribute's generation alone: the
+                    # delta is empty, no row needs comparing.
+                    blob = SnapshotDelta.unchanged(current, self._version).pack(
+                        self.snapshot_compression
+                    )
+                    self._slice_deltas[key] = (current.data_version, self._version, blob)
             current = ColumnSnapshot.of_slice(columns, slice_id, start, stop, self._version)
             self._slice_bases[key] = current
+            self._slice_sources[key] = columns
         prev = self._slice_prev.get(key)
         node_version = self._node_bases.get((node, attribute, slice_id))
         if (
@@ -1755,9 +1781,12 @@ class ClusterShardStore:
 
         Transport counters (``requests``, ``bytes_sent``,
         ``bytes_received``, ``reconnects``, ``respawns``) are tracked
-        coordinator-side and survive reconnects and respawns; for reachable
-        nodes the dict additionally merges the node's own ``stats`` frame
-        (``cache_hits``, ``cache_entries``, hydrated slices).  Unreachable
+        coordinator-side and survive reconnects and respawns, which count
+        recoveries only (a node's first spawn and connect are the fleet's
+        start); for reachable nodes the dict additionally merges the node's
+        own ``stats`` frame (``cache_hits``, ``cache_entries``, hydrated
+        slices, and ``bounds_builds`` / ``bounds_patches`` — slice bounds
+        built from every row vs. patched from a delta's rows).  Unreachable
         nodes report transport counters only.  Node frames attach to the
         channel they arrived on, so a respawn cycle or an external fleet
         with clashing node ids can never double-assign one node's frame
@@ -1785,6 +1814,8 @@ class ClusterShardStore:
                 entry["data_version"] = node_stats.get("data_version", 0)
                 entry["entities_scored"] = node_stats.get("entities_scored", 0)
                 entry["entities_pruned"] = node_stats.get("entities_pruned", 0)
+                entry["bounds_builds"] = node_stats.get("bounds_builds", 0)
+                entry["bounds_patches"] = node_stats.get("bounds_patches", 0)
             entries.append(entry)
         return entries
 
@@ -1966,11 +1997,11 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         )
 
     # ----------------------------------------------------- vector-level reuse
-    def _drop_caches(self) -> None:
+    def _drop_caches(self, journaled: bool = False) -> None:
         """Drop engine caches and the batch-local vector memo together."""
         self._vector_memo = None if self._vector_memo is None else {}
         self._prefetched_pairs = {}
-        super()._drop_caches()
+        super()._drop_caches(journaled)
 
     @staticmethod
     def _same_ids(stored: Sequence[Hashable], unique_ids: Sequence[Hashable]) -> bool:

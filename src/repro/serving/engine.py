@@ -24,8 +24,12 @@ with the amortisation layers a query-serving deployment needs:
 
 Every cache snapshots :attr:`SubjectiveDatabase.data_version`; any ingest
 (entities, reviews, extractions, summaries, index rebuilds) moves the
-version and the next query drops all cached state — including the columnar
-store's built column arrays.  Results are therefore
+version and the next query drops the cached plans and degrees.  Only what an
+ingest can have changed goes: when the database's change journal explains
+every bump since (reviews and replaced summaries only), the candidate sets
+of join-free statements stay — those ingests never write the entities
+table — and the columnar store patches just the replaced rows.  Results are
+therefore
 always identical to running the wrapped processor directly — the test suite
 asserts equality and the throughput benchmark measures the speedup.
 """
@@ -44,7 +48,7 @@ from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog, global_slow_query_log
 from repro.obs.trace import span
 from repro.serving.cache import DegreeColumnCache, LRUCache
-from repro.serving.plans import QueryPlan, candidate_key, normalize_sql
+from repro.serving.plans import QueryPlan, candidate_key, join_free, normalize_sql
 from repro.utils.timing import now
 
 _MISSING = object()
@@ -84,14 +88,17 @@ class CandidateSet:
         """Row of every candidate entity in ``columns``, in candidate order.
 
         ``None`` when some candidate has no row there.  Resolved once per
-        column build (the memo is checked against the ``columns`` object,
-        so a rebuilt attribute can never be gathered with stale rows).
+        row layout: the memo is checked against ``columns.row_of``, which a
+        patched generation shares with the one it replaced and a rebuild
+        replaces — so a rebuilt attribute can never be gathered with stale
+        rows, and a candidate set that survives an ingest never pins the
+        superseded generation's arrays.
         """
         memo = self._store_rows.get(columns.attribute)
-        if memo is None or memo[0] is not columns:
+        if memo is None or memo[0] is not columns.row_of:
             rows = [columns.row_of.get(entity_id) for entity_id in self.row_entities]
             index = None if None in rows else np.fromiter(rows, dtype=np.intp, count=len(rows))
-            memo = self._store_rows[columns.attribute] = (columns, index)
+            memo = self._store_rows[columns.attribute] = (columns.row_of, index)
         return memo[1]
 
 
@@ -330,11 +337,23 @@ class SubjectiveQueryEngine:
         if self.processor.columnar_store is not None:
             self.processor.columnar_store.invalidate()
 
-    def _drop_caches(self) -> None:
-        """Drop the engine's own caches and adopt the current data version."""
+    def _drop_caches(self, journaled: bool = False) -> None:
+        """Drop the engine's own caches and adopt the current data version.
+
+        ``journaled``: the database's change journal explains every bump
+        since the engine's version — reviews and replaced summaries only,
+        which never write the entities table.  The entity index and the
+        candidate sets of join-free statements (all their pre-filter reads)
+        then stay; a join may read ``reviews`` or a summary relation, so its
+        set goes.
+        """
         self.plan_cache.clear()
-        self.membership_cache.reset(self.database.entity_ids())
-        self.candidate_cache.clear()
+        if journaled:
+            self.membership_cache.clear()
+            self.candidate_cache.retain(join_free)
+        else:
+            self.membership_cache.reset(self.database.entity_ids())
+            self.candidate_cache.clear()
         self.processor.interpreter.invalidate()
         self.stats.invalidations += 1
         self._data_version = self.database.data_version
@@ -343,7 +362,7 @@ class SubjectiveQueryEngine:
         # The columnar store is left alone here: it checks the version on
         # its own next read and patches the replaced rows where it can.
         if self.database.data_version != self._data_version:
-            self._drop_caches()
+            self._drop_caches(self.database.changes_since(self._data_version) is not None)
 
     # ------------------------------------------------------------------ plans
     def plan(self, sql: str) -> QueryPlan:

@@ -117,6 +117,17 @@ def candidate_key(statement: SelectStatement) -> Hashable:
     )
 
 
+def join_free(key: Hashable) -> bool:
+    """Whether the :func:`candidate_key` ``key`` is a statement's without a join.
+
+    Such a statement's candidate rows come from the entities table alone,
+    which the journaled ingests (``add_review``, ``store_summary``) never
+    write, so its cached rows outlive them.  A join may read ``reviews`` or
+    a summary relation.
+    """
+    return key[2] is None
+
+
 @dataclass(frozen=True)
 class QueryPlan:
     """A cached, reusable execution plan for one normalised query.

@@ -72,7 +72,9 @@ class HydratedSlices:
     a snapshot of a newer version (or an ``invalidate`` naming one) retires
     every held slice together, so mixed-version scoring is impossible by
     construction.  One retired generation is kept as delta bases: never
-    served from, only patched by :meth:`apply_delta`.
+    served from, only patched by :meth:`apply_delta` — together with the
+    :class:`~repro.core.columnar.ScoreBounds` built for it, which a delta
+    patches on its rows instead of the next bounded score rebuilding them.
 
     Given ``data_dir``, it maps the persistent storage tier's
     column files and adopts the catalog's durable ``data_version``; while
@@ -96,11 +98,19 @@ class HydratedSlices:
         self._slices: dict[tuple[str, int], ColumnSnapshot] = {}
         self._stale: dict[tuple[str, int], ColumnSnapshot] = {}
         self._stale_version = 0
-        # Built lazily from a slice's columns on its first bounded score,
-        # dropped wherever the snapshot itself is dropped.
+        # Built from a slice's columns on its first bounded score, or patched
+        # from the base's by a delta; retired and dropped together with the
+        # snapshot they summarise.
         self._bounds: dict[tuple[str, int], ScoreBounds] = {}
+        self._stale_bounds: dict[tuple[str, int], ScoreBounds] = {}
         self.local_hydrations = Counter(
             "local_hydrations", help="Snapshots served from the local mmap store"
+        )
+        self.bounds_builds = Counter(
+            "bounds_builds", help="Slice bounds built from every row (ScoreBounds.of_columns)"
+        )
+        self.bounds_patches = Counter(
+            "bounds_patches", help="Slice bounds patched on a delta's rows"
         )
 
     @property
@@ -122,44 +132,57 @@ class HydratedSlices:
     def retire(self, new_version: int) -> None:
         """Supersede every held slice, keeping one generation as delta bases."""
         if self._slices:
-            self._stale = dict(self._slices)
+            self._stale, self._stale_bounds = self._slices, self._bounds
             self._stale_version = self.data_version
-        self._slices = {}
-        self._bounds.clear()
+        self._slices, self._bounds = {}, {}
         self.data_version = new_version
 
-    def install(self, snapshot: ColumnSnapshot) -> bool:
-        """Hold ``snapshot``; whether its version retired the previous slices."""
+    def install(self, snapshot: ColumnSnapshot, bounds: ScoreBounds | None = None) -> bool:
+        """Hold ``snapshot``; whether its version retired the previous slices.
+
+        ``bounds`` are the slice's bound summaries when the caller has
+        them; otherwise the slice's first bounded score builds them.
+        """
         retired = snapshot.data_version != self.data_version
         if retired:
             self.retire(snapshot.data_version)
         key = (snapshot.columns.attribute, snapshot.slice_id)
         self._slices[key] = snapshot
-        self._bounds.pop(key, None)
+        if bounds is None:
+            self._bounds.pop(key, None)
+        else:
+            self._bounds[key] = bounds
         return retired
 
-    def apply_delta(self, delta: SnapshotDelta) -> ColumnSnapshot:
-        """The snapshot ``delta`` produces over the base still held here.
+    def apply_delta(self, delta: SnapshotDelta) -> tuple[ColumnSnapshot, ScoreBounds | None]:
+        """The snapshot ``delta`` produces over the base still held here, and its bounds.
 
         The base is looked up among the live slices (the delta's base
         version may still be current here) and then among the retired
         generation; a missing base or one the delta does not fit raises
         :class:`~repro.errors.SnapshotError` — a doubtful slice is never
-        built.
+        built.  Bounds built for the base are patched on the delta's rows,
+        which equals ``ScoreBounds.of_columns`` of the new slice bit for
+        bit; ``None`` when the base had none.
         """
         key = (delta.columns.attribute, delta.slice_id)
         base: ColumnSnapshot | None = None
+        bounds: ScoreBounds | None = None
         if self.data_version == delta.base_version:
-            base = self._slices.get(key)
+            base, bounds = self._slices.get(key), self._bounds.get(key)
         if base is None and self._stale_version == delta.base_version:
-            base = self._stale.get(key)
+            base, bounds = self._stale.get(key), self._stale_bounds.get(key)
         if base is None:
             raise SnapshotError(
                 f"no base snapshot at version {delta.base_version} for slice "
                 f"{delta.slice_id} of {delta.columns.attribute!r} (have version "
                 f"{self.data_version}, stale {self._stale_version}); ship a full snapshot"
             )
-        return delta.apply(base)
+        snapshot = delta.apply(base)
+        if bounds is not None:
+            bounds = bounds.patched(snapshot.columns, list(delta.rows))
+            self.bounds_patches += 1
+        return snapshot, bounds
 
     def _local_slice(
         self, attribute: str, slice_id: int, start: int, stop: int
@@ -212,6 +235,7 @@ class HydratedSlices:
         bounds = self._bounds.get(key)
         if bounds is None:
             bounds = self._bounds[key] = ScoreBounds.of_columns(columns)
+            self.bounds_builds += 1
         return bounds
 
     def invalidate(self, caller_version: int) -> None:
@@ -226,6 +250,8 @@ class HydratedSlices:
             "stale_slices": len(self._stale),
             "local_store": self.local_store_fresh,
             "local_hydrations": self.local_hydrations.value,
+            "bounds_builds": self.bounds_builds.value,
+            "bounds_patches": self.bounds_patches.value,
         }
 
 
@@ -280,6 +306,8 @@ class ShardService:
         self._invalidations_cell = self.metrics.counter(
             "invalidations", help="Invalidate frames served"
         )
+        self.metrics.register("bounds_builds", source.bounds_builds)
+        self.metrics.register("bounds_patches", source.bounds_patches)
 
     score_requests = cell_property("_score_requests_cell")
     bounded_requests = cell_property("_bounded_requests_cell")

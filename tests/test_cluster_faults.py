@@ -197,7 +197,7 @@ class TestDropConnection:
         faults = ClusterFaultInjector(store)
         try:
             store.pair_degrees(membership, ids, attribute, "word001")
-            # The counter includes the initial spawn; measure the delta.
+            # Measure the delta: no recovery has happened yet.
             spawns_before = store._node_counters[0]["respawns"]
             assert faults.drop_connection(0)
             # The first post-drop fan-out may surface the loss (R=1)...
@@ -439,9 +439,9 @@ class TestPartitionStatsRegression:
             assert degrees == base.pair_degrees(membership, ids, attribute, "word006")
             entries = store.partition_stats()
             assert [entry["node"] for entry in entries] == [0, 1]
-            # Initial spawn + one respawn after the kill.
-            assert entries[0]["respawns"] == 2
-            assert entries[1]["respawns"] == 1
+            # One respawn after the kill; the initial spawns are no recovery.
+            assert entries[0]["respawns"] == 1
+            assert entries[1]["respawns"] == 0
             # The respawned node's frame lands on its own entry: its
             # hydration count restarted, it did not inherit node 1's.
             assert entries[0]["hydrated_slices"] == 2

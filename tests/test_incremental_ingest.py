@@ -9,14 +9,21 @@ each of N interleaved ingests every answer equals a fresh
 ``SubjectiveQueryProcessor`` bit for bit, and a reader still holding the
 previous generation's arrays sees the values it saw before.
 
+It also pins what an ingest must *not* throw away: a journaled ingest keeps
+the candidate sets of join-free statements (without pinning the generation
+a patch replaced), and cluster nodes patch their slice bounds from delta
+rows instead of rebuilding them.
+
 Set ``REPRO_STORAGE_DIR`` to relocate the persisted variant's directory (the
 CI storage matrix points it at tmpfs and at real disk).
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import tempfile
+import weakref
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 
@@ -79,6 +86,24 @@ def _ingest(database: SubjectiveDatabase, serial: int) -> set[str]:
             summary.add_phrase(marker, sentiment=0.9 - 0.6 * offset, vector=vector)
         database.store_summary(entity_id, summary)
     return {attribute.name for attribute in touched}
+
+
+def _replace_summary(database: SubjectiveDatabase, entity_id: str, name: str) -> None:
+    """One journaled ingest: a fresh, conforming summary of ``(entity_id, name)``."""
+    attribute = database.schema.subjective(name)
+    summary = MarkerSummary(
+        name, list(attribute.markers), embedding_dimension=database.embedding_dimension
+    )
+    summary.add_phrase(
+        attribute.markers[1].name, sentiment=0.75, vector=database.phrase_vector("word050")
+    )
+    database.store_summary(entity_id, summary)
+
+
+def _add_review(database: SubjectiveDatabase, entity_id: str) -> None:
+    """One journaled ingest that replaces no summary."""
+    review_id = 1_000_000 + database.num_reviews()
+    database.add_review(ReviewRecord(review_id, entity_id, "word001 word100"))
 
 
 @contextmanager
@@ -152,3 +177,128 @@ class TestInterleavedIngestDifferential:
             assert engine.sharded_store.hydrations == (
                 full_frames + transport()["snapshot_delta_hydrations"]
             )
+
+
+ROME = "select * from Entities where city = 'rome' and \"{}\" limit 5"
+ROME_JOINED = (
+    "select * from Entities e join reviews r on e.eid = r.eid "
+    "where e.city = 'rome' and \"{}\" limit 5"
+)
+
+
+class TestCandidateSetsSurviveJournaledIngests:
+    """A journaled ingest keeps the candidate sets of join-free statements.
+
+    ``add_review`` and ``store_summary`` never write the entities table — all
+    a join-free pre-filter reads — so the first objective-shape query after
+    one reuses its set.  ``add_entity``, ``invalidate()`` and a statement with
+    a join still recompute theirs; every answer equals a fresh processor's.
+    """
+
+    CHANGES = {
+        "add_review": lambda database: _add_review(database, "e00002"),
+        "store_summary": lambda database: _replace_summary(database, "e00002", "quality"),
+        "add_entity": lambda database: database.add_entity(
+            "late", {"city": "rome", "price": 75.0}
+        ),
+        "invalidate": None,
+    }
+
+    @pytest.mark.parametrize("change", list(CHANGES))
+    def test_the_first_query_after_a_change_hits_only_when_journaled(self, change):
+        database = build_synthetic_columnar_database(num_entities=30, seed=5)
+        engine = SubjectiveQueryEngine(database=database)
+        engine.execute(ROME.format("word003"))
+        stats = engine.candidate_cache.stats
+        hits, misses = stats.hits, stats.misses
+        if change == "invalidate":
+            engine.invalidate()
+        else:
+            self.CHANGES[change](database)
+        sql = ROME.format("word004")
+        result = engine.execute(sql)
+        journaled = change in ("add_review", "store_summary")
+        assert (stats.hits - hits, stats.misses - misses) == ((1, 0) if journaled else (0, 1))
+        assert_identical_results(SubjectiveQueryProcessor(database).execute(sql), result, change)
+
+    def test_a_join_statement_recomputes_its_set(self):
+        database = build_synthetic_columnar_database(num_entities=30, seed=5)
+        engine = SubjectiveQueryEngine(database=database)
+        engine.execute(ROME_JOINED.format("word003"))
+        key = engine.plan(ROME_JOINED.format("word003")).candidate_key
+        joined_rows = len(engine.candidate_cache.peek(key).rows)
+        _add_review(database, "e00002")  # one more joined row for a rome entity
+        sql = ROME_JOINED.format("word004")
+        misses = engine.candidate_cache.stats.misses
+        result = engine.execute(sql)
+        assert engine.candidate_cache.stats.misses == misses + 1
+        assert len(engine.candidate_cache.peek(key).rows) == joined_rows + 1
+        assert_identical_results(SubjectiveQueryProcessor(database).execute(sql), result)
+
+    def test_a_kept_set_does_not_pin_the_replaced_generation(self):
+        """The kept set's row memo follows ``row_of``, which a patch shares."""
+        database = build_synthetic_columnar_database(num_entities=90, seed=17)
+        with ShardedSubjectiveQueryEngine(database=database, num_shards=2) as engine:
+            store = _base_store(engine)
+            both = 'select * from Entities where "word004" and "word020" limit 5'
+            engine.execute(both)
+            kept = engine.candidate_cache.peek(engine.plan(both).candidate_key)
+            assert set(kept._store_rows) == {"quality", "service"}  # the pruned scan's memo
+            quality_rows = kept.store_rows(store.columns("quality"))
+            replaced = weakref.ref(store.columns("quality"))
+            _replace_summary(database, "e00001", "quality")
+            # Same objective skeleton, service phrases only: the kept set is
+            # used while the quality generation is patched underneath it.
+            sql = 'select * from Entities where "word020" and "word021" limit 5'
+            hits = engine.candidate_cache.stats.hits
+            result = engine.execute(sql)
+            assert engine.candidate_cache.stats.hits == hits + 1
+            assert_identical_results(SubjectiveQueryProcessor(database).execute(sql), result)
+            gc.collect()
+            assert replaced() is None
+            assert kept.store_rows(store.columns("quality")) is quality_rows
+
+
+class TestFleetPatchesSliceBounds:
+    """Nodes patch slice bounds from delta rows instead of rebuilding them.
+
+    Readable from the fleet's ``stats`` alone: across ingest-then-query
+    rounds ``bounds_builds`` stays flat while ``bounds_patches`` grows, and
+    no slice re-ships in full.
+    """
+
+    SQLS = [
+        'select * from Entities where "word003" and "word019" limit 5',
+        'select * from Entities where "word002" and "word020" limit 4',
+    ]
+
+    @staticmethod
+    def _bound_counters(engine) -> tuple[int, int]:
+        partitions = engine.partition_stats()
+        return (
+            sum(entry["bounds_builds"] for entry in partitions),
+            sum(entry["bounds_patches"] for entry in partitions),
+        )
+
+    def test_builds_stay_flat_while_patches_grow(self):
+        database = build_synthetic_columnar_database(num_entities=90, seed=17)
+        with ClusterQueryEngine(database=database, num_nodes=2, num_shards=4) as engine:
+            for sql in self.SQLS:
+                engine.execute(sql)
+            builds, patches = self._bound_counters(engine)
+            assert builds > 0 and patches == 0
+            full_frames = engine.sharded_store.transport_counters()["snapshot_hydrations"]
+            for serial, name in enumerate(["quality", "service", "quality"]):
+                _replace_summary(database, f"e{11 * serial + 1:05d}", name)
+                oracle = SubjectiveQueryProcessor(database)
+                for sql in self.SQLS:
+                    assert_identical_results(
+                        oracle.execute(sql), engine.execute(sql), f"round {serial} {sql!r}"
+                    )
+                now_builds, now_patches = self._bound_counters(engine)
+                assert now_builds == builds, f"round {serial} rebuilt slice bounds"
+                assert now_patches > patches
+                patches = now_patches
+            counters = engine.sharded_store.transport_counters()
+            assert counters["snapshot_hydrations"] == full_frames
+            assert counters["node_respawns"] == counters["node_reconnects"] == 0

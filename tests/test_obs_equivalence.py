@@ -129,7 +129,7 @@ class TestClusterEngine:
             partitions = store.partition_stats()
             assert len(partitions) == 2 and all(p["connected"] for p in partitions)
             assert sum(p["requests"] for p in partitions) == transport["rpc_requests"] + 2
-            assert sum(p["respawns"] for p in partitions) == transport["node_respawns"] == 2
+            assert sum(p["respawns"] for p in partitions) == transport["node_respawns"] == 0
             # Node-side registries answer the stats frame; the fleet must
             # have scored at least what the coordinator accounted (nodes
             # holding replicated slices may score a superset).

@@ -1185,6 +1185,22 @@ class TestSnapshotDeltaAndCompression:
         with pytest.raises(SnapshotError, match="full"):
             SnapshotDelta.unpack(base.pack())
 
+    @given(SNAPSHOT_SHAPES, st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_an_unchanged_generation_ships_an_empty_delta_sharing_the_base(self, shape, data):
+        """``unchanged`` is what ``between`` finds for one generation cut again
+        at a later version, and applying it shares the base's arrays."""
+        from repro.core.columnar import ColumnSnapshot, SnapshotDelta
+
+        base = _random_snapshot(shape, data)
+        version = base.data_version + 1
+        new = ColumnSnapshot.of_slice(base.columns, base.slice_id, 0, shape[0], version)
+        delta = SnapshotDelta.unchanged(base, version)
+        assert delta.pack() == SnapshotDelta.between(base, new).pack()
+        applied = SnapshotDelta.unpack(delta.pack()).apply(base)
+        assert applied.pack() == new.pack()
+        assert applied.columns is base.columns
+
 
 class TestGatewayCoalescingKey:
     """Two requests coalesce **iff** their normalized SQL (and top-k) match."""
@@ -1469,6 +1485,133 @@ class TestPatchedColumnsEqualFreshBuild:
                 assert np.array_equal(getattr(patched, name), getattr(fresh, name)[order])
             row = patched.row_of["e00001"]
             assert not np.array_equal(patched.fractions[row], mapped.fractions[row])
+
+
+class TestGeneratedIngestDifferential:
+    """Generated ingest sequences, checked on engines and on nodes after every step.
+
+    Hypothesis draws steps of one optional ingest — ``add_review``,
+    ``store_summary`` or ``add_entity`` on a random entity — followed by one
+    query: the benchmark's four shapes or a JOIN over ``reviews``.  After
+    every step the in-process sharded engine and a 2-node cluster answer it
+    exactly as a fresh processor does (candidate sets kept across journaled
+    ingests included), and every bound summary a node holds — patched from
+    delta rows or built — equals ``ScoreBounds.of_columns`` of the slice it
+    covers, bit for bit.  The nodes are in-process ``ShardNodeServer``
+    threads so their state can be read; the database persists across
+    examples, so later examples start from what earlier ones ingested.
+    """
+
+    SHAPES = (
+        '"{a}" and "{b}"',
+        '"{a}" or "{b}"',
+        "city = 'paris' and \"{a}\" and \"{b}\"",
+        'price < 100 and "{a}"',
+    )
+    JOIN = (
+        "select * from Entities e join reviews r on e.eid = r.eid "
+        'where "{a}" and "{b}" limit 4'
+    )
+    words = st.sampled_from([f"word{index:03d}" for index in range(32)])
+    ingests = st.one_of(
+        st.none(),
+        st.tuples(st.just("review"), st.integers(0, 10_000)),
+        st.tuples(
+            st.just("summary"),
+            st.integers(0, 10_000),
+            st.sampled_from(["quality", "service"]),
+            st.lists(
+                st.tuples(st.integers(0, 3), st.floats(-1.0, 1.0), st.booleans()), max_size=3
+            ),
+        ),
+        st.just(("entity",)),
+    )
+    steps = st.lists(
+        st.tuples(ingests, st.integers(0, len(SHAPES)), words, words), min_size=1, max_size=6
+    )
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        from repro.core import SubjectiveQueryProcessor
+        from repro.serving import (
+            ClusterQueryEngine,
+            ShardedSubjectiveQueryEngine,
+            start_local_node,
+        )
+        from repro.testing import build_synthetic_columnar_database
+
+        database = build_synthetic_columnar_database(num_entities=30, dimension=8, seed=29)
+        processor = SubjectiveQueryProcessor(database)
+        servers = [start_local_node(processor.membership, node_id=index)[0] for index in range(2)]
+        engines = [
+            ShardedSubjectiveQueryEngine(database=database, num_shards=2),
+            ClusterQueryEngine(
+                processor=processor, addresses=[server.address for server in servers], num_shards=4
+            ),
+        ]
+        yield database, engines, servers
+        for engine in engines:
+            engine.close()
+        for server in servers:
+            server.stop()
+
+    @staticmethod
+    def _ingest(database, ingest) -> None:
+        from repro.core.database import ReviewRecord
+
+        if ingest is None:
+            return
+        entity_ids = database.entity_ids()
+        if ingest[0] == "review":
+            entity_id = entity_ids[ingest[1] % len(entity_ids)]
+            review_id = 1_000_000 + database.num_reviews()
+            database.add_review(ReviewRecord(review_id, entity_id, "word001 word040"))
+        elif ingest[0] == "summary":
+            _, pick, attribute, phrases = ingest
+            summary = _replacement_summary(database, attribute, phrases)
+            database.store_summary(entity_ids[pick % len(entity_ids)], summary)
+        else:
+            database.add_entity(f"late{len(entity_ids)}", {"city": "paris", "price": 80.0})
+
+    @staticmethod
+    def _assert_carried_bounds_are_fresh(servers) -> None:
+        from dataclasses import fields
+
+        from repro.core.columnar import ScoreBounds
+
+        for server in servers:
+            source = server.source
+            for key, carried in source._bounds.items():
+                columns = source._slices[key].columns
+                assert carried.columns is columns, key
+                fresh = ScoreBounds.of_columns(columns)
+                for field in fields(fresh):
+                    mine, theirs = getattr(carried, field.name), getattr(fresh, field.name)
+                    if isinstance(theirs, np.ndarray):
+                        assert np.array_equal(mine, theirs), (key, field.name)
+                    elif field.name != "columns":
+                        assert mine == theirs, (key, field.name)
+
+    @pytest.mark.timeout(300)
+    @given(steps)
+    @settings(max_examples=12, deadline=None)
+    def test_every_step_answers_like_a_fresh_processor(self, fleet, steps):
+        from repro.core import SubjectiveQueryProcessor
+        from repro.testing import assert_identical_results
+
+        database, engines, servers = fleet
+        for ingest, shape, a, b in steps:
+            self._ingest(database, ingest)
+            if shape == len(self.SHAPES):
+                sql = self.JOIN.format(a=a, b=b)
+            else:
+                sql = f"select * from Entities where {self.SHAPES[shape].format(a=a, b=b)} limit 5"
+            expected = SubjectiveQueryProcessor(database).execute(sql)
+            for engine in engines:
+                assert_identical_results(
+                    expected, engine.execute(sql), f"{type(engine).__name__} {ingest} {sql!r}"
+                )
+            self._assert_carried_bounds_are_fresh(servers)
 
 
 # --------------------------------------------------------------------------
