@@ -44,6 +44,7 @@ import numpy as np
 from repro.core.columnar import AttributeColumns
 from repro.core.database import SubjectiveDatabase
 from repro.core.processor import QueryResult, SubjectiveQueryProcessor
+from repro.engine.expressions import Expression
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog, global_slow_query_log
 from repro.obs.trace import span
@@ -52,6 +53,16 @@ from repro.serving.plans import QueryPlan, candidate_key, join_free, normalize_s
 from repro.utils.timing import now
 
 _MISSING = object()
+
+
+def crisp_leaf_vector(leaf: Expression, rows: Sequence[dict]) -> np.ndarray:
+    """Exact 0.0/1.0 fuzzy value of a crisp objective leaf on every row.
+
+    One boolean evaluation per row, without the scalar fuzzy-walk machinery.
+    """
+    return np.fromiter(
+        (1.0 if leaf.evaluate(row) else 0.0 for row in rows), dtype=float, count=len(rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -63,8 +74,9 @@ class CandidateSet:
     so it is computed once and shared by every plan with that skeleton:
     row → entity-id resolution and deduplication eagerly, and — on first
     use — each candidate's row in the membership cache's entity index and
-    in an attribute's column arrays.  ``rows`` is shared between the
-    results of all those queries and must be treated as read-only.
+    in an attribute's column arrays, and each crisp objective leaf's 0/1
+    vector.  ``rows`` is shared between the results of all those queries
+    and must be treated as read-only.
     """
 
     rows: list[dict]
@@ -72,6 +84,22 @@ class CandidateSet:
     unique_ids: list[Hashable]
     _store_rows: dict = field(default_factory=dict, repr=False, compare=False)
     _entity_rows: list = field(default_factory=list, repr=False, compare=False)
+    _crisp: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def crisp_vector(self, leaf: Expression) -> np.ndarray:
+        """Read-only :func:`crisp_leaf_vector` of ``leaf`` over ``rows``.
+
+        Evaluated once per leaf (leaves hash structurally, so every query
+        sharing this candidate set shares the vector); the bound fold of
+        the pruned scan reads it instead of re-evaluating the leaf row by
+        row per query.
+        """
+        vector = self._crisp.get(leaf)
+        if vector is None:
+            vector = crisp_leaf_vector(leaf, self.rows)
+            vector.flags.writeable = False
+            self._crisp[leaf] = vector
+        return vector
 
     def entity_rows(self, cache: DegreeColumnCache) -> np.ndarray:
         """Row of every unique candidate in ``cache``'s entity index, in order.

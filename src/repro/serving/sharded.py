@@ -78,7 +78,7 @@ from repro.engine.expressions import (
 from repro.obs.metrics import MetricsRegistry, cell_property
 from repro.obs.trace import span
 from repro.serving.cache import DegreeColumnCache
-from repro.serving.engine import CandidateSet, SubjectiveQueryEngine
+from repro.serving.engine import CandidateSet, SubjectiveQueryEngine, crisp_leaf_vector
 from repro.serving.plans import QueryPlan
 
 BACKENDS = ("serial", "thread")
@@ -486,16 +486,6 @@ class ShardedColumnarStore:
 _CRISP_LEAVES = (ComparisonExpression, InExpression, BetweenExpression)
 
 
-def crisp_leaf_vector(leaf: Expression, rows: Sequence[dict]) -> np.ndarray:
-    """Exact 0.0/1.0 fuzzy value of a crisp objective leaf on every row.
-
-    One boolean evaluation per row, without the scalar fuzzy-walk machinery.
-    """
-    return np.fromiter(
-        (1.0 if leaf.evaluate(row) else 0.0 for row in rows), dtype=float, count=len(rows)
-    )
-
-
 class _NotVectorizable(Exception):
     """Internal: the WHERE tree (or logic) has no exact array form."""
 
@@ -582,6 +572,7 @@ def fuzzy_bound_arrays(
     bound_vectors: "dict[str, tuple[np.ndarray, np.ndarray]]",
     logic: FuzzyLogic,
     prune_below: "float | None" = None,
+    crisp: "Callable[[Expression], np.ndarray] | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray] | None":
     """``[lo, hi]`` envelope of :func:`fuzzy_score_arrays` per candidate row.
 
@@ -593,82 +584,127 @@ def fuzzy_bound_arrays(
     ends bracket the exact score; where a predicate's interval is the
     degenerate ``[d, d]`` the folds reproduce the exact arithmetic
     operation for operation, making the envelope collapse to the exact
-    score bit for bit.  Negation swaps the ends; crisp objective leaves
-    stay exact 0/1 points.
+    score bit for bit.  Negation swaps the ends — the ``hi`` of ``not x``
+    is ``1 - lo(x)`` — and crisp objective leaves stay exact 0/1 points,
+    read from ``crisp(leaf)`` when given (a vector aligned with ``rows``)
+    and evaluated row by row otherwise.
 
-    ``prune_below`` enables the AND short-circuit: while folding a
-    conjunction, once every row's running upper bound has dropped below it
-    the remaining operands are skipped — a t-norm can only lower the bound
-    further, so the partial fold is still a valid upper bound (the lower
-    end is relaxed to 0, keeping the interval sound).  The threshold is
-    propagated into nested conjunctions only; OR and NOT operands are
-    always folded fully.
+    ``prune_below`` enables the AND short-circuit on the ``hi`` end: while
+    folding a conjunction, once every row's running upper bound has dropped
+    below it the remaining operands are skipped — a t-norm can only lower
+    the bound further, so the partial fold is still a valid upper bound.
+    The threshold is propagated into nested conjunctions only; OR and NOT
+    operands, and the whole ``lo`` end, are always folded fully.
 
     Returns ``None`` when the logic lacks array or bound support, or the
     tree holds a node the interval walk cannot bracket.
     """
+    lo = _fold_bound_end(where, False, rows, bound_vectors, logic, None, crisp)
+    if lo is None:
+        return None
+    return lo, _fold_bound_end(where, True, rows, bound_vectors, logic, prune_below, crisp)
+
+
+def fuzzy_upper_bound(
+    where: Expression | None,
+    rows: Sequence[dict],
+    bound_vectors: "dict[str, tuple[np.ndarray | None, np.ndarray | None]]",
+    logic: FuzzyLogic,
+    prune_below: "float | None" = None,
+    crisp: "Callable[[Expression], np.ndarray] | None" = None,
+) -> np.ndarray | None:
+    """The ``hi`` end of :func:`fuzzy_bound_arrays` alone.
+
+    The ``hi`` fold reads exactly the interval ends
+    :func:`upper_bound_ends` names, so an end it never reads may be
+    ``None`` in ``bound_vectors`` — without a NOT, no ``lo`` is needed.
+    """
+    return _fold_bound_end(where, True, rows, bound_vectors, logic, prune_below, crisp)
+
+
+def upper_bound_ends(where: Expression | None) -> "dict[str, set[int]]":
+    """Which interval end of each predicate the ``hi`` fold reads.
+
+    ``1`` (its ``hi``) for a predicate under an even number of NOTs, ``0``
+    (its ``lo``) under an odd number: negation swaps the ends.
+    """
+    ends: dict[str, set[int]] = {}
+
+    def walk(node: Expression | None, end: int) -> None:
+        if isinstance(node, SubjectivePredicate):
+            ends.setdefault(node.text, set()).add(end)
+        elif isinstance(node, (AndExpression, OrExpression)):
+            for operand in node.operands:
+                walk(operand, end)
+        elif isinstance(node, NotExpression):
+            walk(node.operand, 1 - end)
+
+    walk(where, 1)
+    return ends
+
+
+def _fold_bound_end(
+    where: Expression | None,
+    upper: bool,
+    rows: Sequence[dict],
+    bound_vectors: "dict[str, tuple[np.ndarray | None, np.ndarray | None]]",
+    logic: FuzzyLogic,
+    prune_below: "float | None",
+    crisp: "Callable[[Expression], np.ndarray] | None",
+) -> np.ndarray | None:
     if not getattr(logic, "supports_arrays", False):
         return None
     if not getattr(logic, "supports_bounds", False):
         return None
     if where is None:
-        ones = np.ones(len(rows))
-        return ones, ones.copy()
+        return np.ones(len(rows))
     try:
-        return _eval_bounds(where, rows, bound_vectors, logic, prune_below)
+        return _eval_bound_end(where, upper, rows, bound_vectors, logic, prune_below, crisp)
     except _NotVectorizable:
         return None
 
 
-def _eval_bounds(
+def _eval_bound_end(
     node: Expression,
+    upper: bool,
     rows: Sequence[dict],
-    bound_vectors: "dict[str, tuple[np.ndarray, np.ndarray]]",
+    bound_vectors: "dict[str, tuple[np.ndarray | None, np.ndarray | None]]",
     logic: FuzzyLogic,
     prune_below: "float | None",
-) -> "tuple[np.ndarray, np.ndarray]":
+    crisp: "Callable[[Expression], np.ndarray] | None",
+) -> np.ndarray:
+    """One end of ``node``'s interval: ``hi`` when ``upper``, else ``lo``."""
     if isinstance(node, SubjectivePredicate):
         interval = bound_vectors.get(node.text)
         if interval is None:
             raise _NotVectorizable(node.text)
-        return interval
+        return interval[1] if upper else interval[0]
     if isinstance(node, AndExpression):
-        lows: list[np.ndarray] = []
-        highs: list[np.ndarray] = []
-        short_circuited = False
+        ends: list[np.ndarray] = []
         for position, operand in enumerate(node.operands):
-            lo, hi = _eval_bounds(operand, rows, bound_vectors, logic, prune_below)
-            lows.append(lo)
-            highs.append(hi)
+            ends.append(
+                _eval_bound_end(operand, upper, rows, bound_vectors, logic, prune_below, crisp)
+            )
             if (
                 prune_below is not None
                 and position + 1 < len(node.operands)
-                and float(np.max(logic.conjunction_arrays(highs), initial=0.0))
-                < prune_below
+                and float(np.max(logic.conjunction_arrays(ends), initial=0.0)) < prune_below
             ):
-                short_circuited = True
-                break
-        hi = logic.conjunction_arrays(highs)
-        if short_circuited:
-            # The skipped operands could only lower both ends further; 0 is
-            # the universally sound floor, and hi stays a valid cap.
-            return np.zeros(len(rows)), hi
-        return logic.conjunction_arrays(lows), hi
+                break  # the skipped operands could only lower the cap further
+        return logic.conjunction_arrays(ends)
     if isinstance(node, OrExpression):
-        intervals = [
-            _eval_bounds(operand, rows, bound_vectors, logic, None)
-            for operand in node.operands
-        ]
-        return (
-            logic.disjunction_arrays([lo for lo, _hi in intervals]),
-            logic.disjunction_arrays([hi for _lo, hi in intervals]),
+        return logic.disjunction_arrays(
+            [
+                _eval_bound_end(operand, upper, rows, bound_vectors, logic, None, crisp)
+                for operand in node.operands
+            ]
         )
     if isinstance(node, NotExpression):
-        lo, hi = _eval_bounds(node.operand, rows, bound_vectors, logic, None)
-        return logic.negation_array(hi), logic.negation_array(lo)
+        return logic.negation_array(
+            _eval_bound_end(node.operand, not upper, rows, bound_vectors, logic, None, crisp)
+        )
     if isinstance(node, _CRISP_LEAVES):
-        crisp = crisp_leaf_vector(node, rows)
-        return crisp, crisp.copy()
+        return crisp_leaf_vector(node, rows) if crisp is None else crisp(node)
     raise _NotVectorizable(type(node).__name__)
 
 
@@ -1098,7 +1134,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         """Threshold-style pruned ranking; ``None`` when the query is ineligible.
 
         Candidates are scanned in chunks — in descending order of
-        :meth:`_scan_bound` when the tree has AND-path predicates, stopping
+        :meth:`_scan_bound`, the whole tree's score upper bound, stopping
         once the head of the remainder is below the k-th score.  For each
         chunk the heap's running k-th score is the prune threshold ``T``:
         membership degrees are fetched through the store's bounded path
@@ -1151,10 +1187,10 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         rows = candidates.rows
         entity_rows = candidates.entity_rows(self.membership_cache)
         heap = TopKThreshold(limit)
-        offered = 0
+        offered = scanned = 0
         # Vectorized pre-screen out of the store's cached envelopes: the
-        # conjunction of the eligible AND-path predicate bounds caps the
-        # query score under any t-norm, so it both *orders* the scan
+        # whole WHERE tree folded over the predicates' [lo, hi] caps the
+        # query score whatever its connectives, so it both *orders* the scan
         # (descending bound — the threshold-algorithm order, which fills
         # the heap with the likeliest winners first) and provides a sorted
         # stop condition: once the head of the remainder is below the k-th
@@ -1163,7 +1199,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         # store (which answers from the coordinator's base store), any
         # fan-out; the threshold still ships with every bounded fetch so
         # nodes re-check their per-slice bounds.
-        scan_bound = self._scan_bound(plan, and_path, candidates, store)
+        scan_bound = self._scan_bound(plan, candidates, store)
         if scan_bound is not None:
             scan_order = np.argsort(-scan_bound, kind="stable")
             scan_bound = scan_bound[scan_order]
@@ -1205,6 +1241,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                 dropped = size - int(np.count_nonzero(alive))
                 if dropped:
                     self.entities_pruned += dropped
+            scanned += int(np.count_nonzero(alive))
             bound_vectors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
             for text, interpretation, on_and_path in ordered:
                 alive_index = np.flatnonzero(alive)
@@ -1254,12 +1291,16 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                     # k-th score are out — skip them in later fetches.
                     alive[alive_index] = predicate_hi >= prune_threshold
             if alive.any():
-                envelope = fuzzy_bound_arrays(
-                    where, chunk_rows, bound_vectors, logic, prune_below=threshold
+                hi_env = fuzzy_upper_bound(
+                    where,
+                    chunk_rows,
+                    bound_vectors,
+                    logic,
+                    prune_below=threshold,
+                    crisp=lambda leaf: candidates.crisp_vector(leaf)[chunk_positions],
                 )
-                if envelope is None:
+                if hi_env is None:
                     return None
-                _lo_env, hi_env = envelope
                 survivors = np.flatnonzero(alive & (hi_env >= prune_threshold))
                 offered += survivors.size
                 for index, score in zip(survivors.tolist(), hi_env[survivors].tolist()):
@@ -1273,7 +1314,9 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
             chunk_start = chunk_stop
             chunk_size *= max(2, self.prune_chunk_growth)
         # Result objects are built for the k winners only.
-        with span("merge", num_shards=self.num_shards, rows=offered):
+        with span(
+            "merge", num_shards=self.num_shards, rows=offered, candidates=total, scanned=scanned
+        ):
             entities = [
                 RankedEntity(
                     entity_id=row_entities[position],
@@ -1289,30 +1332,31 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         return QueryResult(sql=sql, entities=entities, interpretations=plan.interpretations)
 
     def _scan_bound(
-        self, plan: QueryPlan, and_path: set[str], candidates: CandidateSet, store
+        self, plan: QueryPlan, candidates: CandidateSet, store
     ) -> np.ndarray | None:
         """Upper bound of the query score on every candidate, unscored.
 
-        The conjunction of the ``and_path`` predicates' degree upper bounds:
-        a predicate reached from the root through AND nodes only caps the
-        score under any t-norm, and a pair's ``hi`` caps its predicate when
-        the pairs combine by AND (or there is only one).  Each ``hi`` is the
-        store's cached whole-store envelope gathered at the candidate set's
-        (cached) row indices; a predicate the store cannot bound (or with
-        a candidate missing from its columns) contributes no cap.  ``None``
-        — scan unordered, no early stop — when nothing caps the score: an
-        OR or NOT at the root, or a store without envelopes.
+        The ``hi`` end of the whole WHERE tree folded over the candidate
+        rows (:func:`fuzzy_upper_bound`), so AND, OR and NOT shapes alike
+        get a scan order and a sorted early stop.  Each predicate's
+        interval is the store's cached whole-store envelope of every pair,
+        gathered at the candidate set's (cached) row indices and folded
+        with the interpretation's combinator; only the ends the fold reads
+        are gathered (:func:`upper_bound_ends` — a ``lo`` only under a
+        NOT).  A predicate the store cannot bound (or with a candidate
+        missing from its columns) gets ``[0, 1]``; crisp leaves read the
+        candidate set's memoised 0/1 vectors.  ``None`` — scan unordered,
+        no early stop — when the store has no envelopes.
         """
         whole_store_envelope = getattr(store, "degree_envelope", None)
         if whole_store_envelope is None:
             return None
-        caps: list[np.ndarray] = []
-        for text, interpretation in plan.interpretations.items():
-            if text not in and_path or (
-                interpretation.combinator != "and" and len(interpretation.pairs) > 1
-            ):
-                continue
-            pair_highs: list[np.ndarray] = []
+        logic = self.processor.logic
+        where = plan.statement.where
+        bound_vectors: dict[str, tuple[np.ndarray | None, np.ndarray | None]] = {}
+        for text, ends in upper_bound_ends(where).items():
+            interpretation = plan.interpretations[text]
+            gathered: dict[int, list[np.ndarray]] | None = {end: [] for end in ends}
             for pair in interpretation.pairs:
                 envelope = whole_store_envelope(
                     self.processor.membership,
@@ -1325,13 +1369,22 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                     else candidates.store_rows(store.columns(pair.attribute))
                 )
                 if index is None:
-                    pair_highs = []
+                    gathered = None
                     break
-                pair_highs.append(envelope[1][index])
-            caps.extend(pair_highs)
-        if not caps:
-            return None
-        return self.processor.logic.conjunction_arrays(caps) if len(caps) > 1 else caps[0]
+                for end, vectors in gathered.items():
+                    vectors.append(envelope[end][index])
+            if gathered is None:
+                count = len(candidates.rows)
+                bound_vectors[text] = (np.zeros(count), np.ones(count))
+                continue
+            combine = _pair_combiner(logic, interpretation)
+            interval: list[np.ndarray | None] = [None, None]
+            for end, vectors in gathered.items():
+                interval[end] = vectors[0] if len(vectors) == 1 else combine(vectors)
+            bound_vectors[text] = (interval[0], interval[1])
+        return fuzzy_upper_bound(
+            where, candidates.rows, bound_vectors, logic, crisp=candidates.crisp_vector
+        )
 
     def _bounded_cached_pair_degrees(
         self,

@@ -21,7 +21,8 @@ Pins the tracing half of the observability layer (ISSUE 10):
 * The first answer after an ingest carries a ``columns_patch`` span
   (attribute, rows) where it used to pay a column build.
 * The pruned ranking path emits a ``merge`` span under ``score``, like the
-  full-vector path.
+  full-vector path; its ``candidates`` and ``scanned`` attributes show
+  where the scan stopped.
 """
 
 from __future__ import annotations
@@ -386,6 +387,24 @@ class TestPrunedMergeSpan:
         # ``rows`` is what the scan offered to the top-k heap, not the candidates.
         assert len(result.entities) == 5 <= merge.attrs["rows"] < 300
         assert merge.attrs["num_shards"] == 2
+
+    def test_the_merge_span_shows_an_or_query_stopping_early(self):
+        """One trace tells how much of the candidate set an OR query fetched."""
+        from repro.serving import ShardedSubjectiveQueryEngine
+        from repro.testing import build_synthetic_columnar_database
+
+        database = build_synthetic_columnar_database(num_entities=300, seed=11)
+        sql = 'select * from Entities where "word005" or "word017" limit 6'
+        with ShardedSubjectiveQueryEngine(database=database, num_shards=2) as engine:
+            engine.execute(sql)
+            engine.membership_cache.clear()
+            store = _fresh_tracing()
+            engine.execute(sql)
+        (merge,) = [record for record in store.spans() if record.name == "merge"]
+        assert merge.attrs["candidates"] == 300
+        # ``scanned`` counts the rows whose degrees were fetched; the heap
+        # was offered a subset of them, and the rest were never touched.
+        assert 6 <= merge.attrs["rows"] <= merge.attrs["scanned"] < merge.attrs["candidates"]
 
 
 class TestSlowQueryForensics:

@@ -26,7 +26,6 @@ from repro.engine.expressions import (
 )
 from repro.serving.sharded import (
     TopKThreshold,
-    and_path_predicates,
     fuzzy_bound_arrays,
     fuzzy_score_arrays,
     merge_shard_topk,
@@ -375,9 +374,11 @@ class TestScanBoundOnRandomTrees:
     """The pruned scan is sound for *any* WHERE shape.
 
     For random trees over real predicates and objective leaves, the scan's
-    ordering bound (gathered from the store's envelopes, before any kernel
-    runs; present when the tree has AND-path predicates) is at least the
-    exact score on every candidate row, and the pruned top-k equals
+    ordering bound (the whole tree folded over the store's envelopes, before
+    any kernel runs; present for every tree, since every predicate here has
+    an envelope) is at least the exact score on every candidate row — NOT
+    must swap the ends and every ``hi`` must be a ``hi`` — and the pruned
+    top-k equals
     :func:`merge_shard_topk` over the exact scores — ties included (min/max
     logic and crisp leaves under OR both produce them).
     """
@@ -433,13 +434,129 @@ class TestScanBoundOnRandomTrees:
             scores = fuzzy_score_arrays(
                 plan.statement.where, candidates.rows, exact, engine.processor.logic
             )
-            and_path = and_path_predicates(plan.statement.where)
-            bound = engine._scan_bound(plan, and_path, candidates, engine.sharded_store)
-            assert (bound is not None) == bool(and_path)
-            assert bound is None or np.all(bound >= scores)
+            store = engine.sharded_store
+            assert all(
+                store.degree_envelope(
+                    engine.processor.membership,
+                    pair.attribute,
+                    engine.processor.phrase_for_pair(interpretation, pair.marker),
+                )
+                is not None
+                for interpretation in plan.interpretations.values()
+                for pair in interpretation.pairs
+            )
+            bound = engine._scan_bound(plan, candidates, store)
+            assert bound is not None
+            assert np.all(bound >= scores)
             expected = merge_shard_topk(scores, candidates.row_entities, 2, limit)
             assert served.entity_ids == [candidates.row_entities[i] for i in expected]
             assert [entity.score for entity in served] == [float(scores[i]) for i in expected]
+
+
+class TestGeneratedWhereTreeDifferential:
+    """Generated WHERE trees answer like a fresh processor on every engine.
+
+    Hypothesis draws nested AND / OR / NOT trees over four phrases (two per
+    attribute) and ``price`` / ``city`` leaves, with a limit of 1, 3 or more
+    than the entity count.  Each tree runs, under both logics, on the
+    in-process sharded engine at 1 and 4 shards with pruning on and off,
+    and on a 2-node cluster of in-process nodes; every answer must equal a
+    fresh processor's bit for bit.  The pruned engines scan in 8-row first
+    chunks, so the 120-entity fixture exercises the scan order and its
+    early stop, not just one chunk.
+    """
+
+    NUM_ENTITIES = 120
+    leaves = st.sampled_from(
+        [
+            '"word001"',
+            '"word004"',
+            '"word018"',
+            '"word027"',
+            "price < 90",
+            "price < 140",
+            "city = 'rome'",
+            "city = 'paris'",
+        ]
+    )
+    trees = st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(
+                lambda ops: "(" + " and ".join(ops) + ")"
+            ),
+            st.lists(children, min_size=2, max_size=3).map(
+                lambda ops: "(" + " or ".join(ops) + ")"
+            ),
+            children.map(lambda op: f"(not {op})"),
+        ),
+        max_leaves=6,
+    )
+    limits = st.sampled_from([1, 3, NUM_ENTITIES + 5])
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        from repro.core import SubjectiveQueryProcessor
+        from repro.serving import (
+            ClusterQueryEngine,
+            ShardedSubjectiveQueryEngine,
+            start_local_node,
+        )
+        from repro.testing import build_synthetic_columnar_database
+
+        database = build_synthetic_columnar_database(num_entities=self.NUM_ENTITIES, seed=41)
+        engines, servers = [], []
+        for logic in (ProductLogic(), ZadehLogic()):
+            for num_shards in (1, 4):
+                for prune_topk in (True, False):
+                    engines.append(
+                        ShardedSubjectiveQueryEngine(
+                            processor=SubjectiveQueryProcessor(database, logic=logic),
+                            num_shards=num_shards,
+                            prune_topk=prune_topk,
+                        )
+                    )
+            processor = SubjectiveQueryProcessor(database, logic=logic)
+            nodes = [
+                start_local_node(processor.membership, node_id=index)[0] for index in range(2)
+            ]
+            servers.extend(nodes)
+            engines.append(
+                ClusterQueryEngine(
+                    processor=processor,
+                    addresses=[server.address for server in nodes],
+                    num_shards=4,
+                )
+            )
+        for engine in engines:
+            engine.prune_chunk_size = 8
+        yield database, engines
+        for engine in engines:
+            engine.close()
+        for server in servers:
+            server.stop()
+
+    @pytest.mark.timeout(300)
+    @given(trees, limits)
+    @settings(max_examples=40, deadline=None)
+    def test_every_engine_answers_like_a_fresh_processor(self, fleet, tree, limit):
+        from repro.core import SubjectiveQueryProcessor
+        from repro.testing import assert_identical_results
+
+        database, engines = fleet
+        sql = f"select * from Entities where {tree} limit {limit}"
+        expected = {
+            logic.name: SubjectiveQueryProcessor(database, logic=logic).execute(sql)
+            for logic in (ProductLogic(), ZadehLogic())
+        }
+        for engine in engines:
+            engine.membership_cache.clear()  # the pruned scan starts cold
+            logic = engine.processor.logic
+            context = (
+                f"{type(engine).__name__} {logic.name} shards={engine.num_shards} "
+                f"prune={engine.prune_topk} {sql!r}"
+            )
+            assert_identical_results(expected[logic.name], engine.execute(sql), context)
 
 
 class TestDegreeColumnCacheAgainstDictModel:

@@ -26,7 +26,7 @@ from repro.serving import (
     ShardedSubjectiveQueryEngine,
     SubjectiveQueryEngine,
 )
-from repro.serving.sharded import and_path_predicates
+from repro.serving.sharded import fuzzy_score_arrays
 from repro.testing import assert_identical_results, build_synthetic_columnar_database
 
 SHARD_COUNTS = [1, 2, 4]
@@ -40,10 +40,10 @@ SELECTIVE_QUERIES = [
 ]
 
 #: Trees with an OR or NOT between the root and a predicate: those
-#: predicates are prunable only through bound envelopes, never through the
-#: AND-path threshold transfer.  Top-level OR, NOT under OR, OR of AND, NOT
-#: under OR under AND, an objective leaf under OR (ties at 1.0), OR under an
-#: objective AND.
+#: predicates take no AND-path threshold transfer, so their scan stops
+#: early only through the whole-tree bound.  Top-level OR, NOT under OR, OR
+#: of AND, NOT under OR under AND, an objective leaf under OR (ties at 1.0),
+#: OR under an objective AND.
 MIXED_QUERIES = [
     'select * from Entities where not "word002" or "word021" limit 4',
     'select * from Entities where "word005" or "word017" limit 6',
@@ -266,14 +266,18 @@ def _replicated_cluster(database):
 
 
 class TestMixedShapesOnEveryEngine:
-    """OR / NOT shapes on the 1600-entity fixture: exact on every engine."""
+    """OR / NOT shapes on the 1600-entity fixture: exact on every engine,
+    and each one stops its scan early — the scan bound folds the whole tree,
+    not just its AND path, and caps the exact score on every candidate."""
 
     @pytest.mark.parametrize(
         "make_engine",
         [_sharded(1), _sharded(2), _sharded(4), _cluster, _replicated_cluster],
         ids=["shards=1", "shards=2", "shards=4", "cluster", "cluster-replicated"],
     )
-    def test_pruned_equals_unpruned_and_and_paths_score_fewer(self, large_database, make_engine):
+    def test_pruned_equals_unpruned_and_every_shape_scores_fewer(
+        self, large_database, make_engine
+    ):
         full = ShardedSubjectiveQueryEngine(
             database=large_database, num_shards=2, prune_topk=False
         )
@@ -284,10 +288,22 @@ class TestMixedShapesOnEveryEngine:
                 assert_identical_results(full.execute(sql), engine.execute(sql), context=sql)
                 scored = engine.entities_scored - scored
                 unpruned = full.entities_scored - unpruned
-                assert 0 < scored <= unpruned, sql
-                if and_path_predicates(engine.plan(sql).statement.where):
-                    # An AND-path predicate orders the scan and stops it early.
-                    assert scored < unpruned, sql
+                assert 0 < scored < unpruned, sql
+                plan = engine.plan(sql)
+                candidates = engine._candidate_rows(plan)
+                exact = fuzzy_score_arrays(
+                    plan.statement.where,
+                    candidates.rows,
+                    {
+                        text: full._interpretation_degree_vector(
+                            candidates.unique_ids, interpretation
+                        )
+                        for text, interpretation in plan.interpretations.items()
+                    },
+                    engine.processor.logic,
+                )
+                bound = engine._scan_bound(plan, candidates, engine.processor.columnar_store)
+                assert np.all(bound >= exact), sql
             assert engine.entities_pruned > 0
             # Only exact degrees were cached: bounds of dismissed rows never are.
             membership = engine.processor.membership
