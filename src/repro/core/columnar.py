@@ -1505,9 +1505,13 @@ class ColumnarSummaryStore:
         The envelope is elementwise per row, so one evaluation over the
         whole store serves every later subset request as a plain array
         gather — the pruned scan's chunks stop paying the phrase-level
-        bound arithmetic per chunk.  (The store-wide similarity caps make
-        the cached envelope at most *wider* than a per-slice one, which is
-        sound: pruning only ever consults ``hi`` as an upper bound.)
+        bound arithmetic per chunk.  Pruning reads *both* ends — the scan
+        bound's ``hi`` of ``not x`` is ``1 - lo(x)`` — so the envelope must
+        bracket the exact degree on each end (checked by
+        ``test_degree_bounds_contain_exact_degrees``).  The store-wide
+        similarity caps make the cached envelope at most *wider* than a
+        per-slice one, which keeps that: its ``hi`` can only be higher and
+        its ``lo`` only lower.
         Cached under the same ``data_version`` contract as the columns and
         bounds, as an LRU of :data:`ENVELOPE_CACHE_ENTRIES` conditions (an
         evicted envelope is recomputed to the same values); re-keyed when a

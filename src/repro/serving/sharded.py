@@ -572,7 +572,6 @@ def fuzzy_bound_arrays(
     bound_vectors: "dict[str, tuple[np.ndarray, np.ndarray]]",
     logic: FuzzyLogic,
     prune_below: "float | None" = None,
-    crisp: "Callable[[Expression], np.ndarray] | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray] | None":
     """``[lo, hi]`` envelope of :func:`fuzzy_score_arrays` per candidate row.
 
@@ -585,9 +584,7 @@ def fuzzy_bound_arrays(
     degenerate ``[d, d]`` the folds reproduce the exact arithmetic
     operation for operation, making the envelope collapse to the exact
     score bit for bit.  Negation swaps the ends — the ``hi`` of ``not x``
-    is ``1 - lo(x)`` — and crisp objective leaves stay exact 0/1 points,
-    read from ``crisp(leaf)`` when given (a vector aligned with ``rows``)
-    and evaluated row by row otherwise.
+    is ``1 - lo(x)`` — and crisp objective leaves stay exact 0/1 points.
 
     ``prune_below`` enables the AND short-circuit on the ``hi`` end: while
     folding a conjunction, once every row's running upper bound has dropped
@@ -599,67 +596,57 @@ def fuzzy_bound_arrays(
     Returns ``None`` when the logic lacks array or bound support, or the
     tree holds a node the interval walk cannot bracket.
     """
-    lo = _fold_bound_end(where, False, rows, bound_vectors, logic, None, crisp)
+    end_of = _interval_ends(bound_vectors)
+
+    def crisp(leaf: Expression) -> np.ndarray:
+        return crisp_leaf_vector(leaf, rows)
+
+    lo = _fold_bound_end(where, False, len(rows), end_of, logic, None, crisp)
     if lo is None:
         return None
-    return lo, _fold_bound_end(where, True, rows, bound_vectors, logic, prune_below, crisp)
+    return lo, _fold_bound_end(where, True, len(rows), end_of, logic, prune_below, crisp)
 
 
-def fuzzy_upper_bound(
-    where: Expression | None,
-    rows: Sequence[dict],
-    bound_vectors: "dict[str, tuple[np.ndarray | None, np.ndarray | None]]",
-    logic: FuzzyLogic,
-    prune_below: "float | None" = None,
-    crisp: "Callable[[Expression], np.ndarray] | None" = None,
-) -> np.ndarray | None:
-    """The ``hi`` end of :func:`fuzzy_bound_arrays` alone.
+def _interval_ends(
+    bound_vectors: "dict[str, tuple[np.ndarray, np.ndarray]]",
+) -> "Callable[[str, bool], np.ndarray]":
+    """``end_of`` reading ready ``(lo, hi)`` pairs; a missing predicate is unboundable."""
 
-    The ``hi`` fold reads exactly the interval ends
-    :func:`upper_bound_ends` names, so an end it never reads may be
-    ``None`` in ``bound_vectors`` — without a NOT, no ``lo`` is needed.
-    """
-    return _fold_bound_end(where, True, rows, bound_vectors, logic, prune_below, crisp)
+    def end_of(text: str, upper: bool) -> np.ndarray:
+        interval = bound_vectors.get(text)
+        if interval is None:
+            raise _NotVectorizable(text)
+        return interval[1] if upper else interval[0]
 
-
-def upper_bound_ends(where: Expression | None) -> "dict[str, set[int]]":
-    """Which interval end of each predicate the ``hi`` fold reads.
-
-    ``1`` (its ``hi``) for a predicate under an even number of NOTs, ``0``
-    (its ``lo``) under an odd number: negation swaps the ends.
-    """
-    ends: dict[str, set[int]] = {}
-
-    def walk(node: Expression | None, end: int) -> None:
-        if isinstance(node, SubjectivePredicate):
-            ends.setdefault(node.text, set()).add(end)
-        elif isinstance(node, (AndExpression, OrExpression)):
-            for operand in node.operands:
-                walk(operand, end)
-        elif isinstance(node, NotExpression):
-            walk(node.operand, 1 - end)
-
-    walk(where, 1)
-    return ends
+    return end_of
 
 
 def _fold_bound_end(
     where: Expression | None,
     upper: bool,
-    rows: Sequence[dict],
-    bound_vectors: "dict[str, tuple[np.ndarray | None, np.ndarray | None]]",
+    count: int,
+    end_of: "Callable[[str, bool], np.ndarray]",
     logic: FuzzyLogic,
     prune_below: "float | None",
-    crisp: "Callable[[Expression], np.ndarray] | None",
+    crisp: "Callable[[Expression], np.ndarray]",
 ) -> np.ndarray | None:
+    """One end of the WHERE tree's interval over ``count`` rows.
+
+    ``end_of(text, upper)`` supplies a predicate's ``hi`` (``upper``) or
+    ``lo`` end and is asked only for the ends the fold reads — the ``hi``
+    fold reads a ``lo`` only under a NOT, and never for operands an AND
+    short-circuit skips — so a caller may gather ends lazily.  ``crisp``
+    supplies an objective leaf's 0/1 vector.  ``None`` when the logic lacks
+    array or bound support, or ``end_of`` raises :class:`_NotVectorizable`.
+    """
     if not getattr(logic, "supports_arrays", False):
         return None
     if not getattr(logic, "supports_bounds", False):
         return None
     if where is None:
-        return np.ones(len(rows))
+        return np.ones(count)
     try:
-        return _eval_bound_end(where, upper, rows, bound_vectors, logic, prune_below, crisp)
+        return _eval_bound_end(where, upper, end_of, logic, prune_below, crisp)
     except _NotVectorizable:
         return None
 
@@ -667,24 +654,18 @@ def _fold_bound_end(
 def _eval_bound_end(
     node: Expression,
     upper: bool,
-    rows: Sequence[dict],
-    bound_vectors: "dict[str, tuple[np.ndarray | None, np.ndarray | None]]",
+    end_of: "Callable[[str, bool], np.ndarray]",
     logic: FuzzyLogic,
     prune_below: "float | None",
-    crisp: "Callable[[Expression], np.ndarray] | None",
+    crisp: "Callable[[Expression], np.ndarray]",
 ) -> np.ndarray:
     """One end of ``node``'s interval: ``hi`` when ``upper``, else ``lo``."""
     if isinstance(node, SubjectivePredicate):
-        interval = bound_vectors.get(node.text)
-        if interval is None:
-            raise _NotVectorizable(node.text)
-        return interval[1] if upper else interval[0]
+        return end_of(node.text, upper)
     if isinstance(node, AndExpression):
         ends: list[np.ndarray] = []
         for position, operand in enumerate(node.operands):
-            ends.append(
-                _eval_bound_end(operand, upper, rows, bound_vectors, logic, prune_below, crisp)
-            )
+            ends.append(_eval_bound_end(operand, upper, end_of, logic, prune_below, crisp))
             if (
                 prune_below is not None
                 and position + 1 < len(node.operands)
@@ -695,16 +676,16 @@ def _eval_bound_end(
     if isinstance(node, OrExpression):
         return logic.disjunction_arrays(
             [
-                _eval_bound_end(operand, upper, rows, bound_vectors, logic, None, crisp)
+                _eval_bound_end(operand, upper, end_of, logic, None, crisp)
                 for operand in node.operands
             ]
         )
     if isinstance(node, NotExpression):
         return logic.negation_array(
-            _eval_bound_end(node.operand, not upper, rows, bound_vectors, logic, None, crisp)
+            _eval_bound_end(node.operand, not upper, end_of, logic, None, crisp)
         )
     if isinstance(node, _CRISP_LEAVES):
-        return crisp_leaf_vector(node, rows) if crisp is None else crisp(node)
+        return crisp(node)
     raise _NotVectorizable(type(node).__name__)
 
 
@@ -1291,13 +1272,14 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                     # k-th score are out — skip them in later fetches.
                     alive[alive_index] = predicate_hi >= prune_threshold
             if alive.any():
-                hi_env = fuzzy_upper_bound(
+                hi_env = _fold_bound_end(
                     where,
-                    chunk_rows,
-                    bound_vectors,
+                    True,
+                    size,
+                    _interval_ends(bound_vectors),
                     logic,
-                    prune_below=threshold,
-                    crisp=lambda leaf: candidates.crisp_vector(leaf)[chunk_positions],
+                    threshold,
+                    lambda leaf: candidates.crisp_vector(leaf)[chunk_positions],
                 )
                 if hi_env is None:
                     return None
@@ -1337,53 +1319,55 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         """Upper bound of the query score on every candidate, unscored.
 
         The ``hi`` end of the whole WHERE tree folded over the candidate
-        rows (:func:`fuzzy_upper_bound`), so AND, OR and NOT shapes alike
-        get a scan order and a sorted early stop.  Each predicate's
-        interval is the store's cached whole-store envelope of every pair,
-        gathered at the candidate set's (cached) row indices and folded
-        with the interpretation's combinator; only the ends the fold reads
-        are gathered (:func:`upper_bound_ends` — a ``lo`` only under a
-        NOT).  A predicate the store cannot bound (or with a candidate
-        missing from its columns) gets ``[0, 1]``; crisp leaves read the
-        candidate set's memoised 0/1 vectors.  ``None`` — scan unordered,
-        no early stop — when the store has no envelopes.
+        rows (:func:`_fold_bound_end`), so AND, OR and NOT shapes alike
+        get a scan order and a sorted early stop.  Each predicate end the
+        fold asks for is the store's cached whole-store envelope of every
+        pair, gathered at the candidate set's (cached) row indices and
+        folded with the interpretation's combinator, memoised per query —
+        so a ``lo`` is gathered only under a NOT.  A predicate the store
+        cannot bound (or with a candidate missing from its columns) gets
+        ``[0, 1]``; crisp leaves read the candidate set's memoised 0/1
+        vectors.  ``None`` — scan unordered, no early stop — when the store
+        has no envelopes.
         """
         whole_store_envelope = getattr(store, "degree_envelope", None)
         if whole_store_envelope is None:
             return None
         logic = self.processor.logic
-        where = plan.statement.where
-        bound_vectors: dict[str, tuple[np.ndarray | None, np.ndarray | None]] = {}
-        for text, ends in upper_bound_ends(where).items():
-            interpretation = plan.interpretations[text]
-            gathered: dict[int, list[np.ndarray]] | None = {end: [] for end in ends}
-            for pair in interpretation.pairs:
-                envelope = whole_store_envelope(
-                    self.processor.membership,
-                    pair.attribute,
-                    self.processor.phrase_for_pair(interpretation, pair.marker),
-                )
-                index = (
-                    None
-                    if envelope is None
-                    else candidates.store_rows(store.columns(pair.attribute))
-                )
-                if index is None:
-                    gathered = None
-                    break
-                for end, vectors in gathered.items():
-                    vectors.append(envelope[end][index])
-            if gathered is None:
-                count = len(candidates.rows)
-                bound_vectors[text] = (np.zeros(count), np.ones(count))
-                continue
-            combine = _pair_combiner(logic, interpretation)
-            interval: list[np.ndarray | None] = [None, None]
-            for end, vectors in gathered.items():
-                interval[end] = vectors[0] if len(vectors) == 1 else combine(vectors)
-            bound_vectors[text] = (interval[0], interval[1])
-        return fuzzy_upper_bound(
-            where, candidates.rows, bound_vectors, logic, crisp=candidates.crisp_vector
+        count = len(candidates.rows)
+        gathered: dict[tuple[str, bool], np.ndarray] = {}
+
+        def end_of(text: str, upper: bool) -> np.ndarray:
+            vector = gathered.get((text, upper))
+            if vector is None:
+                interpretation = plan.interpretations[text]
+                vectors: list[np.ndarray] = []
+                for pair in interpretation.pairs:
+                    envelope = whole_store_envelope(
+                        self.processor.membership,
+                        pair.attribute,
+                        self.processor.phrase_for_pair(interpretation, pair.marker),
+                    )
+                    index = (
+                        None
+                        if envelope is None
+                        else candidates.store_rows(store.columns(pair.attribute))
+                    )
+                    if index is None:
+                        vector = np.ones(count) if upper else np.zeros(count)
+                        break
+                    vectors.append(envelope[1 if upper else 0][index])
+                else:
+                    vector = (
+                        vectors[0]
+                        if len(vectors) == 1
+                        else _pair_combiner(logic, interpretation)(vectors)
+                    )
+                gathered[(text, upper)] = vector
+            return vector
+
+        return _fold_bound_end(
+            plan.statement.where, True, count, end_of, logic, None, candidates.crisp_vector
         )
 
     def _bounded_cached_pair_degrees(
