@@ -4,10 +4,11 @@ Shows the threshold-style top-k path (on by default) end to end:
 
 1. build a small synthetic hotel database,
 2. point a :class:`repro.serving.ClusterQueryEngine` at it — the
-   coordinator forks a fleet of local TCP shard nodes and ships its
-   running k-th best score inside every ``score_bounded`` frame, so each
-   node skips the exact kernel for entities whose degree *upper bound*
-   cannot reach the heap,
+   coordinator forks a fleet of local TCP shard nodes and ships the
+   query to them as one ``rank`` frame per node; each node scans its own
+   slices in bound order, skips the exact kernel for entities whose degree
+   *upper bound* cannot reach its running k-th best score, and returns its
+   exact local top-k for the coordinator to merge,
 3. run a selective top-3 conjunction and print the ranked answers,
 4. print the ``partition_stats()`` pruning counters — how many entities
    each node settled exactly (``entities_scored``) versus from bounds

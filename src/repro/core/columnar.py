@@ -1214,50 +1214,47 @@ def similarity_mass_bounds(
 
 
 def bounded_pair_degrees(
-    membership: "MembershipFunction",
+    kernel,
     columns: AttributeColumns,
-    bounds: ScoreBounds,
     phrase: str,
+    upper: np.ndarray,
     threshold: float,
-) -> "tuple[np.ndarray, np.ndarray, int, int] | None":
-    """Threshold-pruned degrees of one phrase over all rows of ``columns``.
+    rows: np.ndarray,
+    values: np.ndarray,
+    known: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray, int, int]":
+    """Threshold-pruned degrees of one phrase at ``rows`` of ``columns``, memoised.
 
-    The membership's :meth:`degree_bounds` envelope is evaluated first (no
-    centroid tensor touched); rows whose upper bound falls below
-    ``threshold`` are *pruned* — their exact degree provably cannot reach
-    the current k-th score on any AND-path, so the returned value is the
-    upper bound itself and the exact kernel never sees them.  Surviving
-    rows are scored exactly (through a row gather when they are sparse), so
-    every returned exact value is bit-identical to the unpruned kernel.
+    ``upper`` is a sound per-row degree upper bound over every row of
+    ``columns`` (an envelope's ``hi`` end); ``values`` / ``known`` memoise
+    exact degrees over the same rows and are updated in place.  Known rows
+    are answered from the memo.  Of the others, rows whose bound falls
+    below ``threshold`` are *pruned* — their exact degree provably cannot
+    reach the current k-th score on any AND-path, so the bound itself is
+    returned — and the rest are scored exactly: through a row gather when
+    they are sparse, else by one kernel pass over every row, all of which
+    are then known.  Every exact value is bit-identical to the unpruned
+    kernel.
 
-    Returns ``(values, exact_mask, scored, pruned)`` — ``scored`` counts
-    rows the exact kernel evaluated, ``pruned`` the bound-only rows — or
-    ``None`` when the membership exposes no usable bound envelope (callers
-    fall back to full scoring).  When every bound clears the threshold the
-    call degrades gracefully to one exact kernel pass; when none does (the
-    slice-cap case) the kernel is skipped entirely.
+    Returns ``(values, exact_mask, scored, pruned)`` aligned with ``rows``
+    — ``scored`` counts the requested rows the kernel evaluated,
+    ``pruned`` the bound-only ones.
     """
-    degree_bounds = getattr(membership, "degree_bounds", None)
-    kernel = getattr(membership, "degrees_columnar", None)
-    if degree_bounds is None or kernel is None:
-        return None
-    envelope = degree_bounds(bounds, phrase)
-    if envelope is None:
-        return None
-    _, upper = envelope
-    survivors = np.flatnonzero(upper >= threshold)
-    values = np.array(upper, dtype=np.float64, copy=True)
-    exact_mask = np.zeros(columns.num_entities, dtype=bool)
-    if survivors.size:
-        if survivors.size * 4 < columns.num_entities:
-            gathered = gather_rows(columns, survivors.tolist())
-            values[survivors] = kernel(gathered, phrase)
-        else:
-            values[survivors] = kernel(columns, phrase)[survivors]
-        exact_mask[survivors] = True
-    scored = int(survivors.size)
-    pruned = int(columns.num_entities - survivors.size)
-    return values, exact_mask, scored, pruned
+    missing = rows[~known[rows]]
+    wanted = missing[upper[missing] >= threshold]
+    if wanted.size * 4 >= columns.num_entities > 0:
+        values[:] = kernel(columns, phrase)
+        known[:] = True
+    elif wanted.size:
+        values[wanted] = kernel(gather_rows(columns, wanted.tolist()), phrase)
+        known[wanted] = True
+    exact = known[rows]
+    return (
+        np.where(exact, values[rows], upper[rows]),
+        exact,
+        int(wanted.size),
+        int(missing.size - wanted.size),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ when it enters the gateway or an engine's ``execute``.  In-process the
 context propagates through a :mod:`contextvars` variable, so nested
 :func:`span` blocks parent themselves automatically; across the wire the
 coordinator appends ``(trace_id, span_id)`` as an optional trailing
-field on ``OP_SCORE`` / ``OP_SCORE_BOUNDED`` / ``OP_QUERY`` frames
+field on ``OP_SCORE`` / ``OP_RANK`` / ``OP_QUERY`` frames
 (an untraced frame carries zero bytes for it) and the remote side
 records its spans with :func:`record_span`, parented on the
 coordinator's span id, into its own process-global :class:`TraceStore`.

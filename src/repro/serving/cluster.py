@@ -51,6 +51,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -71,8 +72,8 @@ from repro.core.interpreter import InterpretationMethod
 from repro.core.processor import SubjectiveQueryProcessor
 from repro.obs.metrics import MetricsRegistry, cell_property
 from repro.obs.trace import current_wire_trace, global_trace_store, span
-from repro.serving.engine import BatchResult
-from repro.serving.plans import normalize_sql
+from repro.serving.engine import BatchResult, CandidateSet
+from repro.serving.plans import QueryPlan, normalize_sql
 from repro.serving.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     OP_HELLO,
@@ -85,6 +86,7 @@ from repro.serving.protocol import (
     STATUS_OK,
     FrameTooLargeError,
     HandshakeError,
+    RankReply,
     Reader,
     RpcError,
     WorkerCrashedError,
@@ -94,12 +96,12 @@ from repro.serving.protocol import (
     encode_hydrate_delta_request,
     encode_hydrate_request,
     encode_invalidate_request,
-    encode_score_bounded_request,
+    encode_rank_request,
     encode_score_request,
     encode_traces_request,
     frame_bytes,
     read_hello_ack,
-    read_score_bounded_response,
+    read_rank_response,
     recv_frame,
     send_frame,
 )
@@ -111,9 +113,16 @@ from repro.serving.protocol import (
 )
 from repro.serving.service import DEFAULT_WORKER_CACHE_SIZE, HydratedSlices, ShardService
 from repro.serving.sharded import (
+    RANK_LOGICS,
+    PrunedPredicate,
+    PrunedRanking,
     ShardedSubjectiveQueryEngine,
+    TopKThreshold,
     default_num_shards,
+    encode_where_tree,
+    fold_scan_bound,
     partition_bounds,
+    rank_pruned_chunks,
 )
 from repro.utils.timing import now
 
@@ -353,11 +362,11 @@ class ShardNodeServer(ShardService):
     ) -> bytes:
         """Install one unpacked snapshot and its bounds; the shared hydrate OK response."""
         if self.source.install(snapshot, bounds):
-            self._caches.clear()  # a new version outdates every memoised vector
+            self.drop_slice_caches()  # a new version outdates every memoised vector
         else:
             # Re-hydrating one attribute's slice must not evict another
             # attribute's still-valid vectors.
-            self._caches.pop((snapshot.columns.attribute, snapshot.slice_id), None)
+            self.drop_slice_caches((snapshot.columns.attribute, snapshot.slice_id))
         self.hydrations += 1
         return (
             _U8.pack(STATUS_OK)
@@ -464,9 +473,24 @@ def _decode_score(reader: Reader) -> np.ndarray:
     return reader.read_f64_array(reader.read_u32())
 
 
-def _decode_score_bounded(reader: Reader) -> tuple:
-    """A ``score bounded`` response: (values, exact mask, scored, pruned)."""
-    return read_score_bounded_response(reader)
+def _decode_rank(reader: Reader) -> RankReply:
+    """A ``rank`` response: the node's exact local top-k and its counters."""
+    return read_rank_response(reader)
+
+
+def _score_frame(
+    slice_id: int,
+    attribute: str,
+    phrase: str,
+    start: int,
+    stop: int,
+    rows: "list[int] | None",
+    _slice_ids: list[int],
+) -> bytes:
+    """One slice's ``score`` frame, traced under the current span (if any)."""
+    return encode_score_request(
+        slice_id, attribute, phrase, start, stop, rows, trace=current_wire_trace()
+    )
 
 
 def _decode_versioned(reader: Reader) -> tuple[int, int]:
@@ -678,29 +702,41 @@ class ClusterNodeClient:
 # --------------------------------------------------------------------------
 
 @dataclass
+class _SliceWork:
+    """One request's work on a set of slices, re-encodable for any subset of them.
+
+    ``columns`` are the attributes the work reads — hydrated ahead of it on
+    every node it is sent to — and ``bounds`` their shared partition
+    bounds.  ``encode(slice_ids)`` builds the request frame covering those
+    slices and ``decode`` reads its response; ``scatter`` places a score
+    call's vector into the store-wide batch.
+    """
+
+    columns: dict[str, AttributeColumns]
+    bounds: list[int]
+    encode: Callable[[list[int]], bytes]
+    decode: Callable[[Reader], object]
+    scatter: object = None
+
+
+@dataclass
 class _PendingCall:
     """One enqueued node call of a fan-out, with everything needed to retry it.
 
-    ``kind`` is ``"hydrate"`` or ``"score"``.  Score calls carry their full
-    request parameters (slice identity, row subset, scatter target,
-    optional prune threshold) so that when the serving node dies
-    mid-request, :meth:`ClusterShardStore._collect_calls` can re-issue the
-    exact same call on an untried replica; ``tried`` accumulates the nodes
-    already attempted so a failover can never loop.
+    ``kind`` is ``"hydrate"`` or ``"work"``.  A work call (a ``score`` or
+    ``rank`` frame) carries its :class:`_SliceWork` and the slices it
+    covers, so that when the serving node dies mid-request
+    :meth:`ClusterShardStore._collect_calls` can re-issue those slices on
+    untried replicas; ``tried`` accumulates the nodes already attempted so
+    a failover can never loop.
     """
 
     kind: str
     reply: NodeReply
     node: int
-    attribute: str = ""
-    slice_id: int = -1
     hydration_key: "tuple[int, str, int] | None" = None
-    phrase: str = ""
-    start: int = 0
-    stop: int = 0
-    rows: "list[int] | None" = None
-    scatter: object = None
-    threshold: float | None = None
+    work: _SliceWork | None = None
+    slices: list[int] = field(default_factory=list)
     tried: set[int] = field(default_factory=set)
 
 
@@ -1248,94 +1284,94 @@ class ClusterShardStore:
         self._hydrated.add(hydration_key)
         self._node_bases[hydration_key] = self._version
         self.hydrations += 1
-        return _PendingCall(
-            kind="hydrate",
-            reply=reply,
-            node=node,
-            attribute=attribute,
-            slice_id=slice_id,
-            hydration_key=hydration_key,
-        )
+        return _PendingCall(kind="hydrate", reply=reply, node=node, hydration_key=hydration_key)
 
     def _channel_load(self, node: int) -> int:
         """One node's outstanding work (queued + in-flight requests)."""
         channel = self._channels[node]
         return len(channel.inflight) + len(channel.queue)
 
-    def _issue_slice_call(
+    def _hydrate_ahead(
         self,
         pending: list[_PendingCall],
-        columns: AttributeColumns,
-        attribute: str,
-        phrase: str,
-        slice_id: int,
-        start: int,
-        stop: int,
-        rows: "list[int] | None",
-        scatter: object,
-        threshold: float | None,
+        columns_of: dict[str, AttributeColumns],
+        bounds: list[int],
+        node: int,
+        slice_ids: list[int],
     ) -> None:
-        """Hydrate one slice's replicas as needed, then enqueue its score call.
+        """Queue a hydrate frame for every ``(attribute, slice)`` ``node`` lacks.
 
-        Every replica missing the slice receives a hydrate frame (warm
-        standby — the availability the replication factor buys); the score
-        itself goes to the least-loaded replica.  Routing cannot affect
-        results: replicas hydrate from identical snapshot bytes and the
-        kernels are row-independent, so any replica computes the same
-        vector bit for bit.
+        The per-node FIFO lands them ahead of any frame queued after them.
         """
-        replicas = self._replicas_of(slice_id)
-        for node in replicas:
-            hydration_key = (node, attribute, slice_id)
-            if hydration_key in self._hydrated:
-                continue
-            channel = self._channels[node]
-            if channel.remote_local_store and channel.remote_data_version == self._version:
-                # The node advertised a warm persistent store at exactly the
-                # coordinator's version: it will carve this slice out of its
-                # own mmap on first use, so no hydrate frame ships at all.
-                self._hydrated.add(hydration_key)
-                self._node_bases[hydration_key] = self._version
-                self.local_hydrations += 1
-                continue
-            pending.append(
-                self._enqueue_hydration(node, columns, attribute, slice_id, start, stop)
-            )
-        target = min(replicas, key=self._channel_load)
-        trace = current_wire_trace()
-        if threshold is None:
-            payload = encode_score_request(
-                slice_id, attribute, phrase, start, stop, rows, trace=trace
-            )
-            decode = _decode_score
-        else:
-            payload = encode_score_bounded_request(
-                slice_id, attribute, phrase, start, stop, rows, threshold, trace=trace
-            )
-            decode = _decode_score_bounded
-        reply = self._channels[target].enqueue(payload, decode)
+        channel = self._channels[node]
+        for attribute, columns in columns_of.items():
+            for slice_id in slice_ids:
+                hydration_key = (node, attribute, slice_id)
+                if hydration_key in self._hydrated:
+                    continue
+                if channel.remote_local_store and channel.remote_data_version == self._version:
+                    # The node advertised a warm persistent store at exactly
+                    # the coordinator's version: it will carve this slice out
+                    # of its own mmap on first use, so no hydrate frame ships.
+                    self._hydrated.add(hydration_key)
+                    self._node_bases[hydration_key] = self._version
+                    self.local_hydrations += 1
+                    continue
+                start, stop = bounds[slice_id], bounds[slice_id + 1]
+                pending.append(
+                    self._enqueue_hydration(node, columns, attribute, slice_id, start, stop)
+                )
+
+    def _enqueue_work(
+        self,
+        pending: list[_PendingCall],
+        work: _SliceWork,
+        node: int,
+        slice_ids: list[int],
+        tried: set[int],
+    ) -> None:
+        """Hydrate ``node`` as needed, then queue ``work``'s frame for ``slice_ids`` on it."""
+        self._hydrate_ahead(pending, work.columns, work.bounds, node, slice_ids)
+        reply = self._channels[node].enqueue(work.encode(slice_ids), work.decode)
+        self.rpc_requests += 1
         pending.append(
             _PendingCall(
-                kind="score",
+                kind="work",
                 reply=reply,
-                node=target,
-                attribute=attribute,
-                slice_id=slice_id,
-                phrase=phrase,
-                start=start,
-                stop=stop,
-                rows=rows,
-                scatter=scatter,
-                threshold=threshold,
-                tried={target},
+                node=node,
+                work=work,
+                slices=list(slice_ids),
+                tried=tried | {node},
             )
         )
 
-    def _failover_target(self, call: _PendingCall) -> int | None:
-        """A live, untried replica to re-issue one crashed score call on."""
+    def _route(self, pending: list[_PendingCall], work: _SliceWork, slice_ids: list[int]) -> None:
+        """Send ``work`` on ``slice_ids`` to the fleet, one call per node.
+
+        Every replica missing a slice receives a hydrate frame (warm
+        standby — the availability the replication factor buys); each slice
+        goes to its least-loaded replica, and slices landing on one node
+        share one call.  Routing cannot affect results: replicas hydrate
+        from identical snapshot bytes and the kernels are row-independent,
+        so any replica computes the same values bit for bit.
+        """
+        groups: dict[int, list[int]] = {}
+        for slice_id in slice_ids:
+            replicas = self._replicas_of(slice_id)
+            for node in replicas:
+                self._hydrate_ahead(pending, work.columns, work.bounds, node, [slice_id])
+            target = min(
+                replicas, key=lambda node: self._channel_load(node) + len(groups.get(node, ()))
+            )
+            groups.setdefault(target, []).append(slice_id)
+        for node, group in groups.items():
+            self._enqueue_work(pending, work, node, group, set())
+
+    def _failover_target(self, slice_id: int, tried: set[int]) -> int | None:
+        """A live, untried replica to re-issue one crashed slice on."""
         candidates = []
-        for node in self._replicas_of(call.slice_id):
-            if node in call.tried:
+        for node in self._replicas_of(slice_id):
+            if node in tried:
                 continue
             channel = self._channels[node]
             if channel is None or channel.dead or channel.sock is None:
@@ -1345,94 +1381,22 @@ class ClusterShardStore:
             return None
         return min(candidates, key=self._channel_load)
 
-    def _reissue(
-        self, call: _PendingCall, node: int, columns: AttributeColumns
-    ) -> list[_PendingCall]:
-        """Re-issue one crashed score call on ``node``; the replacement calls.
-
-        Hydration rides ahead of the retried score exactly as on the
-        original path (the per-node FIFO guarantees ordering), so a
-        replica that never saw the slice serves the retry correctly.
-        """
-        new_calls: list[_PendingCall] = []
-        channel = self._channels[node]
-        hydration_key = (node, call.attribute, call.slice_id)
-        if hydration_key not in self._hydrated and (
-            channel.remote_local_store and channel.remote_data_version == self._version
-        ):
-            # Same skip as the original path: a warm local store at the
-            # coordinator's version hydrates itself on first use.
-            self._hydrated.add(hydration_key)
-            self._node_bases[hydration_key] = self._version
-            self.local_hydrations += 1
-        if hydration_key not in self._hydrated:
-            new_calls.append(
-                self._enqueue_hydration(
-                    node, columns, call.attribute, call.slice_id, call.start, call.stop
-                )
-            )
-        trace = current_wire_trace()
-        if call.threshold is None:
-            payload = encode_score_request(
-                call.slice_id,
-                call.attribute,
-                call.phrase,
-                call.start,
-                call.stop,
-                call.rows,
-                trace=trace,
-            )
-            decode = _decode_score
-        else:
-            payload = encode_score_bounded_request(
-                call.slice_id,
-                call.attribute,
-                call.phrase,
-                call.start,
-                call.stop,
-                call.rows,
-                call.threshold,
-                trace=trace,
-            )
-            decode = _decode_score_bounded
-        reply = channel.enqueue(payload, decode)
-        self.rpc_requests += 1
-        new_calls.append(
-            _PendingCall(
-                kind="score",
-                reply=reply,
-                node=node,
-                attribute=call.attribute,
-                slice_id=call.slice_id,
-                phrase=call.phrase,
-                start=call.start,
-                stop=call.stop,
-                rows=call.rows,
-                scatter=call.scatter,
-                threshold=call.threshold,
-                tried=call.tried | {node},
-            )
-        )
-        return new_calls
-
-    def _collect_calls(
-        self, calls: list[_PendingCall], columns: AttributeColumns
-    ) -> list[_PendingCall]:
-        """Resolve one fan-out's calls; completed score calls, in any order.
+    def _collect_calls(self, calls: list[_PendingCall]) -> list[_PendingCall]:
+        """Resolve one fan-out's calls; completed work calls, in any order.
 
         The failover loop: pump until every outstanding call resolves,
-        re-issue score calls whose node crashed onto an untried live
-        replica (hydrating it first if needed), and repeat until nothing
-        is outstanding.  With a replica available a node loss is invisible
-        to the caller; with none (``replication=1``, or every replica
-        tried) the original :class:`~repro.serving.protocol.
-        WorkerCrashedError` surfaces exactly as before.  Non-crash errors
-        — a refused snapshot, a version-skewed delta, a node-side scoring
-        fault — always raise: they signal bugs or corruption, and retrying
-        them elsewhere would only mask the signal.  A crashed *hydrate*
-        call alone never fails the fan-out (its record is rolled back and
-        any score routed to that node fails over on its own), so a dying
-        warm standby costs nothing.
+        re-issue the slices of work calls whose node crashed onto untried
+        live replicas (hydrating them first if needed, one call per
+        replica), and repeat until nothing is outstanding.  With a replica
+        available a node loss is invisible to the caller; with none
+        (``replication=1``, or every replica tried) the original
+        :class:`~repro.serving.protocol.WorkerCrashedError` surfaces exactly
+        as before.  Non-crash errors — a refused snapshot, a version-skewed
+        delta, a node-side scoring fault — always raise: they signal bugs or
+        corruption, and retrying them elsewhere would only mask the signal.
+        A crashed *hydrate* call alone never fails the fan-out (its record
+        is rolled back and any work routed to that node fails over on its
+        own), so a dying warm standby costs nothing.
         """
         completed: list[_PendingCall] = []
         pending = list(calls)
@@ -1442,7 +1406,7 @@ class ClusterShardStore:
             for call in pending:
                 error = call.reply.error
                 if error is None:
-                    if call.kind == "score":
+                    if call.kind == "work":
                         completed.append(call)
                     continue
                 if call.kind == "hydrate":
@@ -1453,11 +1417,15 @@ class ClusterShardStore:
                     raise error
                 if not isinstance(error, WorkerCrashedError):
                     raise error
-                node = self._failover_target(call)
-                if node is None:
-                    raise error
-                self.failovers += 1
-                next_round.extend(self._reissue(call, node, columns))
+                groups: dict[int, list[int]] = {}
+                for slice_id in call.slices:
+                    node = self._failover_target(slice_id, call.tried)
+                    if node is None:
+                        raise error
+                    groups.setdefault(node, []).append(slice_id)
+                for node, group in groups.items():
+                    self.failovers += 1
+                    self._enqueue_work(next_round, call.work, node, group, call.tried)
             pending = next_round
         return completed
 
@@ -1580,22 +1548,16 @@ class ClusterShardStore:
         )
         if resident:
             bounds = partition_bounds(columns.num_entities, self.num_slices)
-            slice_requests = plan_slice_requests(bounds, resident)
-            for slice_id, start, stop, slice_rows, scatter in slice_requests:
-                self._issue_slice_call(
-                    request.pending,
-                    columns,
-                    attribute,
-                    phrase,
-                    slice_id,
-                    start,
-                    stop,
-                    slice_rows,
+            for slice_id, start, stop, slice_rows, scatter in plan_slice_requests(bounds, resident):
+                work = _SliceWork(
+                    {attribute: columns},
+                    bounds,
+                    partial(_score_frame, slice_id, attribute, phrase, start, stop, slice_rows),
+                    _decode_score,
                     scatter,
-                    None,
                 )
+                self._route(request.pending, work, [slice_id])
             self.fanouts += 1
-            self.rpc_requests += len(slice_requests)
             self._service_io(0.0)
         return request
 
@@ -1612,8 +1574,8 @@ class ClusterShardStore:
         coordinator, exactly like every other store.
         """
         with span("transport", layer="cluster", requests=len(request.pending)):
-            for call in self._collect_calls(request.pending, request.columns):
-                request.batch[call.scatter] = call.reply.value
+            for call in self._collect_calls(request.pending):
+                request.batch[call.work.scatter] = call.reply.value
         return gather_degrees(
             request.batch,
             request.rows,
@@ -1645,89 +1607,86 @@ class ClusterShardStore:
             return None
         return self.collect_degrees(request)
 
-    def pair_degrees_bounded(
+    def rank(
         self,
         membership: object,
-        entity_ids: Sequence[Hashable],
-        attribute: str,
-        phrase: str,
-        threshold: float,
-    ) -> "tuple[np.ndarray, np.ndarray, int, int] | None":
-        """Threshold-pruned cluster scoring: nodes skip rows their bounds cap.
+        attributes: Sequence[str],
+        candidate_rows: "Callable[[AttributeColumns], np.ndarray | None]",
+        encode: "Callable[[list[tuple[int, int, int]], np.ndarray, np.ndarray], bytes]",
+    ) -> "list[RankReply] | None":
+        """Rank one pruned query on the nodes: one ``rank`` call per node.
 
-        The bounded twin of :meth:`pair_degrees`: the same per-slice plan is
-        fanned out as ``score bounded`` frames carrying the coordinator's
-        prune threshold, each node evaluates its hydrated slice's bound
-        envelope before its exact kernel, and the responses scatter values
-        plus a per-row exactness mask.  Hydration rides ahead of the first
-        bounded score exactly as in :meth:`request_degrees`.  The returned
-        counters cover the *requested* entities, mirroring the base store.
-        ``None`` under the base store's fallback conditions (no kernel, no
-        bound envelope, absent entities), in which case the caller takes
-        the full exact path.
-        """
-        self._check_version()
-        kernel = columnar_kernel(membership, self.database)
-        if kernel is None or getattr(membership, "degree_bounds", None) is None:
-            return None
-        self._ensure_nodes(membership)  # fork before the column build
-        columns = self.base.columns(attribute)
-        if columns is None:
-            return None
-        rows = [columns.row_of.get(entity_id) for entity_id in entity_ids]
-        if any(row is None for row in rows):
-            return None
-        resident = sorted(set(rows))
-        bounds = partition_bounds(columns.num_entities, self.num_slices)
-        slice_requests = plan_slice_requests(bounds, resident)
-        values = np.empty(columns.num_entities)
-        exact = np.zeros(columns.num_entities, dtype=bool)
-        pending: list[_PendingCall] = []
-        for slice_id, start, stop, slice_rows, scatter in slice_requests:
-            self._issue_slice_call(
-                pending,
-                columns,
-                attribute,
-                phrase,
-                slice_id,
-                start,
-                stop,
-                slice_rows,
-                scatter,
-                threshold,
-            )
-        self.fanouts += 1
-        self.rpc_requests += len(slice_requests)
-        with span("transport", layer="cluster", requests=len(pending), bounded=True):
-            for call in self._collect_calls(pending, columns):
-                vector, mask, _scored, _pruned = call.reply.value
-                values[call.scatter] = vector
-                exact[call.scatter] = mask
-        index = np.fromiter(rows, dtype=np.intp, count=len(rows))
-        requested_exact = exact[index]
-        scored = int(np.count_nonzero(requested_exact))
-        pruned = int(index.size - scored)
-        self.entities_scored += scored
-        self.entities_pruned += pruned
-        return values[index], requested_exact, scored, pruned
+        ``candidate_rows(columns)`` is every candidate's row in an
+        attribute's columns (``None`` when some candidate has none);
+        ``encode(slices, rows, positions)`` builds the frame for the
+        ``(slice_id, start, stop)`` slices given the candidates inside them
+        — their rows, ascending, and their candidate positions.  Each slice
+        holding a candidate goes to its least-loaded replica, hydration
+        rides ahead on the per-node FIFO, and a node lost mid-call has its
+        slices re-ranked on untried replicas (:meth:`_collect_calls`).
 
-    def degree_envelope(
-        self, membership: object, attribute: str, phrase: str
-    ) -> "tuple[np.ndarray, np.ndarray] | None":
-        """Whole-store bound envelope from the coordinator's own base store.
-
-        No frame ships: the envelope needs only the bound summaries, which
-        the coordinator holds for exactly the columns it hydrates the nodes
-        from.  Exposing it lets the pruned scan order candidates by
-        descending bound, stop early and narrow the alive set *before* any
-        fan-out, as the in-process engine does; the nodes' per-slice
-        threshold check stays as the second line of defence.
+        Returns every reply: each is the exact top-k of its slices under
+        the global ranking key, so their union holds the global top-k.
+        ``None`` — the caller takes the unpruned fan-out — when the
+        attributes do not share one row order (the frame's rows index
+        them all), a candidate has no row, or there is no columnar kernel.
         """
         self._check_version()
         if columnar_kernel(membership, self.database) is None:
             return None
         self._ensure_nodes(membership)  # fork before the column build
-        return self.base.degree_envelope(membership, attribute, phrase)
+        columns = {attribute: self.base.columns(attribute) for attribute in attributes}
+        first = next(iter(columns.values()))
+        if first is None or any(
+            other is None
+            or (other.row_of is not first.row_of and other.entity_ids != first.entity_ids)
+            for other in columns.values()
+        ):
+            return None
+        rows = candidate_rows(first)
+        if rows is None:
+            return None
+        order = np.argsort(rows, kind="stable")
+        ascending = rows[order]
+        bounds = partition_bounds(first.num_entities, self.num_slices)
+        cuts = np.searchsorted(ascending, bounds)
+
+        def encode_slices(slice_ids: list[int]) -> bytes:
+            """The rank frame for ``slice_ids`` and the candidates inside them."""
+            picked = np.concatenate(
+                [np.arange(cuts[slice_id], cuts[slice_id + 1]) for slice_id in slice_ids]
+            )
+            slices = [(slice_id, bounds[slice_id], bounds[slice_id + 1]) for slice_id in slice_ids]
+            return encode(slices, ascending[picked], order[picked])
+
+        slice_ids = [
+            slice_id for slice_id in range(self.num_slices) if cuts[slice_id + 1] > cuts[slice_id]
+        ]
+        # A cold fleet is hydrated one attribute at a time, as a per-pair
+        # fan-out would: queueing every attribute's snapshot frames at once
+        # would double the coordinator's peak memory.
+        for attribute, attribute_columns in columns.items():
+            hydrations: list[_PendingCall] = []
+            for slice_id in slice_ids:
+                for node in self._replicas_of(slice_id):
+                    self._hydrate_ahead(
+                        hydrations, {attribute: attribute_columns}, bounds, node, [slice_id]
+                    )
+            self._collect_calls(hydrations)
+        work = _SliceWork(columns, bounds, encode_slices, _decode_rank)
+        pending: list[_PendingCall] = []
+        # Frames are built inside the transport span, so the nodes' spans
+        # parent onto it.
+        with span("transport", layer="cluster", rank=True) as handle:
+            self._route(pending, work, slice_ids)
+            if handle is not None:
+                handle.set("requests", len(pending))
+            replies = [call.reply.value for call in self._collect_calls(pending)]
+        self.fanouts += 1
+        for reply in replies:
+            self.entities_scored += reply.scored
+            self.entities_pruned += reply.pruned
+        return replies
 
     # ------------------------------------------------------------ statistics
     def node_stats(self) -> list[dict]:
@@ -2062,11 +2021,149 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         """Pruning is off inside a concurrent batch.
 
         The prefetch window has already issued (or finished) full exact
-        fan-outs for every windowed query's predicate pairs; a bounded
-        re-fetch would only duplicate node work the batch machinery has
-        paid for, so the serial ranking path over the warm caches wins.
+        fan-outs for every windowed query's predicate pairs; a rank frame
+        would only duplicate node work the batch machinery has paid for,
+        so the serial ranking path over the warm caches wins.
         """
         return self._vector_memo is None
+
+    def _scan_pruned(
+        self,
+        plan: QueryPlan,
+        candidates: CandidateSet,
+        predicates: Sequence[PrunedPredicate],
+        limit: int,
+    ) -> PrunedRanking | None:
+        """Ship the pruned scan: one ``rank`` frame per node, the node lists merged here.
+
+        Each node runs the engine's chunk loop over its own slices, with
+        envelopes from its own bound summaries, and returns its exact local
+        top-``limit`` under the global key ``(-score, str(entity_id),
+        position)``; the global top-``limit`` therefore lies in the union of
+        the lists, so one round is exact.  The coordinator folds no
+        envelope and fetches no degree.  ``None`` — the unpruned fan-out —
+        for a logic a node cannot rebuild by name, a membership without
+        bounds, a tree without subjective predicates, or attributes that do
+        not share one row order (:meth:`ClusterShardStore.rank`).
+        """
+        logic = self.processor.logic
+        membership = self.processor.membership
+        if (
+            not predicates
+            or RANK_LOGICS.get(logic.name) is not type(logic)
+            or getattr(membership, "degree_bounds", None) is None
+        ):
+            return None
+        cached = self._scan_cached(plan, candidates, predicates, limit)
+        if cached is not None:
+            return cached
+        tree, crisp_leaves = encode_where_tree(
+            plan.statement.where,
+            {predicate.text: index for index, predicate in enumerate(predicates)},
+        )
+        attributes = list(
+            dict.fromkeys(attribute for predicate in predicates for attribute, _ in predicate.pairs)
+        )
+
+        total = len(candidates.row_entities)
+
+        def encode(slices, rows: np.ndarray, positions: np.ndarray) -> bytes:
+            """The rank frame for one node's slices and the candidates inside them.
+
+            The node's first chunk is its share of the engine's, so the fleet
+            as a whole scans about as much before its first threshold as one
+            in-process scan does.
+            """
+            return encode_rank_request(
+                limit,
+                logic.name,
+                -(-self.prune_chunk_size * len(rows) // total),
+                self.prune_chunk_growth,
+                predicates,
+                tree,
+                slices,
+                rows,
+                positions,
+                [candidates.crisp_vector(leaf)[positions] for leaf in crisp_leaves],
+                trace=current_wire_trace(),
+            )
+
+        replies = self.sharded_store.rank(membership, attributes, candidates.store_rows, encode)
+        if replies is None:
+            return None
+        row_entities = candidates.row_entities
+        texts = [predicate.text for predicate in predicates]
+        heap = TopKThreshold(limit)
+        scanned = offered = pruned = 0
+        for reply in replies:
+            if reply.positions.size and int(reply.positions.max()) >= len(row_entities):
+                raise RpcError("a node ranked a candidate position the query does not have")
+            vectors = {text: reply.degrees[:, column] for column, text in enumerate(texts)}
+            for index, (position, score) in enumerate(
+                zip(reply.positions.tolist(), reply.scores.tolist())
+            ):
+                heap.offer(
+                    score,
+                    row_entities[position],
+                    position,
+                    payload=(position, score, vectors, index),
+                )
+            scanned += reply.scanned
+            offered += reply.positions.size
+            pruned += reply.pruned
+            self.entities_scored += reply.scored
+        self.entities_pruned += pruned
+        return PrunedRanking(heap, len(row_entities), scanned, offered, pruned, nodes=len(replies))
+
+    def _scan_cached(
+        self,
+        plan: QueryPlan,
+        candidates: CandidateSet,
+        predicates: Sequence[PrunedPredicate],
+        limit: int,
+    ) -> PrunedRanking | None:
+        """The pruned scan over this coordinator's cache, when it holds every degree.
+
+        A batch prefetch leaves whole exact columns here, so a warm query
+        needs no frame.  An exact degree is its own ``[d, d]`` envelope, so
+        the scan bound is the exact score and the loop stops after its first
+        chunk.  ``None`` when any candidate's degree of any pair is missing.
+        """
+        cache = self.membership_cache
+        rows = candidates.entity_rows(cache)
+        exact = {
+            pair: cache.known_column(pair, rows)
+            for predicate in predicates
+            for pair in predicate.pairs
+        }
+        if any(column is None for column in exact.values()):
+            return None
+        where = plan.statement.where
+        logic = self.processor.logic
+        ranking = rank_pruned_chunks(
+            where,
+            logic,
+            predicates,
+            limit,
+            fold_scan_bound(
+                where,
+                logic,
+                predicates,
+                len(rows),
+                lambda attribute, phrase, _upper: exact[(attribute, phrase)],
+                candidates.crisp_vector,
+            ),
+            lambda attribute, phrase, indices, _threshold: cache.lookup(
+                (attribute, phrase), rows[indices]
+            ),
+            lambda leaf, indices: candidates.crisp_vector(leaf)[indices],
+            candidates.row_entities,
+            chunk_size=self.prune_chunk_size,
+            chunk_growth=self.prune_chunk_growth,
+        )
+        if ranking is not None:
+            self.entities_pruned += ranking.pruned
+        return ranking
 
     def _cached_retrieval_degrees(
         self, entity_ids: Sequence[Hashable], predicate: str

@@ -16,7 +16,7 @@ them can drift apart:
   protocol is well-defined across machines and the f64 byte swap is
   lossless (degree bits survive the round trip);
 * **request/response constants** — the one-byte opcodes and statuses used
-  by every shard service (``score``, ``invalidate``, ``stats``,
+  by every shard service (``score``, ``rank``, ``invalidate``, ``stats``,
   ``shutdown``, plus the cluster-only ``hello``, ``hydrate`` and
   ``hydrate delta``, plus the client-facing gateway ``query`` and
   ``gateway stats``);
@@ -27,8 +27,9 @@ them can drift apart:
   owns.  Version skew is a typed :class:`HandshakeError`, never a hang or
   a silently misinterpreted stream;
 * **errors** — the transport error hierarchy (:class:`RpcError`,
-  :class:`FrameTooLargeError`, :class:`WorkerCrashedError`,
-  :class:`HandshakeError`) shared by all shard-service layers.
+  :class:`FrameTooLargeError`, :class:`ProtocolError`,
+  :class:`WorkerCrashedError`, :class:`HandshakeError`) shared by all
+  shard-service layers.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ from repro.errors import ExecutionError
 #: Version 5 added the optional trailing **trace field** on ``score`` /
 #: ``score bounded`` / gateway ``query`` requests (distributed tracing,
 #: :mod:`repro.obs`) and the ``traces`` opcode for querying a peer's span
-#: ring buffer.
-PROTOCOL_VERSION = 5
+#: ring buffer.  Version 6 replaced ``score bounded`` with ``rank``: the
+#: coordinator ships a pruned query's predicates, WHERE tree, limit and
+#: candidate rows, and each node answers with its exact local top-k.
+PROTOCOL_VERSION = 6
 
 #: Default ceiling on one frame's payload size (requests and responses).
 #: Generous for degree vectors (8 bytes per entity) while still refusing a
@@ -73,9 +76,10 @@ OP_HELLO = 5
 OP_HYDRATE = 6
 OP_QUERY = 7
 OP_GATEWAY_STATS = 8
-OP_SCORE_BOUNDED = 9
+# 9 was ``score bounded`` (protocol versions 2-5).
 OP_HYDRATE_DELTA = 10
 OP_TRACES = 11
+OP_RANK = 12
 
 STATUS_OK = 0
 STATUS_ERROR = 1
@@ -99,6 +103,10 @@ class RpcError(ExecutionError):
 
 class FrameTooLargeError(RpcError):
     """A frame exceeded the configured maximum payload size."""
+
+
+class ProtocolError(RpcError):
+    """A frame's bytes do not decode: truncated, trailing bytes, or a field out of range."""
 
 
 class WorkerCrashedError(RpcError):
@@ -210,7 +218,7 @@ class Reader:
     def _take(self, count: int) -> memoryview:
         start, end = self._offset, self._offset + count
         if end > len(self._view):
-            raise RpcError("truncated frame payload")
+            raise ProtocolError("truncated frame payload")
         self._offset = end
         return self._view[start:end]
 
@@ -233,7 +241,11 @@ class Reader:
 
     def read_str(self) -> str:
         """One length-prefixed UTF-8 string."""
-        return bytes(self._take(self.read_u32())).decode("utf-8")
+        data = bytes(self._take(self.read_u32()))
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise ProtocolError(f"string field is not UTF-8 ({error})") from error
 
     def read_bytes(self) -> bytes:
         """One length-prefixed opaque byte field."""
@@ -253,6 +265,10 @@ class Reader:
         """``count`` big-endian u32 values as a plain int list."""
         data = self._take(4 * count)
         return np.frombuffer(data, dtype=WIRE_U32).astype(np.intp).tolist()
+
+    def read_u32_vector(self, count: int) -> np.ndarray:
+        """``count`` big-endian u32 values as a native index array."""
+        return np.frombuffer(self._take(4 * count), dtype=WIRE_U32).astype(np.intp)
 
     def read_f64_array(self, count: int) -> np.ndarray:
         """``count`` big-endian f64 values as a native float64 array."""
@@ -287,41 +303,6 @@ def read_trace_field(reader: Reader) -> tuple[int, int] | None:
     return reader.read_u64(), reader.read_u64()
 
 
-_F64 = struct.Struct("!d")
-
-
-def _encode_slice_request(
-    opcode: int,
-    slice_id: int,
-    attribute: str,
-    phrase: str,
-    start: int,
-    stop: int,
-    rows: Sequence[int] | None,
-    threshold: float | None,
-    trace: tuple[int, int] | None,
-) -> bytes:
-    """The field layout ``score`` and ``score bounded`` requests share."""
-    parts = [
-        _U8.pack(opcode),
-        _U32.pack(slice_id),
-        pack_str(attribute),
-        pack_str(phrase),
-        _U32.pack(start),
-        _U32.pack(stop),
-    ]
-    if rows is None:
-        parts.append(_U8.pack(0))
-    else:
-        parts.append(_U8.pack(1))
-        parts.append(_U32.pack(len(rows)))
-        parts.append(np.asarray(rows, dtype=WIRE_U32).tobytes())
-    if threshold is not None:
-        parts.append(_F64.pack(threshold))
-    parts.append(pack_trace_field(trace))
-    return b"".join(parts)
-
-
 def encode_score_request(
     slice_id: int,
     attribute: str,
@@ -339,38 +320,26 @@ def encode_score_request(
     rebuilt or hydrated columns.  ``trace`` optionally appends the trace
     field (see :func:`pack_trace_field`).
     """
-    return _encode_slice_request(
-        OP_SCORE, slice_id, attribute, phrase, start, stop, rows, None, trace
-    )
-
-
-def encode_score_bounded_request(
-    slice_id: int,
-    attribute: str,
-    phrase: str,
-    start: int,
-    stop: int,
-    rows: Sequence[int] | None,
-    threshold: float,
-    trace: tuple[int, int] | None = None,
-) -> bytes:
-    """The ``score bounded`` request: a score request plus a prune threshold.
-
-    Identical field layout to :func:`encode_score_request` (so services
-    resolve the slice and rows the same way) with one trailing big-endian
-    f64: the coordinator's current k-th best score.  The service may answer
-    any row with its degree *upper bound* instead of its exact degree as
-    long as that bound is below the threshold — the response's exactness
-    mask says which is which.  ``trace`` optionally appends the trace
-    field after the threshold.
-    """
-    return _encode_slice_request(
-        OP_SCORE_BOUNDED, slice_id, attribute, phrase, start, stop, rows, threshold, trace
-    )
+    parts = [
+        _U8.pack(OP_SCORE),
+        _U32.pack(slice_id),
+        pack_str(attribute),
+        pack_str(phrase),
+        _U32.pack(start),
+        _U32.pack(stop),
+    ]
+    if rows is None:
+        parts.append(_U8.pack(0))
+    else:
+        parts.append(_U8.pack(1))
+        parts.append(_U32.pack(len(rows)))
+        parts.append(np.asarray(rows, dtype=WIRE_U32).tobytes())
+    parts.append(pack_trace_field(trace))
+    return b"".join(parts)
 
 
 class ScoreRequest(NamedTuple):
-    """One decoded ``score`` / ``score bounded`` request (opcode already read)."""
+    """One decoded ``score`` request (opcode already read)."""
 
     slice_id: int
     attribute: str
@@ -378,17 +347,22 @@ class ScoreRequest(NamedTuple):
     start: int
     stop: int
     rows: list[int] | None
-    threshold: float | None
     trace: tuple[int, int] | None
 
 
-def read_score_request(reader: Reader, bounded: bool) -> ScoreRequest:
-    """Decode the body of a ``score`` (or ``score bounded``) request frame.
+def _end_of_request(reader: Reader) -> tuple[int, int] | None:
+    """The trailing trace field, then the end of the payload — anything after is refused."""
+    trace = read_trace_field(reader)
+    if reader.remaining:
+        raise ProtocolError(f"{reader.remaining} trailing bytes after the request's last field")
+    return trace
 
-    The receiving half of :func:`encode_score_request` /
-    :func:`encode_score_bounded_request`.  Bytes left over after the trace
-    field make the frame malformed — a :class:`RpcError`, never a served
-    answer.
+
+def read_score_request(reader: Reader) -> ScoreRequest:
+    """Decode the body of a ``score`` request frame (:func:`encode_score_request`).
+
+    Bytes left over after the trace field make the frame malformed — a
+    :class:`ProtocolError`, never a served answer.
     """
     slice_id = reader.read_u32()
     attribute = reader.read_str()
@@ -396,11 +370,7 @@ def read_score_request(reader: Reader, bounded: bool) -> ScoreRequest:
     start = reader.read_u32()
     stop = reader.read_u32()
     rows = reader.read_u32_array(reader.read_u32()) if reader.read_u8() else None
-    threshold = _F64.unpack(reader.read_raw(_F64.size))[0] if bounded else None
-    trace = read_trace_field(reader)
-    if reader.remaining:
-        raise RpcError(f"{reader.remaining} trailing bytes after the request's last field")
-    return ScoreRequest(slice_id, attribute, phrase, start, stop, rows, threshold, trace)
+    return ScoreRequest(slice_id, attribute, phrase, start, stop, rows, _end_of_request(reader))
 
 
 def encode_score_bounded_response(
@@ -437,6 +407,266 @@ def read_score_bounded_response(
     scored = reader.read_u32()
     pruned = reader.read_u32()
     return values, exact_mask, scored, pruned
+
+
+# --------------------------------------------------------------------------
+# The rank frame (a pruned query shipped to a node)
+# --------------------------------------------------------------------------
+
+#: Token kinds of the prefix-encoded WHERE tree (``repro.serving.sharded``
+#: builds and reads the trees): AND / OR carry their operand count, NOT
+#: none, a predicate or crisp leaf its index.
+TREE_AND, TREE_OR, TREE_NOT, TREE_PREDICATE, TREE_CRISP = range(5)
+
+#: Deepest WHERE tree a rank frame may carry (trees are walked recursively).
+MAX_TREE_DEPTH = 64
+
+_COMBINATORS = ("and", "or")
+
+
+class RankRequest(NamedTuple):
+    """One decoded ``rank`` request (opcode already read).
+
+    ``predicates`` are ``(text, combinator, on_and_path, pairs)`` tuples
+    with ``pairs`` a tuple of ``(attribute, phrase)``; ``tree`` the WHERE
+    tree as prefix ``(kind, argument)`` tokens; ``slices`` the
+    ``(slice_id, start, stop)`` row ranges to rank; ``rows`` the
+    candidates' rows (ascending, each inside one of the slices) and
+    ``positions`` their positions in the coordinator's candidate list;
+    ``crisp`` one 0/1 vector per crisp leaf over those candidates.
+    """
+
+    limit: int
+    logic: str
+    chunk_size: int
+    chunk_growth: int
+    predicates: list[tuple[str, str, bool, tuple[tuple[str, str], ...]]]
+    tree: list[tuple[int, int]]
+    slices: list[tuple[int, int, int]]
+    rows: np.ndarray
+    positions: np.ndarray
+    crisp: list[np.ndarray]
+    trace: tuple[int, int] | None
+
+
+def encode_rank_request(
+    limit: int,
+    logic: str,
+    chunk_size: int,
+    chunk_growth: int,
+    predicates: Sequence[tuple[str, str, bool, Sequence[tuple[str, str]]]],
+    tree: Sequence[tuple[int, int]],
+    slices: Sequence[tuple[int, int, int]],
+    rows: np.ndarray,
+    positions: np.ndarray,
+    crisp: Sequence[np.ndarray],
+    trace: tuple[int, int] | None = None,
+) -> bytes:
+    """The ``rank`` request frame: one pruned query for the slices of one node.
+
+    Layout after the opcode: ``limit`` (u32), the logic name, the first
+    scan chunk and its growth factor (u32 each); the predicates, each as
+    text, combinator (u8: 0 and, 1 or), AND-path flag (u8) and its
+    ``(attribute, phrase)`` pairs; the WHERE tree as ``(kind u8, argument
+    u32)`` tokens in prefix order; the ``(slice_id, start, stop)`` slices;
+    the candidates as ascending rows plus their candidate positions (u32
+    arrays); one bitmap per crisp leaf over those candidates
+    (``numpy.packbits`` order); the optional trace field.  See
+    :class:`RankRequest` for the decoded form.
+    """
+    parts = [
+        _U8.pack(OP_RANK),
+        _U32.pack(limit),
+        pack_str(logic),
+        _U32.pack(chunk_size),
+        _U32.pack(chunk_growth),
+        _U32.pack(len(predicates)),
+    ]
+    for text, combinator, on_and_path, pairs in predicates:
+        parts += [
+            pack_str(text),
+            _U8.pack(0 if combinator == "and" else 1),
+            _U8.pack(1 if on_and_path else 0),
+            _U32.pack(len(pairs)),
+        ]
+        for attribute, phrase in pairs:
+            parts += [pack_str(attribute), pack_str(phrase)]
+    parts.append(_U32.pack(len(tree)))
+    parts += [_U8.pack(kind) + _U32.pack(argument) for kind, argument in tree]
+    parts.append(_U32.pack(len(slices)))
+    parts += [
+        _U32.pack(slice_id) + _U32.pack(start) + _U32.pack(stop)
+        for slice_id, start, stop in slices
+    ]
+    parts += [
+        _U32.pack(len(rows)),
+        np.asarray(rows, dtype=WIRE_U32).tobytes(),
+        np.asarray(positions, dtype=WIRE_U32).tobytes(),
+        _U32.pack(len(crisp)),
+    ]
+    parts += [np.packbits(np.asarray(vector) != 0).tobytes() for vector in crisp]
+    parts.append(pack_trace_field(trace))
+    return b"".join(parts)
+
+
+def _check_tree(tree: Sequence[tuple[int, int]], predicates: int, crisp: int) -> None:
+    """Refuse any token stream that is not exactly one well-formed tree."""
+    open_slots = [1]  # operands still owed per open connective, innermost last
+    for kind, argument in tree:
+        if not open_slots:
+            raise ProtocolError("tokens after the end of the WHERE tree")
+        open_slots[-1] -= 1
+        if kind in (TREE_AND, TREE_OR):
+            if argument < 1:
+                raise ProtocolError("a connective with no operands")
+            open_slots.append(argument)
+        elif kind == TREE_NOT:
+            open_slots.append(1)
+        elif kind == TREE_PREDICATE:
+            if argument >= predicates:
+                raise ProtocolError(f"predicate {argument} of {predicates}")
+        elif kind == TREE_CRISP:
+            if argument >= crisp:
+                raise ProtocolError(f"crisp leaf {argument} of {crisp}")
+        else:
+            raise ProtocolError(f"unknown WHERE-tree token kind {kind}")
+        if len(open_slots) > MAX_TREE_DEPTH:
+            raise ProtocolError(f"WHERE tree deeper than {MAX_TREE_DEPTH}")
+        while open_slots and open_slots[-1] == 0:
+            open_slots.pop()
+    if open_slots:
+        raise ProtocolError("truncated WHERE tree")
+
+
+def read_rank_request(reader: Reader) -> RankRequest:
+    """Decode the body of a ``rank`` request (:func:`encode_rank_request`).
+
+    Every field is checked before the node acts on it — the tree is one
+    well-formed tree of bounded depth whose indices are in range, slices
+    are ordered and disjoint, candidate rows ascend inside them, the
+    bitmaps have their exact length and nothing trails the last field — so
+    a hostile or corrupt frame raises :class:`ProtocolError`, never a
+    ``struct.error`` or a wrong answer built from misread fields.
+    """
+    limit = reader.read_u32()
+    if limit < 1:
+        raise ProtocolError("rank limit must be positive")
+    logic = reader.read_str()
+    chunk_size = reader.read_u32()
+    chunk_growth = reader.read_u32()
+    predicates = []
+    for _ in range(reader.read_u32()):
+        text = reader.read_str()
+        combinator = reader.read_u8()
+        on_and_path = reader.read_u8()
+        if combinator > 1 or on_and_path > 1:
+            raise ProtocolError("predicate flags out of range")
+        pairs = tuple((reader.read_str(), reader.read_str()) for _ in range(reader.read_u32()))
+        if not pairs:
+            raise ProtocolError(f"predicate {text!r} has no pairs")
+        predicates.append((text, _COMBINATORS[combinator], bool(on_and_path), pairs))
+    if not predicates:
+        raise ProtocolError("a rank frame needs at least one predicate")
+    tree = [(reader.read_u8(), reader.read_u32()) for _ in range(reader.read_u32())]
+    slices = [
+        (reader.read_u32(), reader.read_u32(), reader.read_u32())
+        for _ in range(reader.read_u32())
+    ]
+    count = reader.read_u32()
+    rows = reader.read_u32_vector(count)
+    positions = reader.read_u32_vector(count)
+    crisp_count = reader.read_u32()
+    width = (count + 7) // 8
+    crisp = []
+    for _ in range(crisp_count):
+        bits = np.frombuffer(reader.read_raw(width), dtype=np.uint8)
+        crisp.append(np.unpackbits(bits, count=count).astype(np.float64))
+    trace = _end_of_request(reader)
+    _check_tree(tree, len(predicates), crisp_count)
+    for (_, start, stop), following in zip(slices, slices[1:] + [None]):
+        if start > stop or (following is not None and stop > following[1]):
+            raise ProtocolError("slices must be ordered, disjoint row ranges")
+    if count:
+        if np.any(np.diff(rows) <= 0):
+            raise ProtocolError("candidate rows must ascend")
+        starts = np.array([start for _, start, _ in slices], dtype=np.intp)
+        stops = np.array([stop for _, _, stop in slices], dtype=np.intp)
+        owner = np.searchsorted(starts, rows, side="right") - 1
+        if np.any(owner < 0) or np.any(rows >= stops[np.maximum(owner, 0)]):
+            raise ProtocolError("a candidate row lies outside the shipped slices")
+    return RankRequest(
+        limit,
+        logic,
+        chunk_size,
+        chunk_growth,
+        predicates,
+        tree,
+        slices,
+        rows,
+        positions,
+        crisp,
+        trace,
+    )
+
+
+class RankReply(NamedTuple):
+    """One decoded ``rank`` response: a node's exact local top-k.
+
+    ``degrees[i, p]`` is entry ``i``'s degree of the request's predicate
+    ``p``; ``scanned`` / ``scored`` / ``pruned`` are the node's candidate
+    rows fetched, rows scored exactly, and rows dismissed on a bound.
+    """
+
+    positions: np.ndarray
+    scores: np.ndarray
+    degrees: np.ndarray
+    scanned: int
+    scored: int
+    pruned: int
+
+
+def encode_rank_response(
+    positions: Sequence[int],
+    scores: Sequence[float],
+    degrees: np.ndarray,
+    scanned: int,
+    scored: int,
+    pruned: int,
+) -> bytes:
+    """The ``rank`` response: up to ``limit`` entries in ranking order, then counters.
+
+    Layout after the status byte: entry count and predicate count (u32
+    each), the entries' candidate positions (u32), scores (f64) and
+    degrees (f64, row-major entries × predicates), then ``scanned``,
+    ``scored`` and ``pruned`` (u32 each).
+    """
+    degrees = np.asarray(degrees, dtype=np.float64)
+    return b"".join(
+        [
+            _U8.pack(STATUS_OK),
+            _U32.pack(len(positions)),
+            _U32.pack(degrees.shape[1] if degrees.ndim == 2 else 0),
+            np.asarray(positions, dtype=WIRE_U32).tobytes(),
+            np.asarray(scores, dtype=WIRE_F64).tobytes(),
+            degrees.astype(WIRE_F64).tobytes(),
+            _U32.pack(scanned),
+            _U32.pack(scored),
+            _U32.pack(pruned),
+        ]
+    )
+
+
+def read_rank_response(reader: Reader) -> RankReply:
+    """Decode a ``rank`` response body (after its status byte); strict like the request."""
+    count = reader.read_u32()
+    width = reader.read_u32()
+    positions = reader.read_u32_vector(count)
+    scores = reader.read_f64_array(count)
+    degrees = reader.read_f64_array(count * width).reshape(count, width)
+    scanned, scored, pruned = reader.read_u32(), reader.read_u32(), reader.read_u32()
+    if reader.remaining:
+        raise ProtocolError(f"{reader.remaining} trailing bytes after the response's last field")
+    return RankReply(positions, scores, degrees, scanned, scored, pruned)
 
 
 def encode_error(message: str) -> bytes:

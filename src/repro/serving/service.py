@@ -1,10 +1,10 @@
 """The shard service: the frame handler behind every cluster node.
 
 A shard service answers the scoring frames of
-:mod:`repro.serving.protocol` — ``score``, ``score bounded``,
-``invalidate``, ``stats``, ``traces``, ``shutdown`` — over any stream
-socket.  The TCP cluster node (:class:`repro.serving.cluster.ShardNodeServer`)
-is this class plus the node-only opcodes; its slices come from one
+:mod:`repro.serving.protocol` — ``score``, ``rank``, ``invalidate``,
+``stats``, ``traces``, ``shutdown`` — over any stream socket.  The TCP
+cluster node (:class:`repro.serving.cluster.ShardNodeServer`) is this
+class plus the node-only opcodes; its slices come from one
 :class:`HydratedSlices`: snapshots shipped over the wire (``hydrate`` /
 ``hydrate delta`` frames, handled by the node), or carved out of a local
 persistent store the node was booted from.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from repro.core.columnar import (
     bounded_pair_degrees,
     gather_rows,
 )
+from repro.engine.expressions import Expression
 from repro.errors import SnapshotError, StorageError
 from repro.obs.metrics import Counter, MetricsRegistry, cell_property
 from repro.obs.trace import global_trace_store, record_span
@@ -36,14 +38,15 @@ from repro.serving.cache import LRUCache
 from repro.serving.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     OP_INVALIDATE,
+    OP_RANK,
     OP_SCORE,
-    OP_SCORE_BOUNDED,
     OP_SHUTDOWN,
     OP_STATS,
     OP_TRACES,
     STATUS_OK,
     WIRE_F64,
     FrameTooLargeError,
+    RankRequest,
     Reader,
     RpcError,
     ScoreRequest,
@@ -51,16 +54,28 @@ from repro.serving.protocol import (
     _U32,
     _U64,
     encode_error,
-    encode_score_bounded_response,
+    encode_rank_response,
     pack_str,
+    read_rank_request,
     read_score_request,
     recv_frame,
     send_frame,
+)
+from repro.serving.sharded import (
+    RANK_LOGICS,
+    PrunedPredicate,
+    decode_where_tree,
+    fold_scan_bound,
+    rank_pruned_chunks,
 )
 from repro.utils.timing import now
 
 #: Default bound on memoised degree vectors per served ``(attribute, slice)``.
 DEFAULT_WORKER_CACHE_SIZE = 4096
+
+#: Conditions whose envelope and exact degrees a node keeps per served
+#: ``(attribute, slice)`` for ``rank`` frames (least recently used out).
+RANK_CACHE_CONDITIONS = 32
 
 
 class HydratedSlices:
@@ -255,15 +270,46 @@ class HydratedSlices:
         }
 
 
+@dataclass
+class _SliceDegrees:
+    """One condition over one served slice: its envelope and the exact degrees known so far."""
+
+    columns: AttributeColumns
+    lo: np.ndarray
+    hi: np.ndarray
+    values: np.ndarray
+    known: np.ndarray
+
+
+class _CandidateIds:
+    """Entity id of a rank frame's candidate ``i``, looked up only when asked.
+
+    The pruned scan needs an id only for the rows it offers to its heap.
+    """
+
+    def __init__(self, ids: list[list], owner: np.ndarray, local: np.ndarray) -> None:
+        self._ids = ids
+        self._owner = owner
+        self._local = local
+
+    def __len__(self) -> int:
+        return len(self._owner)
+
+    def __getitem__(self, index: int):
+        return self._ids[self._owner[index]][self._local[index]]
+
+
 class ShardService:
     """Serve the scoring frames of the shard protocol from hydrated slices.
 
     ``index`` names the service in its spans (``node_score`` /
-    ``node_score_bounded``, attribute ``node``), its ``stats`` response
-    (key ``"node"``) and its error messages.  Exact degree vectors are
-    memoised in one bounded :class:`~repro.serving.cache.LRUCache` per
-    served ``(attribute, slice)``, so pressure on a hot slice never evicts a
-    colder slice's vectors; ``invalidate`` drops them all.
+    ``node_rank``, attribute ``node``), its ``stats`` response (key
+    ``"node"``) and its error messages.  Exact degree vectors are memoised
+    in one bounded :class:`~repro.serving.cache.LRUCache` per served
+    ``(attribute, slice)``, so pressure on a hot slice never evicts a
+    colder slice's vectors; ``rank`` frames keep each condition's envelope
+    and the exact degrees found so far in a second such cache.
+    ``invalidate`` drops them all.
 
     :meth:`handle_frame` is the transport-free dispatch (one request payload
     in, one response payload out); :meth:`serve` wraps it in the framed
@@ -284,6 +330,7 @@ class ShardService:
         self.max_frame_bytes = max_frame_bytes
         self.cache_size = cache_size
         self._caches: dict[tuple[str, int], LRUCache] = {}
+        self._ranked: dict[tuple[str, int], LRUCache] = {}
         # Counters live in a per-service registry; the attributes below are
         # value-read/cell-write properties over the cells, so the ``stats``
         # response and the registry always agree.
@@ -291,14 +338,12 @@ class ShardService:
         self._score_requests_cell = self.metrics.counter(
             "score_requests", help="Exact score frames served"
         )
-        self._bounded_requests_cell = self.metrics.counter(
-            "bounded_requests", help="Bounded score frames served"
-        )
+        self._rank_requests_cell = self.metrics.counter("rank_requests", help="Rank frames served")
         self._kernel_calls_cell = self.metrics.counter(
             "kernel_calls", help="Columnar kernel invocations (cache misses)"
         )
         self._entities_scored_cell = self.metrics.counter(
-            "entities_scored", help="Rows scored exactly on the bounded path"
+            "entities_scored", help="Rows scored exactly by rank frames"
         )
         self._entities_pruned_cell = self.metrics.counter(
             "entities_pruned", help="Rows answered with a bound alone"
@@ -310,7 +355,7 @@ class ShardService:
         self.metrics.register("bounds_patches", source.bounds_patches)
 
     score_requests = cell_property("_score_requests_cell")
-    bounded_requests = cell_property("_bounded_requests_cell")
+    rank_requests = cell_property("_rank_requests_cell")
     kernel_calls = cell_property("_kernel_calls_cell")
     entities_scored = cell_property("_entities_scored_cell")
     entities_pruned = cell_property("_entities_pruned_cell")
@@ -326,10 +371,14 @@ class ShardService:
         """Slice ids currently hydrated."""
         return self.source.owned_slice_ids
 
+    def _all_caches(self) -> list[LRUCache]:
+        """Every memo this service holds: score vectors and rank state alike."""
+        return [*self._caches.values(), *self._ranked.values()]
+
     @property
     def cache_entries(self) -> int:
-        """Memoised degree vectors across every ``(attribute, slice)`` cache."""
-        return sum(len(cache) for cache in self._caches.values())
+        """Memoised entries across every ``(attribute, slice)`` cache, rank state included."""
+        return sum(len(cache) for cache in self._all_caches())
 
     # ------------------------------------------------------------- dispatch
     def handle_frame(self, payload: bytes) -> tuple[bytes, bool]:
@@ -350,9 +399,9 @@ class ShardService:
     def dispatch(self, opcode: int, reader: Reader) -> bytes:
         """The response to one decoded opcode (``shutdown`` never gets here)."""
         if opcode == OP_SCORE:
-            return self._handle_score(read_score_request(reader, bounded=False))
-        if opcode == OP_SCORE_BOUNDED:
-            return self._handle_score_bounded(read_score_request(reader, bounded=True))
+            return self._handle_score(read_score_request(reader))
+        if opcode == OP_RANK:
+            return self._handle_rank(read_rank_request(reader))
         if opcode == OP_INVALIDATE:
             return self._handle_invalidate(reader)
         if opcode == OP_STATS:
@@ -386,33 +435,13 @@ class ShardService:
         self.kernel_calls += 1
         return np.asarray(kernel(view, request.phrase), dtype=np.float64)
 
-    def _score_bounded(
-        self, request: ScoreRequest
-    ) -> "tuple[np.ndarray, np.ndarray, int, int] | None":
-        """Bounds first, the exact kernel on the rows they cannot dismiss."""
-        bounds = self.source.slice_bounds(
-            request.slice_id, request.attribute, request.start, request.stop
-        )
-        if request.rows is not None:
-            bounds = bounds.narrowed(request.rows)
-        result = bounded_pair_degrees(
-            self.membership, bounds.columns, bounds, request.phrase, request.threshold
-        )
-        if result is not None and result[2]:
-            self.kernel_calls += 1
-        return result
-
-    def _record(self, name: str, request: ScoreRequest, started: float, **attributes) -> None:
-        if request.trace is not None:
+    def _record(
+        self, name: str, trace: "tuple[int, int] | None", started: float, **attributes
+    ) -> None:
+        """One ``node_<name>`` span under the caller's wire trace (if traced)."""
+        if trace is not None:
             record_span(
-                f"node_{name}",
-                request.trace[0],
-                request.trace[1],
-                now() - started,
-                node=self.index,
-                slice_id=request.slice_id,
-                attribute=request.attribute,
-                **attributes,
+                f"node_{name}", trace[0], trace[1], now() - started, node=self.index, **attributes
             )
 
     def _handle_score(self, request: ScoreRequest) -> bytes:
@@ -424,39 +453,191 @@ class ShardService:
         if vector is None:
             vector = self._score(request)
             cache.put(key, vector)
-        self._record("score", request, started, cached=cached)
+        self._record(
+            "score",
+            request.trace,
+            started,
+            slice_id=request.slice_id,
+            attribute=request.attribute,
+            cached=cached,
+        )
         return _U8.pack(STATUS_OK) + _U32.pack(len(vector)) + vector.astype(WIRE_F64).tobytes()
 
-    def _handle_score_bounded(self, request: ScoreRequest) -> bytes:
-        started = now()
-        self.bounded_requests += 1
-        cache, key = self._cache_for(request)
-        cached = False
-        vector = cache.get(key)
-        if vector is not None:
-            # A memoised exact vector answers any threshold without new
-            # kernel work — nothing was scored or pruned by this request.
-            cached = True
-            values, exact_mask, scored, pruned = vector, np.ones(len(vector), dtype=bool), 0, 0
+    # ----------------------------------------------------------------- rank
+    def drop_slice_caches(self, served: "tuple[str, int] | None" = None) -> None:
+        """Forget memoised vectors and rank state of one ``(attribute, slice)``, or all."""
+        if served is None:
+            self._caches.clear()
+            self._ranked.clear()
         else:
-            result = self._score_bounded(request)
-            if result is None:
-                # No bound envelope for this membership/phrase: degrade to
-                # one exact pass — the response is still well-formed.
-                vector = self._score(request)
-                result = vector, np.ones(len(vector), dtype=bool), len(vector), 0
-            values, exact_mask, scored, pruned = result
-            self.entities_scored += scored
-            self.entities_pruned += pruned
-            if pruned == 0:
-                # Fully exact results are interchangeable with plain
-                # ``score`` responses; mixed vectors must never enter the
-                # cache (a bound is not a degree).
-                cache.put(key, values)
-        self._record(
-            "score_bounded", request, started, scored=scored, pruned=pruned, cached=cached
+            self._caches.pop(served, None)
+            self._ranked.pop(served, None)
+
+    def _slice_degrees(
+        self, attribute: str, slice_id: int, start: int, stop: int, phrase: str
+    ) -> _SliceDegrees:
+        """The condition's rank state over one held slice, built on first use.
+
+        The envelope is the membership's ``degree_bounds`` over the slice's
+        own :class:`~repro.core.columnar.ScoreBounds` (``[0, 1]`` where it
+        has none).  Exact degrees start from a full-slice vector a ``score``
+        frame already memoised, when there is one.
+        """
+        served = (attribute, slice_id)
+        cache = self._ranked.get(served)
+        if cache is None:
+            cache = self._ranked[served] = LRUCache(RANK_CACHE_CONDITIONS)
+        key = (phrase, start, stop)
+        state = cache.get(key)
+        if state is None:
+            columns = self.source.slice_columns(slice_id, attribute, start, stop)
+            degree_bounds = getattr(self.membership, "degree_bounds", None)
+            envelope = None
+            if degree_bounds is not None:
+                bounds = self.source.slice_bounds(slice_id, attribute, start, stop)
+                envelope = degree_bounds(bounds, phrase)
+            count = columns.num_entities
+            lo, hi = envelope if envelope is not None else (np.zeros(count), np.ones(count))
+            scored = self._caches.get(served)
+            full = None if scored is None else scored.peek((phrase, start, stop, None))
+            state = _SliceDegrees(
+                columns,
+                lo,
+                hi,
+                np.array(full, dtype=np.float64) if full is not None else np.zeros(count),
+                np.full(count, full is not None),
+            )
+            cache.put(key, state)
+        return state
+
+    def _handle_rank(self, request: RankRequest) -> bytes:
+        """Rank the frame's candidates over this node's slices; the exact local top-k.
+
+        Runs :func:`~repro.serving.sharded.rank_pruned_chunks` — the loop
+        the in-process engine runs — with the scan bound folded from the
+        slices' own envelopes and a fetch that scores exactly only what can
+        still win (:func:`~repro.core.columnar.bounded_pair_degrees`).  The
+        heap key is the coordinator's ``(-score, str(entity_id), position)``,
+        so the global top-k lies in the union of the nodes' lists.
+        """
+        started = now()
+        self.rank_requests += 1
+        kernel = getattr(self.membership, "degrees_columnar", None)
+        if kernel is None:
+            raise RpcError(f"node {self.index} has no membership function with a columnar kernel")
+        logic_class = RANK_LOGICS.get(request.logic)
+        if logic_class is None:
+            raise RpcError(f"node {self.index} cannot rank under fuzzy logic {request.logic!r}")
+        logic = logic_class()
+        predicates = [PrunedPredicate(*fields) for fields in request.predicates]
+        where = decode_where_tree(request.tree, [predicate.text for predicate in predicates])
+        rows = request.rows
+        starts = np.array([start for _, start, _ in request.slices], dtype=np.intp)
+        owner = np.searchsorted(starts, rows, side="right") - 1
+        local = rows - starts[owner]
+        cuts = np.searchsorted(owner, np.arange(len(request.slices) + 1))
+        states: dict[tuple[str, str], list[_SliceDegrees]] = {}
+
+        def slice_states(attribute: str, phrase: str) -> list[_SliceDegrees]:
+            """The condition's state on every shipped slice, in slice order."""
+            found = states.get((attribute, phrase))
+            if found is None:
+                found = states[(attribute, phrase)] = [
+                    self._slice_degrees(attribute, slice_id, start, stop, phrase)
+                    for slice_id, start, stop in request.slices
+                ]
+            return found
+
+        def pair_end(attribute: str, phrase: str, upper: bool) -> np.ndarray:
+            """One envelope end of a condition at every candidate."""
+            parts = slice_states(attribute, phrase)
+            return np.concatenate(
+                [
+                    (state.hi if upper else state.lo)[local[cuts[k] : cuts[k + 1]]]
+                    for k, state in enumerate(parts)
+                ]
+            )
+
+        counts = {"scored": 0, "pruned": 0}
+
+        def fetch(attribute: str, phrase: str, indices: np.ndarray, threshold: float):
+            """Exact degrees of the candidates at ``indices``, bounds where they cannot win."""
+            values = np.empty(indices.size)
+            exact = np.empty(indices.size, dtype=bool)
+            owners = owner[indices]
+            for k, state in enumerate(slice_states(attribute, phrase)):
+                picked = np.flatnonzero(owners == k)
+                if not picked.size:
+                    continue
+                values[picked], exact[picked], scored, pruned = bounded_pair_degrees(
+                    kernel,
+                    state.columns,
+                    phrase,
+                    state.hi,
+                    threshold,
+                    local[indices[picked]],
+                    state.values,
+                    state.known,
+                )
+                counts["scored"] += scored
+                counts["pruned"] += pruned
+                if scored:
+                    self.kernel_calls += 1
+            return values, exact
+
+        def crisp(leaf: Expression, indices: "np.ndarray | None" = None) -> np.ndarray:
+            """A crisp leaf's shipped 0/1 values (at ``indices`` when given)."""
+            vector = request.crisp[leaf.index]
+            return vector if indices is None else vector[indices]
+
+        first_attribute = predicates[0].pairs[0][0]
+        ids = [
+            self.source.slice_columns(slice_id, first_attribute, start, stop).entity_ids
+            for slice_id, start, stop in request.slices
+        ]
+        ranking = rank_pruned_chunks(
+            where,
+            logic,
+            predicates,
+            request.limit,
+            fold_scan_bound(where, logic, predicates, len(rows), pair_end, crisp),
+            fetch,
+            crisp,
+            _CandidateIds(ids, owner, local),
+            request.positions,
+            chunk_size=request.chunk_size,
+            chunk_growth=request.chunk_growth,
         )
-        return encode_score_bounded_response(values, exact_mask, scored, pruned)
+        if ranking is None:
+            raise RpcError(f"node {self.index} found no bound form for the ranked query")
+        winners = ranking.heap.selected()
+        degrees = np.array(
+            [
+                [vectors[predicate.text][index] for predicate in predicates]
+                for _, _, vectors, index in winners
+            ],
+            dtype=np.float64,
+        ).reshape(len(winners), len(predicates))
+        pruned = ranking.pruned + counts["pruned"]
+        self.entities_scored += counts["scored"]
+        self.entities_pruned += pruned
+        self._record(
+            "rank",
+            request.trace,
+            started,
+            slices=len(request.slices),
+            candidates=len(rows),
+            scanned=ranking.scanned,
+            scored=counts["scored"],
+        )
+        return encode_rank_response(
+            [int(request.positions[candidate]) for candidate, _, _, _ in winners],
+            [score for _, score, _, _ in winners],
+            degrees,
+            ranking.scanned,
+            counts["scored"],
+            pruned,
+        )
 
     # ------------------------------------------------- invalidate and stats
     def _handle_invalidate(self, reader: Reader) -> bytes:
@@ -465,7 +646,7 @@ class ShardService:
         # it with its own to detect skew.
         reported = self.source.data_version
         dropped = self.cache_entries
-        self._caches.clear()
+        self.drop_slice_caches()
         self.source.invalidate(caller_version)
         self.invalidations += 1
         return _U8.pack(STATUS_OK) + _U64.pack(reported) + _U32.pack(dropped)
@@ -478,12 +659,12 @@ class ShardService:
             "data_version": self.source.data_version,
             "owned_slices": self.source.owned_slice_ids,
             "score_requests": self.score_requests,
-            "bounded_requests": self.bounded_requests,
+            "rank_requests": self.rank_requests,
             "kernel_calls": self.kernel_calls,
             "entities_scored": self.entities_scored,
             "entities_pruned": self.entities_pruned,
             "invalidations": self.invalidations,
-            "cache_hits": sum(cache.stats.hits for cache in self._caches.values()),
+            "cache_hits": sum(cache.stats.hits for cache in self._all_caches()),
             "cache_entries": self.cache_entries,
             **self.source.stats(),
         }

@@ -43,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from repro.core.columnar import (
     slice_view,
 )
 from repro.core.database import SubjectiveDatabase
-from repro.core.fuzzy import FuzzyLogic
+from repro.core.fuzzy import FuzzyLogic, ProductLogic, ZadehLogic
 from repro.core.interpreter import InterpretationMethod
 from repro.core.processor import (
     QueryResult,
@@ -80,6 +80,7 @@ from repro.obs.trace import span
 from repro.serving.cache import DegreeColumnCache
 from repro.serving.engine import CandidateSet, SubjectiveQueryEngine, crisp_leaf_vector
 from repro.serving.plans import QueryPlan
+from repro.serving.protocol import TREE_AND, TREE_CRISP, TREE_NOT, TREE_OR, TREE_PREDICATE
 
 BACKENDS = ("serial", "thread")
 
@@ -684,14 +685,14 @@ def _eval_bound_end(
         return logic.negation_array(
             _eval_bound_end(node.operand, not upper, end_of, logic, None, crisp)
         )
-    if isinstance(node, _CRISP_LEAVES):
+    if isinstance(node, _BOUND_CRISP_LEAVES):
         return crisp(node)
     raise _NotVectorizable(type(node).__name__)
 
 
-def _pair_combiner(logic: FuzzyLogic, interpretation):
-    """The array connective folding an interpretation's per-pair vectors."""
-    if interpretation.combinator == "and":
+def _pair_combiner(logic: FuzzyLogic, combinator: str):
+    """The array connective folding a predicate's per-pair vectors."""
+    if combinator == "and":
         return logic.conjunction_arrays
     return logic.disjunction_arrays
 
@@ -832,6 +833,303 @@ class TopKThreshold:
     def selected(self) -> list[object]:
         """Payloads of the kept rows in final ranking order."""
         return [item.payload for item in sorted(self._heap, key=lambda kept: kept.key)]
+
+
+# --------------------------------------------------------------------------
+# The pruned chunk scan (one loop for the engine and the cluster node)
+# --------------------------------------------------------------------------
+
+class PrunedPredicate(NamedTuple):
+    """One subjective predicate as the pruned scan needs it.
+
+    ``pairs`` are the interpretation's ``(attribute, phrase)`` conditions,
+    folded with the ``combinator`` (``"and"`` or ``"or"``); ``on_and_path``
+    says whether the predicate caps the whole query (:func:`and_path_predicates`).
+    The cluster ships exactly these fields in a ``rank`` frame.
+    """
+
+    text: str
+    combinator: str
+    on_and_path: bool
+    pairs: tuple[tuple[str, str], ...]
+
+
+@dataclass
+class PrunedRanking:
+    """What one pruned scan kept, plus its counters.
+
+    ``heap`` holds the kept rows; each payload is ``(candidate, score,
+    vectors, index)`` — the candidate's index in the scan, its score, and
+    its degree of predicate ``text`` as ``vectors[text][index]``.
+    ``pruned`` counts rows the scan bound alone dismissed; rows pruned by
+    a fetch are counted by the fetch.  ``nodes`` is the number of node
+    lists merged (``None`` in-process).
+    """
+
+    heap: TopKThreshold
+    candidates: int
+    scanned: int
+    offered: int
+    pruned: int
+    nodes: int | None = None
+
+
+@dataclass(frozen=True)
+class CrispSlot(Expression):
+    """A crisp objective leaf known only by the index of its shipped 0/1 vector.
+
+    A cluster node has no catalog rows, so the ``rank`` frame carries each
+    crisp leaf's values as a bitmap and the node's WHERE tree points at it.
+    """
+
+    index: int
+
+
+#: Leaves whose bound is their own exact 0/1 vector.
+_BOUND_CRISP_LEAVES = (*_CRISP_LEAVES, CrispSlot)
+
+
+def encode_where_tree(
+    where: Expression, predicate_index: "dict[str, int]"
+) -> "tuple[list[tuple[int, int]], list[Expression]]":
+    """``(tokens, crisp leaves)``: the tree in prefix order, leaves by index.
+
+    Each token is ``(kind, argument)``: the operand count of an AND / OR,
+    0 for a NOT, a predicate's index in ``predicate_index``, or a crisp
+    leaf's index in the returned list.  Trees :func:`bounds_tree_supported`
+    accepts are the only ones that encode.
+    """
+    tokens: list[tuple[int, int]] = []
+    crisp: list[Expression] = []
+
+    def walk(node: Expression) -> None:
+        if isinstance(node, SubjectivePredicate):
+            tokens.append((TREE_PREDICATE, predicate_index[node.text]))
+        elif isinstance(node, (AndExpression, OrExpression)):
+            kind = TREE_AND if isinstance(node, AndExpression) else TREE_OR
+            tokens.append((kind, len(node.operands)))
+            for operand in node.operands:
+                walk(operand)
+        elif isinstance(node, NotExpression):
+            tokens.append((TREE_NOT, 0))
+            walk(node.operand)
+        elif isinstance(node, _CRISP_LEAVES):
+            tokens.append((TREE_CRISP, len(crisp)))
+            crisp.append(node)
+        else:
+            raise ValueError(f"{type(node).__name__} has no rank-frame form")
+
+    walk(where)
+    return tokens, crisp
+
+
+def decode_where_tree(tokens: Sequence[tuple[int, int]], texts: Sequence[str]) -> Expression:
+    """The inverse of :func:`encode_where_tree`; crisp leaves become :class:`CrispSlot`.
+
+    ``tokens`` must already be a well-formed tree
+    (:func:`repro.serving.protocol.read_rank_request` checks it).
+    """
+    stream = iter(tokens)
+
+    def read() -> Expression:
+        kind, argument = next(stream)
+        if kind == TREE_PREDICATE:
+            return SubjectivePredicate(texts[argument])
+        if kind == TREE_CRISP:
+            return CrispSlot(argument)
+        if kind == TREE_NOT:
+            return NotExpression(read())
+        operands = tuple(read() for _ in range(argument))
+        return AndExpression(operands) if kind == TREE_AND else OrExpression(operands)
+
+    return read()
+
+
+#: Fuzzy logics a ``rank`` frame may name; a node rebuilds the logic from it.
+RANK_LOGICS: "dict[str, type[FuzzyLogic]]" = {
+    logic.name: logic for logic in (ZadehLogic, ProductLogic)
+}
+
+
+def fold_scan_bound(
+    where: Expression,
+    logic: FuzzyLogic,
+    predicates: Sequence[PrunedPredicate],
+    count: int,
+    pair_end: "Callable[[str, str, bool], np.ndarray | None]",
+    crisp: "Callable[[Expression], np.ndarray]",
+) -> np.ndarray | None:
+    """Upper bound of the query score on each of ``count`` candidates, unscored.
+
+    The ``hi`` end of the whole WHERE tree (:func:`_fold_bound_end`), so
+    AND, OR and NOT shapes alike get a scan order and a sorted early stop.
+    ``pair_end(attribute, phrase, upper)`` supplies one end of a pair's
+    degree envelope at every candidate, or ``None`` when it has none (the
+    predicate is then ``[0, 1]``); pairs fold with their predicate's
+    combinator, memoised per call, so a ``lo`` is gathered only under a
+    NOT.  ``crisp`` supplies a crisp leaf's 0/1 vector.
+    """
+    by_text = {predicate.text: predicate for predicate in predicates}
+    gathered: dict[tuple[str, bool], np.ndarray] = {}
+
+    def end_of(text: str, upper: bool) -> np.ndarray:
+        vector = gathered.get((text, upper))
+        if vector is None:
+            predicate = by_text[text]
+            vectors: list[np.ndarray] = []
+            for attribute, phrase in predicate.pairs:
+                end = pair_end(attribute, phrase, upper)
+                if end is None:
+                    vector = np.ones(count) if upper else np.zeros(count)
+                    break
+                vectors.append(end)
+            else:
+                vector = (
+                    vectors[0]
+                    if len(vectors) == 1
+                    else _pair_combiner(logic, predicate.combinator)(vectors)
+                )
+            gathered[(text, upper)] = vector
+        return vector
+
+    return _fold_bound_end(where, True, count, end_of, logic, None, crisp)
+
+
+def rank_pruned_chunks(
+    where: Expression,
+    logic: FuzzyLogic,
+    predicates: Sequence[PrunedPredicate],
+    limit: int,
+    scan_bound: np.ndarray | None,
+    fetch: "Callable[[str, str, np.ndarray, float], tuple[np.ndarray, np.ndarray] | None]",
+    crisp: "Callable[[Expression, np.ndarray], np.ndarray]",
+    tie_ids: Sequence[Hashable],
+    tie_positions: "Sequence[int] | None" = None,
+    chunk_size: int = 128,
+    chunk_growth: int = 4,
+) -> PrunedRanking | None:
+    """Threshold-style pruned top-``limit`` over candidates ``0 .. len(tie_ids)-1``.
+
+    Candidates are scanned in chunks in descending order of ``scan_bound``
+    (the whole tree's score upper bound), stopping once the head of the
+    remainder is below the k-th score.  For each chunk the heap's running
+    k-th score is the prune threshold ``T``: ``fetch(attribute, phrase,
+    indices, threshold)`` returns ``(values, exact)`` for the candidates at
+    ``indices`` — exact degrees, or upper bounds below ``threshold`` — rows
+    whose AND-path predicate bound falls below ``T`` are dropped from the
+    remaining fetches, and rows whose folded score upper bound is below
+    ``T`` never reach the heap.  Every row that survives all of this has
+    exclusively exact degrees, so its folded upper bound *is* its exact
+    score, and the kept rows are bit-identical to the unpruned ranking.
+    ``crisp(leaf, indices)`` supplies a crisp leaf's 0/1 values.
+
+    The heap key is ``(-score, str(tie_ids[i]), tie_positions[i])``
+    (``tie_positions`` defaults to ``i``), the processor's ranking order.
+    The in-process engine and the cluster node both run this loop; they
+    differ only in ``fetch``.  ``None`` when a fetch or the fold finds no
+    bound form — the caller takes the full path.
+    """
+    # AND-path predicates first: their bounds both narrow the alive set and
+    # let the fetch skip rows, so they see the threshold before any
+    # unboundable work happens.
+    ordered = sorted(predicates, key=lambda predicate: not predicate.on_and_path)
+    positions = tie_positions if tie_positions is not None else range(len(tie_ids))
+    heap = TopKThreshold(limit)
+    offered = scanned = pruned = 0
+    total = len(tie_ids)
+    if scan_bound is not None:
+        scan_order = np.argsort(-scan_bound, kind="stable")
+        scan_bound = scan_bound[scan_order]
+    else:
+        scan_order = np.arange(total)
+    # Chunks grow geometrically: the first (small) chunk seeds the heap so a
+    # real threshold exists almost immediately, and the growth keeps the
+    # per-chunk fixed cost logarithmic in the candidate count.
+    chunk_size = max(1, chunk_size)
+    chunk_start = 0
+    while chunk_start < total:
+        threshold = heap.threshold
+        prune_threshold = threshold if threshold is not None else 0.0
+        if (
+            threshold is not None
+            and scan_bound is not None
+            and scan_bound[chunk_start] < prune_threshold
+        ):
+            # Descending bound order: everything from here on is provably
+            # below the k-th score.
+            pruned += total - chunk_start
+            break
+        chunk_stop = min(chunk_start + chunk_size, total)
+        chunk = scan_order[chunk_start:chunk_stop]
+        size = chunk_stop - chunk_start
+        alive = np.ones(size, dtype=bool)
+        if threshold is not None and scan_bound is not None:
+            alive = scan_bound[chunk_start:chunk_stop] >= prune_threshold
+            pruned += size - int(np.count_nonzero(alive))
+        scanned += int(np.count_nonzero(alive))
+        bound_vectors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for predicate in ordered:
+            alive_index = np.flatnonzero(alive)
+            if alive_index.size == 0:
+                break
+            alive_rows = chunk[alive_index]
+            # A pair-level threshold is sound only when the pair value caps
+            # the predicate (t-norm combination, or a single pair) *and* the
+            # predicate caps the query (AND path).
+            pair_threshold = (
+                prune_threshold
+                if predicate.on_and_path
+                and (predicate.combinator == "and" or len(predicate.pairs) == 1)
+                else 0.0
+            )
+            pair_lows: list[np.ndarray] = []
+            pair_highs: list[np.ndarray] = []
+            for attribute, phrase in predicate.pairs:
+                fetched = fetch(attribute, phrase, alive_rows, pair_threshold)
+                if fetched is None:
+                    return None  # no bound support after all: full path
+                hi, exact = fetched
+                pair_highs.append(hi)
+                pair_lows.append(np.where(exact, hi, 0.0))
+            combine = _pair_combiner(logic, predicate.combinator)
+            predicate_lo = combine(pair_lows)
+            predicate_hi = combine(pair_highs)
+            # Scatter into chunk-wide vectors; dead rows keep the universally
+            # sound [0, 1] default (their values are never read back — they
+            # cannot re-enter the alive set).
+            lo_full = np.zeros(size)
+            hi_full = np.ones(size)
+            lo_full[alive_index] = predicate_lo
+            hi_full[alive_index] = predicate_hi
+            bound_vectors[predicate.text] = (lo_full, hi_full)
+            if predicate.on_and_path:
+                # Under a t-norm the query score cannot exceed this
+                # predicate, so rows whose cap is already below the k-th
+                # score are out — skip them in later fetches.
+                alive[alive_index] = predicate_hi >= prune_threshold
+        if alive.any():
+            hi_env = _fold_bound_end(
+                where,
+                True,
+                size,
+                _interval_ends(bound_vectors),
+                logic,
+                threshold,
+                lambda leaf: crisp(leaf, chunk),
+            )
+            if hi_env is None:
+                return None
+            survivors = np.flatnonzero(alive & (hi_env >= prune_threshold))
+            offered += survivors.size
+            vectors = {text: ends[1] for text, ends in bound_vectors.items()}
+            for index, score in zip(survivors.tolist(), hi_env[survivors].tolist()):
+                row = int(chunk[index])
+                heap.offer(
+                    score, tie_ids[row], positions[row], payload=(row, score, vectors, index)
+                )
+        chunk_start = chunk_stop
+        chunk_size *= max(2, chunk_growth)
+    return PrunedRanking(heap, total, scanned, offered, pruned)
 
 
 # --------------------------------------------------------------------------
@@ -1044,7 +1342,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
             )
             for pair in interpretation.pairs
         ]
-        return _pair_combiner(self.processor.logic, interpretation)(per_pair)
+        return _pair_combiner(self.processor.logic, interpretation.combinator)(per_pair)
 
     def _rank_sharded(
         self,
@@ -1114,19 +1412,11 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
     ) -> QueryResult | None:
         """Threshold-style pruned ranking; ``None`` when the query is ineligible.
 
-        Candidates are scanned in chunks — in descending order of
-        :meth:`_scan_bound`, the whole tree's score upper bound, stopping
-        once the head of the remainder is below the k-th score.  For each
-        chunk the heap's running k-th score is the prune threshold ``T``:
-        membership degrees are fetched through the store's bounded path
-        (which skips kernels for rows and whole slices whose degree upper
-        bound is below the per-predicate threshold), rows whose AND-path
-        predicate bound falls below ``T`` are dropped from the remaining
-        fetches, and rows whose final score upper bound is below ``T`` never
-        reach the heap.  Every row that survives all of this has
-        exclusively exact degrees, so its folded upper bound *is* its exact
-        score — survivors are pushed without any second scoring pass, and
-        the result is bit-identical to the unpruned ranking.
+        Checks that the query has a bound form — a limit below the
+        candidate count, no duplicate candidates, a logic and membership
+        with bounds, only marker-backed predicates, a boundable WHERE tree —
+        and leaves the scan itself to :meth:`_scan_pruned`.  The kept rows
+        are bit-identical to the unpruned ranking (:func:`rank_pruned_chunks`).
         """
         statement = plan.statement
         where = statement.where
@@ -1138,13 +1428,11 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
             return None  # duplicate entities (joins): row remap not worth bounding
         if len(row_entities) <= limit:
             return None  # every candidate is kept; nothing to prune
-        logic = self.processor.logic
-        if not getattr(logic, "supports_bounds", False):
+        if not getattr(self.processor.logic, "supports_bounds", False):
             return None
         if not self.processor.use_markers or not self.processor.use_columnar:
             return None
-        store = self.processor.columnar_store
-        if store is None or not hasattr(store, "pair_degrees_bounded"):
+        if self.processor.columnar_store is None:
             return None
         for interpretation in plan.interpretations.values():
             if (
@@ -1154,150 +1442,19 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                 return None  # retrieval degrees have no bound form
         if not bounds_tree_supported(where, set(plan.interpretations)):
             return None
-        and_path = and_path_predicates(where)
-        # AND-path predicates first: their bounds both narrow the alive set
-        # and let the store skip slices, so they should see the threshold
-        # before any unboundable work happens.
-        ordered = sorted(
-            (
-                (text, interpretation, text in and_path)
-                for text, interpretation in plan.interpretations.items()
-            ),
-            key=lambda entry: not entry[2],
-        )
+        ranking = self._scan_pruned(plan, candidates, self._pruned_predicates(plan), limit)
+        if ranking is None:
+            return None
         rows = candidates.rows
-        entity_rows = candidates.entity_rows(self.membership_cache)
-        heap = TopKThreshold(limit)
-        offered = scanned = 0
-        # Vectorized pre-screen out of the store's cached envelopes: the
-        # whole WHERE tree folded over the predicates' [lo, hi] caps the
-        # query score whatever its connectives, so it both *orders* the scan
-        # (descending bound — the threshold-algorithm order, which fills
-        # the heap with the likeliest winners first) and provides a sorted
-        # stop condition: once the head of the remainder is below the k-th
-        # score, no remaining candidate can qualify.  Rows dropped here
-        # never cost any per-entity cache traffic — nor, on the cluster
-        # store (which answers from the coordinator's base store), any
-        # fan-out; the threshold still ships with every bounded fetch so
-        # nodes re-check their per-slice bounds.
-        scan_bound = self._scan_bound(plan, candidates, store)
-        if scan_bound is not None:
-            scan_order = np.argsort(-scan_bound, kind="stable")
-            scan_bound = scan_bound[scan_order]
-        else:
-            scan_order = np.arange(len(row_entities))
-        total = len(row_entities)
-        # Chunks grow geometrically: the first (small) chunk seeds the
-        # heap so a real threshold exists almost immediately, and the
-        # growth keeps the per-chunk fixed cost of the bounded store
-        # round-trips logarithmic in the candidate count.
-        chunk_size = max(1, self.prune_chunk_size)
-        chunk_start = 0
-        while chunk_start < total:
-            threshold = heap.threshold
-            prune_threshold = threshold if threshold is not None else 0.0
-            if (
-                threshold is not None
-                and scan_bound is not None
-                and scan_bound[chunk_start] < prune_threshold
-            ):
-                # Descending bound order: everything from here on is
-                # provably below the k-th score.
-                self.entities_pruned += total - chunk_start
-                break
-            chunk_stop = min(chunk_start + chunk_size, total)
-            # The chunk travels as candidate positions and entity-index rows;
-            # row dicts exist only for the chunk being scanned, ids only for
-            # the rows offered to the heap.  The tie-break key is the
-            # *original* candidate position, so the ranking is identical
-            # however the scan happens to be ordered.
-            chunk_positions = scan_order[chunk_start:chunk_stop]
-            positions = chunk_positions.tolist()
-            chunk_index = entity_rows[chunk_positions]
-            chunk_rows = [rows[position] for position in positions]
-            size = chunk_stop - chunk_start
-            alive = np.ones(size, dtype=bool)
-            if threshold is not None and scan_bound is not None:
-                alive = scan_bound[chunk_start:chunk_stop] >= prune_threshold
-                dropped = size - int(np.count_nonzero(alive))
-                if dropped:
-                    self.entities_pruned += dropped
-            scanned += int(np.count_nonzero(alive))
-            bound_vectors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            for text, interpretation, on_and_path in ordered:
-                alive_index = np.flatnonzero(alive)
-                if alive_index.size == 0:
-                    break
-                alive_rows = chunk_index[alive_index]
-                # A pair-level threshold is sound only when the pair value
-                # caps the predicate (t-norm combination, or a single pair)
-                # *and* the predicate caps the query (AND path).
-                pair_threshold = (
-                    prune_threshold
-                    if on_and_path
-                    and (
-                        interpretation.combinator == "and"
-                        or len(interpretation.pairs) == 1
-                    )
-                    else 0.0
-                )
-                pair_lows: list[np.ndarray] = []
-                pair_highs: list[np.ndarray] = []
-                for pair in interpretation.pairs:
-                    fetched = self._bounded_cached_pair_degrees(
-                        alive_rows,
-                        pair.attribute,
-                        self.processor.phrase_for_pair(interpretation, pair.marker),
-                        pair_threshold,
-                    )
-                    if fetched is None:
-                        return None  # no bound support after all: full path
-                    hi, exact = fetched
-                    pair_highs.append(hi)
-                    pair_lows.append(np.where(exact, hi, 0.0))
-                combine = _pair_combiner(logic, interpretation)
-                predicate_lo = combine(pair_lows)
-                predicate_hi = combine(pair_highs)
-                # Scatter into chunk-wide vectors; dead rows keep the
-                # universally sound [0, 1] default (their values are never
-                # read back — they cannot re-enter the alive set).
-                lo_full = np.zeros(size)
-                hi_full = np.ones(size)
-                lo_full[alive_index] = predicate_lo
-                hi_full[alive_index] = predicate_hi
-                bound_vectors[text] = (lo_full, hi_full)
-                if on_and_path:
-                    # Under a t-norm the query score cannot exceed this
-                    # predicate, so rows whose cap is already below the
-                    # k-th score are out — skip them in later fetches.
-                    alive[alive_index] = predicate_hi >= prune_threshold
-            if alive.any():
-                hi_env = _fold_bound_end(
-                    where,
-                    True,
-                    size,
-                    _interval_ends(bound_vectors),
-                    logic,
-                    threshold,
-                    lambda leaf: candidates.crisp_vector(leaf)[chunk_positions],
-                )
-                if hi_env is None:
-                    return None
-                survivors = np.flatnonzero(alive & (hi_env >= prune_threshold))
-                offered += survivors.size
-                for index, score in zip(survivors.tolist(), hi_env[survivors].tolist()):
-                    position = positions[index]
-                    heap.offer(
-                        score,
-                        row_entities[position],
-                        position,
-                        payload=(score, position, index, bound_vectors),
-                    )
-            chunk_start = chunk_stop
-            chunk_size *= max(2, self.prune_chunk_growth)
+        nodes = {} if ranking.nodes is None else {"nodes": ranking.nodes}
         # Result objects are built for the k winners only.
         with span(
-            "merge", num_shards=self.num_shards, rows=offered, candidates=total, scanned=scanned
+            "merge",
+            num_shards=self.num_shards,
+            rows=ranking.offered,
+            candidates=ranking.candidates,
+            scanned=ranking.scanned,
+            **nodes,
         ):
             entities = [
                 RankedEntity(
@@ -1305,69 +1462,102 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
                     score=score,
                     row=rows[position],
                     predicate_degrees={
-                        text: float(vectors[1][index])
-                        for text, vectors in chunk_vectors.items()
+                        text: float(vector[index]) for text, vector in vectors.items()
                     },
                 )
-                for score, position, index, chunk_vectors in heap.selected()
+                for position, score, vectors, index in ranking.heap.selected()
             ]
         return QueryResult(sql=sql, entities=entities, interpretations=plan.interpretations)
+
+    def _pruned_predicates(self, plan: QueryPlan) -> list[PrunedPredicate]:
+        """The plan's predicates with their pairs resolved to ``(attribute, phrase)``."""
+        and_path = and_path_predicates(plan.statement.where)
+        return [
+            PrunedPredicate(
+                text,
+                interpretation.combinator,
+                text in and_path,
+                tuple(
+                    (pair.attribute, self.processor.phrase_for_pair(interpretation, pair.marker))
+                    for pair in interpretation.pairs
+                ),
+            )
+            for text, interpretation in plan.interpretations.items()
+        ]
+
+    def _scan_pruned(
+        self,
+        plan: QueryPlan,
+        candidates: CandidateSet,
+        predicates: Sequence[PrunedPredicate],
+        limit: int,
+    ) -> PrunedRanking | None:
+        """The pruned scan of one eligible query (the cluster engine ships it).
+
+        In process the loop (:func:`rank_pruned_chunks`) runs here: it is
+        ordered by :meth:`_scan_bound` and fetches through the membership
+        cache and the store's bounded path
+        (:meth:`_bounded_cached_pair_degrees`).  ``None`` sends the query
+        down the full path.
+        """
+        store = self.processor.columnar_store
+        if not hasattr(store, "pair_degrees_bounded"):
+            return None
+        entity_rows = candidates.entity_rows(self.membership_cache)
+
+        def fetch(attribute: str, phrase: str, indices: np.ndarray, threshold: float):
+            """Bounded degrees of the candidates at ``indices``."""
+            return self._bounded_cached_pair_degrees(
+                entity_rows[indices], attribute, phrase, threshold
+            )
+
+        ranking = rank_pruned_chunks(
+            plan.statement.where,
+            self.processor.logic,
+            predicates,
+            limit,
+            self._scan_bound(plan, candidates, store),
+            fetch,
+            lambda leaf, indices: candidates.crisp_vector(leaf)[indices],
+            candidates.row_entities,
+            chunk_size=self.prune_chunk_size,
+            chunk_growth=self.prune_chunk_growth,
+        )
+        if ranking is not None:
+            self.entities_pruned += ranking.pruned
+        return ranking
 
     def _scan_bound(
         self, plan: QueryPlan, candidates: CandidateSet, store
     ) -> np.ndarray | None:
         """Upper bound of the query score on every candidate, unscored.
 
-        The ``hi`` end of the whole WHERE tree folded over the candidate
-        rows (:func:`_fold_bound_end`), so AND, OR and NOT shapes alike
-        get a scan order and a sorted early stop.  Each predicate end the
-        fold asks for is the store's cached whole-store envelope of every
-        pair, gathered at the candidate set's (cached) row indices and
-        folded with the interpretation's combinator, memoised per query —
-        so a ``lo`` is gathered only under a NOT.  A predicate the store
-        cannot bound (or with a candidate missing from its columns) gets
-        ``[0, 1]``; crisp leaves read the candidate set's memoised 0/1
-        vectors.  ``None`` — scan unordered, no early stop — when the store
-        has no envelopes.
+        :func:`fold_scan_bound` over the store's cached whole-store
+        envelopes, gathered at the candidate set's (cached) row indices.  A
+        pair the store cannot bound (or with a candidate missing from its
+        columns) leaves its predicate at ``[0, 1]``; crisp leaves read the
+        candidate set's memoised 0/1 vectors.  ``None`` — scan unordered, no
+        early stop — when the store has no envelopes.
         """
         whole_store_envelope = getattr(store, "degree_envelope", None)
         if whole_store_envelope is None:
             return None
-        logic = self.processor.logic
-        count = len(candidates.rows)
-        gathered: dict[tuple[str, bool], np.ndarray] = {}
 
-        def end_of(text: str, upper: bool) -> np.ndarray:
-            vector = gathered.get((text, upper))
-            if vector is None:
-                interpretation = plan.interpretations[text]
-                vectors: list[np.ndarray] = []
-                for pair in interpretation.pairs:
-                    envelope = whole_store_envelope(
-                        self.processor.membership,
-                        pair.attribute,
-                        self.processor.phrase_for_pair(interpretation, pair.marker),
-                    )
-                    index = (
-                        None
-                        if envelope is None
-                        else candidates.store_rows(store.columns(pair.attribute))
-                    )
-                    if index is None:
-                        vector = np.ones(count) if upper else np.zeros(count)
-                        break
-                    vectors.append(envelope[1 if upper else 0][index])
-                else:
-                    vector = (
-                        vectors[0]
-                        if len(vectors) == 1
-                        else _pair_combiner(logic, interpretation)(vectors)
-                    )
-                gathered[(text, upper)] = vector
-            return vector
+        def pair_end(attribute: str, phrase: str, upper: bool) -> np.ndarray | None:
+            """One envelope end of a condition at every candidate."""
+            envelope = whole_store_envelope(self.processor.membership, attribute, phrase)
+            if envelope is None:
+                return None
+            index = candidates.store_rows(store.columns(attribute))
+            return None if index is None else envelope[1 if upper else 0][index]
 
-        return _fold_bound_end(
-            plan.statement.where, True, count, end_of, logic, None, candidates.crisp_vector
+        return fold_scan_bound(
+            plan.statement.where,
+            self.processor.logic,
+            self._pruned_predicates(plan),
+            len(candidates.rows),
+            pair_end,
+            candidates.crisp_vector,
         )
 
     def _bounded_cached_pair_degrees(

@@ -20,7 +20,8 @@ just as deliberately, the failure semantics it must *not* change:
 
 from __future__ import annotations
 
-import numpy as np
+import threading
+
 import pytest
 
 from repro.core import SubjectiveQueryProcessor
@@ -158,28 +159,44 @@ class TestKillOneNode:
             # or stays dark behind its replica — either way, zero errors.
             assert engine.sharded_store.replication == 2
 
-    def test_bounded_scoring_fails_over_too(self, fault_database):
-        """The pruned (score-bounded) path shares the failover machinery."""
-        membership = _membership(fault_database)
-        base = ColumnarSummaryStore(fault_database)
-        attribute = fault_database.schema.subjective_attributes[0].name
-        ids = list(base.columns(attribute).entity_ids)
-        expected = base.pair_degrees_bounded(membership, ids, attribute, "word003", 0.4)
-        if expected is None:
-            pytest.skip("no bound envelope for this membership")
-        store = ClusterShardStore(
-            fault_database, num_nodes=2, num_slices=4, replication=2, **FAST
-        )
-        faults = ClusterFaultInjector(store)
-        try:
-            store.pair_degrees(membership, ids, attribute, "word001")
-            faults.kill_node(1)
-            got = store.pair_degrees_bounded(membership, ids, attribute, "word003", 0.4)
-            assert np.array_equal(got[1], expected[1])
-            assert np.array_equal(got[0][got[1]], expected[0][expected[1]])
-        finally:
-            faults.restore()
-            store.close()
+    def test_rank_frames_fail_over_too(self, fault_database):
+        """The pruned path ships rank frames through the same failover
+        machinery: a dead node's slices are re-ranked on their replicas."""
+        baseline = SubjectiveQueryEngine(database=fault_database)
+        with ClusterQueryEngine(
+            database=fault_database, num_nodes=2, num_shards=4, replication=2,
+            max_inflight_queries=1, **FAST,
+        ) as engine:
+            engine.execute(QUERIES[0])  # fleet up, every replica hydrated
+            store = engine.sharded_store
+            ClusterFaultInjector(store).kill_node(1)
+            for sql in QUERIES[1:]:
+                assert_identical_results(baseline.execute(sql), engine.execute(sql), sql)
+            assert store.transport_counters()["slice_failovers"] >= 1
+            assert sum(node["rank_requests"] for node in store.node_stats()) >= len(QUERIES)
+
+    def test_mid_query_kill_reranks_on_the_replica_bit_identically(self, fault_database):
+        """A node killed while its rank frame is in flight costs the query
+        nothing: the frame's slices are re-ranked on the warm replica."""
+        sql = QUERIES[2]
+        expected = SubjectiveQueryEngine(database=fault_database).execute(sql)
+        with ClusterQueryEngine(
+            database=fault_database, num_nodes=2, num_shards=4, replication=2,
+            max_inflight_queries=1, **FAST,
+        ) as engine:
+            engine.execute(QUERIES[0])  # fleet up, every replica hydrated
+            store = engine.sharded_store
+            faults = ClusterFaultInjector(store)
+            faults.pause_node(0)  # node 0 provably cannot answer its frame ...
+            killer = threading.Timer(0.3, faults.kill_node, args=(0,))
+            killer.start()  # ... and dies while the query waits on it
+            try:
+                result = engine.execute(sql)
+            finally:
+                killer.join()
+                faults.restore()
+            assert_identical_results(expected, result)
+            assert store.transport_counters()["slice_failovers"] >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -219,11 +219,39 @@ class TestClusterNodeTraces:
             trace_id = next(r.trace_id for r in local if r.name == "query")
             remote = cluster_store.node_traces(trace_id=trace_id)
         node_names = {row["name"] for row in remote}
-        assert node_names & {"node_score", "node_score_bounded"}
+        assert node_names & {"node_score", "node_rank"}
         assert all(row["trace_id"] == trace_id for row in remote)
         local_ids = {r.span_id for r in local}
         assert all(row["parent_id"] in local_ids for row in remote)
 
+
+    def test_a_ranked_query_records_one_node_rank_span_per_node(self, hotel_database):
+        """The pruned fleet query: each node's ``node_rank`` span carries its
+        work and parents onto the coordinator's ``transport`` span, and the
+        ``merge`` span counts the node lists it merged."""
+        store = _fresh_tracing()
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=2, max_inflight_queries=1
+        ) as engine:
+            engine.execute(HOTEL_SQL)
+            local = store.spans()
+            trace_id = next(r.trace_id for r in local if r.name == "query")
+            remote = engine.sharded_store.node_traces(trace_id=trace_id)
+        ranks = [row for row in remote if row["name"] == "node_rank"]
+        assert sorted(row["attrs"]["node"] for row in ranks) == [0, 1]
+        candidates = len(hotel_database.entity_ids())
+        assert sum(row["attrs"]["candidates"] for row in ranks) == candidates
+        for row in ranks:
+            attrs = row["attrs"]
+            assert attrs["slices"] >= 1
+            assert 0 < attrs["scanned"] <= attrs["candidates"]
+            assert 0 <= attrs["scored"]
+        transport = {r.span_id for r in local if r.name == "transport" and r.attrs.get("rank")}
+        assert len(transport) == 1
+        assert all(row["parent_id"] in transport for row in ranks)
+        (merge,) = [r for r in local if r.name == "merge" and r.trace_id == trace_id]
+        assert merge.attrs["nodes"] == 2
+        assert merge.attrs["candidates"] == candidates
 
     def test_replica_spans_share_the_coordinator_trace_id(self, hotel_database):
         """Whichever replica answers, its spans join the one query trace."""
@@ -235,7 +263,7 @@ class TestClusterNodeTraces:
             local = store.spans()
             trace_id = next(r.trace_id for r in local if r.name == "query")
             remote = engine.sharded_store.node_traces(trace_id=trace_id)
-        assert {row["name"] for row in remote} & {"node_score", "node_score_bounded"}
+        assert {row["name"] for row in remote} & {"node_score", "node_rank"}
         assert all(row["trace_id"] == trace_id for row in remote)
         local_ids = {r.span_id for r in local}
         assert all(row["parent_id"] in local_ids for row in remote)
@@ -276,7 +304,7 @@ class TestGatewayTraces:
             for trace_id, names in by_trace.items()
             if "gateway_request" in names
             and names & {"query", "score"}
-            and names & {"node_score", "node_score_bounded"}
+            and names & {"node_score", "node_rank"}
         ]
         assert stitched, f"no stitched gateway trace in {by_trace!r}"
         # Engine spans parent onto the gateway root span (same trace tree,

@@ -460,10 +460,11 @@ class TestGeneratedWhereTreeDifferential:
     attribute) and ``price`` / ``city`` leaves, with a limit of 1, 3 or more
     than the entity count.  Each tree runs, under both logics, on the
     in-process sharded engine at 1 and 4 shards with pruning on and off,
-    and on a 2-node cluster of in-process nodes; every answer must equal a
-    fresh processor's bit for bit.  The pruned engines scan in 8-row first
-    chunks, so the 120-entity fixture exercises the scan order and its
-    early stop, not just one chunk.
+    and on 2-node clusters of in-process nodes, with and without
+    replication; every answer must equal a fresh processor's bit for bit,
+    and a fleet must have ranked every prunable query on its nodes.  The
+    pruned engines scan in 8-row first chunks, so the 120-entity fixture
+    exercises the scan order and its early stop, not just one chunk.
     """
 
     NUM_ENTITIES = 120
@@ -505,7 +506,7 @@ class TestGeneratedWhereTreeDifferential:
         from repro.testing import build_synthetic_columnar_database
 
         database = build_synthetic_columnar_database(num_entities=self.NUM_ENTITIES, seed=41)
-        engines, servers = [], []
+        engines, servers, fleets = [], [], {}
         for logic in (ProductLogic(), ZadehLogic()):
             for num_shards in (1, 4):
                 for prune_topk in (True, False):
@@ -516,21 +517,25 @@ class TestGeneratedWhereTreeDifferential:
                             prune_topk=prune_topk,
                         )
                     )
-            processor = SubjectiveQueryProcessor(database, logic=logic)
-            nodes = [
-                start_local_node(processor.membership, node_id=index)[0] for index in range(2)
-            ]
-            servers.extend(nodes)
-            engines.append(
-                ClusterQueryEngine(
-                    processor=processor,
-                    addresses=[server.address for server in nodes],
-                    num_shards=4,
+            for replication in (1, 2):
+                processor = SubjectiveQueryProcessor(database, logic=logic)
+                nodes = [
+                    start_local_node(processor.membership, node_id=index)[0]
+                    for index in range(2)
+                ]
+                servers.extend(nodes)
+                engines.append(
+                    ClusterQueryEngine(
+                        processor=processor,
+                        addresses=[server.address for server in nodes],
+                        num_shards=4,
+                        replication=replication,
+                    )
                 )
-            )
+                fleets[id(engines[-1])] = nodes
         for engine in engines:
             engine.prune_chunk_size = 8
-        yield database, engines
+        yield database, engines, fleets
         for engine in engines:
             engine.close()
         for server in servers:
@@ -543,7 +548,7 @@ class TestGeneratedWhereTreeDifferential:
         from repro.core import SubjectiveQueryProcessor
         from repro.testing import assert_identical_results
 
-        database, engines = fleet
+        database, engines, fleets = fleet
         sql = f"select * from Entities where {tree} limit {limit}"
         expected = {
             logic.name: SubjectiveQueryProcessor(database, logic=logic).execute(sql)
@@ -556,7 +561,14 @@ class TestGeneratedWhereTreeDifferential:
                 f"{type(engine).__name__} {logic.name} shards={engine.num_shards} "
                 f"prune={engine.prune_topk} {sql!r}"
             )
+            nodes = fleets.get(id(engine), [])
+            ranked = sum(node.rank_requests for node in nodes)
             assert_identical_results(expected[logic.name], engine.execute(sql), context)
+            ranked = sum(node.rank_requests for node in nodes) - ranked
+            plan = engine.plan(sql)
+            if nodes and plan.interpretations:
+                prunable = len(engine._candidate_rows(plan).row_entities) > limit
+                assert (ranked > 0) == prunable, context  # the leg is not vacuous
 
 
 class TestDegreeColumnCacheAgainstDictModel:
@@ -748,6 +760,7 @@ class TestMembershipColumnsHoldExactDegreesOnly:
     @settings(max_examples=12, deadline=None)
     def test_known_degrees_are_exact_and_warm_equals_cold(self, database, engines, sqls):
         from repro.core.columnar import ColumnarSummaryStore
+        from repro.serving import ClusterQueryEngine
 
         exact_store = ColumnarSummaryStore(database)
         # A selective conjunction first, so every mix prunes at least once.
@@ -760,7 +773,8 @@ class TestMembershipColumnsHoldExactDegreesOnly:
             assert engine.entities_pruned > pruned_before  # bounds were returned ...
             all_rows = np.arange(cache.num_rows)
             columns = {(attribute, phrase) for _entity, attribute, phrase in cache.keys()}
-            assert columns
+            # A fleet ranks pruned queries on its nodes and caches no degree here.
+            assert not columns if isinstance(engine, ClusterQueryEngine) else columns
             for attribute, phrase in columns:  # ... and none of them was stored
                 known = np.flatnonzero(cache.lookup((attribute, phrase), all_rows)[1])
                 values, _ = cache.lookup((attribute, phrase), known)
@@ -775,10 +789,12 @@ class TestMembershipColumnsHoldExactDegreesOnly:
     @given(words, st.floats(0.05, 0.95))
     @settings(max_examples=12, deadline=None)
     def test_a_returned_bound_is_never_written(self, database, engines, word, quantile):
+        """The engine's bounded fetch.  A fleet has none — its nodes fetch
+        (``test_serving_service``: a pruned rank row is never memoised)."""
         from repro.core.columnar import ColumnarSummaryStore
 
         key = ("quality", word)
-        for engine in engines:
+        for engine in engines[:1]:
             cache = engine.membership_cache
             cache.clear()
             rows = np.arange(cache.num_rows)
@@ -789,10 +805,7 @@ class TestMembershipColumnsHoldExactDegreesOnly:
             )
             threshold = float(np.quantile(full, quantile))
             values, exact = engine._bounded_cached_pair_degrees(rows, *key, threshold)
-            if engine is engines[0]:
-                # (A node that memoised the exact vector on an
-                # earlier example answers exactly whatever the threshold.)
-                assert not exact.all()  # some rows came back as bounds ...
+            assert not exact.all()  # some rows came back as bounds ...
             assert np.array_equal(values[exact], full[exact])
             assert np.all(values[~exact] >= full[~exact])
             assert np.array_equal(cache.lookup(key, rows)[1], exact)  # ... and stayed unknown
@@ -962,38 +975,50 @@ class TestFrameCodecRoundTrip:
         assert reader.remaining == 0
 
     @given(
-        st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+        st.booleans(),
         st.one_of(st.none(), st.tuples(st.integers(1, 2**64 - 1), st.integers(1, 2**64 - 1))),
         st.binary(min_size=1, max_size=24),
     )
     @settings(max_examples=60, deadline=None)
-    def test_bytes_after_a_request_are_refused(self, threshold, trace, junk):
-        """The one request decoder reads every field and then demands the end."""
+    def test_bytes_after_a_request_are_refused(self, rank, trace, junk):
+        """Both request decoders read every field and then demand the end."""
         from repro.serving.protocol import (
+            TREE_PREDICATE,
+            ProtocolError,
             Reader,
-            RpcError,
             ScoreRequest,
-            encode_score_bounded_request,
+            encode_rank_request,
             encode_score_request,
+            read_rank_request,
             read_score_request,
         )
 
-        fields = (7, "room", "clean", 2, 9, [0, 3])
-        if threshold is None:
-            frame = encode_score_request(*fields, trace=trace)
+        if rank:
+            frame = encode_rank_request(
+                3,
+                "product",
+                8,
+                4,
+                [("a", "and", True, (("room", "clean"),))],
+                [(TREE_PREDICATE, 0)],
+                [(0, 0, 9)],
+                np.array([1, 4]),
+                np.array([0, 1]),
+                [],
+                trace=trace,
+            )
+            read = read_rank_request
         else:
-            frame = encode_score_bounded_request(*fields, threshold, trace=trace)
-        bounded = threshold is not None
-        assert read_score_request(Reader(frame[1:]), bounded) == ScoreRequest(
-            *fields, threshold, trace
-        )
+            fields = (7, "room", "clean", 2, 9, [0, 3])
+            frame = encode_score_request(*fields, trace=trace)
+            read = read_score_request
+            assert read(Reader(frame[1:])) == ScoreRequest(*fields, trace)
         # After an explicit trace field — present, or the zero "absent"
         # marker — any further byte makes the frame malformed.
         closed = frame if trace is not None else frame + b"\x00"
-        assert read_score_request(Reader(closed[1:]), bounded).trace == trace
-        with pytest.raises(RpcError):
-            read_score_request(Reader(closed[1:] + junk), bounded)
-
+        assert read(Reader(closed[1:])).trace == trace
+        with pytest.raises(ProtocolError):
+            read(Reader(closed[1:] + junk))
 
     @given(
         st.lists(
@@ -1085,6 +1110,133 @@ def _random_snapshot(draw_shape, data):
     )
     version = data.draw(st.integers(min_value=0, max_value=2**63))
     return ColumnSnapshot.of_slice(columns, 3, 0, num_entities, version)
+
+
+class TestRankFramesAgainstHostileBytes:
+    """Truncated, bit-flipped and random ``rank`` frames, at the codec and the node.
+
+    A request either decodes into a frame that satisfies every checked
+    invariant or raises :class:`ProtocolError` — never a ``struct.error``
+    or another untyped exception — and a node answers it, quickly, with a
+    transported error or a well-formed top-k of the candidates it was sent,
+    then keeps serving: the next valid frame gets the valid answer.  A
+    mangled response raises :class:`ProtocolError` or decodes into a
+    consistent reply; a truncated frame of either kind never decodes.
+    """
+
+    @pytest.fixture(scope="class")
+    def node(self):
+        from repro.core import SubjectiveQueryProcessor
+        from repro.core.columnar import ColumnarSummaryStore, ColumnSnapshot
+        from repro.serving import ShardService, partition_bounds
+        from repro.serving.protocol import TREE_AND, TREE_CRISP, TREE_NOT, TREE_PREDICATE
+        from repro.serving.protocol import encode_rank_request
+        from repro.serving.service import HydratedSlices
+        from repro.testing import build_synthetic_columnar_database
+
+        database = build_synthetic_columnar_database(
+            num_entities=40, markers_per_attribute=4, dimension=8, seed=5
+        )
+        store = ColumnarSummaryStore(database)
+        hydrated = HydratedSlices()
+        bounds = partition_bounds(40, 2)
+        slices = [
+            (index, start, stop) for index, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+        ]
+        for attribute in ("quality", "service"):
+            for slice_id, start, stop in slices:
+                hydrated.install(
+                    ColumnSnapshot.of_slice(
+                        store.columns(attribute), slice_id, start, stop, database.data_version
+                    )
+                )
+        service = ShardService(0, SubjectiveQueryProcessor(database).membership, hydrated)
+        rows = np.arange(3, 40, 2)
+        frame = encode_rank_request(
+            3,
+            "product",
+            4,
+            4,
+            [
+                ("a", "and", True, (("quality", "word001"),)),
+                ("b", "or", False, (("service", "word005"), ("service", "word006"))),
+            ],
+            [(TREE_AND, 2), (TREE_PREDICATE, 0), (TREE_NOT, 0), (TREE_AND, 2),
+             (TREE_PREDICATE, 1), (TREE_CRISP, 0)],
+            slices,
+            rows,
+            rows * 2,
+            [rows % 3 != 0],
+        )
+        answer = service.handle_frame(frame)[0]
+        assert answer[0] == 0
+        return service, frame, answer
+
+    @staticmethod
+    def _mangle(data, frame: bytes) -> tuple[str, bytes]:
+        from repro.testing import corrupt_frame
+
+        how = data.draw(st.sampled_from(["truncate", "flip", "random"]))
+        if how == "truncate":
+            return how, frame[: data.draw(st.integers(0, len(frame) - 1))]
+        if how == "flip":
+            position = data.draw(st.integers(0, len(frame) - 1))
+            return how, corrupt_frame(frame, position, 1 << data.draw(st.integers(0, 7)))
+        return how, frame[:1] + data.draw(st.binary(max_size=120))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_mangled_request_is_refused_or_served_and_the_node_lives(self, node, data):
+        from repro.serving.protocol import (
+            STATUS_ERROR,
+            STATUS_OK,
+            ProtocolError,
+            Reader,
+            read_rank_request,
+            read_rank_response,
+        )
+        from repro.utils.timing import now
+
+        service, frame, answer = node
+        how, mangled = self._mangle(data, frame)
+        try:
+            request = read_rank_request(Reader(mangled[1:]))
+        except ProtocolError:
+            request = None
+        if how == "truncate":
+            assert request is None
+        started = now()
+        response, stop = service.handle_frame(mangled)
+        assert now() - started < 5.0 and not stop
+        assert response[0] in (STATUS_OK, STATUS_ERROR)
+        if response[0] == STATUS_OK:
+            assert mangled[0] == frame[0] and request is not None
+            reply = read_rank_response(Reader(response[1:]))
+            assert len(reply.positions) <= request.limit
+            assert set(reply.positions.tolist()) <= set(request.positions.tolist())
+            assert reply.degrees.shape == (len(reply.positions), len(request.predicates))
+            assert np.all((reply.scores >= 0.0) & (reply.scores <= 1.0))
+        # The node still serves: the valid frame gets the valid top-k (its
+        # counters may differ — the node's memo is warm by now).
+        again = read_rank_response(Reader(service.handle_frame(frame)[0][1:]))
+        first = read_rank_response(Reader(answer[1:]))
+        for field in ("positions", "scores", "degrees"):
+            assert np.array_equal(getattr(again, field), getattr(first, field)), field
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_mangled_response_is_refused_or_consistent(self, node, data):
+        from repro.serving.protocol import ProtocolError, Reader, read_rank_response
+
+        _service, _frame, answer = node
+        how, mangled = self._mangle(data, answer)
+        try:
+            reply = read_rank_response(Reader(mangled[1:]))
+        except ProtocolError:
+            return
+        assert how != "truncate"
+        count = len(reply.positions)
+        assert reply.scores.shape == (count,) and reply.degrees.shape[0] == count
 
 
 class TestColumnSnapshotRoundTrip:
@@ -1614,9 +1766,12 @@ class TestGeneratedIngestDifferential:
     exactly as a fresh processor does (candidate sets kept across journaled
     ingests included), and every bound summary a node holds — patched from
     delta rows or built — equals ``ScoreBounds.of_columns`` of the slice it
-    covers, bit for bit.  The nodes are in-process ``ShardNodeServer``
-    threads so their state can be read; the database persists across
-    examples, so later examples start from what earlier ones ingested.
+    covers, bit for bit, and every envelope and exact degree a node keeps
+    for ``rank`` frames belongs to the slice it holds now.  The cluster
+    ranks each prunable query on the nodes.  The nodes are in-process
+    ``ShardNodeServer`` threads so their state can be read; the database
+    persists across examples, so later examples start from what earlier
+    ones ingested.
     """
 
     SHAPES = (
@@ -1709,11 +1864,70 @@ class TestGeneratedIngestDifferential:
                     elif field.name != "columns":
                         assert mine == theirs, (key, field.name)
 
+    @staticmethod
+    def _assert_rank_memos_are_fresh(servers) -> None:
+        """Every envelope and exact degree a node keeps for ``rank`` frames
+        belongs to the slice it holds now: a node that kept a stale one
+        across a re-hydration (delta or full) fails here."""
+        for server in servers:
+            source = server.source
+            for (attribute, slice_id), memo in server._ranked.items():
+                for phrase, _start, _stop in memo.keys():
+                    state = memo.peek((phrase, _start, _stop))
+                    held = source._slices.get((attribute, slice_id))
+                    assert held is not None and state.columns is held.columns, (
+                        attribute, slice_id, phrase
+                    )
+                    exact = server.membership.degrees_columnar(held.columns, phrase)
+                    known = state.known
+                    assert np.array_equal(state.values[known], exact[known]), phrase
+                    assert np.all(state.lo <= exact) and np.all(exact <= state.hi), phrase
+
+    @staticmethod
+    def _rankable(engine, sql) -> bool:
+        """Whether the fleet ranks ``sql`` on its nodes: more candidates than
+        the limit, every one with a row, in one row order for every attribute
+        (an entity added without summaries has none), and not every degree
+        already in the coordinator's cache (a JOIN's unpruned ranking may
+        have left them there)."""
+        from repro.core.interpreter import InterpretationMethod
+
+        plan = engine.plan(sql)
+        candidates = engine._candidate_rows(plan)
+        interpretations = list(plan.interpretations.values())
+        if not interpretations or any(
+            interpretation.method is InterpretationMethod.TEXT_RETRIEVAL
+            or not interpretation.pairs
+            for interpretation in interpretations
+        ):
+            return False
+        columns = [
+            engine.sharded_store.base.columns(pair.attribute)
+            for interpretation in interpretations
+            for pair in interpretation.pairs
+        ]
+        cache = engine.membership_cache
+        rows = candidates.entity_rows(cache)
+        cached = all(
+            cache.known_column((pair.attribute, engine.processor.phrase_for_pair(
+                interpretation, pair.marker
+            )), rows) is not None
+            for interpretation in interpretations
+            for pair in interpretation.pairs
+        )
+        return (
+            len(candidates.row_entities) > plan.statement.limit
+            and all(other.entity_ids == columns[0].entity_ids for other in columns)
+            and candidates.store_rows(columns[0]) is not None
+            and not cached
+        )
+
     @pytest.mark.timeout(300)
     @given(steps)
     @settings(max_examples=12, deadline=None)
     def test_every_step_answers_like_a_fresh_processor(self, fleet, steps):
         from repro.core import SubjectiveQueryProcessor
+        from repro.serving import ClusterQueryEngine
         from repro.testing import assert_identical_results
 
         database, engines, servers = fleet
@@ -1725,10 +1939,19 @@ class TestGeneratedIngestDifferential:
                 sql = f"select * from Entities where {self.SHAPES[shape].format(a=a, b=b)} limit 5"
             expected = SubjectiveQueryProcessor(database).execute(sql)
             for engine in engines:
+                ranked = sum(server.rank_requests for server in servers)
                 assert_identical_results(
                     expected, engine.execute(sql), f"{type(engine).__name__} {ingest} {sql!r}"
                 )
+                ranked = sum(server.rank_requests for server in servers) - ranked
+                if isinstance(engine, ClusterQueryEngine) and shape < len(self.SHAPES):
+                    # A prunable query ranks on the nodes — over the slices the
+                    # ingest just re-hydrated, so stale node state would show.
+                    # (Read after the query: the version check it ran has
+                    # dropped caches the ingest outdated.)
+                    assert (ranked > 0) == self._rankable(engine, sql), sql
             self._assert_carried_bounds_are_fresh(servers)
+            self._assert_rank_memos_are_fresh(servers)
 
 
 # --------------------------------------------------------------------------

@@ -17,14 +17,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.columnar import ColumnarSummaryStore
+from repro.core.columnar import ColumnarSummaryStore, ScoreBounds, slice_view
 from repro.core.database import ReviewRecord
 from repro.core.interpreter import InterpretationMethod
 from repro.serving import (
     ClusterQueryEngine,
-    ClusterShardStore,
     ShardedSubjectiveQueryEngine,
     SubjectiveQueryEngine,
+    partition_bounds,
 )
 from repro.serving.sharded import fuzzy_score_arrays
 from repro.testing import assert_identical_results, build_synthetic_columnar_database
@@ -207,36 +207,23 @@ class TestClusterPruning:
             assert 0 < engine.entities_scored < 2 * num_entities
             assert engine.entities_pruned > 0
 
-    def test_nodes_prune_below_a_shipped_threshold(self, synthetic_database):
-        """Store-level: the nodes' own bound check still prunes (second line).
-
-        Bypasses the engine (whose pre-screen would drop these rows before
-        any fan-out): exact values must equal the unpruned kernel's, pruned
-        values must cap it, and the pruning must show in the node counters.
-        """
-        database = synthetic_database
+    def test_nodes_prune_with_their_own_slice_envelopes(self, synthetic_database):
+        """Each node bounds its own slices: the ranked answer is the in-process
+        one, and the pruning shows in the nodes' own counters."""
+        in_process = ShardedSubjectiveQueryEngine(database=synthetic_database, num_shards=2)
+        full = ShardedSubjectiveQueryEngine(
+            database=synthetic_database, num_shards=2, prune_topk=False
+        )
         with ClusterQueryEngine(
-            database=database, num_nodes=2, max_inflight_queries=1
+            database=synthetic_database, num_nodes=2, max_inflight_queries=1
         ) as engine:
-            store = engine.sharded_store
-            membership = engine.processor.membership
-            entity_ids = [entity.entity_id for entity in database.entities()]
-            full = np.asarray(
-                ColumnarSummaryStore(database).pair_degrees(
-                    membership, entity_ids, "quality", "word003"
-                )
-            )
-            cutoff = float(np.median(full))
-            values, exact, scored, pruned = store.pair_degrees_bounded(
-                membership, entity_ids, "quality", "word003", cutoff
-            )
-            assert scored > 0 and pruned > 0 and scored + pruned == len(entity_ids)
-            assert np.array_equal(values[exact], full[exact])
-            assert np.all(values[~exact] >= full[~exact])
-            assert np.all(values[~exact] < cutoff)
-            remote = store.partition_stats()
-            assert sum(entry["entities_pruned"] for entry in remote) > 0
-            assert sum(entry["entities_scored"] for entry in remote) > 0
+            for sql in SELECTIVE_QUERIES:
+                assert_identical_results(in_process.execute(sql), engine.execute(sql), sql)
+                full.execute(sql)
+            remote = engine.sharded_store.partition_stats()
+            assert all(entry["entities_pruned"] > 0 for entry in remote)
+            assert all(entry["entities_scored"] > 0 for entry in remote)
+            assert sum(entry["entities_scored"] for entry in remote) < full.entities_scored
 
     def test_concurrent_batch_still_identical(self, synthetic_database):
         """Pruning is disabled inside the concurrent batch, not broken by it."""
@@ -283,6 +270,7 @@ class TestMixedShapesOnEveryEngine:
         )
         exact_store = ColumnarSummaryStore(large_database)
         with make_engine(large_database) as engine:
+            fleet = isinstance(engine, ClusterQueryEngine)
             for sql in MIXED_QUERIES:
                 scored, unpruned = engine.entities_scored, full.entities_scored
                 assert_identical_results(full.execute(sql), engine.execute(sql), context=sql)
@@ -302,50 +290,46 @@ class TestMixedShapesOnEveryEngine:
                     },
                     engine.processor.logic,
                 )
-                bound = engine._scan_bound(plan, candidates, engine.processor.columnar_store)
-                assert np.all(bound >= exact), sql
+                if not fleet:  # a fleet folds its scan bound on the nodes
+                    bound = engine._scan_bound(plan, candidates, engine.processor.columnar_store)
+                    assert np.all(bound >= exact), sql
             assert engine.entities_pruned > 0
             # Only exact degrees were cached: bounds of dismissed rows never are.
             membership = engine.processor.membership
             keys = list(engine.membership_cache.keys())
-            assert keys
+            assert not keys if fleet else keys  # a ranking fleet caches no degree here
             for entity_id, attribute, phrase in keys:
                 (exact,) = exact_store.pair_degrees(membership, [entity_id], attribute, phrase)
                 assert engine.membership_cache.peek((entity_id, attribute, phrase)) == exact
 
 
-class TestCoordinatorPreScreen:
-    """The cluster store answers ``degree_envelope`` from the coordinator's
-    base store, so the fleet engine scans in the in-process engine's order."""
+class TestNodeSideScan:
+    """The fleet ships the pruned scan: each node ranks its own slices."""
 
-    def test_fleet_scan_matches_in_process_and_saves_requests(
-        self, synthetic_database, monkeypatch
-    ):
+    def test_fleet_scan_matches_in_process_and_saves_requests(self, synthetic_database):
         in_process = ShardedSubjectiveQueryEngine(database=synthetic_database, num_shards=2)
         expected = [in_process.execute(sql) for sql in SELECTIVE_QUERIES]
 
-        def run():
+        def run(prune_topk):
             with _cluster(synthetic_database) as engine:
+                engine.execute(SELECTIVE_QUERIES[0])  # fleet up and hydrated
+                engine.sharded_store.invalidate_node_caches()
+                engine.membership_cache.clear()
+                engine.prune_topk = prune_topk
+                requests = engine.sharded_store.rpc_requests
                 results = [engine.execute(sql) for sql in SELECTIVE_QUERIES]
-                return (
-                    results,
-                    engine.entities_scored,
-                    engine.entities_pruned,
-                    engine.sharded_store.rpc_requests,
-                )
+                return results, engine.sharded_store.rpc_requests - requests
 
-        results, scored, pruned, requests = run()
-        monkeypatch.delattr(ClusterShardStore, "degree_envelope")
-        unscreened_results, _, _, unscreened_requests = run()
-
-        for sql, want, got, unscreened in zip(
-            SELECTIVE_QUERIES, expected, results, unscreened_results
+        results, requests = run(True)
+        unpruned_results, unpruned_requests = run(False)
+        for sql, want, got, unpruned in zip(
+            SELECTIVE_QUERIES, expected, results, unpruned_results
         ):
             assert_identical_results(want, got, context=sql)
-            assert_identical_results(want, unscreened, context=f"unscreened {sql}")
-        assert scored <= in_process.entities_scored
-        assert pruned >= in_process.entities_pruned
-        assert 0 < requests < unscreened_requests
+            assert_identical_results(want, unpruned, context=f"unpruned {sql}")
+        # One rank frame per node per query, against one score frame per
+        # predicate pair and slice.
+        assert requests == 2 * len(SELECTIVE_QUERIES) < unpruned_requests
 
 
 class TestBoundEnvelopes:
@@ -368,6 +352,19 @@ class TestBoundEnvelopes:
                 assert np.all(exact <= hi), (attribute, marker)
                 checked += 1
         assert checked > 0
+
+    def test_slice_envelopes_contain_exact_degrees(self, synthetic_database):
+        """A node's envelope — ``degree_bounds`` over one slice's own bound
+        summaries — brackets every exact degree of the slice too."""
+        membership = SubjectiveQueryEngine(database=synthetic_database).processor.membership
+        columns = ColumnarSummaryStore(synthetic_database).columns("quality")
+        bounds = partition_bounds(columns.num_entities, 3)
+        for start, stop in zip(bounds, bounds[1:]):
+            part = slice_view(columns, start, stop)
+            for marker in (marker.name for marker in columns.markers):
+                lo, hi = membership.degree_bounds(ScoreBounds.of_columns(part), marker)
+                exact = np.asarray(membership.degrees_columnar(part, marker))
+                assert np.all(lo <= exact) and np.all(exact <= hi), (start, marker)
 
     def test_score_bounds_slices_match_whole(self, synthetic_database):
         """Sliced bound summaries equal slices of the whole-column summary."""

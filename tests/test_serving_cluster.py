@@ -19,6 +19,7 @@ import multiprocessing
 import socket
 import struct
 
+import numpy as np
 import pytest
 
 from repro.core import SubjectiveQueryProcessor
@@ -36,16 +37,19 @@ from repro.serving import (
     start_local_node,
 )
 from repro.serving.protocol import (
+    OP_RANK,
     OP_SCORE,
-    OP_SCORE_BOUNDED,
     OP_STATS,
     PROTOCOL_VERSION,
     STATUS_OK,
+    TREE_PREDICATE,
     FrameTooLargeError,
     Reader,
     encode_hello,
+    encode_hydrate_delta_request,
     encode_hydrate_request,
     encode_invalidate_request,
+    encode_rank_request,
     encode_score_request,
     read_hello_ack,
     recv_frame,
@@ -108,7 +112,7 @@ class TestHandshake:
             assert owned == []
             assert local_store is False  # no persistent data directory
 
-    @pytest.mark.parametrize("peer_version", [PROTOCOL_VERSION + 9, 4])
+    @pytest.mark.parametrize("peer_version", [PROTOCOL_VERSION + 9, 4, 5])
     def test_version_mismatch_is_typed_error(self, hotel_node, peer_version):
         with socket.create_connection(hotel_node.address, timeout=5) as sock:
             send_frame(sock, encode_hello(peer_version, 0), 1 << 20)
@@ -247,6 +251,44 @@ class TestNodeDispatch:
         # The superseded generation is retired as a delta base, not discarded.
         assert node.source._stale_version == version
         assert set(node.source._stale) == {(attribute, 0)}
+
+    def test_a_delta_rehydration_drops_the_slice_rank_memo(self, hotel_database):
+        """A node never ranks from the memo of a slice it has re-hydrated since:
+        a ``hydrate delta`` frame drops the slice's envelopes and exact degrees
+        even with no ``invalidate`` frame ahead of it."""
+        from dataclasses import replace
+
+        from repro.core.columnar import SnapshotDelta
+
+        node = self._node(hotel_database)
+        attribute = self._attribute(hotel_database)
+        columns = ColumnarSummaryStore(hotel_database).columns(attribute)
+        version, stop = hotel_database.data_version, columns.num_entities
+        base = ColumnSnapshot.of_slice(columns, 0, 0, stop, version)
+        node.handle_frame(encode_hydrate_request(base.pack()))
+        rows = np.arange(stop)
+        rank = encode_rank_request(
+            2,
+            "product",
+            4,
+            4,
+            [("clean", "and", True, ((attribute, "very clean room"),))],
+            [(TREE_PREDICATE, 0)],
+            [(0, 0, stop)],
+            rows,
+            rows,
+            [],
+        )
+        assert node.handle_frame(rank)[0][0] == STATUS_OK
+        assert node.cache_entries == 1  # the condition's memo on slice 0
+        changed = replace(base.columns, totals=base.columns.totals.copy())
+        changed.totals[0] += 2.0
+        delta = SnapshotDelta.between(
+            base, ColumnSnapshot(version + 1, 0, 0, stop, changed)
+        )
+        response, _ = node.handle_frame(encode_hydrate_delta_request(delta.pack()))
+        assert response[0] == STATUS_OK
+        assert node.cache_entries == 0
 
     def test_cross_version_hydration_drops_older_slices(self, hotel_database):
         node = self._node(hotel_database)
@@ -455,13 +497,19 @@ class TestConcurrentBatch:
                 assert_identical_results(exp, act)
 
     def test_concurrent_cache_stats_match_serial_accounting(self, hotel_database):
-        """The concurrent batch reports what a serial execution would count."""
+        """The concurrent batch reports what a serial execution would count.
+
+        The concurrent batch never prunes (its prefetch already fetched full
+        vectors), so the serial reference runs unpruned too: a pruned serial
+        query ranks on the nodes and touches no coordinator cache at all.
+        """
         batch = HOTEL_QUERIES * 2
         with ClusterQueryEngine(
             database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
         ) as serial, ClusterQueryEngine(
             database=hotel_database, num_nodes=2, max_inflight_queries=8, **FAST
         ) as concurrent:
+            serial.prune_topk = False
             serial_stats = serial.run_batch(batch).cache_stats
             concurrent_stats = concurrent.run_batch(batch).cache_stats
             for name in (
@@ -610,7 +658,7 @@ class TestNodeLoss:
         dispatch = ShardNodeServer.dispatch
 
         def flaky(server, opcode, reader):
-            if opcode in (OP_SCORE, OP_SCORE_BOUNDED):
+            if opcode in (OP_SCORE, OP_RANK):
                 with faults.get_lock():
                     if faults.value:
                         faults.value -= 1
@@ -700,7 +748,6 @@ class TestInvalidation:
         from test_serving_sharded import (
             MARKERS,
             _IngestingBatch,
-            assert_envelope_tracks_ingest,
             build_mutable_database,
         )
 
@@ -744,7 +791,16 @@ class TestInvalidation:
                     recomputed = checker.pair_degrees([entity_id], attribute, phrase)[0]
                 assert cached == recomputed, key
 
-            assert_envelope_tracks_ingest(database, engine)
+            # Straight after another ingest, with nothing in between, the
+            # pruned query ranks on the nodes' post-ingest envelopes: a stale
+            # bound could justify a wrong prune.
+            summary = MarkerSummary("room_cleanliness", list(MARKERS))
+            summary.add_phrase("dirty", sentiment=-0.9)
+            database.store_summary(sorted(database.entity_ids())[-1], summary)
+            ranks_before = sum(node["rank_requests"] for node in store.node_stats())
+            ranked = engine.execute(sql)
+            assert sum(node["rank_requests"] for node in store.node_stats()) > ranks_before
+            assert_identical_results(SubjectiveQueryEngine(database=database).execute(sql), ranked)
 
 
     def test_version_bump_rehydrates_every_replica(self):
@@ -829,7 +885,7 @@ class TestColdQueryCost:
             cluster.execute(PRUNABLE_QUERY)
         assert all(value not in (-1, 0) for value in observed), list(observed)
 
-    @pytest.mark.parametrize("entry", ["pruned_query", "full_query", "bounded", "envelope"])
+    @pytest.mark.parametrize("entry", ["pruned_query", "full_query", "rank", "batch"])
     def test_fleet_forks_before_the_coordinator_builds_columns(
         self, hotel_database, monkeypatch, entry
     ):
@@ -853,12 +909,56 @@ class TestColdQueryCost:
                 cluster.execute(PRUNABLE_QUERY)
             elif entry == "full_query":
                 cluster.execute(PRUNABLE_QUERY.replace(" limit 5", ""))
-            elif entry == "bounded":
-                assert store.pair_degrees_bounded(membership, ids, attribute, "clean", 0.5)
+            elif entry == "rank":
+                plan = cluster.plan(PRUNABLE_QUERY)
+                candidates = cluster._candidate_rows(plan)
+                predicates = cluster._pruned_predicates(plan)
+                assert cluster._scan_pruned(plan, candidates, predicates, 5) is not None
             else:
-                assert store.degree_envelope(membership, attribute, "clean")
+                assert store.request_degrees(membership, ids, attribute, "clean") is not None
             assert store.base.stats_snapshot()["attributes"]  # built by now
         assert built_at_fork == [{}, {}]
+
+    def test_cold_pruned_query_is_one_rank_frame_per_node(self, hotel_database):
+        """A pruned query cold at the coordinator costs one frame per node: the
+        nodes rank their own slices, no bounded score frame is sent."""
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
+        ) as cluster:
+            expected = SubjectiveQueryEngine(database=hotel_database).execute(PRUNABLE_QUERY)
+            cluster.execute(PRUNABLE_QUERY)  # fleet up and hydrated
+            cluster.membership_cache.clear()
+            cluster.plan_cache.clear()
+            store = cluster.sharded_store
+            before = store.transport_counters()["rpc_requests"]
+            assert_identical_results(expected, cluster.execute(PRUNABLE_QUERY))
+            assert store.transport_counters()["rpc_requests"] - before == 2
+            stats = store.node_stats()
+            assert [node.get("bounded_requests", 0) for node in stats] == [0, 0]
+            assert all(node["rank_requests"] == 2 for node in stats)
+
+    def test_the_coordinator_folds_no_envelope_for_a_ranked_query(
+        self, hotel_database, monkeypatch
+    ):
+        """The scan bound is the nodes' work now: the coordinator's columnar
+        store is never asked for a degree envelope."""
+        calls: list[tuple] = []
+        envelope = ColumnarSummaryStore.degree_envelope
+
+        def spy(store, membership, attribute, phrase):
+            calls.append((attribute, phrase))
+            return envelope(store, membership, attribute, phrase)
+
+        monkeypatch.setattr(ColumnarSummaryStore, "degree_envelope", spy)
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
+        ) as cluster:
+            expected = SubjectiveQueryEngine(database=hotel_database).execute(PRUNABLE_QUERY)
+            calls.clear()  # the reference engine above may use the envelope
+            assert_identical_results(expected, cluster.execute(PRUNABLE_QUERY))
+            stats = cluster.sharded_store.node_stats()
+            assert all(node.get("rank_requests", 0) == 1 for node in stats)  # the pruned path
+        assert calls == []
 
     def test_oversized_hydrate_frame_names_the_slice_and_the_remedy(self, hotel_database):
         processor = SubjectiveQueryProcessor(hotel_database)

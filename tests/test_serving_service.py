@@ -27,17 +27,18 @@ from repro.serving.protocol import (
     OP_STATS,
     STATUS_ERROR,
     STATUS_OK,
+    TREE_PREDICATE,
     Reader,
     encode_error,
     encode_hello,
     encode_hello_ack,
     encode_invalidate_request,
-    encode_score_bounded_request,
+    encode_rank_request,
     encode_score_bounded_response,
     encode_score_request,
     encode_traces_request,
     pack_str,
-    read_score_bounded_response,
+    read_rank_response,
     recv_frame,
     send_frame,
 )
@@ -112,20 +113,14 @@ class TestFrameProtocol:
             reader.read_str()
 
 
-#: Frames captured from the encoders of the parent commit (two handler
-#: classes, protocol v4+v5): a v5 peer must see the very same bytes.
+#: Frames captured from the encoders of the commit before the worker and node
+#: handlers were merged (protocol v4+v5); the frames protocol v6 kept must
+#: still be these very bytes.
 PARENT_FRAMES = {
     "score": "010000000300000004726f6f6d00000005636c65616e000000000000000400",
     "score_rows_traced": (
         "010000000300000004726f6f6d0000000b7472c3a87320636c65616e0000000200000009"
         "010000000200000001000000030100000000000000070000000000000009"
-    ),
-    "bounded": (
-        "090000000100000004726f6f6d00000005636c65616e0000000000000004003fd0000000000000"
-    ),
-    "bounded_rows_traced": (
-        "090000000100000004726f6f6d00000005636c65616e00000000000000040100000002"
-        "00000000000000023fe80000000000000180000000000000000000000000000001"
     ),
     "invalidate": "020000000000000005",
     "traces": "0b000000000000000700000002",
@@ -143,10 +138,6 @@ def test_wire_bytes_equal_the_parent_encoders():
         "score": encode_score_request(3, "room", "clean", 0, 4, None),
         "score_rows_traced": encode_score_request(
             3, "room", "très clean", 2, 9, [1, 3], trace=(7, 9)
-        ),
-        "bounded": encode_score_bounded_request(1, "room", "clean", 0, 4, None, 0.25),
-        "bounded_rows_traced": encode_score_bounded_request(
-            1, "room", "clean", 0, 4, [0, 2], 0.75, trace=(2**63, 1)
         ),
         "invalidate": encode_invalidate_request(5),
         "traces": encode_traces_request(7, 2),
@@ -186,31 +177,47 @@ def _service(hotel_database, slices, **kwargs) -> ShardService:
     return ShardService(0, membership, hydrated, **kwargs)
 
 
+def _rank_frame(attribute, ranges, limit, phrase=PHRASE, chunk=128, trace=None):
+    """A one-predicate ``rank`` frame over every row of ``ranges`` (position = row)."""
+    rows = np.concatenate([np.arange(start, stop) for _, (start, stop) in ranges])
+    return encode_rank_request(
+        limit,
+        "product",
+        chunk,
+        4,
+        [(phrase, "and", True, ((attribute, phrase),))],
+        [(TREE_PREDICATE, 0)],
+        [(slice_id, start, stop) for slice_id, (start, stop) in ranges],
+        rows,
+        rows,
+        [],
+        trace=trace,
+    )
+
+
+def _expected_top(degrees, entity_ids, limit):
+    """Positions of the processor's top-``limit`` by ``(-score, str(id), position)``."""
+    order = sorted(range(len(degrees)), key=lambda row: (-degrees[row], str(entity_ids[row]), row))
+    return order[:limit]
+
+
 def _script(hotel_database, slices, trace):
     """The frame script: every opcode, both cache states, four malformed frames."""
     _membership, attribute, _columns, ranges = slices
     (first, (start0, stop0)), (second, (start1, stop1)) = ranges
     sparse = [0, 2]
     score_full = encode_score_request(first, attribute, PHRASE, start0, stop0, None, trace=trace)
-    bounded_high = encode_score_bounded_request(
-        second, attribute, PHRASE, start1, stop1, None, 2.0, trace=trace
-    )
+    rank_all = _rank_frame(attribute, ranges, 3, chunk=2, trace=trace)
     return [
         ("score full slice", score_full),
         ("score sparse rows", encode_score_request(
             first, attribute, PHRASE, start0, stop0, sparse, trace=trace
         )),
         ("score repeated: cache hit", score_full),
-        ("bounded, threshold above every bound: all pruned", bounded_high),
-        ("bounded, threshold 0: all exact", encode_score_bounded_request(
-            second, attribute, PHRASE, start1, stop1, None, 0.0, trace=trace
-        )),
-        ("bounded repeated: served from the exact vector", bounded_high),
-        ("bounded sparse rows", encode_score_bounded_request(
-            second, attribute, "spotless", start1, stop1, sparse, 0.5, trace=trace
-        )),
-        ("bounded over a slice an exact score cached", encode_score_bounded_request(
-            first, attribute, PHRASE, start0, stop0, None, 0.9, trace=trace
+        ("rank over both slices", rank_all),
+        ("rank repeated: served from the node's memo", rank_all),
+        ("rank over a slice an exact score cached", _rank_frame(
+            attribute, ranges[:1], 2, trace=trace
         )),
         ("traces", encode_traces_request(trace[0] if trace else 0, 0)),
         ("invalidate at the current version",
@@ -221,9 +228,7 @@ def _script(hotel_database, slices, trace):
         ("trailing bytes after the last field", encode_score_request(
             first, attribute, PHRASE, start0, stop0, None, trace=(1, 2)
         ) + b"xx"),
-        ("bounded frame missing its threshold", encode_score_bounded_request(
-            second, attribute, PHRASE, start1, stop1, None, 0.5
-        )[:-8]),
+        ("rank frame missing its last field", _rank_frame(attribute, ranges, 3)[:-4]),
         ("stats", bytes([OP_STATS])),
     ]
 
@@ -250,36 +255,31 @@ def test_frame_script_answers_are_the_in_process_kernel(hotel_database, slices, 
     assert by_name["score after invalidate: kernel runs again"] == by_name["score full slice"]
     reader = Reader(by_name["score sparse rows"][1:])
     assert reader.read_f64_array(reader.read_u32()).tolist() == [expected[0], expected[2]]
-    values, mask, scored, pruned = read_score_bounded_response(
-        Reader(by_name["bounded, threshold above every bound: all pruned"][1:])
-    )
-    assert (scored, pruned, mask.any()) == (0, stop1 - start1, False)
-    exact = base.pair_degrees(membership, columns.entity_ids[start1:stop1], attribute, PHRASE)
-    assert (values >= np.asarray(exact)).all()  # a returned bound is an upper bound
-    values, mask, scored, pruned = read_score_bounded_response(
-        Reader(by_name["bounded, threshold 0: all exact"][1:])
-    )
-    assert (values.tolist(), mask.all(), scored, pruned) == (exact, True, stop1 - start1, 0)
-    values, mask, scored, pruned = read_score_bounded_response(
-        Reader(by_name["bounded repeated: served from the exact vector"][1:])
-    )
-    assert (values.tolist(), mask.all(), scored, pruned) == (exact, True, 0, 0)
-    values, mask, _scored, _pruned = read_score_bounded_response(
-        Reader(by_name["bounded over a slice an exact score cached"][1:])
-    )
-    assert (values.tolist(), mask.all()) == (expected, True)
+    everything = base.pair_degrees(membership, columns.entity_ids, attribute, PHRASE)
+    first_rank = read_rank_response(Reader(by_name["rank over both slices"][1:]))
+    top = _expected_top(everything, columns.entity_ids, 3)
+    assert first_rank.positions.tolist() == top
+    assert first_rank.scores.tolist() == [everything[row] for row in top]
+    assert first_rank.degrees[:, 0].tolist() == first_rank.scores.tolist()
+    assert 0 < first_rank.scored < len(everything)  # the envelope spared some kernel work
+    again = read_rank_response(Reader(by_name["rank repeated: served from the node's memo"][1:]))
+    assert (again.positions.tolist(), again.scores.tolist()) == (top, first_rank.scores.tolist())
+    assert again.scored == 0  # every degree it needed was memoised
+    cached = read_rank_response(Reader(by_name["rank over a slice an exact score cached"][1:]))
+    assert cached.positions.tolist() == _expected_top(expected, columns.entity_ids, 2)
+    assert cached.scored == 0  # the score frame's full-slice vector answered
 
     # Malformed frames are transported errors, never served answers.
     for name in (
         "unknown opcode",
         "truncated frame",
         "trailing bytes after the last field",
-        "bounded frame missing its threshold",
+        "rank frame missing its last field",
     ):
         assert by_name[name][0] == STATUS_ERROR, name
     assert "trailing bytes" in Reader(by_name["trailing bytes after the last field"][1:]).read_str()
 
-    assert (service.score_requests, service.bounded_requests, service.invalidations) == (4, 5, 1)
+    assert (service.score_requests, service.rank_requests, service.invalidations) == (4, 3, 1)
     stats = json.loads(Reader(by_name["stats"][1:]).read_str())
     assert stats["node"] == 0
     assert stats["owned_slices"] == [0, 1]
@@ -288,7 +288,11 @@ def test_frame_script_answers_are_the_in_process_kernel(hotel_database, slices, 
     assert stats["kernel_calls"] == service.kernel_calls
     spans = json.loads(Reader(by_name["traces"][1:]).read_str())
     if trace is not None:
-        assert [span["name"] for span in spans] == ["node_score"] * 3 + ["node_score_bounded"] * 5
+        assert [span["name"] for span in spans] == ["node_score"] * 3 + ["node_rank"] * 3
+        rank_span = spans[3]["attrs"]
+        assert (rank_span["slices"], rank_span["candidates"]) == (NUM_SLICES, len(everything))
+        assert rank_span["scored"] == first_rank.scored
+        assert rank_span["scanned"] == first_rank.scanned
         assert all(span["attrs"]["node"] == 0 for span in spans)
     else:
         assert spans == []
@@ -390,7 +394,7 @@ def test_membership_without_a_columnar_kernel_is_transported_error(hotel_databas
     _, (start, stop) = ranges[0]
     for frame in (
         encode_score_request(0, attribute, PHRASE, start, stop, None),
-        encode_score_bounded_request(0, attribute, PHRASE, start, stop, None, 0.5),
+        _rank_frame(attribute, ranges, 2),
     ):
         response, _ = service.handle_frame(frame)
         reader = Reader(response)
@@ -460,20 +464,28 @@ def test_row_subsets_are_cached_apart_from_the_full_slice(hotel_database, slices
     assert reader.read_u32() == 1
 
 
-def test_a_pruned_bounded_answer_never_enters_the_cache(hotel_database, slices):
-    """A bound is not a degree: only fully exact bounded vectors are memoised."""
-    _membership, attribute, _columns, ranges = slices
+def test_a_pruned_rank_row_is_never_memoised_as_a_degree(hotel_database, slices):
+    """A bound is not a degree: rows a rank frame dismissed stay unknown, and a
+    later frame that needs them scores them exactly."""
+    membership, attribute, columns, ranges = slices
     service = _service(hotel_database, slices)
-    _, (start, stop) = ranges[1]
-    response, _ = service.handle_frame(
-        encode_score_bounded_request(1, attribute, PHRASE, start, stop, None, 2.0)
+    narrow = read_rank_response(
+        Reader(service.handle_frame(_rank_frame(attribute, ranges, 1, chunk=1))[0][1:])
     )
-    _values, mask, scored, pruned = read_score_bounded_response(Reader(response[1:]))
-    assert (scored, pruned, mask.any()) == (0, stop - start, False)
-    assert service.cache_entries == 0
-    service.handle_frame(encode_score_request(1, attribute, PHRASE, start, stop, None))
-    assert service.kernel_calls == 1  # the exact score ran the kernel
-    assert service.cache_entries == 1
+    assert narrow.pruned > 0
+    memo = [cache.peek(key) for cache in service._ranked.values() for key in cache.keys()]
+    known = sum(int(state.known.sum()) for state in memo)
+    assert known < columns.num_entities
+    everything = ColumnarSummaryStore(hotel_database).pair_degrees(
+        membership, columns.entity_ids, attribute, PHRASE
+    )
+    wide = read_rank_response(
+        Reader(service.handle_frame(_rank_frame(attribute, ranges, columns.num_entities))[0][1:])
+    )
+    top = _expected_top(everything, columns.entity_ids, columns.num_entities)
+    assert wide.positions.tolist() == top
+    assert wide.scores.tolist() == [everything[row] for row in top]
+    assert wide.scored == columns.num_entities - known  # exactly the rows left unknown
 
 
 def test_traces_filter_by_trace_id_and_limit(hotel_database, slices):
