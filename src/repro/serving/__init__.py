@@ -22,8 +22,9 @@ overlapping queries needs:
   per-shard membership-cache counters, vectorized WHERE-tree scoring and
   per-shard top-k merge;
 * :class:`ShardService` (:mod:`repro.serving.service`) — the frame handler
-  behind every cluster node: ``score`` / ``score bounded`` /
-  ``invalidate`` / ``stats`` / ``traces`` over the node's hydrated slices;
+  behind every cluster node: ``score`` / ``rank`` / ``invalidate`` /
+  ``stats`` / ``traces`` over the node's hydrated slices (a ``rank`` frame
+  runs a pruned query's chunk loop over the node's own slices);
 * :class:`ClusterQueryEngine` / :class:`ClusterShardStore` /
   :class:`ShardNodeServer` (:mod:`repro.serving.cluster`) — the
   multi-process tier: shard nodes listening on **TCP** (the frame protocol

@@ -376,7 +376,10 @@ def read_score_request(reader: Reader) -> ScoreRequest:
 def encode_score_bounded_response(
     values: np.ndarray, exact_mask: np.ndarray, scored: int, pruned: int
 ) -> bytes:
-    """The ``score bounded`` response: values, per-row exactness, counters.
+    """The retired ``score bounded`` response: values, per-row exactness, counters.
+
+    No opcode answers with it since protocol v6; the codec stays for the
+    end-to-end benchmark's codec probes.
 
     ``values`` holds exact degrees where ``exact_mask`` is set and degree
     upper bounds elsewhere; ``scored``/``pruned`` are the worker-side row
