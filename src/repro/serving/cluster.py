@@ -1621,9 +1621,10 @@ class ClusterShardStore:
         ``encode(slices, rows, positions)`` builds the frame for the
         ``(slice_id, start, stop)`` slices given the candidates inside them
         — their rows, ascending, and their candidate positions.  Each slice
-        holding a candidate goes to its least-loaded replica, hydration
-        rides ahead on the per-node FIFO, and a node lost mid-call has its
-        slices re-ranked on untried replicas (:meth:`_collect_calls`).
+        holding a candidate goes to its least-loaded replica (a cold fleet
+        is hydrated first, one attribute at a time), and a node lost
+        mid-call has its slices re-ranked on untried replicas
+        (:meth:`_collect_calls`).
 
         Returns every reply: each is the exact top-k of its slices under
         the global ranking key, so their union holds the global top-k.
