@@ -283,16 +283,14 @@ class DegreeColumnCache:
         self._partition_counts[1] += self._per_partition(partitions[~known])
         return values, known
 
-    def known_column(self, key: tuple, rows: np.ndarray) -> np.ndarray | None:
-        """Column ``key`` at ``rows`` when every one is known, else ``None``.
+    def covers(self, key: tuple, rows: np.ndarray) -> bool:
+        """Whether column ``key`` knows the degree at every one of ``rows``.
 
         No counters and no recency: a probe for whether a whole query can
         be answered from the cache.
         """
         column = self._columns.get(key)
-        if column is None or not column[1][rows].all():
-            return None
-        return column[0][rows]
+        return column is not None and bool(column[1][rows].all())
 
     def store(self, key: tuple, rows: np.ndarray, exact_values: np.ndarray) -> None:
         """Write exact degrees at ``rows`` of column ``key``, allocating it if new.

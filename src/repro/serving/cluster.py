@@ -86,10 +86,12 @@ from repro.serving.protocol import (
     STATUS_OK,
     FrameTooLargeError,
     HandshakeError,
+    ProtocolError,
     RankReply,
     Reader,
     RpcError,
     WorkerCrashedError,
+    check_where_tree,
     encode_error,
     encode_hello,
     encode_hello_ack,
@@ -120,9 +122,7 @@ from repro.serving.sharded import (
     TopKThreshold,
     default_num_shards,
     encode_where_tree,
-    fold_scan_bound,
     partition_bounds,
-    rank_pruned_chunks,
 )
 from repro.utils.timing import now
 
@@ -2042,10 +2042,13 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         top-``limit`` under the global key ``(-score, str(entity_id),
         position)``; the global top-``limit`` therefore lies in the union of
         the lists, so one round is exact.  The coordinator folds no
-        envelope and fetches no degree.  ``None`` — the unpruned fan-out —
+        envelope and fetches no degree.  ``None`` — the unpruned path —
         for a logic a node cannot rebuild by name, a membership without
-        bounds, a tree without subjective predicates, or attributes that do
-        not share one row order (:meth:`ClusterShardStore.rank`).
+        bounds, a tree without subjective predicates, a tree deeper than a
+        node accepts (:func:`~repro.serving.protocol.check_where_tree`),
+        attributes that do not share one row order
+        (:meth:`ClusterShardStore.rank`), or when this coordinator's cache
+        already holds every degree the query reads.
         """
         logic = self.processor.logic
         membership = self.processor.membership
@@ -2055,13 +2058,18 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
             or getattr(membership, "degree_bounds", None) is None
         ):
             return None
-        cached = self._scan_cached(plan, candidates, predicates, limit)
-        if cached is not None:
-            return cached
+        cache = self.membership_cache
+        rows = candidates.entity_rows(cache)
+        if all(cache.covers(pair, rows) for predicate in predicates for pair in predicate.pairs):
+            return None  # a batch prefetch left whole columns here: read them unpruned
         tree, crisp_leaves = encode_where_tree(
             plan.statement.where,
             {predicate.text: index for index, predicate in enumerate(predicates)},
         )
+        try:
+            check_where_tree(tree, len(predicates), len(crisp_leaves))
+        except ProtocolError:
+            return None  # deeper than a node accepts
         attributes = list(
             dict.fromkeys(attribute for predicate in predicates for attribute, _ in predicate.pairs)
         )
@@ -2099,6 +2107,12 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         for reply in replies:
             if reply.positions.size and int(reply.positions.max()) >= len(row_entities):
                 raise RpcError("a node ranked a candidate position the query does not have")
+            count = len(reply.positions)
+            if reply.scores.shape != (count,) or reply.degrees.shape != (count, len(texts)):
+                raise RpcError(
+                    f"a node's rank reply has {reply.degrees.shape} degrees for {count} "
+                    f"entries of {len(texts)} predicates"
+                )
             vectors = {text: reply.degrees[:, column] for column, text in enumerate(texts)}
             for index, (position, score) in enumerate(
                 zip(reply.positions.tolist(), reply.scores.tolist())
@@ -2115,56 +2129,6 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
             self.entities_scored += reply.scored
         self.entities_pruned += pruned
         return PrunedRanking(heap, len(row_entities), scanned, offered, pruned, nodes=len(replies))
-
-    def _scan_cached(
-        self,
-        plan: QueryPlan,
-        candidates: CandidateSet,
-        predicates: Sequence[PrunedPredicate],
-        limit: int,
-    ) -> PrunedRanking | None:
-        """The pruned scan over this coordinator's cache, when it holds every degree.
-
-        A batch prefetch leaves whole exact columns here, so a warm query
-        needs no frame.  An exact degree is its own ``[d, d]`` envelope, so
-        the scan bound is the exact score and the loop stops after its first
-        chunk.  ``None`` when any candidate's degree of any pair is missing.
-        """
-        cache = self.membership_cache
-        rows = candidates.entity_rows(cache)
-        exact = {
-            pair: cache.known_column(pair, rows)
-            for predicate in predicates
-            for pair in predicate.pairs
-        }
-        if any(column is None for column in exact.values()):
-            return None
-        where = plan.statement.where
-        logic = self.processor.logic
-        ranking = rank_pruned_chunks(
-            where,
-            logic,
-            predicates,
-            limit,
-            fold_scan_bound(
-                where,
-                logic,
-                predicates,
-                len(rows),
-                lambda attribute, phrase, _upper: exact[(attribute, phrase)],
-                candidates.crisp_vector,
-            ),
-            lambda attribute, phrase, indices, _threshold: cache.lookup(
-                (attribute, phrase), rows[indices]
-            ),
-            lambda leaf, indices: candidates.crisp_vector(leaf)[indices],
-            candidates.row_entities,
-            chunk_size=self.prune_chunk_size,
-            chunk_growth=self.prune_chunk_growth,
-        )
-        if ranking is not None:
-            self.entities_pruned += ranking.pruned
-        return ranking
 
     def _cached_retrieval_degrees(
         self, entity_ids: Sequence[Hashable], predicate: str

@@ -512,8 +512,13 @@ def encode_rank_request(
     return b"".join(parts)
 
 
-def _check_tree(tree: Sequence[tuple[int, int]], predicates: int, crisp: int) -> None:
-    """Refuse any token stream that is not exactly one well-formed tree."""
+def check_where_tree(tree: Sequence[tuple[int, int]], predicates: int, crisp: int) -> None:
+    """Refuse any token stream that is not exactly one well-formed tree.
+
+    Also run by the coordinator before it ships a tree, so a query no node
+    would accept (one deeper than :data:`MAX_TREE_DEPTH`) takes the
+    unpruned path instead of failing on every node.
+    """
     open_slots = [1]  # operands still owed per open connective, innermost last
     for kind, argument in tree:
         if not open_slots:
@@ -585,7 +590,7 @@ def read_rank_request(reader: Reader) -> RankRequest:
         bits = np.frombuffer(reader.read_raw(width), dtype=np.uint8)
         crisp.append(np.unpackbits(bits, count=count).astype(np.float64))
     trace = _end_of_request(reader)
-    _check_tree(tree, len(predicates), crisp_count)
+    check_where_tree(tree, len(predicates), crisp_count)
     for (_, start, stop), following in zip(slices, slices[1:] + [None]):
         if start > stop or (following is not None and stop > following[1]):
             raise ProtocolError("slices must be ordered, disjoint row ranges")

@@ -308,8 +308,9 @@ class ShardService:
     in one bounded :class:`~repro.serving.cache.LRUCache` per served
     ``(attribute, slice)``, so pressure on a hot slice never evicts a
     colder slice's vectors; ``rank`` frames keep each condition's envelope
-    and the exact degrees found so far in a second such cache.
-    ``invalidate`` drops them all.
+    and the exact degrees found so far in a second, smaller such cache.
+    Each reads the other's exact degrees, so no kernel pass runs twice for
+    one condition.  ``invalidate`` drops them all.
 
     :meth:`handle_frame` is the transport-free dispatch (one request payload
     in, one response payload out); :meth:`serve` wraps it in the framed
@@ -449,6 +450,8 @@ class ShardService:
         self.score_requests += 1
         cache, key = self._cache_for(request)
         vector = cache.get(key)
+        if vector is None:
+            vector = self._ranked_degrees(request)
         cached = vector is not None
         if vector is None:
             vector = self._score(request)
@@ -462,6 +465,15 @@ class ShardService:
             cached=cached,
         )
         return _U8.pack(STATUS_OK) + _U32.pack(len(vector)) + vector.astype(WIRE_F64).tobytes()
+
+    def _ranked_degrees(self, request: ScoreRequest) -> np.ndarray | None:
+        """The requested rows' exact degrees when a rank frame already found every one."""
+        memo = self._ranked.get((request.attribute, request.slice_id))
+        state = None if memo is None else memo.peek((request.phrase, request.start, request.stop))
+        if state is None:
+            return None
+        rows = slice(None) if request.rows is None else np.asarray(request.rows, dtype=np.intp)
+        return state.values[rows] if state.known[rows].all() else None
 
     # ----------------------------------------------------------------- rank
     def drop_slice_caches(self, served: "tuple[str, int] | None" = None) -> None:
@@ -481,7 +493,10 @@ class ShardService:
         The envelope is the membership's ``degree_bounds`` over the slice's
         own :class:`~repro.core.columnar.ScoreBounds` (``[0, 1]`` where it
         has none).  Exact degrees start from a full-slice vector a ``score``
-        frame already memoised, when there is one.
+        frame already memoised, when there is one (shared, not copied: a
+        fully known memo is never written), and answer later ``score``
+        frames in turn (:meth:`_ranked_degrees`), so neither frame kind
+        repeats the other's kernel pass.
         """
         served = (attribute, slice_id)
         cache = self._ranked.get(served)
@@ -504,7 +519,7 @@ class ShardService:
                 columns,
                 lo,
                 hi,
-                np.array(full, dtype=np.float64) if full is not None else np.zeros(count),
+                full if full is not None else np.zeros(count),
                 np.full(count, full is not None),
             )
             cache.put(key, state)

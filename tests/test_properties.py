@@ -1909,9 +1909,9 @@ class TestGeneratedIngestDifferential:
         cache = engine.membership_cache
         rows = candidates.entity_rows(cache)
         cached = all(
-            cache.known_column((pair.attribute, engine.processor.phrase_for_pair(
+            cache.covers((pair.attribute, engine.processor.phrase_for_pair(
                 interpretation, pair.marker
-            )), rows) is not None
+            )), rows)
             for interpretation in interpretations
             for pair in interpretation.pairs
         )

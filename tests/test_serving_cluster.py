@@ -43,7 +43,9 @@ from repro.serving.protocol import (
     PROTOCOL_VERSION,
     STATUS_OK,
     TREE_PREDICATE,
+    MAX_TREE_DEPTH,
     FrameTooLargeError,
+    RankReply,
     Reader,
     encode_hello,
     encode_hydrate_delta_request,
@@ -959,6 +961,56 @@ class TestColdQueryCost:
             stats = cluster.sharded_store.node_stats()
             assert all(node.get("rank_requests", 0) == 1 for node in stats)  # the pruned path
         assert calls == []
+
+    @pytest.mark.parametrize("nots", [MAX_TREE_DEPTH - 2, MAX_TREE_DEPTH + 6])
+    def test_a_tree_deeper_than_a_node_accepts_is_never_shipped(self, hotel_database, nots):
+        """A NOT chain the nodes would refuse as too deep takes the unpruned
+        fan-out instead of failing on every node; a shallower one still ranks
+        on the nodes.  Both answer like the in-process engine."""
+        sql = 'select * from Entities where ' + "not " * nots + '"has really clean rooms" limit 3'
+        expected = SubjectiveQueryProcessor(hotel_database).execute(sql)
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
+        ) as cluster:
+            assert_identical_results(expected, cluster.execute(sql))
+            ranked = [node["rank_requests"] for node in cluster.sharded_store.node_stats()]
+        assert ranked == ([1, 1] if nots + 1 <= MAX_TREE_DEPTH else [0, 0])
+
+    def test_a_query_the_coordinator_cache_holds_sends_no_frame(self, hotel_database):
+        """Every degree already cached on the coordinator (an unpruned ranking
+        left the columns): the pruned query is answered from the cache, no frame."""
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
+        ) as cluster:
+            expected = SubjectiveQueryEngine(database=hotel_database).execute(PRUNABLE_QUERY)
+            cluster.prune_topk = False
+            cluster.execute(PRUNABLE_QUERY)  # fills the columns
+            cluster.prune_topk = True
+            store = cluster.sharded_store
+            before = store.transport_counters()["rpc_requests"]
+            assert_identical_results(expected, cluster.execute(PRUNABLE_QUERY))
+            assert store.transport_counters()["rpc_requests"] == before
+            assert [node["rank_requests"] for node in store.node_stats()] == [0, 0]
+
+    @pytest.mark.parametrize("width", [0, 2])
+    def test_a_rank_reply_of_the_wrong_width_is_a_typed_error(
+        self, hotel_database, monkeypatch, width
+    ):
+        """A reply with more or fewer degree columns than the query has
+        predicates is refused as an ``RpcError``, never merged."""
+        with ClusterQueryEngine(
+            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
+        ) as cluster:
+            reply = RankReply(
+                np.array([0], dtype=np.uint32), np.array([0.5]), np.zeros((1, width)), 1, 1, 0
+            )
+            monkeypatch.setattr(cluster.sharded_store, "rank", lambda *args: [reply])
+            plan = cluster.plan(PRUNABLE_QUERY)
+            candidates = cluster._candidate_rows(plan)
+            predicates = cluster._pruned_predicates(plan)
+            assert len(predicates) == 1
+            with pytest.raises(RpcError, match="rank reply"):
+                cluster._scan_pruned(plan, candidates, predicates, 5)
 
     def test_oversized_hydrate_frame_names_the_slice_and_the_remedy(self, hotel_database):
         processor = SubjectiveQueryProcessor(hotel_database)

@@ -488,6 +488,28 @@ def test_a_pruned_rank_row_is_never_memoised_as_a_degree(hotel_database, slices)
     assert wide.scored == columns.num_entities - known  # exactly the rows left unknown
 
 
+def test_a_score_frame_reads_the_degrees_a_rank_frame_found(hotel_database, slices):
+    """Exact degrees a rank frame scored answer a later score frame over
+    the same rows: the kernel does not run again."""
+    membership, attribute, columns, ranges = slices
+    service = _service(hotel_database, slices)
+    service.handle_frame(_rank_frame(attribute, ranges, columns.num_entities))  # every row
+    calls = service.kernel_calls
+    (first, (start, stop)), _ = ranges
+    full, sparse = (
+        service.handle_frame(encode_score_request(first, attribute, PHRASE, start, stop, rows))[0]
+        for rows in (None, [0, 2])
+    )
+    assert service.kernel_calls == calls
+    expected = ColumnarSummaryStore(hotel_database).pair_degrees(
+        membership, columns.entity_ids[start:stop], attribute, PHRASE
+    )
+    reader = Reader(full[1:])
+    assert reader.read_f64_array(reader.read_u32()).tolist() == expected
+    reader = Reader(sparse[1:])
+    assert reader.read_f64_array(reader.read_u32()).tolist() == [expected[0], expected[2]]
+
+
 def test_traces_filter_by_trace_id_and_limit(hotel_database, slices):
     _membership, attribute, _columns, ranges = slices
     service = _service(hotel_database, slices)
