@@ -919,21 +919,41 @@ def similarity_mass(
     return np.where(neutral, 0.5, mass)
 
 
-def marker_polarities(columns: AttributeColumns) -> np.ndarray:
-    """E×M marker polarities: observed average sentiment, else the marker's own."""
+def marker_polarities(columns: AttributeColumns, index=np.s_[:]) -> np.ndarray:
+    """E×M marker polarities: observed average sentiment, else the marker's own.
+
+    ``index`` (a slice or row list) restricts the result to those rows.
+    """
+    sentiments = columns.average_sentiments[index]
     return np.where(
-        np.abs(columns.average_sentiments) > 1e-9,
-        columns.average_sentiments,
+        np.abs(sentiments) > 1e-9,
+        sentiments,
         columns.marker_sentiments[np.newaxis, :],
     )
 
 
+def _signed_aligned_mass(
+    fractions: np.ndarray, clipped_polarities: np.ndarray, totals: np.ndarray, sign: float
+) -> np.ndarray:
+    """Aligned mass of some rows for a phrase polarity of ``sign`` (±1)."""
+    alignments = 0.5 * (1.0 + sign * clipped_polarities)
+    mass = np.einsum("em,em->e", fractions, alignments)
+    return np.where(totals == 0.0, 0.0, mass)
+
+
 def aligned_mass(columns: AttributeColumns, phrase_polarity: float) -> np.ndarray:
-    """Length-E sentiment-aligned mass vector (scalar ``_aligned_mass``)."""
+    """Length-E sentiment-aligned mass vector (scalar ``_aligned_mass``).
+
+    Depends on the phrase only through its polarity's sign, so
+    :class:`ScoreBounds` keeps both variants (:meth:`ScoreBounds.aligned_mass`).
+    """
     sign = 1.0 if phrase_polarity >= 0 else -1.0
-    alignments = 0.5 * (1.0 + sign * np.clip(marker_polarities(columns), -1.0, 1.0))
-    mass = np.einsum("em,em->e", columns.fractions, alignments)
-    return np.where(columns.totals == 0.0, 0.0, mass)
+    return _signed_aligned_mass(
+        columns.fractions,
+        np.clip(marker_polarities(columns), -1.0, 1.0),
+        columns.totals,
+        sign,
+    )
 
 
 def summary_feature_matrix(
@@ -1011,18 +1031,27 @@ class ScoreBounds:
     *every* entity without touching the E×M×D centroid tensor at query
     time:
 
-    * ``deviations`` — E×M matrix of ``‖centroid_unit − name_unit‖₂``
+    * ``deviations`` — M×E matrix of ``‖centroid_unit − name_unit‖₂``
       (zero where an entity has no phrases for the marker): by
       Cauchy–Schwarz against a unit phrase vector, the phrase–centroid
       cosine is within ``deviations`` of the phrase–name cosine, which is
       shared by all entities and costs one M×D GEMV;
+    * ``fractions_mt`` — the marker-fraction matrix, marker-major (M×E);
     * ``fraction_peaks`` / ``fraction_mins`` — per-row extrema of the
       marker-fraction matrix (the peak doubles as the ISSUE-level "max
       marker fraction" slice cap);
     * ``sentiment_mins`` / ``sentiment_maxs`` — per-row extrema of the
       average-sentiment matrix;
+    * ``aligned_positive`` / ``aligned_negative`` — :func:`aligned_mass`
+      for a positive and a negative phrase polarity, the only two values
+      it takes (:meth:`aligned_mass`);
     * ``max_fraction`` / ``max_abs_sentiment`` — scalar caps over the whole
       slice, the cheapest possible "can anything here still matter?" test.
+
+    The two per-marker matrices are marker-major so that every E×M step
+    of :func:`similarity_mass_bounds` runs over contiguous length-E rows
+    and reduces over axis 0; the column arrays themselves stay
+    entity-major for the exact kernels.
 
     ``slice`` / ``narrowed`` mirror :func:`slice_view` / :func:`gather_rows`
     so the sharded and cluster layers can bound exactly the rows a
@@ -1030,30 +1059,48 @@ class ScoreBounds:
     """
 
     columns: AttributeColumns
-    deviations: np.ndarray  # (E, M)
+    deviations: np.ndarray  # (M, E)
+    fractions_mt: np.ndarray  # (M, E)
     fraction_peaks: np.ndarray  # (E,)
     fraction_mins: np.ndarray  # (E,)
     sentiment_mins: np.ndarray  # (E,)
     sentiment_maxs: np.ndarray  # (E,)
+    aligned_positive: np.ndarray  # (E,)
+    aligned_negative: np.ndarray  # (E,)
     max_fraction: float
     max_abs_sentiment: float
+
+    #: The per-row arrays: copied by :meth:`patched`, restricted by
+    #: :meth:`slice` / :meth:`narrowed`.
+    _ROW_VECTORS = (
+        "fraction_peaks",
+        "fraction_mins",
+        "sentiment_mins",
+        "sentiment_maxs",
+        "aligned_positive",
+        "aligned_negative",
+    )
+    _MARKER_MAJOR = ("deviations", "fractions_mt")
 
     @property
     def num_entities(self) -> int:
         """Number of entity rows the bounds cover."""
         return self.columns.num_entities
 
+    def aligned_mass(self, phrase_polarity: float) -> np.ndarray:
+        """:func:`aligned_mass` of the bounded columns, bit for bit, without recomputing it."""
+        return self.aligned_positive if phrase_polarity >= 0 else self.aligned_negative
+
     @classmethod
     def of_columns(cls, columns: AttributeColumns) -> "ScoreBounds":
         """Build bound summaries for ``columns`` (one pass over the arrays)."""
         num_entities = columns.num_entities
+        per_marker = (columns.num_markers, num_entities)
         bounds = cls(
             columns=columns,
-            deviations=np.zeros((num_entities, columns.num_markers)),
-            fraction_peaks=np.zeros(num_entities),
-            fraction_mins=np.zeros(num_entities),
-            sentiment_mins=np.zeros(num_entities),
-            sentiment_maxs=np.zeros(num_entities),
+            deviations=np.zeros(per_marker),
+            fractions_mt=np.zeros(per_marker),
+            **{name: np.zeros(num_entities) for name in cls._ROW_VECTORS},
             max_fraction=0.0,
             max_abs_sentiment=0.0,
         )
@@ -1079,11 +1126,10 @@ class ScoreBounds:
         bounds = replace(
             self,
             columns=columns,
-            deviations=self.deviations.copy(),
-            fraction_peaks=self.fraction_peaks.copy(),
-            fraction_mins=self.fraction_mins.copy(),
-            sentiment_mins=self.sentiment_mins.copy(),
-            sentiment_maxs=self.sentiment_maxs.copy(),
+            **{
+                name: getattr(self, name).copy()
+                for name in (*self._MARKER_MAJOR, *self._ROW_VECTORS)
+            },
         )
         bounds._fill(rows)
         bounds._set_caps()
@@ -1099,17 +1145,22 @@ class ScoreBounds:
             # A zero centroid scores cosine 0, never name-similarity ± 1:
             # its true similarity is exactly the name similarity floor, so
             # deviation 0 is both sound and maximally tight there.
-            self.deviations[index] = np.where(
+            self.deviations[:, index] = np.where(
                 np.linalg.norm(block, axis=-1) == 0.0,
                 0.0,
                 np.linalg.norm(block - columns.name_units[np.newaxis, :, :], axis=-1),
-            )
+            ).T
         fractions = columns.fractions[index]
         sentiments = columns.average_sentiments[index]
+        self.fractions_mt[:, index] = fractions.T
         self.fraction_peaks[index] = fractions.max(axis=1)
         self.fraction_mins[index] = fractions.min(axis=1)
         self.sentiment_mins[index] = sentiments.min(axis=1)
         self.sentiment_maxs[index] = sentiments.max(axis=1)
+        clipped = np.clip(marker_polarities(columns, index), -1.0, 1.0)
+        totals = columns.totals[index]
+        self.aligned_positive[index] = _signed_aligned_mass(fractions, clipped, totals, 1.0)
+        self.aligned_negative[index] = _signed_aligned_mass(fractions, clipped, totals, -1.0)
 
     def _set_caps(self) -> None:
         """Derive the two whole-slice scalar caps from the per-row arrays."""
@@ -1123,11 +1174,8 @@ class ScoreBounds:
         bounds = replace(
             self,
             columns=columns,
-            deviations=self.deviations[index],
-            fraction_peaks=self.fraction_peaks[index],
-            fraction_mins=self.fraction_mins[index],
-            sentiment_mins=self.sentiment_mins[index],
-            sentiment_maxs=self.sentiment_maxs[index],
+            **{name: getattr(self, name)[:, index] for name in self._MARKER_MAJOR},
+            **{name: getattr(self, name)[index] for name in self._ROW_VECTORS},
         )
         bounds._set_caps()
         return bounds
@@ -1160,6 +1208,10 @@ def similarity_mass_bounds(
     normalized expectation is bracketed by the ratio of the bracketed sums.
     Where centroids coincide with marker names (deviation 0) the envelope
     collapses to the exact value up to :data:`PRUNE_MARGIN`.
+
+    Every E×M step runs on the marker-major matrices of ``bounds``: one
+    contiguous length-E row per marker, reduced over axis 0, with one M×E
+    temporary built in place.
     """
     columns = bounds.columns
     num_entities = columns.num_entities
@@ -1178,24 +1230,31 @@ def similarity_mass_bounds(
         return neutral_everywhere
     unit = phrase_vector / norm
     name_similarities = columns.name_units @ unit  # (M,)
+    fractions = bounds.fractions_mt  # (M, E)
     positives_lo = np.clip(name_similarities, 0.0, None) ** 2  # (M,)
-    positives_hi = (
-        np.clip(name_similarities[np.newaxis, :] + bounds.deviations, 0.0, None)
-        ** 2
-    )  # (E, M)
+    positives_hi = bounds.deviations + name_similarities[:, np.newaxis]  # (M, E)
+    np.maximum(positives_hi, 0.0, out=positives_hi)
+    np.square(positives_hi, out=positives_hi)
     lo_sum = float(positives_lo.sum())
-    hi_sums = positives_hi.sum(axis=1)  # (E,)
-    numerator_hi = np.einsum("em,em->e", positives_hi, columns.fractions)
-    numerator_lo = columns.fractions @ positives_lo  # (E,)
+    hi_sums = positives_hi.sum(axis=0)  # (E,)
+    numerator_lo = columns.fractions @ positives_lo  # (E,): one row-major GEMV
     # Upper bound on the normalized expectation: it is a weighted average of
     # fractions over the (unknown) positive-similarity support, so it can
     # never exceed the largest fraction with a possibly-positive mass; when
     # the phrase is certainly similarity-positive the hi/lo sum ratio is a
     # second, usually tighter cap.
-    expected_hi = np.where(
-        positives_hi > 0.0, columns.fractions, 0.0
-    ).max(axis=1, initial=0.0)
+    expected_hi = np.zeros(num_entities)
+    for marker, certain in enumerate(positives_lo > 0.0):
+        # A marker whose name similarity is positive has a positive mass on
+        # every row (deviations are ≥ 0), so it needs no mask.
+        row = fractions[marker]
+        np.maximum(
+            expected_hi,
+            row if certain else row * (positives_hi[marker] > 0.0),
+            out=expected_hi,
+        )
     if lo_sum > 0.0:
+        numerator_hi = np.einsum("me,me->e", positives_hi, fractions)
         expected_hi = np.minimum(expected_hi, numerator_hi / lo_sum)
     safe_hi_sums = np.where(hi_sums > 0.0, hi_sums, 1.0)
     expected_lo = np.where(hi_sums > 0.0, numerator_lo / safe_hi_sums, 0.0)

@@ -349,7 +349,9 @@ class HeuristicMembership(MembershipFunction):
         """Sound per-entity ``[lo, hi]`` envelope of :meth:`degrees_columnar`.
 
         The sentiment half of the blend reads only the E×M fraction and
-        sentiment matrices, so it is computed *exactly*; only the similarity
+        sentiment matrices, so it is computed *exactly* (a polar phrase
+        reads the aligned mass of its sign that ``bounds`` keeps, the same
+        bits :func:`repro.core.columnar.aligned_mass` returns); only the similarity
         mass — the half that needs the E×M×D centroid tensor — is bracketed
         through :func:`repro.core.columnar.similarity_mass_bounds`.  Every
         exact degree therefore lies inside the returned envelope, which is
@@ -362,7 +364,7 @@ class HeuristicMembership(MembershipFunction):
         mass_lo, mass_hi = columnar.similarity_mass_bounds(bounds, vector)
         if abs(polarity) >= 0.05:
             sentiment_weight = self.polar_sentiment_weight
-            sentiment_scores = columnar.aligned_mass(columns, polarity)
+            sentiment_scores = bounds.aligned_mass(polarity)
         else:
             sentiment_weight = self.neutral_sentiment_weight
             sentiment_scores = 0.5 * (1.0 + columns.overall_sentiments)
@@ -518,7 +520,7 @@ class LearnedMembership(MembershipFunction):
         vector = self.embedder.represent(phrase) if self.embedder is not None else None
         polarity = _phrase_polarity(phrase)
         num_entities = columns.num_entities
-        aligned = columnar.aligned_mass(columns, polarity)
+        aligned = bounds.aligned_mass(polarity)
         mass_lo, mass_hi = columnar.similarity_mass_bounds(bounds, vector)
         norm = float(np.linalg.norm(vector)) if vector is not None else 0.0
         if vector is None or columns.dimension == 0 or norm == 0.0:
@@ -528,8 +530,8 @@ class LearnedMembership(MembershipFunction):
             name_similarities = columns.name_units @ (vector / norm)  # (M,)
             similarity_lo = np.full(num_entities, float(name_similarities.max()))
             similarity_hi = (
-                name_similarities[np.newaxis, :] + bounds.deviations
-            ).max(axis=1)
+                bounds.deviations + name_similarities[:, np.newaxis]
+            ).max(axis=0)
         denominators = columns.unmatched + columns.totals
         unmatched_fractions = np.where(
             denominators > 0.0,

@@ -529,8 +529,9 @@ class ShardService:
         """Rank the frame's candidates over this node's slices; the exact local top-k.
 
         Runs :func:`~repro.serving.sharded.rank_pruned_chunks` — the loop
-        the in-process engine runs — with the scan bound folded from the
-        slices' own envelopes and a fetch that scores exactly only what can
+        the in-process engine runs — with both ends of the scan bound folded
+        from the slices' own envelopes (``lo`` seeds the floor of this node's
+        local top k) and a fetch that scores exactly only what can
         still win (:func:`~repro.core.columnar.bounded_pair_degrees`).  The
         heap key is the coordinator's ``(-score, str(entity_id), position)``,
         so the global top-k lies in the union of the nodes' lists.

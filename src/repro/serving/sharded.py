@@ -48,6 +48,7 @@ from typing import Callable, Hashable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.columnar import (
+    PRUNE_MARGIN,
     AttributeColumns,
     ColumnarSummaryStore,
     columnar_kernel,
@@ -958,16 +959,18 @@ def fold_scan_bound(
     count: int,
     pair_end: "Callable[[str, str, bool], np.ndarray | None]",
     crisp: "Callable[[Expression], np.ndarray]",
-) -> np.ndarray | None:
-    """Upper bound of the query score on each of ``count`` candidates, unscored.
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """``(hi, lo)``: bounds of the query score on each of ``count`` candidates, unscored.
 
-    The ``hi`` end of the whole WHERE tree (:func:`_fold_bound_end`), so
-    AND, OR and NOT shapes alike get a scan order and a sorted early stop.
+    Both ends of the whole WHERE tree (:func:`_fold_bound_end`), so AND,
+    OR and NOT shapes alike get a scan order and a sorted early stop from
+    ``hi``, and a threshold seed from ``lo`` (:func:`rank_pruned_chunks`).
     ``pair_end(attribute, phrase, upper)`` supplies one end of a pair's
     degree envelope at every candidate, or ``None`` when it has none (the
     predicate is then ``[0, 1]``); pairs fold with their predicate's
-    combinator, memoised per call, so a ``lo`` is gathered only under a
-    NOT.  ``crisp`` supplies a crisp leaf's 0/1 vector.
+    combinator, memoised per call and shared by the two folds (a NOT
+    swaps the ends, so each fold may read either).  ``crisp`` supplies a
+    crisp leaf's 0/1 vector.  ``None`` when the tree has no bound form.
     """
     by_text = {predicate.text: predicate for predicate in predicates}
     gathered: dict[tuple[str, bool], np.ndarray] = {}
@@ -984,15 +987,45 @@ def fold_scan_bound(
                     break
                 vectors.append(end)
             else:
-                vector = (
-                    vectors[0]
-                    if len(vectors) == 1
-                    else _pair_combiner(logic, predicate.combinator)(vectors)
-                )
+                # Combined even when there is one pair, as the exact degree
+                # is: under the product logic ``1 - (1 - v)`` may round an
+                # ulp away from ``v``, and a collapsed envelope must equal
+                # the exact score bit for bit.
+                vector = _pair_combiner(logic, predicate.combinator)(vectors)
             gathered[(text, upper)] = vector
         return vector
 
-    return _fold_bound_end(where, True, count, end_of, logic, None, crisp)
+    hi = _fold_bound_end(where, True, count, end_of, logic, None, crisp)
+    if hi is None:
+        return None
+    return hi, _fold_bound_end(where, False, count, end_of, logic, None, crisp)
+
+
+def scan_order_head(bound: np.ndarray, head: int) -> np.ndarray:
+    """The first ``min(head, len(bound))`` entries of ``np.argsort(-bound, kind="stable")``.
+
+    One partition finds the ``head``-th largest bound (``head`` ≥ 1);
+    every index above it and the lowest-indexed ones level with it make
+    the head, which is then sorted alone — descending bound, ties by
+    index, the stable order.
+    """
+    total = bound.size
+    if head >= total:
+        return np.argsort(-bound, kind="stable")
+    negated = -bound
+    cut = np.partition(negated, head - 1)[head - 1]
+    above = np.flatnonzero(negated < cut)
+    level = np.flatnonzero(negated == cut)[: head - above.size]
+    picked = np.concatenate([above, level])
+    return picked[np.lexsort((picked, negated[picked]))]
+
+
+def scan_order_rest(bound: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The stable descending order of the indices :func:`scan_order_head` left out."""
+    rest = np.ones(bound.size, dtype=bool)
+    rest[head] = False
+    index = np.flatnonzero(rest)
+    return index[np.argsort(-bound[index], kind="stable")]
 
 
 def rank_pruned_chunks(
@@ -1000,7 +1033,7 @@ def rank_pruned_chunks(
     logic: FuzzyLogic,
     predicates: Sequence[PrunedPredicate],
     limit: int,
-    scan_bound: np.ndarray | None,
+    scan_bounds: "tuple[np.ndarray, np.ndarray | None] | None",
     fetch: "Callable[[str, str, np.ndarray, float], tuple[np.ndarray, np.ndarray] | None]",
     crisp: "Callable[[Expression, np.ndarray], np.ndarray]",
     tie_ids: Sequence[Hashable],
@@ -1010,24 +1043,36 @@ def rank_pruned_chunks(
 ) -> PrunedRanking | None:
     """Threshold-style pruned top-``limit`` over candidates ``0 .. len(tie_ids)-1``.
 
-    Candidates are scanned in chunks in descending order of ``scan_bound``
-    (the whole tree's score upper bound), stopping once the head of the
-    remainder is below the k-th score.  For each chunk the heap's running
-    k-th score is the prune threshold ``T``: ``fetch(attribute, phrase,
-    indices, threshold)`` returns ``(values, exact)`` for the candidates at
-    ``indices`` — exact degrees, or upper bounds below ``threshold`` — rows
-    whose AND-path predicate bound falls below ``T`` are dropped from the
-    remaining fetches, and rows whose folded score upper bound is below
-    ``T`` never reach the heap.  Every row that survives all of this has
-    exclusively exact degrees, so its folded upper bound *is* its exact
-    score, and the kept rows are bit-identical to the unpruned ranking.
-    ``crisp(leaf, indices)`` supplies a crisp leaf's 0/1 values.
+    ``scan_bounds`` is :func:`fold_scan_bound`'s ``(hi, lo)``: the whole
+    tree's score upper and lower bound per candidate (``lo`` may be
+    ``None``; no bounds at all scans unordered, without an early stop).
+    Candidates are scanned in chunks in descending order of ``hi``,
+    stopping once the head of the remainder is below the prune threshold
+    ``T``: the larger of the heap's running k-th score and the *floor*,
+    the k-th largest ``lo`` less :data:`~repro.core.columnar.PRUNE_MARGIN`.
+    At least k candidates score at least their ``lo``, so the k-th best
+    score is at least the floor, and a row whose ``hi`` is below it
+    scores strictly below k others — it cannot enter the top k, whatever
+    the tie-break.  The floor holds from the first chunk, before any row
+    is scored; the margin covers the fold's rounding.
+    ``fetch(attribute, phrase, indices, threshold)`` returns ``(values,
+    exact)`` for the candidates at ``indices`` — exact degrees, or upper
+    bounds below ``threshold`` — rows whose AND-path predicate bound falls
+    below ``T`` are dropped from the remaining fetches, and rows whose
+    folded score upper bound is below ``T`` never reach the heap.  Every
+    row that survives all of this has exclusively exact degrees, so its
+    folded upper bound *is* its exact score, and the kept rows are
+    bit-identical to the unpruned ranking.  ``crisp(leaf, indices)``
+    supplies a crisp leaf's 0/1 values.
 
-    The heap key is ``(-score, str(tie_ids[i]), tie_positions[i])``
-    (``tie_positions`` defaults to ``i``), the processor's ranking order.
-    The in-process engine and the cluster node both run this loop; they
-    differ only in ``fetch``.  ``None`` when a fetch or the fold finds no
-    bound form — the caller takes the full path.
+    Only the first two chunks' rows are sorted up front
+    (:func:`scan_order_head`); the rest of the order is sorted when the
+    scan reaches it.  The heap key is ``(-score, str(tie_ids[i]),
+    tie_positions[i])`` (``tie_positions`` defaults to ``i``), the
+    processor's ranking order.  The in-process engine and the cluster
+    node both run this loop; they differ only in ``fetch``.  ``None`` when
+    a fetch or the fold finds no bound form — the caller takes the full
+    path.
     """
     # AND-path predicates first: their bounds both narrow the alive set and
     # let the fetch skip rows, so they see the threshold before any
@@ -1037,19 +1082,32 @@ def rank_pruned_chunks(
     heap = TopKThreshold(limit)
     offered = scanned = pruned = 0
     total = len(tie_ids)
-    if scan_bound is not None:
-        scan_order = np.argsort(-scan_bound, kind="stable")
-        scan_bound = scan_bound[scan_order]
+    chunk_size = max(1, chunk_size)
+    growth = max(2, chunk_growth)
+    hi_bound, lo_bound = scan_bounds if scan_bounds is not None else (None, None)
+    floor = None
+    if lo_bound is not None and total > limit:
+        floor = float(np.partition(lo_bound, total - limit)[total - limit]) - PRUNE_MARGIN
+    if hi_bound is not None:
+        scan_order = scan_order_head(hi_bound, chunk_size * (1 + growth))
+        scan_bound = hi_bound[scan_order]
     else:
         scan_order = np.arange(total)
+        scan_bound = None
     # Chunks grow geometrically: the first (small) chunk seeds the heap so a
     # real threshold exists almost immediately, and the growth keeps the
     # per-chunk fixed cost logarithmic in the candidate count.
-    chunk_size = max(1, chunk_size)
     chunk_start = 0
     while chunk_start < total:
         threshold = heap.threshold
+        if floor is not None:
+            threshold = floor if threshold is None else max(threshold, floor)
         prune_threshold = threshold if threshold is not None else 0.0
+        chunk_stop = min(chunk_start + chunk_size, total)
+        if chunk_stop > scan_order.size:
+            # The scan outlived the sorted head: order the rest too.
+            scan_order = np.concatenate([scan_order, scan_order_rest(hi_bound, scan_order)])
+            scan_bound = hi_bound[scan_order]
         if (
             threshold is not None
             and scan_bound is not None
@@ -1059,7 +1117,6 @@ def rank_pruned_chunks(
             # below the k-th score.
             pruned += total - chunk_start
             break
-        chunk_stop = min(chunk_start + chunk_size, total)
         chunk = scan_order[chunk_start:chunk_stop]
         size = chunk_stop - chunk_start
         alive = np.ones(size, dtype=bool)
@@ -1128,7 +1185,7 @@ def rank_pruned_chunks(
                     score, tie_ids[row], positions[row], payload=(row, score, vectors, index)
                 )
         chunk_start = chunk_stop
-        chunk_size *= max(2, chunk_growth)
+        chunk_size *= growth
     return PrunedRanking(heap, total, scanned, offered, pruned)
 
 
@@ -1495,7 +1552,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         """The pruned scan of one eligible query (the cluster engine ships it).
 
         In process the loop (:func:`rank_pruned_chunks`) runs here: it is
-        ordered by :meth:`_scan_bound` and fetches through the membership
+        ordered by :meth:`_scan_bounds` and fetches through the membership
         cache and the store's bounded path
         (:meth:`_bounded_cached_pair_degrees`).  ``None`` sends the query
         down the full path.
@@ -1516,7 +1573,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
             self.processor.logic,
             predicates,
             limit,
-            self._scan_bound(plan, candidates, store),
+            self._scan_bounds(plan, candidates, store),
             fetch,
             lambda leaf, indices: candidates.crisp_vector(leaf)[indices],
             candidates.row_entities,
@@ -1527,17 +1584,17 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
             self.entities_pruned += ranking.pruned
         return ranking
 
-    def _scan_bound(
+    def _scan_bounds(
         self, plan: QueryPlan, candidates: CandidateSet, store
-    ) -> np.ndarray | None:
-        """Upper bound of the query score on every candidate, unscored.
+    ) -> "tuple[np.ndarray, np.ndarray] | None":
+        """``(hi, lo)`` bounds of the query score on every candidate, unscored.
 
         :func:`fold_scan_bound` over the store's cached whole-store
         envelopes, gathered at the candidate set's (cached) row indices.  A
         pair the store cannot bound (or with a candidate missing from its
         columns) leaves its predicate at ``[0, 1]``; crisp leaves read the
         candidate set's memoised 0/1 vectors.  ``None`` — scan unordered, no
-        early stop — when the store has no envelopes.
+        early stop, no floor — when the store has no envelopes.
         """
         whole_store_envelope = getattr(store, "degree_envelope", None)
         if whole_store_envelope is None:

@@ -315,7 +315,7 @@ class TestBlockedScoreBounds:
             )
             for block_rows in (1, 5, columnar.BOUNDS_BLOCK_ROWS):
                 monkeypatch.setattr(columnar, "BOUNDS_BLOCK_ROWS", block_rows)
-                blocked = columnar.ScoreBounds.of_columns(columns).deviations
+                blocked = columnar.ScoreBounds.of_columns(columns).deviations.T
                 assert blocked.shape == one_shot.shape
                 assert (blocked == one_shot).all(), (attribute.name, block_rows)
             checked += 1

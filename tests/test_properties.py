@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.columnar import PRUNE_MARGIN
 from repro.core.fuzzy import ProductLogic, ZadehLogic
 from repro.engine.expressions import (
     AndExpression,
@@ -25,11 +26,16 @@ from repro.engine.expressions import (
     SubjectivePredicate,
 )
 from repro.serving.sharded import (
+    PrunedPredicate,
     TopKThreshold,
+    fold_scan_bound,
     fuzzy_bound_arrays,
     fuzzy_score_arrays,
     merge_shard_topk,
     partition_bounds,
+    rank_pruned_chunks,
+    scan_order_head,
+    scan_order_rest,
 )
 from repro.core.markers import Marker, MarkerSummary
 from repro.core.query import SubjectiveQueryBuilder
@@ -377,8 +383,9 @@ class TestScanBoundOnRandomTrees:
     ordering bound (the whole tree folded over the store's envelopes, before
     any kernel runs; present for every tree, since every predicate here has
     an envelope) is at least the exact score on every candidate row — NOT
-    must swap the ends and every ``hi`` must be a ``hi`` — and the pruned
-    top-k equals
+    must swap the ends and every ``hi`` must be a ``hi`` —, its ``lo`` fold
+    (the floor's seed) at most the exact score up to the floor's margin,
+    and the pruned top-k equals
     :func:`merge_shard_topk` over the exact scores — ties included (min/max
     logic and crisp leaves under OR both produce them).
     """
@@ -445,9 +452,14 @@ class TestScanBoundOnRandomTrees:
                 for interpretation in plan.interpretations.values()
                 for pair in interpretation.pairs
             )
-            bound = engine._scan_bound(plan, candidates, store)
-            assert bound is not None
-            assert np.all(bound >= scores)
+            bounds = engine._scan_bounds(plan, candidates, store)
+            assert bounds is not None
+            hi, lo = bounds
+            assert np.all(hi >= scores)
+            # ``lo`` seeds the scan's floor less PRUNE_MARGIN: where an
+            # envelope collapses to the exact degree, a row gather's kernel
+            # may round an ulp below the whole-store one.
+            assert np.all(lo - PRUNE_MARGIN <= scores)
             expected = merge_shard_topk(scores, candidates.row_entities, 2, limit)
             assert served.entity_ids == [candidates.row_entities[i] for i in expected]
             assert [entity.score for entity in served] == [float(scores[i]) for i in expected]
@@ -851,6 +863,120 @@ class TestTopKThresholdHeap:
         else:
             kth_index = heap.selected()[-1]
             assert heap.threshold == rows[kth_index][0]
+
+
+#: Few distinct values, so bounds and degrees tie often.
+_TIE_LEVELS = st.sampled_from([0.0, 0.2, 0.5, 0.5, 0.8, 1.0])
+
+
+class TestPrunedScanOrderAndFloor:
+    """The partial-sort scan order and the lower-envelope floor change no answer.
+
+    The head order is the stable descending order for tie-heavy bounds at
+    every length around the head; and on random envelopes that bracket
+    random exact degrees — exact ties at the k-th score included — the
+    pruned scan keeps the same rows with the floor as without it, and
+    scores no more of them.
+    """
+
+    LIMIT = 3
+    HEAD = 8
+
+    @given(
+        st.sampled_from([0, 1, LIMIT, HEAD - 1, HEAD, HEAD + 1, 60]).flatmap(
+            lambda total: st.lists(_TIE_LEVELS, min_size=total, max_size=total)
+        )
+    )
+    def test_head_then_rest_is_the_stable_order(self, values):
+        bound = np.array(values, dtype=float)
+        head = scan_order_head(bound, self.HEAD)
+        assert head.size == min(self.HEAD, bound.size)
+        order = np.concatenate([head, scan_order_rest(bound, head)])
+        assert np.array_equal(order, np.argsort(-bound, kind="stable"))
+
+    # One row: two predicate degrees, each bracketed by a lower and an upper
+    # slack (0 collapses that end onto the exact degree).
+    slack = st.sampled_from([0.0, 0.0, 1e-6, 0.1, 0.3])
+    rows = st.lists(
+        st.tuples(_TIE_LEVELS, _TIE_LEVELS, slack, slack, slack, slack),
+        min_size=1,
+        max_size=40,
+    )
+
+    @given(
+        rows,
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from(["and", "or", "single"]),
+        st.sampled_from([ProductLogic(), ZadehLogic()]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_floor_keeps_the_answer_and_never_scores_more(
+        self, rows, limit, shape, logic, rng
+    ):
+        exact = {
+            "a": np.array([row[0] for row in rows]),
+            "b": np.array([row[1] for row in rows]),
+        }
+        lower = {
+            "a": np.clip(exact["a"] - [row[2] for row in rows], 0.0, 1.0),
+            "b": np.clip(exact["b"] - [row[3] for row in rows], 0.0, 1.0),
+        }
+        upper = {
+            "a": np.clip(exact["a"] + [row[4] for row in rows], 0.0, 1.0),
+            "b": np.clip(exact["b"] + [row[5] for row in rows], 0.0, 1.0),
+        }
+        texts = ["a"] if shape == "single" else ["a", "b"]
+        where = (
+            SubjectivePredicate("a")
+            if shape == "single"
+            else (AndExpression if shape == "and" else OrExpression)(
+                tuple(SubjectivePredicate(text) for text in texts)
+            )
+        )
+        predicates = [
+            PrunedPredicate(text, "or", shape != "or", (("x", text),)) for text in texts
+        ]
+        ids = [f"e{index % 7}" for index in range(len(rows))]
+        rng.shuffle(ids)
+
+        def run(with_floor: bool):
+            scored = [0]
+
+            def fetch(_attribute, phrase, indices, threshold):
+                wanted = upper[phrase][indices] >= threshold
+                scored[0] += int(np.count_nonzero(wanted))
+                return (
+                    np.where(wanted, exact[phrase][indices], upper[phrase][indices]),
+                    wanted,
+                )
+
+            def pair_end(_attribute, phrase, is_upper):
+                return (upper if is_upper else lower)[phrase]
+
+            hi, lo = fold_scan_bound(where, logic, predicates, len(rows), pair_end, None)
+            ranking = rank_pruned_chunks(
+                where,
+                logic,
+                predicates,
+                limit,
+                (hi, lo if with_floor else None),
+                fetch,
+                None,
+                ids,
+                chunk_size=2,
+                chunk_growth=2,
+            )
+            kept = [(row, score) for row, score, _vectors, _index in ranking.heap.selected()]
+            return kept, scored[0]
+
+        with_floor, scored_with = run(True)
+        without_floor, scored_without = run(False)
+        assert with_floor == without_floor
+        assert scored_with <= scored_without
+        scores = fuzzy_score_arrays(where, [{}] * len(rows), exact, logic)
+        expected = merge_shard_topk(scores, ids, 1, limit)
+        assert [row for row, _score in with_floor] == expected
 
 
 class TestFuzzyArrayConnectives:

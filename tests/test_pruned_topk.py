@@ -17,8 +17,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.columnar import ColumnarSummaryStore, ScoreBounds, slice_view
+from repro.core import (
+    HeuristicMembership,
+    LearnedMembership,
+    SubjectiveQueryProcessor,
+    columnar,
+)
+from repro.core.columnar import (
+    PRUNE_MARGIN,
+    ColumnarSummaryStore,
+    ScoreBounds,
+    similarity_mass_bounds,
+    slice_view,
+)
 from repro.core.database import ReviewRecord
+from repro.core.fuzzy import ProductLogic
 from repro.core.interpreter import InterpretationMethod
 from repro.serving import (
     ClusterQueryEngine,
@@ -136,6 +149,17 @@ class TestShardedPruning:
         stats = pruned.stats_snapshot()
         assert stats["entities_scored"] == pruned.entities_scored
         assert stats["entities_pruned"] == pruned.entities_pruned
+
+    def test_a_cold_conjunction_scores_less_than_one_chunk(self, large_database):
+        """The lower-envelope floor prunes before any row is scored: a cold
+        ``"a" and "b" limit 10`` over 1600 entities scores fewer rows than
+        the first chunk holds (seeding the threshold by scoring that chunk
+        exactly costs at least ``prune_chunk_size``)."""
+        engine = ShardedSubjectiveQueryEngine(database=large_database, num_shards=2)
+        sql = 'select * from Entities where "word003" and "word019" limit 10'
+        expected = SubjectiveQueryEngine(database=large_database).execute(sql)
+        assert_identical_results(expected, engine.execute(sql))
+        assert 0 < engine.entities_scored < engine.prune_chunk_size
 
     def test_retrieval_fallback_does_not_prune(self, hotel_database):
         """A BM25 text-retrieval interpretation refuses the pruned path."""
@@ -291,8 +315,10 @@ class TestMixedShapesOnEveryEngine:
                     engine.processor.logic,
                 )
                 if not fleet:  # a fleet folds its scan bound on the nodes
-                    bound = engine._scan_bound(plan, candidates, engine.processor.columnar_store)
-                    assert np.all(bound >= exact), sql
+                    hi, lo = engine._scan_bounds(
+                        plan, candidates, engine.processor.columnar_store
+                    )
+                    assert np.all(hi >= exact) and np.all(lo <= exact), sql
             assert engine.entities_pruned > 0
             # Only exact degrees were cached: bounds of dismissed rows never are.
             membership = engine.processor.membership
@@ -332,39 +358,197 @@ class TestNodeSideScan:
         assert requests == 2 * len(SELECTIVE_QUERIES) < unpruned_requests
 
 
+#: Envelope fixtures: the synthetic one carries no phrase vectors, so its
+#: deviations are 0 and every envelope collapses to the exact degree; the
+#: hotel and restaurant fixtures have real centroids and exercise the
+#: bound arithmetic.
+ENVELOPE_DATABASES = ["synthetic_database", "hotel_database", "restaurant_database"]
+
+#: Phrases that are no marker's name, polar and neutral, beside the markers.
+NON_MARKER_PHRASES = [
+    "really clean rooms",
+    "terrible dirty rooms",
+    "friendly staff",
+    "average experience",
+    "word003 word040",
+]
+
+
+def _envelope_membership(database, kind):
+    """A heuristic membership, or a logistic one fitted on the database's summaries."""
+    heuristic = HeuristicMembership(embedder=database.phrase_embedder)
+    if kind == "heuristic":
+        return heuristic
+    summaries = [
+        summary
+        for attribute in database.schema.subjective_names
+        for summary in database.summaries_for_attribute(attribute).values()
+    ]
+    phrase = summaries[0].markers[0].name
+    degrees = heuristic.degrees(summaries, phrase)
+    labels = [int(degree > np.median(degrees)) for degree in degrees]
+    labels[0] = 1 - labels[-1]  # both classes, whatever the fixture
+    return LearnedMembership(embedder=database.phrase_embedder).fit(
+        [(summary, phrase, label) for summary, label in zip(summaries, labels)]
+    )
+
+
+def _envelope_cases(database):
+    """``(attribute, store, columns, phrases)`` for every attribute with columns."""
+    store = ColumnarSummaryStore(database)
+    for attribute in database.schema.subjective_names:
+        columns = store.columns(attribute)
+        if columns is not None:
+            markers = [marker.name for marker in columns.markers]
+            yield attribute, store, columns, markers + NON_MARKER_PHRASES
+
+
+def _row_major_mass_bounds(bounds, phrase_vector):
+    """:func:`similarity_mass_bounds` as it read before the marker-major layout.
+
+    Every E×M step on the entity-major column arrays, reduced over axis 1:
+    the reference the marker-major arithmetic must match.
+    """
+    columns = bounds.columns
+    unit = phrase_vector / np.linalg.norm(phrase_vector)
+    name_similarities = columns.name_units @ unit
+    positives_lo = np.clip(name_similarities, 0.0, None) ** 2
+    positives_hi = np.clip(name_similarities[np.newaxis, :] + bounds.deviations.T, 0.0, None) ** 2
+    lo_sum = float(positives_lo.sum())
+    hi_sums = positives_hi.sum(axis=1)
+    numerator_hi = np.einsum("em,em->e", positives_hi, columns.fractions)
+    numerator_lo = columns.fractions @ positives_lo
+    expected_hi = np.where(positives_hi > 0.0, columns.fractions, 0.0).max(axis=1, initial=0.0)
+    if lo_sum > 0.0:
+        expected_hi = np.minimum(expected_hi, numerator_hi / lo_sum)
+    safe_hi_sums = np.where(hi_sums > 0.0, hi_sums, 1.0)
+    expected_lo = np.where(hi_sums > 0.0, numerator_lo / safe_hi_sums, 0.0)
+    denominators = bounds.fraction_peaks + 1e-9
+    hi = np.minimum(1.0, expected_hi / denominators + PRUNE_MARGIN)
+    lo = np.maximum(0.0, np.minimum(1.0, expected_lo / denominators) - PRUNE_MARGIN)
+    if lo_sum <= 0.0:
+        hi = np.maximum(hi, 0.5)
+        lo = np.minimum(lo, 0.5)
+    certainly_neutral = (hi_sums <= 0.0) | (columns.totals == 0.0)
+    return np.where(certainly_neutral, 0.5, lo), np.where(certainly_neutral, 0.5, hi)
+
+
 class TestBoundEnvelopes:
-    def test_degree_bounds_contain_exact_degrees(self, synthetic_database):
+    @pytest.mark.parametrize("kind", ["heuristic", "learned"])
+    @pytest.mark.parametrize("fixture_name", ENVELOPE_DATABASES)
+    def test_degree_bounds_contain_exact_degrees(self, request, fixture_name, kind):
         """The membership envelope brackets every exact columnar degree."""
-        engine = SubjectiveQueryEngine(database=synthetic_database)
-        membership = engine.processor.membership
-        store = ColumnarSummaryStore(synthetic_database)
+        database = request.getfixturevalue(fixture_name)
+        membership = _envelope_membership(database, kind)
         checked = 0
-        for attribute in ("quality", "service"):
-            columns = store.columns(attribute)
+        for attribute, store, columns, phrases in _envelope_cases(database):
             bounds = store.score_bounds(attribute)
             assert bounds is not None
-            for marker in (marker.name for marker in columns.markers):
-                envelope = membership.degree_bounds(bounds, marker)
+            for phrase in phrases:
+                envelope = membership.degree_bounds(bounds, phrase)
                 assert envelope is not None
                 lo, hi = envelope
-                exact = np.asarray(membership.degrees_columnar(columns, marker))
-                assert np.all(lo <= exact), (attribute, marker)
-                assert np.all(exact <= hi), (attribute, marker)
+                exact = np.asarray(membership.degrees_columnar(columns, phrase))
+                assert np.all(lo <= exact), (attribute, phrase)
+                assert np.all(exact <= hi), (attribute, phrase)
                 checked += 1
         assert checked > 0
 
-    def test_slice_envelopes_contain_exact_degrees(self, synthetic_database):
+    @pytest.mark.parametrize("kind", ["heuristic", "learned"])
+    @pytest.mark.parametrize("fixture_name", ENVELOPE_DATABASES)
+    def test_slice_envelopes_contain_exact_degrees(self, request, fixture_name, kind):
         """A node's envelope — ``degree_bounds`` over one slice's own bound
         summaries — brackets every exact degree of the slice too."""
-        membership = SubjectiveQueryEngine(database=synthetic_database).processor.membership
-        columns = ColumnarSummaryStore(synthetic_database).columns("quality")
-        bounds = partition_bounds(columns.num_entities, 3)
-        for start, stop in zip(bounds, bounds[1:]):
-            part = slice_view(columns, start, stop)
-            for marker in (marker.name for marker in columns.markers):
-                lo, hi = membership.degree_bounds(ScoreBounds.of_columns(part), marker)
-                exact = np.asarray(membership.degrees_columnar(part, marker))
-                assert np.all(lo <= exact) and np.all(exact <= hi), (start, marker)
+        database = request.getfixturevalue(fixture_name)
+        membership = _envelope_membership(database, kind)
+        for attribute, _store, columns, phrases in _envelope_cases(database):
+            cuts = partition_bounds(columns.num_entities, 3)
+            for start, stop in zip(cuts, cuts[1:]):
+                part = slice_view(columns, start, stop)
+                for phrase in phrases:
+                    lo, hi = membership.degree_bounds(ScoreBounds.of_columns(part), phrase)
+                    exact = np.asarray(membership.degrees_columnar(part, phrase))
+                    assert np.all(lo <= exact) and np.all(exact <= hi), (
+                        attribute,
+                        start,
+                        phrase,
+                    )
+
+    @pytest.mark.parametrize("fixture_name", ["hotel_database", "restaurant_database"])
+    def test_marker_major_mass_bounds_match_the_row_major_formula(
+        self, request, fixture_name
+    ):
+        """The marker-major envelope is the row-major one up to summation order."""
+        database = request.getfixturevalue(fixture_name)
+        embedder = database.phrase_embedder
+        deviating = checked = 0
+        for attribute, store, _columns, phrases in _envelope_cases(database):
+            bounds = store.score_bounds(attribute)
+            deviating += int(np.count_nonzero(bounds.deviations))
+            for phrase in phrases:
+                vector = embedder.represent(phrase)
+                if not np.linalg.norm(vector):
+                    continue
+                got = similarity_mass_bounds(bounds, vector)
+                want = _row_major_mass_bounds(bounds, vector)
+                for mine, theirs in zip(got, want):
+                    assert np.abs(mine - theirs).max() <= 1e-12, (attribute, phrase)
+                checked += 1
+        assert checked > 0
+        assert deviating > 0  # real centroids: the bound arithmetic is exercised
+
+    def test_a_polar_envelope_equals_the_recomputed_one(self, hotel_database, monkeypatch):
+        """A polar phrase reads the aligned mass of its sign from the bounds,
+        bit for bit what recomputing it from the columns gives."""
+        membership = HeuristicMembership(embedder=hotel_database.phrase_embedder)
+        polar = ["really clean rooms", "terrible dirty rooms", "friendly staff"]
+        cases = list(_envelope_cases(hotel_database))
+        kept = {
+            (attribute, phrase): membership.degree_bounds(store.score_bounds(attribute), phrase)
+            for attribute, store, _columns, _phrases in cases
+            for phrase in polar
+        }
+        monkeypatch.setattr(
+            ScoreBounds,
+            "aligned_mass",
+            lambda bounds, polarity: columnar.aligned_mass(bounds.columns, polarity),
+        )
+        for attribute, store, columns, _phrases in cases:
+            bounds = store.score_bounds(attribute)
+            for sign in (1.0, -1.0):
+                assert np.array_equal(
+                    columnar.aligned_mass(columns, sign),
+                    bounds.aligned_positive if sign > 0 else bounds.aligned_negative,
+                )
+            for phrase in polar:
+                recomputed = membership.degree_bounds(bounds, phrase)
+                for mine, theirs in zip(kept[(attribute, phrase)], recomputed):
+                    assert np.array_equal(mine, theirs), (attribute, phrase)
+
+
+    def test_one_pair_scan_bounds_fold_like_the_exact_score(self):
+        """A one-pair predicate's exact degree is its combinator applied to the
+        pair — under the product logic ``1 - (1 - v)``, which may round an ulp
+        away from ``v`` — and the scan bounds fold the same way, so where an
+        envelope collapses onto the degree the bounds still bracket the exact
+        score with no margin."""
+        database = build_synthetic_columnar_database(num_entities=200, seed=17)
+        processor = SubjectiveQueryProcessor(database, logic=ProductLogic())
+        engine = ShardedSubjectiveQueryEngine(processor=processor, num_shards=2)
+        store = engine.processor.columnar_store
+        for index in range(32):
+            sql = f'select * from Entities where "word{index:03d}" limit 1'
+            plan = engine.plan(sql)
+            candidates = engine._candidate_rows(plan)
+            degrees = {
+                text: engine._interpretation_degree_vector(candidates.unique_ids, interpretation)
+                for text, interpretation in plan.interpretations.items()
+            }
+            exact = fuzzy_score_arrays(
+                plan.statement.where, candidates.rows, degrees, processor.logic
+            )
+            hi, lo = engine._scan_bounds(plan, candidates, store)
+            assert np.all(lo <= exact) and np.all(exact <= hi), sql
 
     def test_score_bounds_slices_match_whole(self, synthetic_database):
         """Sliced bound summaries equal slices of the whole-column summary."""
@@ -372,5 +556,9 @@ class TestBoundEnvelopes:
         whole = store.score_bounds("quality")
         part = store.score_bounds("quality", 10, 60)
         assert part.num_entities == 50
-        assert np.array_equal(part.deviations, whole.deviations[10:60])
+        # The per-marker matrices are marker-major: rows slice along axis 1.
+        assert part.deviations.shape == (len(whole.columns.markers), 50)
+        assert np.array_equal(part.deviations, whole.deviations[:, 10:60])
+        assert np.array_equal(part.fractions_mt, whole.fractions_mt[:, 10:60])
         assert np.array_equal(part.fraction_peaks, whole.fraction_peaks[10:60])
+        assert np.array_equal(part.aligned_negative, whole.aligned_negative[10:60])

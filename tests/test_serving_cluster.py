@@ -57,7 +57,11 @@ from repro.serving.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.testing import assert_engines_agree, assert_identical_results
+from repro.testing import (
+    assert_engines_agree,
+    assert_identical_results,
+    build_synthetic_columnar_database,
+)
 
 NODE_COUNTS = [1, 2, 4]
 
@@ -938,6 +942,28 @@ class TestColdQueryCost:
             stats = store.node_stats()
             assert [node.get("bounded_requests", 0) for node in stats] == [0, 0]
             assert all(node["rank_requests"] == 2 for node in stats)
+
+    def test_a_cold_rank_frame_scores_less_than_one_chunk(self):
+        """Each node seeds its scan from its own lower envelopes: one cold
+        rank frame per node over 1600 entities scores fewer rows, summed over
+        the nodes, than one coordinator chunk holds."""
+        database = build_synthetic_columnar_database(num_entities=1600, seed=11)
+        sql = 'select * from Entities where "word003" and "word019" limit 10'
+        with ClusterQueryEngine(
+            database=database, num_nodes=2, max_inflight_queries=1, **FAST
+        ) as cluster:
+            # Fleet up, both attributes hydrated, neither queried phrase seen.
+            cluster.execute('select * from Entities where "word001" and "word017" limit 3')
+            store = cluster.sharded_store
+
+            def scored() -> int:
+                return sum(node["entities_scored"] for node in store.node_stats())
+
+            before, requests = scored(), store.transport_counters()["rpc_requests"]
+            expected = SubjectiveQueryEngine(database=database).execute(sql)
+            assert_identical_results(expected, cluster.execute(sql))
+            assert store.transport_counters()["rpc_requests"] - requests == 2
+            assert 0 < scored() - before < cluster.prune_chunk_size
 
     def test_the_coordinator_folds_no_envelope_for_a_ranked_query(
         self, hotel_database, monkeypatch
