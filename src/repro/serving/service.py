@@ -46,6 +46,7 @@ from repro.serving.protocol import (
     STATUS_OK,
     WIRE_F64,
     FrameTooLargeError,
+    ProtocolError,
     RankRequest,
     Reader,
     RpcError,
@@ -392,6 +393,12 @@ class ShardService:
             reader = Reader(payload)
             opcode = reader.read_u8()
             if opcode == OP_SHUTDOWN:
+                # A shutdown is the bare opcode: one with trailing bytes is a
+                # mangled frame of some other request, not a request to stop.
+                if reader.remaining:
+                    raise ProtocolError(
+                        f"{reader.remaining} trailing bytes after a shutdown request"
+                    )
                 return _U8.pack(STATUS_OK), True
             return self.dispatch(opcode, reader), False
         except Exception as error:  # noqa: BLE001 - transported to the peer

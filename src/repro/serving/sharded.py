@@ -1033,7 +1033,7 @@ def rank_pruned_chunks(
     logic: FuzzyLogic,
     predicates: Sequence[PrunedPredicate],
     limit: int,
-    scan_bounds: "tuple[np.ndarray, np.ndarray | None] | None",
+    scan_bounds: "tuple[np.ndarray, np.ndarray] | None",
     fetch: "Callable[[str, str, np.ndarray, float], tuple[np.ndarray, np.ndarray] | None]",
     crisp: "Callable[[Expression, np.ndarray], np.ndarray]",
     tie_ids: Sequence[Hashable],
@@ -1044,8 +1044,8 @@ def rank_pruned_chunks(
     """Threshold-style pruned top-``limit`` over candidates ``0 .. len(tie_ids)-1``.
 
     ``scan_bounds`` is :func:`fold_scan_bound`'s ``(hi, lo)``: the whole
-    tree's score upper and lower bound per candidate (``lo`` may be
-    ``None``; no bounds at all scans unordered, without an early stop).
+    tree's score upper and lower bound per candidate (no bounds at all
+    scans unordered, without an early stop or a floor).
     Candidates are scanned in chunks in descending order of ``hi``,
     stopping once the head of the remainder is below the prune threshold
     ``T``: the larger of the heap's running k-th score and the *floor*,
@@ -1084,11 +1084,11 @@ def rank_pruned_chunks(
     total = len(tie_ids)
     chunk_size = max(1, chunk_size)
     growth = max(2, chunk_growth)
-    hi_bound, lo_bound = scan_bounds if scan_bounds is not None else (None, None)
     floor = None
-    if lo_bound is not None and total > limit:
-        floor = float(np.partition(lo_bound, total - limit)[total - limit]) - PRUNE_MARGIN
-    if hi_bound is not None:
+    if scan_bounds is not None:
+        hi_bound, lo_bound = scan_bounds
+        if total > limit:
+            floor = float(np.partition(lo_bound, total - limit)[total - limit]) - PRUNE_MARGIN
         scan_order = scan_order_head(hi_bound, chunk_size * (1 + growth))
         scan_bound = hi_bound[scan_order]
     else:

@@ -960,7 +960,7 @@ class TestPrunedScanOrderAndFloor:
                 logic,
                 predicates,
                 limit,
-                (hi, lo if with_floor else None),
+                (hi, lo if with_floor else np.zeros_like(lo)),
                 fetch,
                 None,
                 ids,
@@ -1314,7 +1314,6 @@ class TestRankFramesAgainstHostileBytes:
     @settings(max_examples=150, deadline=None)
     def test_a_mangled_request_is_refused_or_served_and_the_node_lives(self, node, data):
         from repro.serving.protocol import (
-            OP_SHUTDOWN,
             STATUS_ERROR,
             STATUS_OK,
             ProtocolError,
@@ -1334,15 +1333,9 @@ class TestRankFramesAgainstHostileBytes:
             assert request is None
         started = now()
         response, stop = service.handle_frame(mangled)
-        assert now() - started < 5.0
-        # One flipped opcode bit turns rank (12) into shutdown (4): that is a
-        # well-formed shutdown request, and only it may stop the node.
-        shutdown = mangled[:1] == bytes([OP_SHUTDOWN])
-        assert stop == shutdown
+        assert now() - started < 5.0 and not stop
         assert response[0] in (STATUS_OK, STATUS_ERROR)
-        if shutdown:
-            assert response == bytes([STATUS_OK])
-        elif response[0] == STATUS_OK:
+        if response[0] == STATUS_OK:
             assert mangled[0] == frame[0] and request is not None
             reply = read_rank_response(Reader(response[1:]))
             assert len(reply.positions) <= request.limit

@@ -321,6 +321,17 @@ def test_out_of_range_slice_is_transported_error(hotel_database, slices):
     assert "bounds mismatch" in reader.read_str()
 
 
+def test_only_a_bare_shutdown_opcode_stops_the_service(hotel_database, slices):
+    """A shutdown opcode followed by bytes is a mangled frame: refused, not obeyed."""
+    service = _service(hotel_database, slices)
+    response, stop = service.handle_frame(bytes([OP_SHUTDOWN, 0]))
+    assert not stop
+    reader = Reader(response)
+    assert reader.read_u8() == STATUS_ERROR
+    assert "trailing bytes" in reader.read_str()
+    assert service.handle_frame(bytes([OP_SHUTDOWN])) == (bytes([STATUS_OK]), True)
+
+
 def test_serve_loop_over_socketpair(hotel_database, slices):
     """The framed socket loop end-to-end, including shutdown."""
     _membership, attribute, _columns, ranges = slices
