@@ -15,16 +15,20 @@ Layout per attribute (:class:`AttributeColumns`):
 * ``totals`` / ``unmatched`` / ``overall_sentiments`` — length-E vectors;
 * ``centroids_unit`` — an E×M×D tensor of L2-prenormalized marker
   centroids, so phrase–centroid cosine similarity is one tensor–vector
-  product;
+  product per row block.  It holds almost every row byte, so it is stored
+  as :class:`RowBlocks`: immutable :data:`BOUNDS_BLOCK_ROWS`-row blocks
+  that column generations share, so a patch copies only the blocks holding
+  its rows;
 * ``name_units`` — the shared M×D matrix of L2-prenormalized marker-name
   vectors, so phrase–marker-name similarity is one matrix–vector product.
 
-:class:`ColumnarSummaryStore` builds these lazily per attribute and
-invalidates them through :attr:`SubjectiveDatabase.data_version`, exactly
-like the serving-layer caches: any ingest moves the version and the next
-read rebuilds.  Kernels mirror the scalar membership arithmetic operation
-for operation, so degrees agree with the per-entity path to floating-point
-round-off (the test suite pins ``atol=1e-9`` and identical rankings).
+:class:`ColumnarSummaryStore` builds these lazily per attribute and keeps
+them in step with :attr:`SubjectiveDatabase.data_version`, exactly like
+the serving-layer caches: a journaled ingest patches its rows into a new
+generation, any other change drops the columns.  Kernels mirror the scalar
+membership arithmetic operation for operation, so degrees agree with the
+per-entity path to floating-point round-off (the test suite pins
+``atol=1e-9`` and identical rankings).
 
 Entities whose summaries do not conform to the attribute's schema markers
 (or that have no stored summary at all) are simply absent from the columns;
@@ -38,13 +42,14 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
 from repro.core.markers import Marker
 from repro.errors import SchemaError, SnapshotError, SnapshotIntegrityError
-from repro.obs import span
+from repro.obs import Counter, span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.database import SubjectiveDatabase
@@ -63,21 +68,240 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
+#: Rows per block of the centroid tensor (:class:`RowBlocks`), and per step
+#: when :meth:`ScoreBounds.of_columns` walks it (512 rows × 16 markers × 48
+#: dims ≈ 3 MB per block and of temporaries).
+BOUNDS_BLOCK_ROWS = 512
+
+
+def _address(array: np.ndarray) -> int:
+    """The address of an array's first element."""
+    return array.__array_interface__["data"][0]
+
+
+def _same_block(first: np.ndarray, second: np.ndarray) -> bool:
+    """Whether two blocks are views of the same memory, hence equal.
+
+    Both are alive, so equal addresses, shapes and strides mean one region;
+    published blocks are never written, so that region holds one set of
+    values.  A window's edge blocks are fresh view objects over a shared
+    block, which is why this compares memory, not identity.
+    """
+    return first is second or (
+        first.shape == second.shape
+        and first.strides == second.strides
+        and _address(first) == _address(second)
+    )
+
+
+class RowBlocks:
+    """An immutable row-major array held as a sequence of read-only row blocks.
+
+    Rows ``[starts[i], starts[i + 1])`` live in ``blocks[i]``.  Blocks are
+    never written once published, so column generations share them: a patch
+    copies only the blocks holding its rows (:meth:`with_rows`), a
+    :meth:`window` shares every whole block it covers (its edges are views),
+    and :meth:`rows_differing` skips the blocks two generations share.
+
+    Reads go through :meth:`runs`: adjacent blocks that lie back to back in
+    one buffer are read as one array, so a generation fresh from a build,
+    an unpack or a mapped file is one run, and one patched block splits its
+    run in three — a kernel pays one product per run, not per block.
+    Indexing (``blocks[index]``) takes a unit-step slice or a sequence of
+    row indices (non-negative) and returns a NumPy array: a view for a
+    range inside one run, a copy otherwise.  ``numpy.asarray`` joins the
+    runs; with ``copy=False`` it raises ``ValueError`` when there is more
+    than one run to join.
+    """
+
+    __slots__ = ("blocks", "shape", "_starts", "_runs")
+
+    def __init__(self, blocks: Sequence[np.ndarray], row_shape: tuple[int, ...]) -> None:
+        self.blocks = tuple(block for block in blocks if len(block))
+        starts = [0]
+        for block in self.blocks:
+            starts.append(starts[-1] + len(block))
+        self._starts = np.asarray(starts, dtype=np.intp)
+        self.shape = (starts[-1], *row_shape)
+        self._runs: "tuple[tuple[int, np.ndarray], ...] | None" = None
+
+    @classmethod
+    def of_array(cls, array) -> "RowBlocks":
+        """Read-only views of ``array`` in ``BOUNDS_BLOCK_ROWS``-row blocks (no copy, one run).
+
+        The views keep all of ``array`` alive while any one of them lives,
+        so the memory of a block a later generation replaced is returned
+        only once every block of ``array`` has been replaced or dropped.
+        """
+        array = np.asarray(array, dtype=np.float64)
+        blocks = []
+        for start in range(0, len(array), BOUNDS_BLOCK_ROWS):
+            block = array[start : start + BOUNDS_BLOCK_ROWS]
+            block.flags.writeable = False
+            blocks.append(block)
+        return cls(blocks, array.shape[1:])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def runs(self) -> "tuple[tuple[int, np.ndarray], ...]":
+        """``(first row, array)`` per maximal run of blocks back to back in one buffer.
+
+        Views, never copies.  Blocks join a run when they are C-contiguous
+        views of the same base object and each starts where the previous
+        one ends, so the run is one region of that base.
+        """
+        if self._runs is None:
+            spans: list[list] = []  # [first row, first block, rows]
+            for start, block in zip(self._starts.tolist(), self.blocks):
+                if spans:
+                    _, first, rows = spans[-1]
+                    if (
+                        first.base is not None
+                        and block.base is first.base
+                        and first.flags.c_contiguous
+                        and block.flags.c_contiguous
+                        and _address(block) == _address(first) + rows * first.strides[0]
+                    ):
+                        spans[-1][2] += len(block)
+                        continue
+                spans.append([start, block, len(block)])
+            self._runs = tuple(
+                (
+                    start,
+                    first
+                    if rows == len(first)
+                    else np.lib.stride_tricks.as_strided(
+                        first,
+                        shape=(rows, *self.shape[1:]),
+                        strides=first.strides,
+                        writeable=False,
+                    ),
+                )
+                for start, first, rows in spans
+            )
+        return self._runs
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        runs = [run for _, run in self.runs()]
+        if copy is False and len(runs) > 1:
+            raise ValueError(f"{len(runs)} runs cannot be joined without a copy")
+        if len(runs) == 1 and not copy:
+            array = runs[0]
+        elif runs:
+            array = np.concatenate(runs)
+        else:
+            array = np.zeros(self.shape)
+        return array if dtype is None else array.astype(dtype, copy=False)
+
+    def _owners(self, rows: np.ndarray) -> np.ndarray:
+        """The block holding each of ``rows``."""
+        return np.searchsorted(self._starts, rows, side="right") - 1
+
+    def window(self, start: int, stop: int) -> "RowBlocks":
+        """Rows ``[start, stop)``: whole blocks shared, edge blocks as views."""
+        if start == 0 and stop == len(self):
+            return self
+        blocks = []
+        for index, block in enumerate(self.blocks):
+            first = int(self._starts[index])
+            low, high = max(start - first, 0), min(stop - first, len(block))
+            if low < high:
+                blocks.append(block if high - low == len(block) else block[low:high])
+        return RowBlocks(blocks, self.shape[1:])
+
+    def take(self, rows) -> np.ndarray:
+        """A copy of ``rows`` (any order, repeats allowed), gathered run by run."""
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        runs = self.runs()
+        if len(runs) == 1:
+            return runs[0][1][rows]
+        order = None
+        if rows.size > 1 and bool(np.any(rows[1:] < rows[:-1])):
+            order = np.argsort(rows, kind="stable")
+            rows = rows[order]
+        gathered = np.empty((rows.size, *self.shape[1:]))
+        starts = [start for start, _ in runs]
+        cuts = np.searchsorted(rows, [*starts, len(self)]).tolist()
+        for (start, run), low, high in zip(runs, cuts, cuts[1:]):
+            if low < high:
+                np.take(run, rows[low:high] - start, axis=0, out=gathered[low:high])
+        if order is None:
+            return gathered
+        restored = np.empty_like(gathered)
+        restored[order] = gathered
+        return restored
+
+    def __getitem__(self, index) -> np.ndarray:
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise TypeError("RowBlocks slices take unit steps only")
+            return np.asarray(self.window(start, max(start, stop)))
+        if isinstance(index, (Sequence, np.ndarray)) and not isinstance(index, (str, bytes)):
+            return self.take(index)
+        raise TypeError(f"RowBlocks are indexed by a slice or a row sequence, not {index!r}")
+
+    def with_rows(self, rows: Sequence[int], values) -> "RowBlocks":
+        """A new generation with ``rows`` (ascending) set to ``values``.
+
+        Only the blocks holding a row are copied; every other block is this
+        generation's own, and this generation is left untouched.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        values = np.asarray(values)
+        owners = self._owners(rows)
+        blocks = list(self.blocks)
+        for index in np.unique(owners).tolist():
+            mask = owners == index
+            block = blocks[index].copy()
+            block[rows[mask] - self._starts[index]] = values[mask]
+            block.flags.writeable = False
+            blocks[index] = block
+        return RowBlocks(blocks, self.shape[1:])
+
+    def unshared_blocks(self, other: "RowBlocks") -> int:
+        """How many of this array's blocks are not ``other``'s block at the same rows."""
+        if not np.array_equal(self._starts, other._starts):
+            return len(self.blocks)
+        return sum(
+            not _same_block(mine, theirs) for mine, theirs in zip(self.blocks, other.blocks)
+        )
+
+    def rows_differing(self, other: "RowBlocks") -> np.ndarray:
+        """Per row, whether any value differs from ``other`` (``!=``).
+
+        Blocks on the same row grid that share memory are skipped without
+        a read; every other block is compared value by value.
+        """
+        if len(self) != len(other):
+            raise ValueError(f"cannot compare {len(self)} rows with {len(other)}")
+        axes = tuple(range(1, len(self.shape)))
+        if not np.array_equal(self._starts, other._starts):
+            return np.any(np.asarray(self) != np.asarray(other), axis=axes)
+        changed = np.zeros(len(self), dtype=bool)
+        for index, (mine, theirs) in enumerate(zip(self.blocks, other.blocks)):
+            if not _same_block(mine, theirs):
+                start = self._starts[index]
+                changed[start : start + len(mine)] = np.any(mine != theirs, axis=axes)
+        return changed
+
+
 def slice_view(columns: "AttributeColumns", start: int, stop: int) -> "AttributeColumns":
     """A contiguous row range of ``columns`` as NumPy *views* (no copy).
 
-    Basic slicing of the E axis shares the underlying buffers, so a slice
-    view costs O(stop − start) only for the entity-id bookkeeping; the
-    per-entity arrays and the shared marker data are the store's own.  This
+    Basic slicing of the E axis shares the underlying buffers, and the
+    centroid window shares the blocks it covers, so a slice view costs
+    O(stop − start) only for the entity-id list (its row map is built on
+    first use); the per-entity arrays and the shared marker data are the
+    store's own.  This
     is the unit of placement for the sharded serving engine: every scoring
     kernel is row-independent, so running it over a slice view computes
     exactly the arithmetic the full pass would for those rows.
     """
-    entity_ids = columns.entity_ids[start:stop]
     return AttributeColumns(
         attribute=columns.attribute,
-        entity_ids=entity_ids,
-        row_of={entity_id: index for index, entity_id in enumerate(entity_ids)},
+        entity_ids=columns.entity_ids[start:stop],
         markers=columns.markers,
         marker_sentiments=columns.marker_sentiments,
         fractions=columns.fractions[start:stop],
@@ -85,7 +309,7 @@ def slice_view(columns: "AttributeColumns", start: int, stop: int) -> "Attribute
         totals=columns.totals[start:stop],
         unmatched=columns.unmatched[start:stop],
         overall_sentiments=columns.overall_sentiments[start:stop],
-        centroids_unit=columns.centroids_unit[start:stop],
+        centroids_unit=columns.centroids_unit.window(start, stop),
         name_units=columns.name_units,
     )
 
@@ -97,11 +321,9 @@ def gather_rows(columns: "AttributeColumns", rows: list[int]) -> "AttributeColum
     computes the same per-entity arithmetic as the full pass; used when the
     requested entities are a small slice of the store.
     """
-    entity_ids = [columns.entity_ids[row] for row in rows]
     return AttributeColumns(
         attribute=columns.attribute,
-        entity_ids=entity_ids,
-        row_of={entity_id: index for index, entity_id in enumerate(entity_ids)},
+        entity_ids=[columns.entity_ids[row] for row in rows],
         markers=columns.markers,
         marker_sentiments=columns.marker_sentiments,
         fractions=columns.fractions[rows],
@@ -109,7 +331,7 @@ def gather_rows(columns: "AttributeColumns", rows: list[int]) -> "AttributeColum
         totals=columns.totals[rows],
         unmatched=columns.unmatched[rows],
         overall_sentiments=columns.overall_sentiments[rows],
-        centroids_unit=columns.centroids_unit[rows],
+        centroids_unit=columns.centroids_unit.take(rows),
         name_units=columns.name_units,
     )
 
@@ -161,14 +383,14 @@ def plan_slice_requests(
 class AttributeColumns:
     """Dense entity-major view of every marker summary of one attribute.
 
-    Rows are aligned with ``entity_ids``; ``row_of`` maps an entity id back
-    to its row.  All arrays are read-only snapshots of the summaries at one
-    :attr:`SubjectiveDatabase.data_version`.
+    Rows are aligned with ``entity_ids``; :attr:`row_of` maps an entity id
+    back to its row.  All arrays are read-only snapshots of the summaries at
+    one :attr:`SubjectiveDatabase.data_version`.  ``centroids_unit`` may be
+    given as any E×M×D array; it is held as :class:`RowBlocks`.
     """
 
     attribute: str
     entity_ids: list[Hashable]
-    row_of: dict[Hashable, int]
     markers: list[Marker]
     marker_sentiments: np.ndarray  # (M,)
     fractions: np.ndarray  # (E, M)
@@ -176,8 +398,17 @@ class AttributeColumns:
     totals: np.ndarray  # (E,)
     unmatched: np.ndarray  # (E,)
     overall_sentiments: np.ndarray  # (E,)
-    centroids_unit: np.ndarray  # (E, M, D)
+    centroids_unit: RowBlocks  # (E, M, D)
     name_units: np.ndarray  # (M, D)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.centroids_unit, RowBlocks):
+            self.centroids_unit = RowBlocks.of_array(self.centroids_unit)
+
+    @cached_property
+    def row_of(self) -> dict[Hashable, int]:
+        """Entity id → row, built on first use."""
+        return {entity_id: row for row, entity_id in enumerate(self.entity_ids)}
 
     @property
     def num_entities(self) -> int:
@@ -423,7 +654,7 @@ class ColumnSnapshot:
                 _pack_f64(columns.totals),
                 _pack_f64(columns.unmatched),
                 _pack_f64(columns.overall_sentiments),
-                _pack_f64(columns.centroids_unit),
+                *(_pack_f64(run) for _, run in columns.centroids_unit.runs()),
                 _pack_f64(columns.name_units),
             ]
         )
@@ -505,7 +736,6 @@ class ColumnSnapshot:
         columns = AttributeColumns(
             attribute=str(meta["attribute"]),
             entity_ids=entity_ids,
-            row_of={entity_id: row for row, entity_id in enumerate(entity_ids)},
             markers=markers,
             marker_sentiments=marker_sentiments,
             fractions=fractions,
@@ -523,6 +753,40 @@ class ColumnSnapshot:
             stop=stop,
             columns=columns,
         )
+
+
+#: The per-entity arrays besides the centroid tensor.  They hold a few
+#: floats per row, so a new generation copies them whole.
+_DENSE_ROW_ARRAYS = (
+    "fractions",
+    "average_sentiments",
+    "totals",
+    "unmatched",
+    "overall_sentiments",
+)
+
+
+def _patched_columns(
+    old: AttributeColumns, rows: "list[int]", patch: AttributeColumns
+) -> AttributeColumns:
+    """A new generation of ``old`` with ``rows`` (ascending) taken from ``patch``.
+
+    ``patch`` holds exactly those rows, in order.  The dense row arrays are
+    copied whole; of the centroid tensor only the blocks holding a row are
+    copied (:meth:`RowBlocks.with_rows`).  ``old`` is left untouched, and
+    the new generation shares its entity ids and row map.
+    """
+    arrays = {}
+    for name in _DENSE_ROW_ARRAYS:
+        array = np.array(getattr(old, name))
+        array[rows] = getattr(patch, name)
+        arrays[name] = array
+    columns = replace(
+        old, **arrays, centroids_unit=old.centroids_unit.with_rows(rows, patch.centroids_unit)
+    )
+    if "row_of" in vars(old):  # built already: the ids did not move
+        columns.row_of = old.row_of
+    return columns
 
 
 @dataclass(frozen=True)
@@ -556,14 +820,7 @@ class SnapshotDelta:
     columns: AttributeColumns
 
     #: Per-entity arrays a delta ships, in wire order.
-    _ROW_ARRAYS = (
-        "fractions",
-        "average_sentiments",
-        "totals",
-        "unmatched",
-        "overall_sentiments",
-        "centroids_unit",
-    )
+    _ROW_ARRAYS = (*_DENSE_ROW_ARRAYS, "centroids_unit")
 
     @property
     def num_rows(self) -> int:
@@ -591,9 +848,11 @@ class SnapshotDelta:
         * fewer than ``max_fraction`` of the rows changed (beyond that a
           full snapshot is no bigger and needs no base bookkeeping).
 
-        Row change detection is exact (``!=`` on the raw f64 bits per
-        row), so an untouched row can never ride along and a touched row
-        can never be missed.
+        Row change detection is exact (``!=`` on every f64 of a row), so
+        an untouched row can never ride along and a touched row can never
+        be missed.  Centroid blocks the two generations share are skipped
+        without a read (:meth:`RowBlocks.rows_differing`): a one-row patch
+        compares one tensor block, not the slice.
         """
         old, fresh = base.columns, new.columns
         if (
@@ -601,7 +860,8 @@ class SnapshotDelta:
             or base.start != new.start
             or base.stop != new.stop
             or old.attribute != fresh.attribute
-            or list(old.entity_ids) != list(fresh.entity_ids)
+            or (old.entity_ids is not fresh.entity_ids
+                and list(old.entity_ids) != list(fresh.entity_ids))
             or old.markers != fresh.markers
             or old.dimension != fresh.dimension
             or not np.array_equal(old.marker_sentiments, fresh.marker_sentiments)
@@ -616,7 +876,7 @@ class SnapshotDelta:
             | (old.overall_sentiments != fresh.overall_sentiments)
         )
         if old.dimension:
-            changed |= np.any(old.centroids_unit != fresh.centroids_unit, axis=(1, 2))
+            changed |= old.centroids_unit.rows_differing(fresh.centroids_unit)
         rows = [int(row) for row in np.flatnonzero(changed)]
         if len(rows) > max_fraction * max(1, fresh.num_entities):
             return None
@@ -676,7 +936,7 @@ class SnapshotDelta:
                 _pack_f64(columns.totals),
                 _pack_f64(columns.unmatched),
                 _pack_f64(columns.overall_sentiments),
-                _pack_f64(columns.centroids_unit),
+                *(_pack_f64(run) for _, run in columns.centroids_unit.runs()),
             ]
         )
         return _pack_container(body, SNAPSHOT_FLAG_DELTA, compress)
@@ -765,7 +1025,6 @@ class SnapshotDelta:
         columns = AttributeColumns(
             attribute=str(meta["attribute"]),
             entity_ids=entity_ids,
-            row_of={entity_id: row for row, entity_id in enumerate(entity_ids)},
             markers=markers,
             # The shared arrays are not carried — the delta contract is
             # that the base's are still current; apply() reuses them.
@@ -798,7 +1057,9 @@ class SnapshotDelta:
         transported error and the coordinator re-ships a full snapshot.
         Unchanged rows are shared with the base arrays byte-for-byte, so a
         lossless delta applied to a lossless base reproduces exactly the
-        bits a full snapshot of the new version would carry.
+        bits a full snapshot of the new version would carry.  Only the
+        centroid blocks holding a changed row are copied; the rest, the
+        entity ids and their row map are the base's own objects.
         """
         old = base.columns
         if base.data_version != self.base_version:
@@ -829,34 +1090,7 @@ class SnapshotDelta:
             # Snapshots are never written after construction, so the new
             # version shares every array of its base.
             return replace(base, data_version=self.data_version)
-        fractions = old.fractions.copy()
-        average_sentiments = old.average_sentiments.copy()
-        totals = old.totals.copy()
-        unmatched = old.unmatched.copy()
-        overall_sentiments = old.overall_sentiments.copy()
-        centroids_unit = old.centroids_unit.copy()
-        if rows:
-            fractions[rows] = self.columns.fractions
-            average_sentiments[rows] = self.columns.average_sentiments
-            totals[rows] = self.columns.totals
-            unmatched[rows] = self.columns.unmatched
-            overall_sentiments[rows] = self.columns.overall_sentiments
-            centroids_unit[rows] = self.columns.centroids_unit
-        entity_ids = list(old.entity_ids)
-        columns = AttributeColumns(
-            attribute=old.attribute,
-            entity_ids=entity_ids,
-            row_of={entity_id: row for row, entity_id in enumerate(entity_ids)},
-            markers=old.markers,
-            marker_sentiments=old.marker_sentiments,
-            fractions=fractions,
-            average_sentiments=average_sentiments,
-            totals=totals,
-            unmatched=unmatched,
-            overall_sentiments=overall_sentiments,
-            centroids_unit=centroids_unit,
-            name_units=old.name_units,
-        )
+        columns = _patched_columns(old, rows, self.columns)
         return ColumnSnapshot(
             data_version=self.data_version,
             slice_id=self.slice_id,
@@ -878,7 +1112,8 @@ def phrase_marker_similarities(
     Mirrors the scalar ``_marker_similarities_ctx``: per marker, the larger
     of the phrase's cosine to the marker *name* and to the marker's phrase
     *centroid*.  The name term is one M×D matrix–vector product shared by
-    all entities; the centroid term is one E×M×D tensor–vector product.
+    all entities; the centroid term is one tensor–vector product per run of
+    centroid blocks (:meth:`RowBlocks.runs`).
     """
     shape = (columns.num_entities, columns.num_markers)
     if phrase_vector is None or columns.dimension == 0:
@@ -888,14 +1123,18 @@ def phrase_marker_similarities(
         return np.zeros(shape)
     unit = phrase_vector / norm
     name_similarities = columns.name_units @ unit  # (M,)
-    # One 2-D GEMV over the flattened (E·M)×D tensor instead of E batched
+    # One 2-D GEMV per flattened (rows·M)×D run instead of E batched
     # (M×D)·D products: the same per-row dot products (each output element
     # is the dot of one centroid row with ``unit``) without the batched-
     # matmul dispatch overhead per entity.
-    centroids = columns.centroids_unit
-    centroid_similarities = (
-        centroids.reshape(-1, centroids.shape[-1]) @ unit
-    ).reshape(shape)  # (E, M)
+    parts = [
+        (run.reshape(-1, run.shape[-1]) @ unit).reshape(len(run), columns.num_markers)
+        for _, run in columns.centroids_unit.runs()
+    ]
+    if len(parts) == 1:
+        centroid_similarities = parts[0]  # (E, M)
+    else:
+        centroid_similarities = np.concatenate(parts) if parts else np.zeros(shape)
     return np.maximum(name_similarities[np.newaxis, :], centroid_similarities)
 
 
@@ -1008,10 +1247,6 @@ def summary_feature_matrix(
 #: giving up measurable pruning power (real score gaps between entities are
 #: orders of magnitude larger).
 PRUNE_MARGIN = 1e-9
-
-#: Rows per block when :meth:`ScoreBounds.of_columns` walks the E×M×D
-#: centroid tensor (512 rows × 16 markers × 48 dims ≈ 3 MB of temporaries).
-BOUNDS_BLOCK_ROWS = 512
 
 #: Conditions whose whole-store ``[lo, hi]`` envelope a store keeps (least
 #: recently used dropped first).  An envelope is two E-float vectors, so a
@@ -1389,22 +1624,33 @@ def scalar_fallback_scorer(
     return score
 
 
-def _fill_rows(columns: AttributeColumns, rows, summaries) -> None:
-    """Write each summary's per-entity values into its row of ``columns``.
+def _summary_rows(summaries, num_markers: int, dimension: int) -> dict[str, np.ndarray]:
+    """Every per-entity array of ``summaries``, one row per summary, in order.
 
-    The one per-row fill behind both a full build and a patch.  Centroids
-    land *raw*; the caller L2-normalises the rows it filled.
+    The one per-row fill behind both a full build and a patch; centroids
+    are L2-normalised per row, so a patched row equals a built one bit for
+    bit.
     """
-    dimension = columns.dimension
-    for row, summary in zip(rows, summaries):
-        arrays = summary.arrays()
-        columns.fractions[row] = arrays.fractions
-        columns.average_sentiments[row] = arrays.average_sentiments
-        columns.totals[row] = arrays.total
-        columns.unmatched[row] = summary.num_unmatched
-        columns.overall_sentiments[row] = summary.overall_sentiment()
+    count = len(summaries)
+    arrays = {
+        "fractions": np.empty((count, num_markers)),
+        "average_sentiments": np.empty((count, num_markers)),
+        "totals": np.empty(count),
+        "unmatched": np.empty(count),
+        "overall_sentiments": np.empty(count),
+    }
+    centroids = np.zeros((count, num_markers, dimension))
+    for row, summary in enumerate(summaries):
+        summary_arrays = summary.arrays()
+        arrays["fractions"][row] = summary_arrays.fractions
+        arrays["average_sentiments"][row] = summary_arrays.average_sentiments
+        arrays["totals"][row] = summary_arrays.total
+        arrays["unmatched"][row] = summary.num_unmatched
+        arrays["overall_sentiments"][row] = summary.overall_sentiment()
         if dimension:
-            columns.centroids_unit[row] = summary.vector_matrix(dimension)
+            centroids[row] = summary.vector_matrix(dimension)
+    arrays["centroids_unit"] = _unit_rows(centroids) if dimension else centroids
+    return arrays
 
 
 # --------------------------------------------------------------------------
@@ -1438,6 +1684,9 @@ class ColumnarSummaryStore:
         self.invalidations = 0
         self.patches = 0
         self.rows_patched = 0
+        self.tensor_blocks_copied = Counter(
+            "tensor_blocks_copied", help="Centroid blocks a patch copied (the rest are shared)"
+        )
 
     # ------------------------------------------------------------ lifecycle
     def invalidate(self) -> None:
@@ -1472,7 +1721,10 @@ class ColumnarSummaryStore:
         ``False`` (nothing changed) when a replaced summary cannot take the
         row it had: its entity has none, or its markers no longer conform.
         Attributes not built yet are skipped — their first read builds them
-        from the current summaries.
+        from the current summaries.  A patch copies the dense row arrays and
+        only the centroid blocks holding its rows; the new generation shares
+        every other block with the old one (``tensor_blocks_copied`` counts
+        the copies).
         """
         touched: dict[str, dict[int, object]] = {}
         for entity_id, attribute in replaced:
@@ -1488,18 +1740,22 @@ class ColumnarSummaryStore:
             rows = sorted(summaries)
             with span("columns_patch", attribute=attribute, rows=len(rows)):
                 old = self._columns[attribute]
-                # Copies of the per-entity arrays (mapped ones land in RAM):
-                # the old generation stays as its readers saw it.
-                columns = replace(
-                    old,
-                    **{
-                        name: np.array(getattr(old, name))
-                        for name in SnapshotDelta._ROW_ARRAYS
-                    },
+                patch = AttributeColumns(
+                    attribute=attribute,
+                    entity_ids=[old.entity_ids[row] for row in rows],
+                    markers=old.markers,
+                    marker_sentiments=old.marker_sentiments,
+                    **_summary_rows(
+                        [summaries[row] for row in rows], old.num_markers, old.dimension
+                    ),
+                    name_units=old.name_units,
                 )
-                _fill_rows(columns, rows, [summaries[row] for row in rows])
-                if columns.dimension:
-                    columns.centroids_unit[rows] = _unit_rows(columns.centroids_unit[rows])
+                # A new generation (copied rows of mapped arrays land in
+                # RAM): the old one stays as its readers saw it.
+                columns = _patched_columns(old, rows, patch)
+                self.tensor_blocks_copied += columns.centroids_unit.unshared_blocks(
+                    old.centroids_unit
+                )
                 self._columns[attribute] = columns
                 if attribute in self._bounds:
                     self._bounds[attribute] = self._bounds[attribute].patched(columns, rows)
@@ -1513,6 +1769,11 @@ class ColumnarSummaryStore:
     def data_version(self) -> int:
         """The database version the current columns were built against."""
         return self._version
+
+    def resident_columns(self, attribute: str) -> AttributeColumns | None:
+        """The attribute's current columns if they are built; never builds them."""
+        self.sync()
+        return self._columns.get(attribute)
 
     def columns(self, attribute: str) -> AttributeColumns | None:
         """Column arrays of one attribute (``None`` when it has no summaries)."""
@@ -1746,7 +2007,6 @@ class ColumnarSummaryStore:
         ]
         if not entity_ids:
             return None
-        num_entities = len(entity_ids)
         num_markers = len(reference)
         embedder = self.database.phrase_embedder
         dimension = embedder.dimension if embedder is not None else 0
@@ -1757,26 +2017,16 @@ class ColumnarSummaryStore:
         else:
             name_vectors = np.zeros((num_markers, 0))
 
-        columns = AttributeColumns(
+        return AttributeColumns(
             attribute=attribute,
             entity_ids=entity_ids,
-            row_of={entity_id: row for row, entity_id in enumerate(entity_ids)},
             markers=reference,
             marker_sentiments=np.array([marker.sentiment for marker in reference]),
-            fractions=np.empty((num_entities, num_markers)),
-            average_sentiments=np.empty((num_entities, num_markers)),
-            totals=np.empty(num_entities),
-            unmatched=np.empty(num_entities),
-            overall_sentiments=np.empty(num_entities),
-            centroids_unit=np.zeros((num_entities, num_markers, dimension)),
+            **_summary_rows(
+                [summaries[entity_id] for entity_id in entity_ids], num_markers, dimension
+            ),
             name_units=_unit_rows(name_vectors) if dimension else name_vectors,
         )
-        _fill_rows(
-            columns, range(num_entities), [summaries[entity_id] for entity_id in entity_ids]
-        )
-        if dimension:
-            columns.centroids_unit = _unit_rows(columns.centroids_unit)
-        return columns
 
     # ------------------------------------------------------------ statistics
     def stats_snapshot(self) -> dict[str, object]:
@@ -1787,6 +2037,7 @@ class ColumnarSummaryStore:
             "invalidations": self.invalidations,
             "patches": self.patches,
             "rows_patched": self.rows_patched,
+            "tensor_blocks_copied": self.tensor_blocks_copied.value,
             "attributes": {
                 name: (columns.num_entities if columns is not None else 0)
                 for name, columns in self._columns.items()

@@ -27,9 +27,17 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.database import SubjectiveDatabase
 from repro.errors import InterpretationError
 from repro.text.similarity import NearestPhraseIndex
+
+#: How far below the screened maximum a variation may score and still have
+#: its exact similarity computed.  The screen and the scalar cosine differ by
+#: a few ulps (≈ 1e-15 on unit-scale values), so every variation that can
+#: attain the exact maximum is a candidate.
+_SCREEN_TOLERANCE = 1e-9
 
 
 class InterpretationMethod(enum.Enum):
@@ -114,6 +122,9 @@ class SubjectiveQueryInterpreter:
     _variation_owner: dict[str, list[tuple[str, str]]] = field(
         default_factory=dict, init=False, repr=False
     )
+    # (embedder, owner map, variations in owner order, their unit vectors):
+    # the word2vec method's screen, rebuilt when either key object changes.
+    _variation_units: tuple | None = field(default=None, init=False, repr=False)
     _cache: dict[str, Interpretation] = field(default_factory=dict, init=False, repr=False)
     _attribute_reviews: dict[str, set[int]] | None = field(
         default=None, init=False, repr=False
@@ -149,6 +160,7 @@ class SubjectiveQueryInterpreter:
     def invalidate(self) -> None:
         """Drop cached lookups (call after summaries/domains change)."""
         self._variation_owner = {}
+        self._variation_units = None
         self._variation_index = None
         self._cache.clear()
         self._attribute_reviews = None
@@ -198,11 +210,7 @@ class SubjectiveQueryInterpreter:
                 return None
             best_variation, best_similarity = match.phrase, match.score
         else:
-            best_variation, best_similarity = None, -1.0
-            for variation in self._variation_owner:
-                similarity = embedder.similarity(predicate, variation)
-                if similarity > best_similarity:
-                    best_variation, best_similarity = variation, similarity
+            best_variation, best_similarity = self._best_variation(embedder, predicate)
             if best_variation is None:
                 return None
         owners = self._variation_owner.get(best_variation, [])
@@ -219,6 +227,31 @@ class SubjectiveQueryInterpreter:
             confidence=float(best_similarity),
             matched_variation=best_variation,
         )
+
+    def _best_variation(self, embedder, predicate: str) -> tuple[str | None, float]:
+        """The variation most similar to ``predicate`` and its similarity.
+
+        Exactly what :func:`best_variation_by_scan` returns — the first
+        strict maximum of ``embedder.similarity`` in ``_variation_owner``
+        order, or ``(None, -1.0)`` — but the scan runs as one product of the
+        unit variation matrix with the unit predicate vector; only the
+        variations within :data:`_SCREEN_TOLERANCE` of its maximum get the
+        scalar similarity, so the winner and its value are bit-identical.
+        """
+        cached = self._variation_units
+        if cached is None or cached[0] is not embedder or cached[1] is not self._variation_owner:
+            names = list(self._variation_owner)
+            matrix = np.vstack([embedder.represent(name) for name in names])
+            norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            cached = (embedder, self._variation_owner, names, matrix / norms)
+            self._variation_units = cached
+        _, _, names, units = cached
+        vector = embedder.represent(predicate)
+        norm = float(np.linalg.norm(vector))
+        screened = units @ (vector / norm) if norm else np.zeros(len(names))
+        candidates = np.flatnonzero(screened >= screened.max() - _SCREEN_TOLERANCE)
+        return best_variation_by_scan(embedder, predicate, [names[i] for i in candidates.tolist()])
 
     # -------------------------------------------------- co-occurrence method
     def _cooccurrence_method(self, predicate: str) -> Interpretation | None:
@@ -298,3 +331,18 @@ class SubjectiveQueryInterpreter:
             combinator=combinator,
             confidence=float(confidence),
         )
+
+
+def best_variation_by_scan(embedder, predicate: str, variations) -> tuple[str | None, float]:
+    """The first strict maximum of ``embedder.similarity`` over ``variations``.
+
+    The scalar scan the word2vec method is defined by: ``(None, -1.0)`` when
+    no similarity exceeds -1.  :meth:`SubjectiveQueryInterpreter._best_variation`
+    runs it over its screened candidates only.
+    """
+    best_variation, best_similarity = None, -1.0
+    for variation in variations:
+        similarity = embedder.similarity(predicate, variation)
+        if similarity > best_similarity:
+            best_variation, best_similarity = variation, similarity
+    return best_variation, best_similarity

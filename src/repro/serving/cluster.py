@@ -897,6 +897,9 @@ class ClusterShardStore:
         # The version before the latest bump: the one generation a node
         # still holds retired slices of (its delta bases).
         self._retired_version = self._version
+        # Whether this version step's deltas are still to ship
+        # (``_ship_pending_deltas``).
+        self._deltas_due = False
         self.metrics = MetricsRegistry()
         self._invalidations_cell = self.metrics.counter(
             "invalidations", help="Data-version bumps pushed to the node fleet"
@@ -989,6 +992,7 @@ class ClusterShardStore:
         self._hydrated.clear()
         self._retired_version = self._version
         self._version = self.database.data_version
+        self._deltas_due = True
         self.invalidations += 1
         replies: list[NodeReply] = []
         for channel in self._channels:
@@ -1211,7 +1215,8 @@ class ClusterShardStore:
         slice_id: int,
         start: int,
         stop: int,
-    ) -> bytes:
+        delta_only: bool = False,
+    ) -> bytes | None:
         """The hydrate frame for one ``(node, slice)``: delta when possible.
 
         The coordinator keeps the current packed generation per slice and
@@ -1226,6 +1231,8 @@ class ClusterShardStore:
         from the attribute generation its previous snapshot came from (the
         ingest did not patch it) ships :meth:`SnapshotDelta.unchanged`
         without comparing a row.  Compression applies to both shapes.
+        ``delta_only`` returns ``None`` where the frame would be a full
+        snapshot.
         """
         key = (attribute, slice_id)
         current = self._slice_bases.get(key)
@@ -1258,6 +1265,8 @@ class ClusterShardStore:
             if cached[2] is not None:
                 self.delta_hydrations += 1
                 return encode_hydrate_delta_request(cached[2])
+        if delta_only:
+            return None
         return encode_hydrate_request(current.pack(self.snapshot_compression))
 
     def _enqueue_hydration(
@@ -1268,10 +1277,18 @@ class ClusterShardStore:
         slice_id: int,
         start: int,
         stop: int,
-    ) -> _PendingCall:
-        """Queue one slice's hydrate frame on ``node`` and record it as shipped."""
+        delta_only: bool = False,
+    ) -> _PendingCall | None:
+        """Queue one slice's hydrate frame on ``node`` and record it as shipped.
+
+        ``None``, and nothing queued, when ``delta_only`` and no delta fits.
+        """
         with span("hydrate", node=node, attribute=attribute, slice_id=slice_id):
-            payload = self._hydration_payload(node, columns, attribute, slice_id, start, stop)
+            payload = self._hydration_payload(
+                node, columns, attribute, slice_id, start, stop, delta_only
+            )
+        if payload is None:
+            return None
         try:
             reply = self._channels[node].enqueue(payload, _decode_versioned)
         except FrameTooLargeError as error:
@@ -1321,6 +1338,45 @@ class ClusterShardStore:
                 pending.append(
                     self._enqueue_hydration(node, columns, attribute, slice_id, start, stop)
                 )
+
+    def _ship_pending_deltas(self, pending: list[_PendingCall]) -> None:
+        """Queue, once per version step, every delta hydration the fleet is owed.
+
+        After a bump, a node holding a slice one version back can catch up
+        by a delta.  Shipping them all in the step's first fan-out means a
+        later read touching an attribute the first one did not finds its
+        slices current instead of paying a hydration round of its own.
+        Only deltas ship here: a slice that needs a full snapshot waits for
+        a read that needs it, so full frames still go out one attribute at
+        a time, and an attribute the coordinator no longer holds columns
+        for is not rebuilt for it.
+        """
+        if not self._deltas_due:
+            return
+        self._deltas_due = False
+        for attribute, slice_id in list(self._slice_bases):
+            columns = self.base.resident_columns(attribute)
+            if columns is None:
+                continue
+            bounds = partition_bounds(columns.num_entities, self.num_slices)
+            for node in self._replicas_of(slice_id):
+                hydration_key = (node, attribute, slice_id)
+                if (
+                    hydration_key in self._hydrated
+                    or self._node_bases.get(hydration_key) != self._retired_version
+                ):
+                    continue
+                call = self._enqueue_hydration(
+                    node,
+                    columns,
+                    attribute,
+                    slice_id,
+                    bounds[slice_id],
+                    bounds[slice_id + 1],
+                    delta_only=True,
+                )
+                if call is not None:
+                    pending.append(call)
 
     def _enqueue_work(
         self,
@@ -1557,6 +1613,7 @@ class ClusterShardStore:
                     scatter,
                 )
                 self._route(request.pending, work, [slice_id])
+            self._ship_pending_deltas(request.pending)
             self.fanouts += 1
             self._service_io(0.0)
         return request
@@ -1640,7 +1697,7 @@ class ClusterShardStore:
         first = next(iter(columns.values()))
         if first is None or any(
             other is None
-            or (other.row_of is not first.row_of and other.entity_ids != first.entity_ids)
+            or (other.entity_ids is not first.entity_ids and other.entity_ids != first.entity_ids)
             for other in columns.values()
         ):
             return None
@@ -1680,6 +1737,7 @@ class ClusterShardStore:
         # parent onto it.
         with span("transport", layer="cluster", rank=True) as handle:
             self._route(pending, work, slice_ids)
+            self._ship_pending_deltas(pending)
             if handle is not None:
                 handle.set("requests", len(pending))
             replies = [call.reply.value for call in self._collect_calls(pending)]

@@ -128,6 +128,9 @@ class HydratedSlices:
         self.bounds_patches = Counter(
             "bounds_patches", help="Slice bounds patched on a delta's rows"
         )
+        self.tensor_blocks_copied = Counter(
+            "tensor_blocks_copied", help="Centroid blocks a delta copied (the rest are shared)"
+        )
 
     @property
     def owned_slice_ids(self) -> list[int]:
@@ -195,6 +198,9 @@ class HydratedSlices:
                 f"{self.data_version}, stale {self._stale_version}); ship a full snapshot"
             )
         snapshot = delta.apply(base)
+        self.tensor_blocks_copied += snapshot.columns.centroids_unit.unshared_blocks(
+            base.columns.centroids_unit
+        )
         if bounds is not None:
             bounds = bounds.patched(snapshot.columns, list(delta.rows))
             self.bounds_patches += 1
@@ -268,6 +274,7 @@ class HydratedSlices:
             "local_hydrations": self.local_hydrations.value,
             "bounds_builds": self.bounds_builds.value,
             "bounds_patches": self.bounds_patches.value,
+            "tensor_blocks_copied": self.tensor_blocks_copied.value,
         }
 
 
@@ -355,6 +362,7 @@ class ShardService:
         )
         self.metrics.register("bounds_builds", source.bounds_builds)
         self.metrics.register("bounds_patches", source.bounds_patches)
+        self.metrics.register("tensor_blocks_copied", source.tensor_blocks_copied)
 
     score_requests = cell_property("_score_requests_cell")
     rank_requests = cell_property("_rank_requests_cell")

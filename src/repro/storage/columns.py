@@ -44,6 +44,7 @@ from repro.core.columnar import (
     SNAPSHOT_FORMAT_VERSION,
     SNAPSHOT_MAGIC,
     AttributeColumns,
+    RowBlocks,
     _unit_rows,
 )
 from repro.core.markers import Marker, MarkerSummary, SummaryKind
@@ -97,6 +98,17 @@ def _section_bytes(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.float64).reshape(-1).view(np.uint8)
 
 
+def _section_chunks(array: "np.ndarray | RowBlocks") -> list[np.ndarray]:
+    """One section as its flat byte views, in file order.
+
+    A blocked array (the centroid tensor) yields one zero-copy view per
+    run of blocks, so a patched generation is written without joining its
+    blocks; the bytes equal those of the joined array.
+    """
+    parts = [run for _, run in array.runs()] if isinstance(array, RowBlocks) else [array]
+    return [_section_bytes(part) for part in parts]
+
+
 def _fold_crc(chunks: Iterable[Buffer], crc: int = 0) -> int:
     """CRC-32 of the concatenation of ``chunks``, continuing from ``crc``."""
     for chunk in chunks:
@@ -111,7 +123,9 @@ def sections_crc(sections: Mapping[str, np.ndarray]) -> int:
     independent of the meta JSON (which embeds the per-attribute version),
     so an unchanged attribute keeps the same content CRC across saves.
     """
-    return _fold_crc(_section_bytes(array) for array in sections.values())
+    return _fold_crc(
+        chunk for array in sections.values() for chunk in _section_chunks(array)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +133,9 @@ class ColumnFileImage:
     """One complete column file as an ordered sequence of buffers, never joined.
 
     ``chunks`` are, in file order, the container header, the flags byte,
-    the length-prefixed meta JSON, and per section its zero padding and a
-    byte view over the array (no chunk is empty).  ``crc`` is the CRC-32 of
+    the length-prefixed meta JSON, and per section its zero padding and
+    byte views over the array, one per run of a :class:`RowBlocks`
+    section (no chunk is empty).  ``crc`` is the CRC-32 of
     their concatenation — the per-file checksum the catalog records — and
     ``nbytes`` its length.  The views alias the caller's arrays: write or
     compare the image before mutating them.
@@ -189,10 +204,11 @@ def pack_column_file(
         start = _align(position)
         if start > position:
             stored.append(bytes(start - position))
-        view = _section_bytes(array)
-        if len(view):
-            stored.append(view)
-        position = start + len(view)
+        position = start
+        for view in _section_chunks(array):
+            if len(view):
+                stored.append(view)
+            position += len(view)
     header = (
         SNAPSHOT_MAGIC
         + _U16.pack(SNAPSHOT_FORMAT_VERSION)
@@ -512,11 +528,9 @@ class MappedColumnFile:
 
     def columns(self) -> AttributeColumns:
         """The derived sections assembled into a serving-ready view."""
-        entity_ids = self.entity_ids
         return AttributeColumns(
             attribute=self.attribute,
-            entity_ids=entity_ids,
-            row_of={entity_id: row for row, entity_id in enumerate(entity_ids)},
+            entity_ids=self.entity_ids,
             markers=self.markers,
             marker_sentiments=self.section("marker_sentiments"),
             fractions=self.section("fractions"),

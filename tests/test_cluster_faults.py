@@ -349,7 +349,41 @@ class TestDeltaHydration:
             store.close()
 
     def test_a_slice_skipped_for_one_version_reships_in_full(self, mutable_database):
-        """A node keeps one retired generation: no delta against an older one."""
+        """A node keeps one retired generation: no delta against an older one.
+
+        Every delta a version step owes ships in its first fan-out, so a
+        slice sits a version out only when that step's change to it was too
+        large for a delta: quality's slice 0 below, whose 6 of 10 rows are
+        replaced while only service is read.
+        """
+        membership = _membership(mutable_database)
+        quality, service = (a.name for a in mutable_database.schema.subjective_attributes)
+        ids = list(ColumnarSummaryStore(mutable_database).columns(quality).entity_ids)
+        store = ClusterShardStore(mutable_database, num_nodes=2, num_slices=4, **FAST)
+        try:
+            for attribute in (quality, service):
+                store.pair_degrees(membership, ids, attribute, "word003")
+            for entity_id in ids[:6]:  # 6 of slice 0's 10 rows: no delta fits
+                _store_summary(mutable_database, entity_id, "word003", 0.7)
+            store.pair_degrees(membership, ids, service, "word003")  # quality sits this one out
+            _store_summary(mutable_database, ids[3], "word003", 0.6)
+            counters = store.transport_counters()
+            expected = ColumnarSummaryStore(mutable_database).pair_degrees(
+                membership, ids, quality, "word003"
+            )
+            assert store.pair_degrees(membership, ids, quality, "word003") == expected
+            after = store.transport_counters()
+            assert after["snapshot_hydrations"] == counters["snapshot_hydrations"] + 1
+            # Quality's other three slices, and service's four (unchanged).
+            assert (
+                after["snapshot_delta_hydrations"]
+                == counters["snapshot_delta_hydrations"] + 3 + 4
+            )
+        finally:
+            store.close()
+
+    def test_the_first_read_after_an_ingest_ships_every_owed_delta(self, mutable_database):
+        """A second read touching the attribute the first did not sends no hydrate frame."""
         membership = _membership(mutable_database)
         quality, service = (a.name for a in mutable_database.schema.subjective_attributes)
         ids = list(ColumnarSummaryStore(mutable_database).columns(quality).entity_ids)
@@ -358,14 +392,14 @@ class TestDeltaHydration:
             for attribute in (quality, service):
                 store.pair_degrees(membership, ids, attribute, "word003")
             _store_summary(mutable_database, ids[3], "word003", 0.7)
-            store.pair_degrees(membership, ids, quality, "word003")  # service sits this one out
-            _store_summary(mutable_database, ids[4], "word003", 0.6)
-            full_frames = store.transport_counters()["snapshot_hydrations"]
+            store.pair_degrees(membership, ids, quality, "word003")
+            hydrations = store.hydrations
+            assert store.transport_counters()["snapshot_delta_hydrations"] == 8  # 2 × 4 slices
             expected = ColumnarSummaryStore(mutable_database).pair_degrees(
-                membership, ids, service, "word003"
+                membership, ids, service, "word004"
             )
-            assert store.pair_degrees(membership, ids, service, "word003") == expected
-            assert store.transport_counters()["snapshot_hydrations"] == full_frames + 4
+            assert store.pair_degrees(membership, ids, service, "word004") == expected
+            assert store.hydrations == hydrations
         finally:
             store.close()
 

@@ -5,9 +5,15 @@ built subjective database), exercising the full interpretation and query
 processing paths.
 """
 
+import struct
+
 import pytest
 
-from repro.core.interpreter import InterpretationMethod, SubjectiveQueryInterpreter
+from repro.core.interpreter import (
+    InterpretationMethod,
+    SubjectiveQueryInterpreter,
+    best_variation_by_scan,
+)
 from repro.core.membership import RawExtractionMembership
 from repro.core.processor import SubjectiveQueryProcessor
 from repro.core.query import SubjectiveQueryBuilder
@@ -74,6 +80,49 @@ class TestInterpreter:
             a = brute.interpret_word2vec(predicate)
             b = indexed.interpret_word2vec(predicate)
             assert a.top_attribute == b.top_attribute
+
+
+class TestWord2vecScreen:
+    """The screened word2vec method answers exactly as the scalar scan over every variation."""
+
+    @pytest.fixture(params=["hotel_database", "restaurant_database", "synthetic"])
+    def database(self, request):
+        if request.param == "synthetic":
+            from repro.testing import build_synthetic_columnar_database
+
+            return build_synthetic_columnar_database(num_entities=60, seed=3)
+        return request.getfixturevalue(request.param)
+
+    def test_every_interpretation_matches_the_scalar_scan(self, database):
+        interpreter = SubjectiveQueryInterpreter(database)
+        interpreter._ensure_variation_lookup()
+        variations = list(interpreter._variation_owner)
+        embedder = database.phrase_embedder
+        zero = "zorblax flumph quizzle"
+        assert not embedder.represent(zero).any()
+        predicates = [
+            *variations,
+            *(
+                f"{variation} {variations[(7 * index + 3) % len(variations)]}"
+                for index, variation in enumerate(variations[:40])
+            ),
+            f"really {variations[0]}",
+            zero,
+        ]
+        for predicate in predicates:
+            got = interpreter.interpret_word2vec(predicate)
+            variation, similarity = best_variation_by_scan(embedder, predicate, variations)
+            assert got.matched_variation == variation, predicate
+            assert struct.pack("<d", got.confidence) == struct.pack("<d", similarity), predicate
+            assert got.pairs[0].attribute == interpreter._variation_owner[variation][0][0]
+
+    def test_the_screen_follows_invalidate(self, hotel_database):
+        interpreter = SubjectiveQueryInterpreter(hotel_database)
+        interpreter.interpret_word2vec("clean room")
+        screen = interpreter._variation_units
+        interpreter.invalidate()
+        interpreter.interpret_word2vec("clean room")
+        assert interpreter._variation_units is not screen
 
 
 class TestProcessor:

@@ -1223,7 +1223,6 @@ def _random_snapshot(draw_shape, data):
     columns = AttributeColumns(
         attribute="quality",
         entity_ids=entity_ids,
-        row_of={entity_id: row for row, entity_id in enumerate(entity_ids)},
         markers=[Marker(f"m{index}", index, 0.1 * index) for index in range(num_markers)],
         marker_sentiments=array((num_markers,)),
         fractions=array((num_entities, num_markers)),
@@ -1407,7 +1406,7 @@ class TestColumnSnapshotRoundTrip:
             packed = getattr(snapshot.columns, name)
             unpacked = getattr(back.columns, name)
             assert unpacked.shape == packed.shape, name
-            assert (unpacked == packed).all(), name
+            assert np.array_equal(unpacked, packed), name
 
     @given(shapes, st.data())
     @settings(max_examples=30, deadline=None)
@@ -1432,6 +1431,264 @@ class TestColumnSnapshotRoundTrip:
         cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
         with pytest.raises(SnapshotError):
             ColumnSnapshot.unpack(blob[:cut])
+
+
+def _random_columns(num_entities: int, num_markers: int, dimension: int, seed: int):
+    """One attribute's columns filled from a seeded RNG (fast at any E)."""
+    from repro.core.columnar import AttributeColumns
+
+    rng = np.random.default_rng(seed)
+    return AttributeColumns(
+        attribute="quality",
+        entity_ids=[f"e{index}" for index in range(num_entities)],
+        markers=[Marker(f"m{index}", index, 0.1 * index) for index in range(num_markers)],
+        marker_sentiments=rng.uniform(-1.0, 1.0, num_markers),
+        fractions=rng.random((num_entities, num_markers)),
+        average_sentiments=rng.uniform(-1.0, 1.0, (num_entities, num_markers)),
+        totals=rng.random(num_entities),
+        unmatched=rng.random(num_entities),
+        overall_sentiments=rng.uniform(-1.0, 1.0, num_entities),
+        centroids_unit=rng.normal(size=(num_entities, num_markers, dimension)),
+        name_units=rng.normal(size=(num_markers, dimension)),
+    )
+
+
+def _next_generation(columns, rows: list[int], seed: int):
+    """``columns`` with ``rows`` (ascending) replaced, as a store patch publishes it."""
+    from dataclasses import replace
+
+    rng = np.random.default_rng(seed)
+    fractions = np.array(columns.fractions)
+    fractions[rows] = rng.random((len(rows), columns.num_markers))
+    centroids = rng.normal(size=(len(rows), columns.num_markers, columns.dimension))
+    return replace(
+        columns,
+        fractions=fractions,
+        centroids_unit=columns.centroids_unit.with_rows(rows, centroids),
+    )
+
+
+def _contiguous_copy(columns):
+    """A deep copy of ``columns``: every array copied, the tensor one fresh buffer."""
+    from dataclasses import replace
+
+    return replace(
+        columns,
+        entity_ids=list(columns.entity_ids),
+        **{
+            name: np.array(getattr(columns, name))
+            for name in (
+                "marker_sentiments",
+                "fractions",
+                "average_sentiments",
+                "totals",
+                "unmatched",
+                "overall_sentiments",
+                "centroids_unit",
+                "name_units",
+            )
+        },
+    )
+
+
+class TestCentroidBlocks:
+    """The blocked centroid tensor against contiguous NumPy, bit for bit.
+
+    :class:`~repro.core.columnar.RowBlocks` holds the E×M×D tensor as
+    512-row blocks that column generations share.  Windows, gathers,
+    indexing, patches, snapshot bytes, the similarity kernel and
+    ``SnapshotDelta.between`` must give exactly what the same operation on
+    one contiguous array gives, for row counts on, next to and off the
+    block grid and for slice edges anywhere; a patch must copy only the
+    blocks holding its rows and leave the generation it came from as it
+    was.  The mapped-file case opens a 10k-entity store, relocatable via
+    ``REPRO_STORAGE_DIR``.
+    """
+
+    sizes = st.one_of(
+        st.sampled_from([0, 1, 511, 512, 513, 1600]), st.integers(min_value=0, max_value=1600)
+    )
+    shapes = st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3))
+
+    @staticmethod
+    def _rows(data, num_entities: int, **kwargs) -> list[int]:
+        if not num_entities:
+            return []
+        return data.draw(
+            st.lists(st.integers(min_value=0, max_value=num_entities - 1), **kwargs)
+        )
+
+    @given(sizes, shapes, st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_windows_gathers_and_indexing_equal_numpy(self, num_entities, shape, seed, data):
+        from repro.core.columnar import RowBlocks
+
+        array = np.random.default_rng(seed).normal(size=(num_entities, *shape))
+        blocks = RowBlocks.of_array(array)
+        patched = sorted(set(self._rows(data, num_entities, max_size=4)))
+        generations = [(blocks, array)]
+        if patched:
+            values = np.full((len(patched), *shape), 7.0)
+            expected = array.copy()
+            expected[patched] = values
+            generations.append((blocks.with_rows(patched, values), expected))
+        start = data.draw(st.integers(min_value=0, max_value=num_entities))
+        stop = data.draw(st.integers(min_value=start, max_value=num_entities))
+        rows = self._rows(data, num_entities, max_size=60)
+        for generation, reference in generations:
+            assert generation.shape == reference.shape
+            assert np.asarray(generation).tobytes() == reference.tobytes()
+            window = generation.window(start, stop)
+            assert window.shape == reference[start:stop].shape
+            assert np.asarray(window).tobytes() == reference[start:stop].tobytes()
+            assert generation[start:stop].tobytes() == reference[start:stop].tobytes()
+            assert generation.take(rows).tobytes() == reference[rows].tobytes()
+            assert generation[rows].tobytes() == reference[rows].tobytes()
+            if rows:
+                assert generation.take([rows[0]])[0].tobytes() == reference[rows[0]].tobytes()
+                local = [row - start for row in rows if start <= row < stop]
+                assert window.take(local).tobytes() == reference[start:stop][local].tobytes()
+
+    @given(sizes.filter(bool), shapes, st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_patch_copies_only_the_blocks_holding_its_rows(
+        self, num_entities, shape, seed, data
+    ):
+        from repro.core.columnar import BOUNDS_BLOCK_ROWS, RowBlocks
+
+        array = np.random.default_rng(seed).normal(size=(num_entities, *shape))
+        frozen = array.copy()
+        base = RowBlocks.of_array(array)
+        rows = sorted(set(self._rows(data, num_entities, min_size=1, max_size=8)))
+        values = np.random.default_rng(seed + 1).normal(size=(len(rows), *shape))
+        new = base.with_rows(rows, values)
+        expected = frozen.copy()
+        expected[rows] = values
+        assert np.asarray(new).tobytes() == expected.tobytes()
+        assert np.asarray(base).tobytes() == frozen.tobytes()  # the base keeps its values
+        touched = {row // BOUNDS_BLOCK_ROWS for row in rows}
+        # Only a generation that is one run can be read without a copy.
+        unjoined = np.asarray(base, copy=False)
+        assert unjoined.tobytes() == frozen.tobytes()
+        assert not array.size or np.shares_memory(unjoined, array)
+        if len(new.runs()) > 1:
+            with pytest.raises(ValueError):
+                np.asarray(new, copy=False)
+        for index, (old_block, new_block) in enumerate(zip(base.blocks, new.blocks)):
+            assert (old_block is new_block) == (index not in touched), index
+        assert new.unshared_blocks(base) == len(touched)
+        for index in (rows[0], slice(0, num_entities, 2)):
+            with pytest.raises(TypeError):
+                new[index]
+        changed = new.rows_differing(base)
+        assert np.flatnonzero(changed).tolist() == [
+            row for row in rows if (expected[row] != frozen[row]).any()
+        ]
+
+    # Marker counts that are multiples of 4: the BLAS GEMV computes the last
+    # (rows·M mod 4) outputs of a call in a tail loop whose sums may differ
+    # in the last bit, so a kernel over a slice or a gather reproduces the
+    # full pass bit for bit only when every call's rows·M is a multiple of 4
+    # — with or without blocks.  Every schema here has M = 4 or 16.
+    kernel_shapes = st.tuples(st.sampled_from([4, 8]), st.integers(min_value=0, max_value=5))
+
+    @given(sizes, kernel_shapes, st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_generations_pack_score_and_diff_as_their_deep_copies(
+        self, num_entities, shape, seed, data
+    ):
+        from repro.core.columnar import (
+            ColumnSnapshot,
+            SnapshotDelta,
+            phrase_marker_similarities,
+            slice_view,
+        )
+
+        num_markers, dimension = shape
+        base = _random_columns(num_entities, num_markers, dimension, seed)
+        rows = sorted(set(self._rows(data, num_entities, max_size=6)))
+        new = _next_generation(base, rows, seed + 1)
+        start = data.draw(st.integers(min_value=0, max_value=num_entities))
+        stop = data.draw(st.integers(min_value=start, max_value=num_entities))
+        phrase = np.random.default_rng(seed + 2).normal(size=dimension)
+        for version, columns in enumerate((base, new)):
+            copy = _contiguous_copy(columns)
+            for whole, other in ((columns, copy), (slice_view(columns, start, stop), None)):
+                other = other if other is not None else slice_view(copy, start, stop)
+                assert (
+                    phrase_marker_similarities(whole, phrase).tobytes()
+                    == phrase_marker_similarities(other, phrase).tobytes()
+                )
+            snapshot = ColumnSnapshot.of_slice(columns, 1, start, stop, version)
+            assert snapshot.pack() == ColumnSnapshot.of_slice(copy, 1, start, stop, version).pack()
+        old_snapshot = ColumnSnapshot.of_slice(base, 1, start, stop, 0)
+        new_snapshot = ColumnSnapshot.of_slice(new, 1, start, stop, 1)
+        shared = SnapshotDelta.between(old_snapshot, new_snapshot, max_fraction=1.0)
+        copied = SnapshotDelta.between(
+            ColumnSnapshot.of_slice(_contiguous_copy(base), 1, start, stop, 0),
+            ColumnSnapshot.of_slice(_contiguous_copy(new), 1, start, stop, 1),
+            max_fraction=1.0,
+        )
+        assert shared.rows == copied.rows
+        assert shared.pack() == copied.pack()
+        assert shared.apply(old_snapshot).pack() == new_snapshot.pack()
+
+    def test_a_one_row_ingest_at_10k_copies_one_block_on_the_store_and_the_nodes(self):
+        """Over mapped columns: blocks are views of the file, a patch copies one of them."""
+        import os
+        import tempfile
+
+        from repro.core import SubjectiveQueryProcessor
+        from repro.core.columnar import ColumnarSummaryStore
+        from repro.core.database import SubjectiveDatabase
+        from repro.serving import start_local_node
+        from repro.serving.cluster import ClusterShardStore
+        from repro.storage import generate_synthetic_store
+        from repro.storage.synthetic import SYNTHETIC_ATTRIBUTE
+
+        base_dir = os.environ.get("REPRO_STORAGE_DIR") or None
+        if base_dir:
+            os.makedirs(base_dir, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=base_dir) as directory:
+            generate_synthetic_store(directory, num_entities=10_000, num_markers=6, dimension=4)
+            database = SubjectiveDatabase.open(directory)
+            attribute = SYNTHETIC_ATTRIBUTE
+            store = database.columnar_store()
+            mapped = store.columns(attribute)
+            assert len(mapped.centroids_unit.blocks) == 20
+            assert len(mapped.centroids_unit.runs()) == 1  # one view of the mapped section
+            assert all(not block.flags.owndata for block in mapped.centroids_unit.blocks)
+            processor = SubjectiveQueryProcessor(database)
+            servers = [
+                start_local_node(processor.membership, node_id=index)[0] for index in range(2)
+            ]
+            fleet = ClusterShardStore(
+                database,
+                base=store,
+                addresses=[server.address for server in servers],
+                num_slices=4,
+            )
+            try:
+                ids = list(mapped.entity_ids)
+                fleet.pair_degrees(processor.membership, ids, attribute, "word001")
+                markers = database.schema.subjective(attribute).markers
+                summary = MarkerSummary(attribute, list(markers))
+                summary.add_phrase(markers[0].name, sentiment=0.5, vector=np.ones(4))
+                database.store_summary(ids[6000], summary)
+                degrees = fleet.pair_degrees(processor.membership, ids, attribute, "word001")
+                assert degrees == ColumnarSummaryStore(database).pair_degrees(
+                    processor.membership, ids, attribute, "word001"
+                )
+                assert store.stats_snapshot()["tensor_blocks_copied"] == 1
+                assert fleet.transport_counters()["snapshot_delta_hydrations"] == 4
+                copied = [server.stats()["tensor_blocks_copied"] for server in servers]
+                assert sorted(copied) == [0, 1]  # one patched slice, one block of it
+                patched = store.columns(attribute)
+                assert patched.centroids_unit.unshared_blocks(mapped.centroids_unit) == 1
+            finally:
+                fleet.close()
+                for server in servers:
+                    server.stop()
 
 
 class TestSnapshotDeltaAndCompression:
@@ -1479,13 +1736,14 @@ class TestSnapshotDeltaAndCompression:
             totals=columns.totals.copy(),
             unmatched=columns.unmatched.copy(),
             overall_sentiments=columns.overall_sentiments.copy(),
-            centroids_unit=columns.centroids_unit.copy(),
         )
+        centroids = np.array(columns.centroids_unit)
         for row in subset:
             perturbed.fractions[row] += 1.0
             perturbed.totals[row] += 2.0
-            if perturbed.centroids_unit.size:
-                perturbed.centroids_unit[row] += 0.5
+            if centroids.size:
+                centroids[row] += 0.5
+        perturbed = replace(perturbed, centroids_unit=centroids)
         new = ColumnSnapshot(
             data_version=base.data_version + 1,
             slice_id=base.slice_id,
@@ -1727,7 +1985,7 @@ def _assert_equals_a_fresh_store(store, database) -> None:
     """Every array of every attribute's columns and bounds, bit for bit."""
     from dataclasses import fields
 
-    from repro.core.columnar import ColumnarSummaryStore
+    from repro.core.columnar import ColumnarSummaryStore, RowBlocks
 
     fresh = ColumnarSummaryStore(database)
     for attribute in database.schema.subjective_attributes:
@@ -1739,7 +1997,7 @@ def _assert_equals_a_fresh_store(store, database) -> None:
         for left, right in ((got, want), bounds):
             for field in fields(right):
                 mine, theirs = getattr(left, field.name), getattr(right, field.name)
-                if isinstance(theirs, np.ndarray):
+                if isinstance(theirs, (np.ndarray, RowBlocks)):
                     assert np.array_equal(mine, theirs), (attribute.name, field.name)
                 elif field.name != "columns":
                     assert mine == theirs, (attribute.name, field.name)

@@ -594,3 +594,52 @@ def test_a_delta_patches_its_base_live_or_retired_and_refuses_without_one(
 
     with pytest.raises(SnapshotError, match="ship a full snapshot"):
         HydratedSlices().apply_delta(delta)
+
+
+def test_a_one_row_delta_shares_all_but_one_block_with_its_base():
+    """A node applying a one-row delta copies the one centroid block holding it."""
+    from dataclasses import replace
+
+    from repro.core.columnar import AttributeColumns, SnapshotDelta
+    from repro.core.markers import Marker
+
+    rng = np.random.default_rng(5)
+    num_entities, num_markers, dimension = 1600, 4, 3
+    columns = AttributeColumns(
+        attribute="quality",
+        entity_ids=[f"e{row}" for row in range(num_entities)],
+        markers=[Marker(f"m{index}", index, 0.0) for index in range(num_markers)],
+        marker_sentiments=np.zeros(num_markers),
+        fractions=rng.random((num_entities, num_markers)),
+        average_sentiments=rng.random((num_entities, num_markers)),
+        totals=rng.random(num_entities),
+        unmatched=rng.random(num_entities),
+        overall_sentiments=rng.random(num_entities),
+        centroids_unit=rng.normal(size=(num_entities, num_markers, dimension)),
+        name_units=rng.normal(size=(num_markers, dimension)),
+    )
+    base = ColumnSnapshot.of_slice(columns, 2, 0, num_entities, 7)
+    node = HydratedSlices()
+    node.install(ColumnSnapshot.unpack(base.pack()))  # as a hydrate frame lands
+    held = node.slice_columns(2, "quality", 0, num_entities)
+    centroids = np.array(columns.centroids_unit)
+    centroids[700] += 1.0  # row 700 lives in block 1 of 4
+    new = ColumnSnapshot(
+        data_version=8,
+        slice_id=2,
+        start=0,
+        stop=num_entities,
+        columns=replace(columns, centroids_unit=centroids),
+    )
+    delta = SnapshotDelta.unpack(SnapshotDelta.between(base, new).pack())
+    assert delta.rows == (700,)
+
+    patched, _ = node.apply_delta(delta)
+    shared = [
+        mine is theirs
+        for mine, theirs in zip(held.centroids_unit.blocks, patched.columns.centroids_unit.blocks)
+    ]
+    assert shared == [True, False, True, True]
+    assert node.stats()["tensor_blocks_copied"] == 1
+    assert patched.columns.entity_ids is held.entity_ids
+    assert patched.pack() == new.pack()
