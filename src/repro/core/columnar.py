@@ -37,9 +37,6 @@ callers fall back to per-entity scalar scoring for them.
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -47,8 +44,9 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
+from repro.core.column_image import SNAPSHOT_FLAG_DELTA, ColumnImage, pack_image, read_image
 from repro.core.markers import Marker
-from repro.errors import SchemaError, SnapshotError, SnapshotIntegrityError
+from repro.errors import SchemaError, SnapshotError
 from repro.obs import Counter, span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -427,42 +425,29 @@ class AttributeColumns:
 
 
 # --------------------------------------------------------------------------
-# Column snapshots (deterministic, checksummed bytes for shipping slices)
+# Column snapshots (deterministic, checksummed column images for shipping slices)
 # --------------------------------------------------------------------------
 
-#: Magic prefix + format version of the packed column-snapshot layout.
-#: Version 2 added the flags byte after the checksum: zlib body
-#: compression and delta frames.
-SNAPSHOT_MAGIC = b"OPSN"
-SNAPSHOT_FORMAT_VERSION = 2
+#: The column arrays of a full snapshot and of a column file, in image order.
+COLUMN_ARRAYS = (
+    "marker_sentiments",
+    "fractions",
+    "average_sentiments",
+    "totals",
+    "unmatched",
+    "overall_sentiments",
+    "centroids_unit",
+    "name_units",
+)
 
-#: Container flag bits (one u8 between the checksum and the body).
-SNAPSHOT_FLAG_ZLIB = 0x01  # body is zlib-compressed
-SNAPSHOT_FLAG_DELTA = 0x04  # body is a SnapshotDelta, not a full snapshot
-SNAPSHOT_FLAG_COLUMN_FILE = 0x08  # body is an mmap-layout column file (repro.storage)
-#: Every bit a reader understands; 0x02 (a retired f32 centroid encoding)
-#: and the high bits are refused, never ignored.
-_SNAPSHOT_KNOWN_FLAGS = SNAPSHOT_FLAG_ZLIB | SNAPSHOT_FLAG_DELTA | SNAPSHOT_FLAG_COLUMN_FILE
-
-_SNAP_U16 = struct.Struct("!H")
-_SNAP_U32 = struct.Struct("!I")
-_SNAP_U64 = struct.Struct("!Q")
-_SNAP_U8 = struct.Struct("!B")
-
-#: Canonical big-endian f64 wire dtype — the byte swap is lossless, so
-#: every array bit survives the pack/unpack round trip.
-_SNAP_F64 = ">f8"
-_SNAP_ROW = ">u4"
+#: The meta fields naming a snapshot's slice and version, full or delta.
+_SLICE_FIELDS = ("data_version", "slice_id", "start", "stop")
 
 
-def _pack_f64(array: np.ndarray) -> bytes:
-    """One array as big-endian f64 bytes in C order (deterministic)."""
-    return np.ascontiguousarray(array, dtype=np.float64).astype(_SNAP_F64).tobytes()
-
-
-def _snapshot_meta(columns: "AttributeColumns", entity_ids: Sequence[Hashable]) -> bytes:
-    """The deterministic meta-JSON bytes shared by full and delta bodies."""
-    for entity_id in entity_ids:
+def _snapshot_meta(snapshot: "ColumnSnapshot | SnapshotDelta") -> dict[str, object]:
+    """The meta fields shared by full and delta snapshot images."""
+    columns = snapshot.columns
+    for entity_id in columns.entity_ids:
         # JSON must round-trip ids *exactly* — tuples would silently
         # come back as lists and break node-side row lookup.
         if entity_id is not None and not isinstance(entity_id, (str, int, float)):
@@ -471,92 +456,45 @@ def _snapshot_meta(columns: "AttributeColumns", entity_ids: Sequence[Hashable]) 
                 "is not snapshot-serializable (ids must be str, int, float "
                 "or None)"
             )
-    try:
-        return json.dumps(
-            {
-                "attribute": columns.attribute,
-                "entity_ids": list(entity_ids),
-                "markers": [
-                    [marker.name, marker.position, marker.sentiment]
-                    for marker in columns.markers
-                ],
-                "dimension": columns.dimension,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-    except (TypeError, ValueError) as error:
-        raise SnapshotError(
-            f"entity ids of attribute {columns.attribute!r} are not "
-            f"snapshot-serializable ({error})"
-        ) from error
+    return {
+        "attribute": columns.attribute,
+        "entity_ids": list(columns.entity_ids),
+        "markers": [[marker.name, marker.position, marker.sentiment] for marker in columns.markers],
+        "dimension": columns.dimension,
+        **{name: getattr(snapshot, name) for name in _SLICE_FIELDS},
+    }
 
 
-def _pack_container(body: bytes, flags: int, compress: bool) -> bytes:
-    """Wrap one body in the versioned, checksummed snapshot container.
+def image_columns(image: ColumnImage, names: Sequence[str] = COLUMN_ARRAYS) -> "AttributeColumns":
+    """The column arrays ``names`` of a verified image, as zero-copy columns.
 
-    Layout: ``magic (4) | format version (u16) | crc32 (u32) | flags (u8) |
-    stored body``.  The CRC covers the flags byte *and* the stored body, so
-    a flipped flag (e.g. compressed read as raw) is an integrity failure,
-    never a misparse.  Compression is zlib level 1 — the point is cheap
-    wire-size reduction on hydrate frames, not archival ratios.
+    The image's meta gives the attribute, entity ids, marker triples and
+    dimension, hence every array's shape; a missing section or one of
+    another shape is a typed :class:`SnapshotError`.  Arrays not in
+    ``names`` (a delta's shared marker data) are zeros of their shape.
     """
-    if compress:
-        flags |= SNAPSHOT_FLAG_ZLIB
-        body = zlib.compress(body, 1)
-    stored = _SNAP_U8.pack(flags) + body
-    return (
-        SNAPSHOT_MAGIC
-        + _SNAP_U16.pack(SNAPSHOT_FORMAT_VERSION)
-        + _SNAP_U32.pack(zlib.crc32(stored))
-        + stored
+    entity_ids = list(image.field("entity_ids"))
+    markers = [
+        Marker(name, position, float(sentiment))
+        for name, position, sentiment in image.field("markers")
+    ]
+    rows, width, dimension = len(entity_ids), len(markers), image.field("dimension")
+    shapes = {
+        "marker_sentiments": (width,),
+        "name_units": (width, dimension),
+        "centroids_unit": (rows, width, dimension),
+        **dict.fromkeys(("fractions", "average_sentiments"), (rows, width)),
+        **dict.fromkeys(("totals", "unmatched", "overall_sentiments"), (rows,)),
+    }
+    return AttributeColumns(
+        attribute=image.field("attribute"),
+        entity_ids=entity_ids,
+        markers=markers,
+        **{
+            name: image.section(name, shape) if name in names else np.zeros(shape)
+            for name, shape in shapes.items()
+        },
     )
-
-
-def _unpack_container(payload: bytes) -> tuple[int, bytes]:
-    """Verify one container's header + checksum; ``(flags, body bytes)``.
-
-    Raises :class:`SnapshotError` for a wrong magic, an unsupported format
-    version, an unknown flag bit or a truncated payload, and
-    :class:`SnapshotIntegrityError`
-    when the checksum over ``flags | stored body`` does not match.  The
-    checksum is verified *before* decompression, so corrupted compressed
-    bytes fail typed instead of feeding garbage to zlib.
-    """
-    header_size = len(SNAPSHOT_MAGIC) + _SNAP_U16.size + _SNAP_U32.size + _SNAP_U8.size
-    if len(payload) < header_size:
-        raise SnapshotError(
-            f"snapshot too short ({len(payload)} bytes; header is {header_size})"
-        )
-    if payload[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
-        raise SnapshotError("not a column snapshot (bad magic)")
-    offset = len(SNAPSHOT_MAGIC)
-    (version,) = _SNAP_U16.unpack_from(payload, offset)
-    offset += _SNAP_U16.size
-    if version != SNAPSHOT_FORMAT_VERSION:
-        raise SnapshotError(
-            f"unsupported snapshot format version {version} "
-            f"(this build reads version {SNAPSHOT_FORMAT_VERSION})"
-        )
-    (checksum,) = _SNAP_U32.unpack_from(payload, offset)
-    offset += _SNAP_U32.size
-    stored = payload[offset:]
-    if zlib.crc32(stored) != checksum:
-        raise SnapshotIntegrityError(
-            "column snapshot failed its checksum (corrupted in transit)"
-        )
-    flags = stored[0]
-    if flags & ~_SNAPSHOT_KNOWN_FLAGS:
-        raise SnapshotError(
-            f"snapshot carries unknown flag bits {flags & ~_SNAPSHOT_KNOWN_FLAGS:#04x}"
-        )
-    body = stored[1:]
-    if flags & SNAPSHOT_FLAG_ZLIB:
-        try:
-            body = zlib.decompress(body)
-        except zlib.error as error:
-            raise SnapshotError(f"snapshot body failed to decompress ({error})") from error
-    return flags, body
 
 
 @dataclass(frozen=True)
@@ -568,8 +506,10 @@ class ColumnSnapshot:
     database copy inside every worker, the coordinator packs the slice's
     arrays — fractions, sentiments, totals, unmatched counts, the centroid
     tensor, the shared marker-name matrix, and the entity ids — into
-    deterministic bytes and ships them to a network-addressable shard node,
-    which unpacks them into a kernel-ready :class:`AttributeColumns` view.
+    a deterministic column image — the storage tier's column-file format,
+    :mod:`repro.core.column_image` — and ships it to a network-addressable
+    shard node, which unpacks it into a kernel-ready :class:`AttributeColumns`
+    view over the received bytes.
 
     ``data_version`` records the :attr:`SubjectiveDatabase.data_version`
     the arrays were built against, ``slice_id`` / ``start`` / ``stop``
@@ -582,10 +522,10 @@ class ColumnSnapshot:
     :meth:`unpack`, so a corrupted or truncated snapshot raises a typed
     :class:`repro.errors.SnapshotError` (checksum failures the narrower
     :class:`repro.errors.SnapshotIntegrityError`) instead of hydrating
-    silently-wrong arrays.  Every float64 travels as big-endian bytes, a
-    lossless byte swap, so unpacked arrays are bit-identical to the packed
-    ones — which is what lets hydrated nodes keep the stack's exact-equality
-    guarantee.
+    silently-wrong arrays.  Every float64 travels as its own native-endian
+    bytes, so unpacked arrays are bit-identical to the packed ones — which
+    is what lets hydrated nodes keep the stack's exact-equality guarantee —
+    and unpacking copies nothing.
     """
 
     data_version: int
@@ -621,138 +561,42 @@ class ColumnSnapshot:
             columns=slice_view(columns, start, stop),
         )
 
-    def pack(self, compress: bool = False) -> bytes:
-        """Serialize to deterministic, checksummed bytes.
+    def pack(self) -> bytes:
+        """Serialize to a deterministic, checksummed column image (flags 0).
 
-        Layout: ``magic (4) | format version (u16) | crc32 (u32) | flags
-        (u8) | body``, where the body is ``data_version (u64) | slice_id |
-        start | stop (u32 each) | meta JSON (u32 length + bytes) |
-        arrays``.  The meta JSON (compact separators, sorted keys —
-        deterministic) carries the attribute name, the entity ids, the
-        marker ``(name, position, sentiment)`` triples and the embedding
-        dimension; the arrays follow as raw big-endian f64 in a fixed
-        order with shapes derived from (E, M, D).  Entity ids must be
-        JSON-serializable (ints and strings round-trip exactly); anything
-        else raises :class:`SnapshotError`.
-
-        ``compress=True`` wraps the body in zlib framing — still lossless,
-        every unpacked bit identical.
+        The meta JSON carries ``data_version``, ``slice_id``, ``start``,
+        ``stop``, the attribute name, the entity ids, the marker ``(name,
+        position, sentiment)`` triples and the embedding dimension; the
+        eight column arrays follow as native-endian float64 sections
+        (:mod:`repro.core.column_image`).  Entity ids must be str, int,
+        float or None (they round-trip through JSON exactly); anything else
+        raises :class:`SnapshotError`.
         """
-        columns = self.columns
-        meta = _snapshot_meta(columns, columns.entity_ids)
-        body = b"".join(
-            [
-                _SNAP_U64.pack(self.data_version),
-                _SNAP_U32.pack(self.slice_id),
-                _SNAP_U32.pack(self.start),
-                _SNAP_U32.pack(self.stop),
-                _SNAP_U32.pack(len(meta)),
-                meta,
-                _pack_f64(columns.marker_sentiments),
-                _pack_f64(columns.fractions),
-                _pack_f64(columns.average_sentiments),
-                _pack_f64(columns.totals),
-                _pack_f64(columns.unmatched),
-                _pack_f64(columns.overall_sentiments),
-                *(_pack_f64(run) for _, run in columns.centroids_unit.runs()),
-                _pack_f64(columns.name_units),
-            ]
-        )
-        return _pack_container(body, 0, compress)
+        sections = {name: getattr(self.columns, name) for name in COLUMN_ARRAYS}
+        return bytes(pack_image(0, _snapshot_meta(self), sections))
 
     @classmethod
-    def unpack(cls, payload: bytes) -> "ColumnSnapshot":
+    def unpack(cls, payload) -> "ColumnSnapshot":
         """Rebuild a snapshot from :meth:`pack` bytes, verifying integrity.
 
-        Raises :class:`repro.errors.SnapshotError` for a wrong magic, an
-        unsupported format version, a delta frame (those belong to
-        :meth:`SnapshotDelta.unpack`), or a truncated/malformed payload,
-        and :class:`repro.errors.SnapshotIntegrityError` when the checksum
-        does not match — typed failures in every case, so a transport
-        layer can refuse bad hydration data without ever serving from it.
+        ``payload`` is any buffer; the arrays are read-only views into it
+        (:func:`~repro.core.column_image.read_image`).  Raises
+        :class:`repro.errors.SnapshotError` for a wrong magic, an
+        unsupported format version, a delta frame or column file, or a
+        malformed meta or section table, and
+        :class:`repro.errors.SnapshotIntegrityError` when the checksum does
+        not match — typed failures in every case, so a transport layer can
+        refuse bad hydration data without ever serving from it.
         """
-        flags, body = _unpack_container(payload)
-        if flags & SNAPSHOT_FLAG_DELTA:
+        image = read_image(payload, 0)
+        fields = {name: image.field(name) for name in _SLICE_FIELDS}
+        snapshot = cls(**fields, columns=image_columns(image))
+        if snapshot.stop - snapshot.start != snapshot.columns.num_entities:
             raise SnapshotError(
-                "payload is a delta snapshot frame; unpack it with SnapshotDelta.unpack"
+                f"snapshot row range [{snapshot.start}, {snapshot.stop}) does not match "
+                f"its {snapshot.columns.num_entities} entity ids"
             )
-        if flags & SNAPSHOT_FLAG_COLUMN_FILE:
-            raise SnapshotError(
-                "payload is a persistent column file; read it with repro.storage"
-            )
-        try:
-            return cls._unpack_body(body)
-        except (struct.error, IndexError, KeyError, TypeError, UnicodeDecodeError) as error:
-            raise SnapshotError(f"malformed column snapshot body ({error})") from error
-
-    @classmethod
-    def _unpack_body(cls, body: bytes) -> "ColumnSnapshot":
-        offset = 0
-        (data_version,) = _SNAP_U64.unpack_from(body, offset)
-        offset += _SNAP_U64.size
-        slice_id, start, stop, meta_length = struct.unpack_from("!IIII", body, offset)
-        offset += 16
-        if offset + meta_length > len(body):
-            raise SnapshotError("truncated column snapshot (meta)")
-        try:
-            meta = json.loads(body[offset : offset + meta_length].decode("utf-8"))
-        except ValueError as error:
-            raise SnapshotError(f"malformed snapshot meta ({error})") from error
-        offset += meta_length
-        entity_ids = list(meta["entity_ids"])
-        markers = [
-            Marker(str(name), int(position), float(sentiment))
-            for name, position, sentiment in meta["markers"]
-        ]
-        num_entities, num_markers = len(entity_ids), len(markers)
-        dimension = int(meta["dimension"])
-        if stop - start != num_entities:
-            raise SnapshotError(
-                f"snapshot row range [{start}, {stop}) does not match its "
-                f"{num_entities} entity ids"
-            )
-        def take(shape: tuple[int, ...]) -> np.ndarray:
-            nonlocal offset
-            count = int(np.prod(shape)) if shape else 1
-            size = 8 * count
-            if offset + size > len(body):
-                raise SnapshotError("truncated column snapshot (arrays)")
-            array = np.frombuffer(body, dtype=_SNAP_F64, count=count, offset=offset)
-            offset += size
-            return array.astype(np.float64).reshape(shape)
-
-        marker_sentiments = take((num_markers,))
-        fractions = take((num_entities, num_markers))
-        average_sentiments = take((num_entities, num_markers))
-        totals = take((num_entities,))
-        unmatched = take((num_entities,))
-        overall_sentiments = take((num_entities,))
-        centroids_unit = take((num_entities, num_markers, dimension))
-        name_units = take((num_markers, dimension))
-        if offset != len(body):
-            raise SnapshotError(
-                f"column snapshot has {len(body) - offset} trailing bytes"
-            )
-        columns = AttributeColumns(
-            attribute=str(meta["attribute"]),
-            entity_ids=entity_ids,
-            markers=markers,
-            marker_sentiments=marker_sentiments,
-            fractions=fractions,
-            average_sentiments=average_sentiments,
-            totals=totals,
-            unmatched=unmatched,
-            overall_sentiments=overall_sentiments,
-            centroids_unit=centroids_unit,
-            name_units=name_units,
-        )
-        return cls(
-            data_version=data_version,
-            slice_id=slice_id,
-            start=start,
-            stop=stop,
-            columns=columns,
-        )
+        return snapshot
 
 
 #: The per-entity arrays besides the centroid tensor.  They hold a few
@@ -909,143 +753,41 @@ class SnapshotDelta:
             columns=gather_rows(base.columns, []),
         )
 
-    def pack(self, compress: bool = False) -> bytes:
-        """Serialize to the shared snapshot container with the delta flag set.
+    def pack(self) -> bytes:
+        """Serialize to a column image with :data:`SNAPSHOT_FLAG_DELTA` set.
 
-        Body layout: ``base_version (u64) | data_version (u64) | slice_id |
-        start | stop | row count (u32 each) | rows (u32 each, ascending,
-        slice-relative) | meta JSON (u32 length + bytes; the *changed*
-        rows' entity ids) | per-row arrays`` in :attr:`_ROW_ARRAYS` order.
-        ``compress`` behaves exactly as in :meth:`ColumnSnapshot.pack`.
+        The meta carries ``base_version`` and the ascending, slice-relative
+        ``rows`` besides a full snapshot's fields (its entity ids are the
+        *changed* rows' ids); the sections are the per-row arrays in
+        :attr:`_ROW_ARRAYS` order.
         """
-        columns = self.columns
-        meta = _snapshot_meta(columns, columns.entity_ids)
-        body = b"".join(
-            [
-                _SNAP_U64.pack(self.base_version),
-                _SNAP_U64.pack(self.data_version),
-                _SNAP_U32.pack(self.slice_id),
-                _SNAP_U32.pack(self.start),
-                _SNAP_U32.pack(self.stop),
-                _SNAP_U32.pack(len(self.rows)),
-                np.asarray(self.rows, dtype=np.uint32).astype(_SNAP_ROW).tobytes(),
-                _SNAP_U32.pack(len(meta)),
-                meta,
-                _pack_f64(columns.fractions),
-                _pack_f64(columns.average_sentiments),
-                _pack_f64(columns.totals),
-                _pack_f64(columns.unmatched),
-                _pack_f64(columns.overall_sentiments),
-                *(_pack_f64(run) for _, run in columns.centroids_unit.runs()),
-            ]
-        )
-        return _pack_container(body, SNAPSHOT_FLAG_DELTA, compress)
+        meta = {**_snapshot_meta(self), "base_version": self.base_version, "rows": list(self.rows)}
+        sections = {name: getattr(self.columns, name) for name in self._ROW_ARRAYS}
+        return bytes(pack_image(SNAPSHOT_FLAG_DELTA, meta, sections))
 
     @classmethod
-    def unpack(cls, payload: bytes) -> "SnapshotDelta":
+    def unpack(cls, payload) -> "SnapshotDelta":
         """Rebuild a delta from :meth:`pack` bytes, verifying integrity.
 
         Same typed-failure contract as :meth:`ColumnSnapshot.unpack`
         (:class:`SnapshotError` on malformed/mistyped frames — including a
         *full* snapshot frame handed here — and
-        :class:`SnapshotIntegrityError` on checksum mismatch).
+        :class:`SnapshotIntegrityError` on checksum mismatch).  The shared
+        arrays are not carried: the delta contract is that the base's are
+        still current, and :meth:`apply` reuses them.
         """
-        flags, body = _unpack_container(payload)
-        if not flags & SNAPSHOT_FLAG_DELTA:
-            raise SnapshotError(
-                "payload is a full snapshot frame; unpack it with ColumnSnapshot.unpack"
-            )
-        try:
-            return cls._unpack_body(body)
-        except (struct.error, IndexError, KeyError, TypeError, UnicodeDecodeError) as error:
-            raise SnapshotError(f"malformed delta snapshot body ({error})") from error
-
-    @classmethod
-    def _unpack_body(cls, body: bytes) -> "SnapshotDelta":
-        offset = 0
-        base_version, data_version = struct.unpack_from("!QQ", body, offset)
-        offset += 16
-        slice_id, start, stop, num_rows = struct.unpack_from("!IIII", body, offset)
-        offset += 16
-        row_bytes = 4 * num_rows
-        if offset + row_bytes > len(body):
-            raise SnapshotError("truncated delta snapshot (rows)")
-        rows = tuple(
-            int(row)
-            for row in np.frombuffer(body, dtype=_SNAP_ROW, count=num_rows, offset=offset)
+        image = read_image(payload, SNAPSHOT_FLAG_DELTA)
+        delta = cls(
+            base_version=image.field("base_version"),
+            **{name: image.field(name) for name in _SLICE_FIELDS},
+            rows=tuple(image.field("rows")),
+            columns=image_columns(image, cls._ROW_ARRAYS),
         )
-        offset += row_bytes
-        if any(not 0 <= row < stop - start for row in rows):
+        if delta.num_rows != delta.columns.num_entities:
             raise SnapshotError(
-                f"delta row indices out of slice range [0, {stop - start})"
+                f"delta carries {delta.num_rows} rows but {delta.columns.num_entities} entity ids"
             )
-        if any(a >= b for a, b in zip(rows, rows[1:])):
-            raise SnapshotError("delta row indices are not strictly ascending")
-        (meta_length,) = _SNAP_U32.unpack_from(body, offset)
-        offset += _SNAP_U32.size
-        if offset + meta_length > len(body):
-            raise SnapshotError("truncated delta snapshot (meta)")
-        try:
-            meta = json.loads(body[offset : offset + meta_length].decode("utf-8"))
-        except ValueError as error:
-            raise SnapshotError(f"malformed delta snapshot meta ({error})") from error
-        offset += meta_length
-        entity_ids = list(meta["entity_ids"])
-        if len(entity_ids) != num_rows:
-            raise SnapshotError(
-                f"delta carries {num_rows} rows but {len(entity_ids)} entity ids"
-            )
-        markers = [
-            Marker(str(name), int(position), float(sentiment))
-            for name, position, sentiment in meta["markers"]
-        ]
-        num_markers = len(markers)
-        dimension = int(meta["dimension"])
-
-        def take(shape: tuple[int, ...]) -> np.ndarray:
-            nonlocal offset
-            count = int(np.prod(shape)) if shape else 1
-            size = 8 * count
-            if offset + size > len(body):
-                raise SnapshotError("truncated delta snapshot (arrays)")
-            array = np.frombuffer(body, dtype=_SNAP_F64, count=count, offset=offset)
-            offset += size
-            return array.astype(np.float64).reshape(shape)
-
-        fractions = take((num_rows, num_markers))
-        average_sentiments = take((num_rows, num_markers))
-        totals = take((num_rows,))
-        unmatched = take((num_rows,))
-        overall_sentiments = take((num_rows,))
-        centroids_unit = take((num_rows, num_markers, dimension))
-        if offset != len(body):
-            raise SnapshotError(
-                f"delta snapshot has {len(body) - offset} trailing bytes"
-            )
-        columns = AttributeColumns(
-            attribute=str(meta["attribute"]),
-            entity_ids=entity_ids,
-            markers=markers,
-            # The shared arrays are not carried — the delta contract is
-            # that the base's are still current; apply() reuses them.
-            marker_sentiments=np.zeros(num_markers),
-            fractions=fractions,
-            average_sentiments=average_sentiments,
-            totals=totals,
-            unmatched=unmatched,
-            overall_sentiments=overall_sentiments,
-            centroids_unit=centroids_unit,
-            name_units=np.zeros((num_markers, dimension)),
-        )
-        return cls(
-            base_version=base_version,
-            data_version=data_version,
-            slice_id=slice_id,
-            start=start,
-            stop=stop,
-            rows=rows,
-            columns=columns,
-        )
+        return delta
 
     def apply(self, base: "ColumnSnapshot") -> "ColumnSnapshot":
         """The new-version snapshot obtained by patching ``base``.

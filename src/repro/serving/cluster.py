@@ -799,9 +799,6 @@ class ClusterShardStore:
       rejoins (reconnect or respawn) on the next fan-out.  With the
       default ``replication=1`` the single-owner crash semantics are
       exactly the pre-replication ones.
-    * ``snapshot_compression`` — zlib framing on hydrate payloads;
-      lossless, every hydrated bit unchanged.
-
     Independent of those flags, re-hydration after an ingest ships **delta
     frames** wherever it can: the coordinator keeps the previous packed
     generation per slice, and a node still holding that base receives only
@@ -825,7 +822,6 @@ class ClusterShardStore:
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         io_timeout: float = DEFAULT_IO_TIMEOUT,
         replication: int = 1,
-        snapshot_compression: bool = False,
         data_dir: str | None = None,
     ) -> None:
         self._managed = addresses is None
@@ -863,7 +859,6 @@ class ClusterShardStore:
         # R is clamped to the fleet size: replicating a slice onto the same
         # node twice buys nothing.
         self.replication = min(replication, num_nodes)
-        self.snapshot_compression = snapshot_compression
         # Directory of the persistent storage tier the managed nodes boot
         # from (None → nodes cold-start and hydrate over the wire).
         self.data_dir = data_dir
@@ -1230,9 +1225,8 @@ class ClusterShardStore:
         where too much changed — it is a full snapshot.  A slice cut again
         from the attribute generation its previous snapshot came from (the
         ingest did not patch it) ships :meth:`SnapshotDelta.unchanged`
-        without comparing a row.  Compression applies to both shapes.
-        ``delta_only`` returns ``None`` where the frame would be a full
-        snapshot.
+        without comparing a row.  ``delta_only`` returns ``None`` where the
+        frame would be a full snapshot.
         """
         key = (attribute, slice_id)
         current = self._slice_bases.get(key)
@@ -1242,9 +1236,7 @@ class ClusterShardStore:
                 if self._slice_sources[key] is columns:
                     # The ingest left this attribute's generation alone: the
                     # delta is empty, no row needs comparing.
-                    blob = SnapshotDelta.unchanged(current, self._version).pack(
-                        self.snapshot_compression
-                    )
+                    blob = SnapshotDelta.unchanged(current, self._version).pack()
                     self._slice_deltas[key] = (current.data_version, self._version, blob)
             current = ColumnSnapshot.of_slice(columns, slice_id, start, stop, self._version)
             self._slice_bases[key] = current
@@ -1259,7 +1251,7 @@ class ClusterShardStore:
             cached = self._slice_deltas.get(key)
             if cached is None or cached[0] != prev.data_version or cached[1] != self._version:
                 delta = SnapshotDelta.between(prev, current)
-                blob = delta.pack(self.snapshot_compression) if delta is not None else None
+                blob = delta.pack() if delta is not None else None
                 cached = (prev.data_version, self._version, blob)
                 self._slice_deltas[key] = cached
             if cached[2] is not None:
@@ -1267,7 +1259,7 @@ class ClusterShardStore:
                 return encode_hydrate_delta_request(cached[2])
         if delta_only:
             return None
-        return encode_hydrate_request(current.pack(self.snapshot_compression))
+        return encode_hydrate_request(current.pack())
 
     def _enqueue_hydration(
         self,
@@ -1948,7 +1940,6 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         io_timeout: float = DEFAULT_IO_TIMEOUT,
         replication: int = 1,
-        snapshot_compression: bool = False,
         data_dir: str | None = None,
     ) -> None:
         if addresses is not None:
@@ -1974,7 +1965,6 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self.replication = replication
-        self.snapshot_compression = snapshot_compression
         self.data_dir = data_dir
         # Batch-local (attribute, phrase) → (unique_ids, degrees) memo;
         # active only inside a concurrent run_batch, cleared on every
@@ -2010,7 +2000,6 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
             connect_timeout=self.connect_timeout,
             io_timeout=self.io_timeout,
             replication=self.replication,
-            snapshot_compression=self.snapshot_compression,
             data_dir=self.data_dir,
         )
 

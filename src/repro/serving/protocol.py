@@ -14,7 +14,9 @@ them can drift apart:
   payload) and the ``pack``/``encode`` helpers; all integers are
   big-endian, all arrays use the canonical big-endian wire dtypes, so the
   protocol is well-defined across machines and the f64 byte swap is
-  lossless (degree bits survive the round trip);
+  lossless (degree bits survive the round trip).  Hydrate payloads are
+  the exception: they are column images (:mod:`repro.core.column_image`),
+  native-endian and tagged with their dtype;
 * **request/response constants** — the one-byte opcodes and statuses used
   by every shard service (``score``, ``rank``, ``invalidate``, ``stats``,
   ``shutdown``, plus the cluster-only ``hello``, ``hydrate`` and
@@ -44,22 +46,12 @@ from repro.errors import ExecutionError
 
 #: Version of the frame/handshake protocol this build speaks.  Bumped on
 #: any wire-visible change; the ``hello`` handshake refuses every other
-#: version with a typed :class:`HandshakeError`.
-#: Version 2 added the ``score bounded`` opcode (threshold-pruned scoring
-#: with a per-row exactness mask in the response).  Version 3 added the
-#: ``hydrate delta`` opcode and the snapshot container's flags byte
-#: (compressed / delta hydration frames).  Version 4 added
-#: the ``local_store`` flag to the hello acknowledgement: a node backed by
-#: a persistent data directory (``repro.storage``) advertises that it can
-#: hydrate slices from local disk, so a coordinator at the same
-#: ``data_version`` skips the ``hydrate`` snapshot frames entirely.
-#: Version 5 added the optional trailing **trace field** on ``score`` /
-#: ``score bounded`` / gateway ``query`` requests (distributed tracing,
-#: :mod:`repro.obs`) and the ``traces`` opcode for querying a peer's span
-#: ring buffer.  Version 6 replaced ``score bounded`` with ``rank``: the
-#: coordinator ships a pruned query's predicates, WHERE tree, limit and
-#: candidate rows, and each node answers with its exact local top-k.
-PROTOCOL_VERSION = 6
+#: version with a typed :class:`HandshakeError`.  Version 7: ``hydrate``
+#: and ``hydrate delta`` payloads are column images
+#: (:mod:`repro.core.column_image`) — the storage tier's column-file
+#: format, native-endian float64 sections a node installs without
+#: converting.
+PROTOCOL_VERSION = 7
 
 #: Default ceiling on one frame's payload size (requests and responses).
 #: Generous for degree vectors (8 bytes per entity) while still refusing a
@@ -690,10 +682,11 @@ def encode_invalidate_request(data_version: int) -> bytes:
 def encode_hydrate_request(snapshot_bytes: bytes) -> bytes:
     """The ``hydrate`` request frame shipping one packed column snapshot.
 
-    The snapshot (:class:`repro.core.columnar.ColumnSnapshot`) is
-    self-describing — attribute, slice id, row range, data version and a
-    checksum all live inside ``snapshot_bytes`` — so the frame is just the
-    opcode plus the opaque payload.
+    The snapshot (:class:`repro.core.columnar.ColumnSnapshot`) is a column
+    image (:mod:`repro.core.column_image`) and self-describing —
+    attribute, slice id, row range, data version and a checksum all live
+    inside ``snapshot_bytes`` — so the frame is just the opcode plus the
+    opaque payload, whose float64 sections the node views in place.
     """
     return _U8.pack(OP_HYDRATE) + snapshot_bytes
 
@@ -701,11 +694,11 @@ def encode_hydrate_request(snapshot_bytes: bytes) -> bytes:
 def encode_hydrate_delta_request(delta_bytes: bytes) -> bytes:
     """The ``hydrate delta`` request frame shipping one packed snapshot delta.
 
-    The delta (:class:`repro.core.columnar.SnapshotDelta`) is
-    self-describing exactly like a full snapshot — base version, new
-    version, slice identity, changed rows and a checksum all live inside
-    ``delta_bytes`` (compression too: it rides in the snapshot container's
-    flags byte) — so the frame is just the opcode plus the opaque payload.
+    The delta (:class:`repro.core.columnar.SnapshotDelta`) is a column
+    image with the delta flag, self-describing exactly like a full
+    snapshot — base version, new version, slice identity, changed rows and
+    a checksum all live inside ``delta_bytes`` — so the frame is just the
+    opcode plus the opaque payload.
     A node that no longer holds the delta's base responds with a
     transported error and the coordinator falls back to a full snapshot.
     """

@@ -3,7 +3,8 @@
 The storage tier makes a :class:`~repro.core.database.SubjectiveDatabase`
 durable.  ``save_database`` lays every attribute's
 :class:`~repro.core.columnar.ColumnarSummaryStore` arrays out on disk in
-the snapshot-v2 container layout (magic / format version / CRC preserved)
+the column-image layout hydrate snapshots also travel in
+(:mod:`repro.core.column_image`)
 next to a WAL-mode SQLite catalog tracking entities, attributes,
 per-attribute versions and snapshot file paths; ``open_database`` boots a
 database back from that directory, reading the column arrays through
@@ -16,10 +17,9 @@ falling back to an in-RAM rebuild whenever the live ``data_version``
 moves past the catalog's.
 """
 
+from repro.core.column_image import COLUMN_FILE_DTYPE, ColumnFileImage
 from repro.storage.catalog import CATALOG_FILENAME, CATALOG_FORMAT_VERSION, StorageCatalog
 from repro.storage.columns import (
-    COLUMN_FILE_DTYPE,
-    ColumnFileImage,
     MappedColumnFile,
     RawSummaryColumns,
     derive_attribute_columns,

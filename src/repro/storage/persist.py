@@ -46,6 +46,7 @@ from repro.core.attributes import (
     SubjectiveAttribute,
     SubjectiveSchema,
 )
+from repro.core.column_image import sections_crc
 from repro.core.columnar import AttributeColumns, ColumnarSummaryStore
 from repro.core.database import (
     EntityRecord,
@@ -72,7 +73,6 @@ from repro.storage.columns import (
     columns_filename,
     pack_column_file,
     raw_summary_columns,
-    sections_crc,
     write_bytes_atomically,
 )
 from repro.text.embeddings import PhraseEmbedder, WordEmbeddings
@@ -539,9 +539,7 @@ class StoreReader:
             return None
         path = os.path.join(self.directory, MODELS_SUBDIR, str(row["file"]))
         mapped = MappedColumnFile(path)
-        if mapped.meta.get("model") != name or int(mapped.meta["version"]) != int(
-            row["version"]
-        ):
+        if mapped.meta.get("model") != name or mapped.version != int(row["version"]):
             raise CatalogError(
                 f"version skew: catalog lists model {name!r} at version "
                 f"{row['version']} but {row['file']!r} stores "

@@ -21,6 +21,7 @@ import os
 
 import numpy as np
 
+from repro.core.column_image import sections_crc
 from repro.core.columnar import _unit_rows
 from repro.storage.catalog import StorageCatalog, encode_entity_id
 from repro.storage.columns import (
@@ -28,7 +29,6 @@ from repro.storage.columns import (
     columns_filename,
     derive_attribute_columns,
     pack_column_file,
-    sections_crc,
     write_bytes_atomically,
 )
 from repro.text.sentiment import SentimentAnalyzer

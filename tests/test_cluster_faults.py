@@ -14,8 +14,8 @@ just as deliberately, the failure semantics it must *not* change:
   version-skewed delta a typed refusal — a node never installs a doubtful
   slice;
 * a severed connection recovers by reconnecting, not respawning;
-* small ingests re-hydrate through row deltas and compressed snapshots
-  hydrate losslessly, both bit-identical to the full-snapshot path.
+* small ingests re-hydrate through row deltas, bit-identical to the
+  full-snapshot path.
 """
 
 from __future__ import annotations
@@ -25,14 +25,9 @@ import threading
 import pytest
 
 from repro.core import SubjectiveQueryProcessor
-from repro.core.columnar import (
-    ColumnSnapshot,
-    ColumnarSummaryStore,
-    SnapshotDelta,
-    SnapshotError,
-    SnapshotIntegrityError,
-)
+from repro.core.columnar import ColumnSnapshot, ColumnarSummaryStore, SnapshotDelta
 from repro.core.markers import MarkerSummary
+from repro.errors import SnapshotError, SnapshotIntegrityError
 from repro.serving import (
     ClusterQueryEngine,
     ClusterShardStore,
@@ -278,7 +273,7 @@ def _delta_fixture(database):
 class TestDeltaFaults:
     def test_corrupt_delta_frame_raises_integrity_error(self, mutable_database):
         _old, _new, delta = _delta_fixture(mutable_database)
-        payload = delta.pack(compress=True)
+        payload = delta.pack()
         with pytest.raises(SnapshotIntegrityError):
             SnapshotDelta.unpack(corrupt_frame(payload, len(payload) // 2))
 
@@ -289,7 +284,7 @@ class TestDeltaFaults:
         node = ShardNodeServer(node_id=0, membership=membership)
         response, _ = node.handle_frame(encode_hydrate_request(old.pack()))
         assert Reader(response).read_u8() == STATUS_OK
-        payload = delta.pack(compress=True)
+        payload = delta.pack()
         response, _ = node.handle_frame(
             encode_hydrate_delta_request(corrupt_frame(payload, len(payload) // 2))
         )
@@ -323,7 +318,7 @@ class TestDeltaFaults:
 
 
 # ---------------------------------------------------------------------------
-# Delta and compressed hydration, end to end over TCP
+# Delta hydration, end to end over TCP
 # ---------------------------------------------------------------------------
 
 
@@ -403,26 +398,11 @@ class TestDeltaHydration:
         finally:
             store.close()
 
-    def test_compressed_hydration_bit_identical(self, fault_database):
-        membership = _membership(fault_database)
-        base = ColumnarSummaryStore(fault_database)
-        attribute = fault_database.schema.subjective_attributes[0].name
-        ids = list(base.columns(attribute).entity_ids)
-        expected = base.pair_degrees(membership, ids, attribute, "word003")
-        store = ClusterShardStore(
-            fault_database, num_nodes=2, num_slices=4, snapshot_compression=True, **FAST
-        )
-        try:
-            assert store.pair_degrees(membership, ids, attribute, "word003") == expected
-        finally:
-            store.close()
-
-    def test_engine_with_delta_and_compression_stays_identical(self, mutable_database):
+    def test_engine_with_delta_and_replicas_stays_identical(self, mutable_database):
         with ClusterQueryEngine(
             database=mutable_database,
             num_nodes=2,
             replication=2,
-            snapshot_compression=True,
             **FAST,
         ) as engine:
             sql = QUERIES[0]

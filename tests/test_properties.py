@@ -1196,6 +1196,18 @@ class TestFrameCodecRoundTrip:
             read_hello_ack(ack[: len(ack) - 3])
 
 
+#: The column arrays of a full snapshot, in image order.
+SNAPSHOT_ARRAYS = (
+    "marker_sentiments",
+    "fractions",
+    "average_sentiments",
+    "totals",
+    "unmatched",
+    "overall_sentiments",
+    "centroids_unit",
+    "name_units",
+)
+
 #: Random snapshot shapes shared by the round-trip and delta properties.
 SNAPSHOT_SHAPES = st.tuples(
     st.integers(min_value=0, max_value=7),   # entities
@@ -1407,6 +1419,37 @@ class TestColumnSnapshotRoundTrip:
             unpacked = getattr(back.columns, name)
             assert unpacked.shape == packed.shape, name
             assert np.array_equal(unpacked, packed), name
+
+    @given(shapes, st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_unpacked_arrays_are_read_only_views_of_the_payload(self, shape, data):
+        """Unpacking copies nothing — unless the payload is misaligned, which
+        is copied once into aligned memory with every bit kept."""
+        from repro.core.columnar import ColumnSnapshot, SnapshotDelta, gather_rows
+
+        snapshot = self._random_snapshot(shape, data)
+        rows = list(range(0, shape[0], 2))
+        delta = SnapshotDelta(
+            5, 6, 3, 0, shape[0], tuple(rows), gather_rows(snapshot.columns, rows)
+        )
+        for original, unpack, names in (
+            (snapshot, ColumnSnapshot.unpack, SNAPSHOT_ARRAYS),
+            (delta, SnapshotDelta.unpack, SNAPSHOT_ARRAYS[1:-1]),
+        ):
+            blob = original.pack()
+            payload = np.frombuffer(blob, dtype=np.uint8)
+            shifted = memoryview(b"\0" + blob)[1:]  # one byte off the allocation's alignment
+            views, copies = unpack(blob).columns, unpack(shifted).columns
+            for name in names:
+                expected = np.asarray(getattr(original.columns, name))
+                view = np.asarray(getattr(views, name))
+                copy = np.asarray(getattr(copies, name))
+                assert copy.flags.aligned, name
+                assert np.array_equal(view, expected) and np.array_equal(copy, expected), name
+                if expected.size:  # an empty RowBlocks joins to fresh zeros
+                    assert not view.flags.writeable and not copy.flags.writeable, name
+                    assert np.shares_memory(view, payload), name
+                    assert not np.shares_memory(copy, np.frombuffer(shifted, dtype=np.uint8))
 
     @given(shapes, st.data())
     @settings(max_examples=30, deadline=None)
@@ -1691,17 +1734,13 @@ class TestCentroidBlocks:
                     server.stop()
 
 
-class TestSnapshotDeltaAndCompression:
-    """Delta and compressed snapshot frames: equivalence and integrity.
+class TestSnapshotDeltaFrames:
+    """Delta snapshot frames: equivalence and integrity.
 
-    The cold-path optimisations must be invisible to the data: a delta
+    The cold-path optimisation must be invisible to the data: a delta
     applied to its base is **byte-identical** to the full snapshot it
-    stands in for (for any changed-row subset), lossless compression
-    round-trips every float bit, and any single-byte flip in either frame
-    shape is a typed error — the same contract the plain container already
-    pins, extended to the new formats.  Compression properties run with
-    ``deadline=None``: zlib over hypothesis-sized arrays is fast but
-    jittery under coverage tooling.
+    stands in for (for any changed-row subset), and any single-byte flip
+    in either frame shape is a typed error.
     """
 
     # At least one entity so a changed-row subset can exist.
@@ -1762,50 +1801,37 @@ class TestSnapshotDeltaAndCompression:
         from repro.core.columnar import SnapshotDelta
 
         base, new, delta = self._delta_pair(shape, data)
-        for compress in (False, True):
-            blob = delta.pack(compress=compress)
-            assert delta.pack(compress=compress) == blob  # deterministic bytes
-            applied = SnapshotDelta.unpack(blob).apply(base)
-            assert applied.pack() == new.pack()
-
-    @given(SNAPSHOT_SHAPES, st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_lossless_compressed_roundtrip_bit_exact(self, shape, data):
-        from repro.core.columnar import ColumnSnapshot
-
-        snapshot = _random_snapshot(shape, data)
-        blob = snapshot.pack(compress=True)
-        assert snapshot.pack(compress=True) == blob  # deterministic bytes
-        back = ColumnSnapshot.unpack(blob)
-        # Compression changes the frame, never the payload: the lossless
-        # round trip re-packs to the identity.
-        assert back.pack() == snapshot.pack()
+        blob = delta.pack()
+        assert delta.pack() == blob  # deterministic bytes
+        applied = SnapshotDelta.unpack(blob).apply(base)
+        assert applied.pack() == new.pack()
 
     @given(shapes, st.data())
     @settings(max_examples=30, deadline=None)
-    def test_single_byte_flip_in_compressed_or_delta_frame_is_typed(self, shape, data):
+    def test_single_byte_flip_in_full_or_delta_frame_is_typed(self, shape, data):
         from repro.core.columnar import ColumnSnapshot, SnapshotDelta
         from repro.errors import SnapshotError
 
         base, _new, delta = self._delta_pair(shape, data)
-        compressed = bytearray(base.pack(compress=True))
-        position = data.draw(st.integers(min_value=0, max_value=len(compressed) - 1))
+        full = bytearray(base.pack())
+        position = data.draw(st.integers(min_value=0, max_value=len(full) - 1))
         flip = data.draw(st.integers(min_value=1, max_value=255))
-        compressed[position] ^= flip
+        full[position] ^= flip
         with pytest.raises(SnapshotError):
-            ColumnSnapshot.unpack(bytes(compressed))
+            ColumnSnapshot.unpack(bytes(full))
 
-        frame = bytearray(delta.pack(compress=True))
+        frame = bytearray(delta.pack())
         position = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
         frame[position] ^= flip
         with pytest.raises(SnapshotError):
             SnapshotDelta.unpack(bytes(frame))
 
-    @given(shapes, st.data(), st.sampled_from([0x02, 0x80, 0x70]))
+    @given(shapes, st.data(), st.sampled_from([0x01, 0x02, 0x80, 0x70]))
     @settings(max_examples=20, deadline=None)
     def test_unknown_flag_bits_are_typed_even_with_a_valid_checksum(self, shape, data, bit):
-        """0x02 (the retired f32 centroid encoding) and every unassigned bit
-        are refused, not ignored — also when the frame re-checksums cleanly."""
+        """0x01 (the retired zlib body), 0x02 (the retired f32 centroid
+        encoding) and every unassigned bit are refused, not ignored — also
+        when the frame re-checksums cleanly."""
         import struct
         import zlib
 
@@ -1813,10 +1839,9 @@ class TestSnapshotDeltaAndCompression:
         from repro.errors import SnapshotError
 
         base, _new, delta = self._delta_pair(shape, data)
-        compress = data.draw(st.booleans())
         for unpack, blob in (
-            (ColumnSnapshot.unpack, base.pack(compress=compress)),
-            (SnapshotDelta.unpack, delta.pack(compress=compress)),
+            (ColumnSnapshot.unpack, base.pack()),
+            (SnapshotDelta.unpack, delta.pack()),
         ):
             assert unpack(blob) is not None
             stored = bytearray(blob[10:])  # magic (4) | version (2) | crc32 (4) | stored
@@ -1853,6 +1878,205 @@ class TestSnapshotDeltaAndCompression:
         applied = SnapshotDelta.unpack(delta.pack()).apply(base)
         assert applied.pack() == new.pack()
         assert applied.columns is base.columns
+
+
+def _frame_image(flags: int, meta: object, arrays) -> bytes:
+    """One column image framed from the format's definition alone.
+
+    Shares no code with the writer under test: ``b"OPSN" | u16 2 | crc32 |
+    flags`` (big-endian, the CRC over every byte after it), the u32 length
+    of the meta JSON (sorted keys, compact separators) and the JSON as
+    given, then each array as native float64 at the next 64-byte-aligned
+    offset of the image.
+    """
+    import json
+    import struct
+    import zlib
+
+    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = struct.pack("!I", len(meta_bytes)) + meta_bytes
+    for array in arrays:
+        body += bytes(-(11 + len(body)) % 64)
+        body += np.ascontiguousarray(array, dtype=np.float64).tobytes()
+    stored = bytes([flags]) + body
+    return b"OPSN" + struct.pack("!HI", 2, zlib.crc32(stored)) + stored
+
+
+def _json_paths(node, path=()):
+    """Every path into a JSON tree, the root's ``()`` included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, (*path, key))
+
+
+def _replaced(node, path, value):
+    """A copy of a JSON tree with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+#: JSON values a hostile writer could put anywhere in an image's meta.
+HOSTILE_JSON = st.one_of(
+    st.integers(min_value=-3, max_value=9),
+    st.sampled_from([2**32, 2**64, -(2**63), 10**30]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(min_value=-2, max_value=4), max_size=3),
+    st.sampled_from([["a"], [[]], {}, [["x", 1, 0.5]], {"a": 1}]),
+)
+
+
+class TestHostileImageMeta:
+    """One meta value of a valid image replaced, the CRC resealed: typed errors only.
+
+    Snapshots, deltas and column files share one reader, so a meta that
+    passes the checksum is still untrusted: any node of its JSON tree — the
+    root, a field, a section shape, a marker triple, a row — replaced by a
+    hostile value must come out as :class:`SnapshotError` /
+    :class:`StorageError`, or as a valid decode whose arrays are exactly
+    the packed ones.  Each case first pins that :func:`_frame_image`, which
+    frames the image from the format's definition, reproduces the
+    production bytes.  Column files are written under ``REPRO_STORAGE_DIR``
+    when it is set.
+    """
+
+    @staticmethod
+    def _meta(columns, **fields):
+        return {
+            "attribute": columns.attribute,
+            "entity_ids": list(columns.entity_ids),
+            "markers": [[m.name, m.position, m.sentiment] for m in columns.markers],
+            "dimension": columns.dimension,
+            "dtype": np.dtype(np.float64).str,
+            **fields,
+        }
+
+    @staticmethod
+    def _hostile(meta, data):
+        path = data.draw(st.sampled_from(list(_json_paths(meta))))
+        return _replaced(meta, path, data.draw(HOSTILE_JSON))
+
+    @staticmethod
+    def _assert_arrays(columns, expected, names):
+        for name in names:
+            array = np.asarray(getattr(columns, name))
+            assert array.shape == expected[name].shape, name
+            assert np.array_equal(array, expected[name]), name
+
+    @given(SNAPSHOT_SHAPES, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_snapshot_meta(self, shape, data):
+        from repro.core.columnar import ColumnSnapshot
+        from repro.errors import SnapshotError
+
+        snapshot = _random_snapshot(shape, data)
+        arrays = {name: np.asarray(getattr(snapshot.columns, name)) for name in SNAPSHOT_ARRAYS}
+        meta = self._meta(
+            snapshot.columns,
+            data_version=snapshot.data_version,
+            slice_id=snapshot.slice_id,
+            start=snapshot.start,
+            stop=snapshot.stop,
+            sections=[[name, list(array.shape)] for name, array in arrays.items()],
+        )
+        assert _frame_image(0, meta, arrays.values()) == snapshot.pack()
+        try:
+            hostile = _frame_image(0, self._hostile(meta, data), arrays.values())
+            back = ColumnSnapshot.unpack(hostile)
+        except SnapshotError:
+            return
+        assert back.stop - back.start == back.columns.num_entities
+        self._assert_arrays(back.columns, arrays, SNAPSHOT_ARRAYS)
+
+    @given(SNAPSHOT_SHAPES, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_delta_meta(self, shape, data):
+        from repro.core.columnar import SnapshotDelta, gather_rows
+        from repro.errors import SnapshotError
+
+        snapshot = _random_snapshot(shape, data)
+        rows = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=max(0, shape[0] - 1)))))
+        rows = [row for row in rows if row < shape[0]]
+        delta = SnapshotDelta(
+            7, 8, 3, 0, shape[0], tuple(rows), gather_rows(snapshot.columns, rows)
+        )
+        names = SNAPSHOT_ARRAYS[1:-1]
+        arrays = {name: np.asarray(getattr(delta.columns, name)) for name in names}
+        meta = self._meta(
+            delta.columns,
+            base_version=7,
+            data_version=8,
+            slice_id=3,
+            start=0,
+            stop=shape[0],
+            rows=rows,
+            sections=[[name, list(array.shape)] for name, array in arrays.items()],
+        )
+        assert _frame_image(4, meta, arrays.values()) == delta.pack()
+        try:
+            back = SnapshotDelta.unpack(_frame_image(4, self._hostile(meta, data), arrays.values()))
+        except SnapshotError:
+            return
+        assert len(back.rows) == back.columns.num_entities
+        assert all(0 <= row < back.stop - back.start for row in back.rows)
+        assert list(back.rows) == sorted(set(back.rows))
+        self._assert_arrays(back.columns, arrays, names)
+
+    @given(SNAPSHOT_SHAPES, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_column_file_meta(self, shape, data):
+        import os
+        import tempfile
+
+        from repro.errors import StorageError
+        from repro.storage import MappedColumnFile, pack_column_file
+
+        snapshot = _random_snapshot(shape, data)
+        num_entities, num_markers, dimension = shape
+        arrays = {name: np.asarray(getattr(snapshot.columns, name)) for name in SNAPSHOT_ARRAYS}
+        arrays.update(
+            counts=np.ones((num_entities, num_markers)),
+            sentiment_sums=np.zeros((num_entities, num_markers)),
+            vector_sums=np.zeros((num_entities, num_markers, dimension)),
+            num_phrases=np.arange(float(num_entities)),
+            num_reviews=np.ones(num_entities),
+            vector_dims=np.full(num_entities, float(dimension)),
+            kind_codes=np.zeros(num_entities),
+        )
+        fields = self._meta(snapshot.columns, version=4)
+        del fields["dtype"]
+        meta = self._meta(
+            snapshot.columns,
+            version=4,
+            sections=[[name, list(array.shape)] for name, array in arrays.items()],
+        )
+        image = pack_column_file(fields, arrays)
+        assert _frame_image(8, meta, arrays.values()) == b"".join(map(bytes, image.chunks))
+        base_dir = os.environ.get("REPRO_STORAGE_DIR") or None
+        if base_dir:
+            os.makedirs(base_dir, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=base_dir) as directory:
+            path = os.path.join(directory, "hostile.snap")
+            with open(path, "wb") as handle:
+                handle.write(_frame_image(8, self._hostile(meta, data), arrays.values()))
+            try:
+                mapped = MappedColumnFile(path)
+                _ = (mapped.attribute, mapped.version, mapped.markers, mapped.dimension)
+                columns, raw = mapped.columns(), mapped.raw()
+            except StorageError:
+                return
+            assert mapped.num_entities == len(mapped.entity_ids) == columns.num_entities
+            self._assert_arrays(columns, arrays, SNAPSHOT_ARRAYS)
+            self._assert_arrays(raw, arrays, ("counts", "vector_sums", "kind_codes"))
 
 
 class TestGatewayCoalescingKey:

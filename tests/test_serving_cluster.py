@@ -118,7 +118,7 @@ class TestHandshake:
             assert owned == []
             assert local_store is False  # no persistent data directory
 
-    @pytest.mark.parametrize("peer_version", [PROTOCOL_VERSION + 9, 4, 5])
+    @pytest.mark.parametrize("peer_version", [PROTOCOL_VERSION + 9, 4, 5, 6])
     def test_version_mismatch_is_typed_error(self, hotel_node, peer_version):
         with socket.create_connection(hotel_node.address, timeout=5) as sock:
             send_frame(sock, encode_hello(peer_version, 0), 1 << 20)
@@ -361,13 +361,9 @@ class TestDifferentialEquivalence:
                 server.stop()
 
 
-    @pytest.mark.parametrize(
-        "options",
-        [{"window": 1}, {"snapshot_compression": True}],
-        ids=["one-frame-window", "compressed-snapshots"],
-    )
+    @pytest.mark.parametrize("options", [{"window": 1}], ids=["one-frame-window"])
     def test_transport_options_are_lossless(self, hotel_database, options):
-        """No pipelining, or zlib-framed hydration: not one bit changes."""
+        """No pipelining: not one bit changes."""
         assert_engines_agree(hotel_database, _cluster(2, num_shards=4, **options), HOTEL_QUERIES)
 
     def test_external_fleet_with_replicas(self, hotel_database):

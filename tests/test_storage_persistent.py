@@ -29,6 +29,7 @@ import json
 import os
 import sqlite3
 import struct
+import sys
 import tempfile
 import tracemalloc
 import zlib
@@ -36,7 +37,6 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.columnar import SNAPSHOT_FLAG_COLUMN_FILE, _pack_container
 from repro.core.database import SubjectiveDatabase
 from repro.core.markers import MarkerSummary
 from repro.errors import CatalogError, StorageError
@@ -56,12 +56,7 @@ from repro.storage import (
     write_bytes_atomically,
 )
 from repro.storage.catalog import CATALOG_FILENAME
-from repro.storage.columns import (
-    COLUMN_FILE_DTYPE,
-    SECTION_ALIGNMENT,
-    attribute_sections,
-    raw_summary_columns,
-)
+from repro.storage.columns import attribute_sections, raw_summary_columns
 from repro.storage.synthetic import SYNTHETIC_ATTRIBUTE
 from repro.testing import (
     assert_identical_results,
@@ -407,19 +402,23 @@ class TestSyntheticStore:
 
 #: magic (4) + format version (u16) + crc32 (u32) + flags (u8).
 HEADER_BYTES = 11
+#: Sections start at multiples of this many bytes.
+SECTION_ALIGNMENT = 64
 
 
 def reference_column_file(meta, sections) -> bytes:
     """The join-based column-file writer the streamed one replaced.
 
-    Kept as the byte-level oracle of the on-disk format: meta JSON with the
-    dtype tag and section table, every section copied to bytes and joined
-    behind its zero padding, the whole body wrapped by the wire snapshot's
-    own ``_pack_container``.  It materialises the file several times over,
-    which is exactly why production code no longer does this.
+    Kept as the byte-level oracle of the on-disk format, written here from
+    the format's definition and sharing no code with the writer under
+    test: meta JSON with the dtype tag and section table, every section
+    copied to bytes and joined behind its zero padding, behind the 11-byte
+    header ``b"OPSN" | u16 2 | crc32 | flags 0x08`` (big-endian integers,
+    the CRC over everything after it).  It materialises the file several
+    times over, which is exactly why production code no longer does this.
     """
     full_meta = dict(meta)
-    full_meta["dtype"] = COLUMN_FILE_DTYPE
+    full_meta["dtype"] = np.dtype(np.float64).str  # native-endian float64
     full_meta["sections"] = [
         [name, [int(size) for size in np.shape(array)]] for name, array in sections.items()
     ]
@@ -432,7 +431,35 @@ def reference_column_file(meta, sections) -> bytes:
         payload = np.ascontiguousarray(array, dtype=np.float64).tobytes()
         parts.append(payload)
         position = start + len(payload)
-    return _pack_container(b"".join(parts), SNAPSHOT_FLAG_COLUMN_FILE, compress=False)
+    stored = b"\x08" + b"".join(parts)
+    return b"OPSN" + struct.pack("!HI", 2, zlib.crc32(stored)) + stored
+
+
+def tiny_column_file_sections():
+    """(meta, sections) of one tiny seeded attribute file: E=3, M=2, D=2."""
+    rng = np.random.default_rng(2024)
+    meta = {
+        "attribute": "quality",
+        "version": 3,
+        "entity_ids": ["h0", "h1", 2],
+        "markers": [["clean", 0, 0.75], ["dirty", 1, -0.5]],
+        "dimension": 2,
+    }
+    sections = {
+        "marker_sentiments": rng.standard_normal(2),
+        "fractions": rng.random((3, 2)),
+        "totals": rng.random(3),
+        "centroids_unit": rng.standard_normal((3, 2, 2)),
+        "name_units": rng.standard_normal((2, 2)),
+        "vector_sums": np.zeros((3, 2, 0)),
+    }
+    return meta, sections
+
+
+#: SHA-256 of the tiny seeded column file, recorded from the writer before
+#: wire snapshots moved onto the column-file format: that move must not
+#: change one byte on disk.
+TINY_COLUMN_FILE_SHA256 = "c90757550260b0917c553f5d21bd4aebdbac4cefb37811b9e5d8b34d4647c6cb"
 
 
 def read_bytes(path: str) -> bytes:
@@ -498,6 +525,14 @@ def assert_image_is_reference(meta, sections, directory: str) -> None:
 
 class TestStreamedLayout:
     """The streamed writer against the join-based reference, byte for byte."""
+
+    @pytest.mark.skipif(sys.byteorder != "little", reason="the digest pins little-endian floats")
+    def test_tiny_column_file_matches_its_golden_digest(self):
+        meta, sections = tiny_column_file_sections()
+        image = b"".join(bytes(chunk) for chunk in pack_column_file(meta, sections).chunks)
+        assert len(image) == 704
+        assert hashlib.sha256(image).hexdigest() == TINY_COLUMN_FILE_SHA256
+        assert image == reference_column_file(meta, sections)
 
     @pytest.mark.parametrize("fixture", ["hotel_database", "restaurant_database", "small_database"])
     def test_saved_files_equal_the_reference_layout(self, fixture, request, storage_dir):
