@@ -1,4 +1,4 @@
-"""Cluster quickstart: two TCP shard nodes, one concurrent coordinator.
+"""Cluster quickstart: two TCP shard nodes, one coordinator.
 
 Shows the multi-node serving tier end to end on one machine:
 
@@ -8,8 +8,8 @@ Shows the multi-node serving tier end to end on one machine:
    they hold no database; their column slices arrive over the wire as
    checksummed ``ColumnSnapshot`` bytes),
 3. point a :class:`repro.serving.ClusterQueryEngine` at their addresses
-   and run a query batch — the concurrent coordinator overlaps the
-   queries' node fan-outs and reuses degree vectors across the batch,
+   and run a query batch — each query ships as one ``rank`` frame per
+   node, and every node ranks its own slices,
 4. print the ranked answers and the per-node transport statistics.
 
 Results are exactly those of the single-process engine; only the execution

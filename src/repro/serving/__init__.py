@@ -31,8 +31,8 @@ overlapping queries needs:
   of :mod:`repro.serving.protocol`), forked on this machine or started
   anywhere, hydrated from shipped
   :class:`~repro.core.columnar.ColumnSnapshot` bytes, a versioned
-  ``hello`` handshake, pipelined per-node request queues, and a
-  concurrent ``run_batch`` that overlaps independent queries' fan-outs;
+  ``hello`` handshake, pipelined per-node request queues, and pruned
+  queries shipped as one ``rank`` frame per node;
 * :class:`ServingGateway` / :class:`AsyncGatewayClient` / :class:`GatewayClient`
   (:mod:`repro.serving.gateway`) — the client-facing front door: an
   ``asyncio`` server that coalesces identical in-flight requests, folds

@@ -356,8 +356,8 @@ class DegreeColumnCache:
     # ---------------------------------------------------- per-degree batches
     # The LRUCache batch protocol over ``(entity_id, attribute, phrase)``
     # keys, for the call sites that still speak entity ids (the full-vector
-    # and scalar ranking paths, the cluster prefetch): each run of keys
-    # sharing a condition becomes one column operation.
+    # and scalar ranking paths): each run of keys sharing a condition
+    # becomes one column operation.
     def _runs(self, keys: Sequence[tuple]) -> Iterator[tuple[tuple, np.ndarray]]:
         for column_key, run in itertools.groupby(keys, key=itemgetter(1, 2)):
             yield column_key, self.rows_of([key[0] for key in run])
@@ -367,17 +367,6 @@ class DegreeColumnCache:
         degrees: list[object] = []
         for column_key, rows in self._runs(keys):
             degrees += self._with_default(*self.lookup(column_key, rows), default)
-        return degrees
-
-    def peek_many(self, keys: Sequence[tuple], default: object = None) -> list[object]:
-        """:meth:`get_many` without counters or recency."""
-        degrees: list[object] = []
-        for column_key, rows in self._runs(keys):
-            column = self._columns.get(column_key)
-            if column is None:
-                degrees += [default] * rows.size
-            else:
-                degrees += self._with_default(column[0][rows], column[1][rows], default)
         return degrees
 
     @staticmethod

@@ -1,9 +1,8 @@
-"""Cluster transport: TCP shard nodes, snapshot hydration, a concurrent coordinator.
+"""Cluster transport: TCP shard nodes, snapshot hydration, a fleet coordinator.
 
 The multi-process engine: entity shards served by node processes behind a
 TCP boundary.  Column data reaches the nodes explicitly, as shipped
-snapshots, never by copy-on-write inheritance, and the coordinator overlaps
-independent queries' fan-outs:
+snapshots, never by copy-on-write inheritance:
 
 * :class:`ShardNodeServer` — a shard process that listens on **TCP** and
   speaks exactly the frame protocol of :mod:`repro.serving.protocol`.  Every
@@ -26,14 +25,10 @@ independent queries' fan-outs:
   fleet reconnects or respawns on the next query;
 * :class:`ClusterQueryEngine` — subclasses the sharded engine, so
   WHERE-tree vectorization and the exact ``(-score, str(entity_id),
-  position)`` top-k merge are reused verbatim, and adds a **concurrent**
-  :meth:`~ClusterQueryEngine.run_batch`: a bounded window of queries is
-  planned ahead and their uncached degree fan-outs are issued to the nodes
-  before earlier queries finish ranking, so node latency hides under
-  coordinator CPU.  Results are bit-identical to serial execution — the
-  prefetch only warms the same caches the serial path would fill, with the
-  same deterministic values (every kernel is row-independent, so batching
-  composition cannot change a single bit).
+  position)`` top-k merge are reused verbatim.  A pruned query ships as one
+  ``rank`` frame per node; a batch is the inherited serial
+  :meth:`~repro.serving.engine.SubjectiveQueryEngine.run_batch`, one
+  pruned ``execute`` per query.
 
 Exact equality is pinned by ``tests/test_serving_cluster.py``: rankings,
 scores and degrees equal to the unsharded engine over TCP for node counts
@@ -68,12 +63,11 @@ from repro.core.columnar import (
     scalar_fallback_scorer,
 )
 from repro.core.database import SubjectiveDatabase
-from repro.core.interpreter import InterpretationMethod
 from repro.core.processor import SubjectiveQueryProcessor
 from repro.obs.metrics import MetricsRegistry, cell_property
 from repro.obs.trace import current_wire_trace, global_trace_store, span
-from repro.serving.engine import BatchResult, CandidateSet
-from repro.serving.plans import QueryPlan, normalize_sql
+from repro.serving.engine import CandidateSet
+from repro.serving.plans import QueryPlan
 from repro.serving.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     OP_HELLO,
@@ -129,20 +123,12 @@ from repro.utils.timing import now
 #: Default bound on score/hydrate requests in flight per node connection.
 DEFAULT_INFLIGHT_WINDOW = 32
 
-#: Default bound on batch queries whose fan-outs may overlap in
-#: :meth:`ClusterQueryEngine.run_batch`.
-DEFAULT_MAX_INFLIGHT_QUERIES = 16
-
 #: Default seconds allowed for connecting + handshaking with one node.
 DEFAULT_CONNECT_TIMEOUT = 10.0
 
 #: Default seconds a fan-out may wait on node responses before the
 #: affected nodes are treated as crashed.
 DEFAULT_IO_TIMEOUT = 60.0
-
-#: Sentinel distinguishing "absent from the cache" from cached ``None``
-#: during batch prefetch probing.
-_PREFETCH_MISSING = object()
 
 
 # --------------------------------------------------------------------------
@@ -745,9 +731,8 @@ class DegreeRequest:
     """An issued-but-uncollected degree fan-out (one ``pair_degrees`` worth).
 
     Produced by :meth:`ClusterShardStore.request_degrees`, consumed by
-    :meth:`ClusterShardStore.collect_degrees`.  Holding several of these at
-    once is what lets the concurrent coordinator overlap independent
-    queries' fan-outs across the nodes.
+    :meth:`ClusterShardStore.collect_degrees`; several may be held at
+    once, and their fan-outs then overlap on the nodes.
     """
 
     data_version: int
@@ -1570,9 +1555,7 @@ class ClusterShardStore:
         start computing immediately.  Returns ``None`` under the same
         conditions the base store does (no kernel / no columns), so
         callers' scalar fallback behaviour is unchanged.  The returned
-        :class:`DegreeRequest` is consumed by :meth:`collect_degrees`;
-        issuing several before collecting any is how the concurrent
-        coordinator overlaps independent queries' fan-outs.
+        :class:`DegreeRequest` is consumed by :meth:`collect_degrees`.
         """
         self._check_version()
         kernel = columnar_kernel(membership, self.database)
@@ -1866,59 +1849,24 @@ class ClusterShardStore:
 
 
 # --------------------------------------------------------------------------
-# The concurrent coordinator engine
+# The coordinator engine
 # --------------------------------------------------------------------------
-
-@dataclass
-class _PrefetchedQuery:
-    """One batch query planned ahead, with its issued degree fan-outs.
-
-    Each handle entry is ``(cache keys, store request, memo key or None,
-    candidate ids)`` — the memo key is set when the fan-out covers the
-    whole candidate set, so absorbing it can pre-fill the vector memo.
-    """
-
-    sql: str
-    data_version: int
-    handles: list[tuple] = field(default_factory=list)
-
 
 class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
     """Serving front end over TCP shard nodes; results exactly equal to the
-    unsharded engine, with a concurrent batch coordinator.
+    unsharded engine.
 
     Planning, WHERE-tree vectorization over degree arrays, and the exact
     ``(-score, str(entity_id), position)`` top-k merge are inherited from
     the sharded engine verbatim; only the degree transport (an installed
-    :class:`ClusterShardStore`) and :meth:`run_batch` differ.
-
-    ``run_batch`` keeps a bounded window of up to ``max_inflight_queries``
-    queries planned ahead of the one currently executing: each windowed
-    query's uncached membership fan-outs are issued to the nodes
-    immediately, so while the coordinator ranks query *i*, the nodes are
-    already computing degrees for queries *i+1 … i+W*.  The look-ahead
-    window additionally enables **vector-level reuse**: once one windowed
-    query has assembled a predicate pair's degree vector over the shared
-    candidate set, every other query in the batch touching the same pair
-    reuses the vector outright instead of re-walking the per-entity
-    membership cache — the dominant coordinator cost under overlapping
-    query traffic.  Results are **bit-identical** to serial execution: the
-    prefetch only pre-fills the same membership cache the serial path
-    would fill, with the same deterministic values (kernels are
-    row-independent, so request batching cannot change any bit), reused
-    vectors hold exactly the values the per-entity walk would have
-    gathered, duplicate work is suppressed exactly where the serial path
-    would have had a cache hit, and a mid-batch ``data_version`` bump
-    discards every prefetched value from the old version before it can be
-    served.  The returned :class:`~repro.serving.engine.BatchResult`
-    reports serial-equivalent cache statistics (what a one-query-at-a-time
-    execution would have counted) plus the real transport counter deltas.
+    :class:`ClusterShardStore`) and the pruned scan (:meth:`_scan_pruned`,
+    one ``rank`` frame per node) differ.  ``run_batch`` is the inherited
+    serial batch: one ``execute`` per query, each pruned where its shape
+    allows, so a batch ranks no more rows than its queries would one by one.
 
     Fleet shape mirrors :class:`ClusterShardStore`: a managed local fleet
     of ``num_nodes`` forked TCP nodes by default, or ``addresses=...`` to
-    serve over externally started :class:`ShardNodeServer` instances.  Set
-    ``max_inflight_queries=1`` for a strictly serial coordinator (the
-    baseline the cluster benchmark measures against).
+    serve over externally started :class:`ShardNodeServer` instances.
     """
 
     engine_backends = ("cluster",)
@@ -1936,7 +1884,6 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         node_cache_size: int | None = DEFAULT_WORKER_CACHE_SIZE,
         addresses: Sequence[tuple[str, int]] | None = None,
         window: int = DEFAULT_INFLIGHT_WINDOW,
-        max_inflight_queries: int = DEFAULT_MAX_INFLIGHT_QUERIES,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         io_timeout: float = DEFAULT_IO_TIMEOUT,
         replication: int = 1,
@@ -1952,27 +1899,15 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
             num_nodes = default_num_shards()
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
-        if max_inflight_queries < 1:
-            raise ValueError(
-                f"max_inflight_queries must be positive, got {max_inflight_queries}"
-            )
         self.num_nodes = num_nodes
         self.max_frame_bytes = max_frame_bytes
         self.node_cache_size = node_cache_size
         self.addresses = list(addresses) if addresses is not None else None
         self.window = window
-        self.max_inflight_queries = max_inflight_queries
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self.replication = replication
         self.data_dir = data_dir
-        # Batch-local (attribute, phrase) → (unique_ids, degrees) memo;
-        # active only inside a concurrent run_batch, cleared on every
-        # invalidation so it can never outlive a data version.  The
-        # prefetch record tracks pairs whose keys were already issued or
-        # found cached by an earlier windowed query.
-        self._vector_memo: dict[tuple, tuple] | None = None
-        self._prefetched_pairs: dict[tuple, Sequence[Hashable]] = {}
         super().__init__(
             database=database,
             processor=processor,
@@ -2002,78 +1937,6 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
             replication=self.replication,
             data_dir=self.data_dir,
         )
-
-    # ----------------------------------------------------- vector-level reuse
-    def _drop_caches(self, journaled: bool = False) -> None:
-        """Drop engine caches and the batch-local vector memo together."""
-        self._vector_memo = None if self._vector_memo is None else {}
-        self._prefetched_pairs = {}
-        super()._drop_caches(journaled)
-
-    @staticmethod
-    def _same_ids(stored: Sequence[Hashable], unique_ids: Sequence[Hashable]) -> bool:
-        """Whether two candidate-id sequences are the same set of rows."""
-        return stored is unique_ids or list(stored) == list(unique_ids)
-
-    @staticmethod
-    def _pair_signature(
-        attribute: str | None, phrase: str, unique_ids: Sequence[Hashable]
-    ) -> tuple:
-        """A cheap memo key for one predicate pair over one candidate set.
-
-        Batch queries may run over different candidate sets (objective
-        filters, the empty set of an all-crisp-false pre-filter), so the
-        ids participate in the key through an O(1) signature; lookups still
-        verify full id equality before reusing anything, so a signature
-        collision can only cost a recomputation, never change a value.
-        """
-        if len(unique_ids):
-            return (attribute, phrase, len(unique_ids), unique_ids[0], unique_ids[-1])
-        return (attribute, phrase, 0, None, None)
-
-    def _memo_lookup(self, key: tuple, unique_ids: Sequence[Hashable]):
-        memo = self._vector_memo
-        if memo is None:
-            return None
-        entry = memo.get(key)
-        if entry is None:
-            return None
-        memo_ids, values = entry
-        if self._same_ids(memo_ids, unique_ids):
-            return values
-        return None
-
-    def _cached_pair_degrees(
-        self, entity_ids: Sequence[Hashable], attribute: str, phrase: str
-    ) -> list[float]:
-        """Pair degrees with batch-local vector reuse (concurrent batches only).
-
-        Inside a concurrent ``run_batch``, the first query assembling one
-        predicate pair's degree list over the batch's shared candidate set
-        memoises the whole list; later windowed queries over the same ids
-        reuse it outright — the values are exactly what the per-entity
-        cache walk would have returned, so results cannot change, and the
-        walk (hundreds of tuple builds and cache probes per query) is the
-        dominant coordinator cost under overlapping traffic.
-        """
-        key = self._pair_signature(attribute, phrase, entity_ids)
-        values = self._memo_lookup(key, entity_ids)
-        if values is not None:
-            return values
-        values = super()._cached_pair_degrees(entity_ids, attribute, phrase)
-        if self._vector_memo is not None:
-            self._vector_memo[key] = (list(entity_ids), values)
-        return values
-
-    def _prune_enabled(self) -> bool:
-        """Pruning is off inside a concurrent batch.
-
-        The prefetch window has already issued (or finished) full exact
-        fan-outs for every windowed query's predicate pairs; a rank frame
-        would only duplicate node work the batch machinery has paid for,
-        so the serial ranking path over the warm caches wins.
-        """
-        return self._vector_memo is None
 
     def _scan_pruned(
         self,
@@ -2108,7 +1971,7 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         cache = self.membership_cache
         rows = candidates.entity_rows(cache)
         if all(cache.covers(pair, rows) for predicate in predicates for pair in predicate.pairs):
-            return None  # a batch prefetch left whole columns here: read them unpruned
+            return None  # an unpruned query left whole columns here: read them
         tree, crisp_leaves = encode_where_tree(
             plan.statement.where,
             {predicate.text: index for index, predicate in enumerate(predicates)},
@@ -2177,244 +2040,11 @@ class ClusterQueryEngine(ShardedSubjectiveQueryEngine):
         self.entities_pruned += pruned
         return PrunedRanking(heap, len(row_entities), scanned, offered, pruned, nodes=len(replies))
 
-    def _cached_retrieval_degrees(
-        self, entity_ids: Sequence[Hashable], predicate: str
-    ) -> list[float]:
-        """Retrieval degrees with the same batch-local vector reuse."""
-        key = self._pair_signature(None, predicate, entity_ids)
-        values = self._memo_lookup(key, entity_ids)
-        if values is not None:
-            return values
-        values = super()._cached_retrieval_degrees(entity_ids, predicate)
-        if self._vector_memo is not None:
-            self._vector_memo[key] = (list(entity_ids), values)
-        return values
-
-    # ------------------------------------------------------- concurrent batch
-    def run_batch(self, sqls: Sequence[str], top_k: int | None = None) -> BatchResult:
-        """Execute many queries, overlapping their node fan-outs.
-
-        With ``max_inflight_queries`` of 1 (or no cluster store installed)
-        this is exactly the inherited serial batch.  Otherwise queries are
-        consumed from ``sqls`` into a bounded look-ahead window; each
-        windowed query is planned and its uncached degree work issued to
-        the nodes, then queries are completed strictly in input order —
-        results, per-query latencies and ranked output are bit-identical to
-        the serial path.
-        """
-        if self.max_inflight_queries <= 1 or self.sharded_store is None:
-            return super().run_batch(sqls, top_k=top_k)
-        self._check_data_version()
-        transport_before = self._cache_counters()
-        accounting = {
-            "plan_hits": 0,
-            "plan_misses": 0,
-            "membership_hits": 0,
-            "membership_misses": 0,
-            "candidate_hits": 0,
-            "candidate_misses": 0,
-        }
-        pending: dict[tuple, int] = {}
-        iterator = iter(sqls)
-        window: deque[_PrefetchedQuery] = deque()
-        exhausted = False
-        results = []
-        latencies: list[float] = []
-        self._vector_memo = {}
-        self._prefetched_pairs = {}
-        started = now()
-        try:
-            while True:
-                while not exhausted and len(window) < self.max_inflight_queries:
-                    try:
-                        sql = next(iterator)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    window.append(self._prefetch_query(sql, pending, accounting))
-                if not window:
-                    break
-                item = window.popleft()
-                query_started = now()
-                self._absorb_prefetch(item)
-                results.append(self.execute(item.sql, top_k=top_k))
-                latencies.append(now() - query_started)
-        finally:
-            self._vector_memo = None
-            self._prefetched_pairs = {}
-        elapsed = now() - started
-        self.stats.batch_queries += len(results)
-        transport_after = self._cache_counters()
-        cache_stats = dict(accounting)
-        for name, value in transport_after.items():
-            if name not in cache_stats:
-                cache_stats[name] = value - transport_before.get(name, 0)
-        return BatchResult(
-            results=results,
-            latencies=latencies,
-            elapsed_seconds=elapsed,
-            cache_stats=cache_stats,
-        )
-
-    def _prefetch_query(
-        self, sql: str, pending: dict[tuple, int], accounting: dict[str, int]
-    ) -> _PrefetchedQuery:
-        """Plan one windowed query and issue its uncached degree fan-outs.
-
-        Accounting mirrors what a serial execution would have counted at
-        this point in the input order: a membership key already cached *or*
-        already requested by an earlier batch query is a hit (serial would
-        have found it cached by now), everything else is a miss and is
-        requested exactly once.
-        """
-        self._check_data_version()
-        version = self.database.data_version
-        # A version bump between windowed queries orphans every pending
-        # record at once (the caches they describe were cleared), so one
-        # sentinel comparison suffices — all live entries share a version.
-        if pending and next(iter(pending.values())) != version:
-            pending.clear()
-        plan_key = normalize_sql(sql)
-        if plan_key in self.plan_cache:
-            accounting["plan_hits"] += 1
-        else:
-            accounting["plan_misses"] += 1
-        plan = self.plan(sql)
-        if plan.candidate_key in self.candidate_cache:
-            accounting["candidate_hits"] += 1
-        else:
-            accounting["candidate_misses"] += 1
-        candidates = self._candidate_rows(plan)
-        item = _PrefetchedQuery(sql=sql, data_version=version)
-        processor = self.processor
-        for predicate, interpretation in plan.interpretations.items():
-            if (
-                interpretation.method is InterpretationMethod.TEXT_RETRIEVAL
-                or not interpretation.pairs
-            ):
-                self._prefetch_keys(
-                    item,
-                    candidates.unique_ids,
-                    None,
-                    predicate,
-                    pending,
-                    accounting,
-                    compute=lambda missing, p=predicate: processor.retrieval_degrees(missing, p),
-                )
-            else:
-                for pair in interpretation.pairs:
-                    phrase = processor.phrase_for_pair(interpretation, pair.marker)
-                    self._prefetch_keys(
-                        item,
-                        candidates.unique_ids,
-                        pair.attribute,
-                        phrase,
-                        pending,
-                        accounting,
-                        compute=lambda missing, a=pair.attribute, p=phrase: (
-                            processor.pair_degrees(missing, a, p)
-                        ),
-                    )
-        return item
-
-    def _prefetch_keys(
-        self,
-        item: _PrefetchedQuery,
-        unique_ids: Sequence[Hashable],
-        attribute: str | None,
-        phrase: str,
-        pending: dict[tuple, int],
-        accounting: dict[str, int],
-        compute,
-    ) -> None:
-        """Issue (or inline-compute) the uncached degrees of one predicate pair.
-
-        Predicate pairs are deduplicated at two levels before any per-key
-        work: the vector memo (an earlier batch query already *assembled*
-        the pair's vector) and the prefetch record (an earlier windowed
-        query already *issued or found cached* every key of the pair over
-        the same candidate set).  Either way a serial execution would have
-        found every key cached by the time this query ran, so the whole
-        pair counts as hits.
-        """
-        pair_key = self._pair_signature(attribute, phrase, unique_ids)
-        if self._memo_lookup(pair_key, unique_ids) is not None:
-            accounting["membership_hits"] += len(unique_ids)
-            return
-        recorded = self._prefetched_pairs.get(pair_key)
-        if recorded is not None and self._same_ids(recorded, unique_ids):
-            accounting["membership_hits"] += len(unique_ids)
-            return
-        self._prefetched_pairs[pair_key] = unique_ids
-        keys = [(entity_id, attribute, phrase) for entity_id in unique_ids]
-        present = self.membership_cache.peek_many(keys, _PREFETCH_MISSING)
-        missing_ids: list[Hashable] = []
-        missing_keys: list[tuple] = []
-        hits = 0
-        for entity_id, key, value in zip(unique_ids, keys, present):
-            if value is not _PREFETCH_MISSING or key in pending:
-                hits += 1
-            else:
-                missing_ids.append(entity_id)
-                missing_keys.append(key)
-        accounting["membership_hits"] += hits
-        accounting["membership_misses"] += len(missing_ids)
-        if not missing_ids:
-            return
-        for key in missing_keys:
-            pending[key] = item.data_version
-        # The asynchronous node path is only correct where the serial path
-        # would itself route through the columnar store: the marker-free
-        # ablation (``use_markers=False``) and the scalar baseline
-        # (``use_columnar=False``) must take the processor's own compute
-        # path, exactly like ``processor.pair_degrees`` would.
-        handle = None
-        if attribute is not None and self.processor.use_markers and self.processor.use_columnar:
-            handle = self.sharded_store.request_degrees(
-                self.processor.membership, missing_ids, attribute, phrase
-            )
-        if handle is None:
-            # No asynchronous path (text retrieval, or no columnar kernel):
-            # compute inline — the exact computation the serial path runs —
-            # and fill the cache immediately.
-            values = compute(missing_ids)
-            self.membership_cache.put_many(list(zip(missing_keys, values)))
-            return
-        # When the fan-out covers the whole candidate set (a cold pair),
-        # its collected values *are* the pair's vector: remember enough to
-        # pre-fill the vector memo at absorb time, sparing the first
-        # per-entity walk too.
-        memo_fill = pair_key if len(missing_ids) == len(unique_ids) else None
-        item.handles.append((missing_keys, handle, memo_fill, unique_ids))
-
-    def _absorb_prefetch(self, item: _PrefetchedQuery) -> None:
-        """Land one windowed query's fan-out results in the membership cache.
-
-        Values from a superseded ``data_version`` are discarded unfilled —
-        the following ``execute`` recomputes against current data — and
-        node-loss errors are swallowed for superseded requests only; for a
-        current-version request they surface exactly as the serial path's
-        :class:`~repro.serving.protocol.WorkerCrashedError` would.
-        """
-        for keys, handle, memo_fill, unique_ids in item.handles:
-            stale = self.database.data_version != handle.data_version
-            try:
-                values = self.sharded_store.collect_degrees(handle)
-            except RpcError:
-                if stale:
-                    continue
-                raise
-            if not stale:
-                self.membership_cache.put_many(list(zip(keys, values)))
-                if memo_fill is not None and self._vector_memo is not None:
-                    self._vector_memo[memo_fill] = (list(unique_ids), values)
-
     # ----------------------------------------------------------- statistics
     def stats_snapshot(self) -> dict[str, object]:
         """Serving counters plus cluster fan-out and per-node statistics."""
         snapshot = super().stats_snapshot()
         snapshot["num_nodes"] = self.num_nodes
-        snapshot["max_inflight_queries"] = self.max_inflight_queries
         if self.sharded_store is not None:
             snapshot["nodes"] = self.sharded_store.partition_stats()
         return snapshot

@@ -14,8 +14,8 @@ layers were built for.  :class:`ServingGateway` is that front door, an
   query arriving from a hundred clients costs one ranking pass;
 * **micro-batching** — requests arriving within a small window are executed
   as one :meth:`~repro.serving.engine.SubjectiveQueryEngine.run_batch`
-  call, which is what lets a cluster engine overlap their node fan-outs
-  and reuse degree vectors across the batch;
+  call: one engine-thread hop per flush, and the batch's queries share the
+  engine's plan and candidate caches;
 * **admission control** — a per-connection in-flight cap and a global
   queue-depth bound, enforced by the pure :class:`AdmissionController`;
   a request over either bound is refused *before* any work with a typed
@@ -35,9 +35,9 @@ matched to requests by an echoed ``request_id``, so clients may pipeline.
 
 Results are byte-identical to calling the engine directly: coalescing only
 shares a response all waiters would have computed, micro-batching is the
-engine's own ``run_batch`` (pinned bit-identical to serial execution by
-the cluster differential suite), and serialization round-trips every float
-through ``repr`` (exact for Python floats).
+engine's own ``run_batch`` (one ``execute`` per query, in order), and
+serialization round-trips every float through ``repr`` (exact for Python
+floats).
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ class GatewayCounters:
         """Requests served by shared work rather than a private execution.
 
         Coalesced waiters (they never reached the engine) plus leaders that
-        executed inside a micro-batch of at least two queries (their node
-        fan-outs and degree vectors were shared by ``run_batch``).
+        executed inside a micro-batch of at least two queries (they shared
+        one engine-thread hop and the engine's caches in ``run_batch``).
         """
         return self.coalesced_hits + self.shared_batch_queries
 
@@ -733,8 +733,8 @@ class ServingGateway:
         for top_k, indexes in groups.items():
             ran_group = False
             if len(indexes) > 1:
-                # One run_batch shares fan-outs across the group; its spans
-                # parent onto the first traced item's request context.
+                # One run_batch serves the group; its spans parent onto the
+                # first traced item's request context.
                 group_trace = next(
                     (items[index].trace for index in indexes if items[index].trace is not None),
                     None,

@@ -1342,7 +1342,7 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         # sharded store).
         if not getattr(self.processor.logic, "supports_arrays", False):
             return super()._rank(plan, candidates, sql=sql, top_k=top_k)
-        if self.prune_topk and self._prune_enabled():
+        if self.prune_topk:
             pruned = self._rank_pruned(plan, candidates, sql=sql, top_k=top_k)
             if pruned is not None:
                 return pruned
@@ -1451,15 +1451,6 @@ class ShardedSubjectiveQueryEngine(SubjectiveQueryEngine):
         return QueryResult(sql=sql, entities=entities, interpretations=plan.interpretations)
 
     # -------------------------------------------------- bound-based pruning
-    def _prune_enabled(self) -> bool:
-        """Whether the pruned path may run right now (hook for subclasses).
-
-        The cluster engine returns ``False`` while a concurrent batch is in
-        flight — its prefetch pipeline already computes full exact vectors,
-        so a threshold scan would only duplicate work.
-        """
-        return True
-
     def _rank_pruned(
         self,
         plan: QueryPlan,

@@ -199,7 +199,11 @@ class PpmiSvdEmbeddings:
         ).tocsr()
 
         k = min(self.dimension, size - 1)
-        u, s, _vt = svds(ppmi, k=k)
+        # ARPACK's starting vector is random unless given; a fixed one makes
+        # two fits of one corpus byte-identical.  It is what ``rng=0`` draws,
+        # passed as ``v0`` because older SciPy has no ``rng`` argument.
+        start = np.random.default_rng(0).standard_normal(size)
+        u, s, _vt = svds(ppmi, k=k, v0=start)
         # svds returns singular values in ascending order; flip for stability.
         order = np.argsort(-s)
         matrix = u[:, order] * np.sqrt(s[order])

@@ -159,8 +159,7 @@ class TestKillOneNode:
         machinery: a dead node's slices are re-ranked on their replicas."""
         baseline = SubjectiveQueryEngine(database=fault_database)
         with ClusterQueryEngine(
-            database=fault_database, num_nodes=2, num_shards=4, replication=2,
-            max_inflight_queries=1, **FAST,
+            database=fault_database, num_nodes=2, num_shards=4, replication=2, **FAST
         ) as engine:
             engine.execute(QUERIES[0])  # fleet up, every replica hydrated
             store = engine.sharded_store
@@ -176,8 +175,7 @@ class TestKillOneNode:
         sql = QUERIES[2]
         expected = SubjectiveQueryEngine(database=fault_database).execute(sql)
         with ClusterQueryEngine(
-            database=fault_database, num_nodes=2, num_shards=4, replication=2,
-            max_inflight_queries=1, **FAST,
+            database=fault_database, num_nodes=2, num_shards=4, replication=2, **FAST
         ) as engine:
             engine.execute(QUERIES[0])  # fleet up, every replica hydrated
             store = engine.sharded_store

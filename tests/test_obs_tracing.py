@@ -230,9 +230,7 @@ class TestClusterNodeTraces:
         work and parents onto the coordinator's ``transport`` span, and the
         ``merge`` span counts the node lists it merged."""
         store = _fresh_tracing()
-        with ClusterQueryEngine(
-            database=hotel_database, num_nodes=2, max_inflight_queries=1
-        ) as engine:
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2) as engine:
             engine.execute(HOTEL_SQL)
             local = store.spans()
             trace_id = next(r.trace_id for r in local if r.name == "query")

@@ -593,8 +593,8 @@ class TestDegreeColumnCacheAgainstDictModel:
     known, the allocated slots stay within ``max(maxsize, N)``, ``hits +
     misses`` is the number of rows looked up, and ``evictions`` is the known
     degrees of exactly the columns dropped — in total and per partition.
-    The per-degree batch forms (``put_many`` / ``get_many`` / ``peek_many``)
-    are drawn in place of ``store`` / ``lookup`` / ``peek`` at random.
+    The per-degree batch forms (``put_many`` / ``get_many``) are drawn in
+    place of ``store`` / ``lookup`` at random.
     """
 
     KEYS = [("quality", "a"), ("quality", "b"), ("service", "a"), (None, "free text")]
@@ -675,8 +675,6 @@ class TestDegreeColumnCacheAgainstDictModel:
                 column = model.get(key, {})
                 for row in rows:
                     assert cache.peek((entity_ids[row], *key)) == column.get(row)
-                degrees = cache.peek_many([(entity_ids[row], *key) for row in rows], "absent")
-                assert degrees == [column.get(row, "absent") for row in rows]
             stats = cache.stats
             assert stats.hits + stats.misses == looked_up
             assert stats.evictions == evicted

@@ -196,9 +196,7 @@ class TestShardedPruning:
 class TestClusterPruning:
     @pytest.mark.parametrize("num_nodes", SHARD_COUNTS)
     def test_cluster_identical(self, synthetic_database, num_nodes):
-        with ClusterQueryEngine(
-            database=synthetic_database, num_nodes=num_nodes, max_inflight_queries=1
-        ) as engine:
+        with ClusterQueryEngine(database=synthetic_database, num_nodes=num_nodes) as engine:
             _assert_matches_baseline(
                 synthetic_database,
                 engine,
@@ -209,9 +207,7 @@ class TestClusterPruning:
 
     def test_replicated_cluster_identical(self, synthetic_database):
         """Replica routing feeds the pruned scan the same exact degrees."""
-        with ClusterQueryEngine(
-            database=synthetic_database, num_nodes=3, replication=2, max_inflight_queries=1
-        ) as engine:
+        with ClusterQueryEngine(database=synthetic_database, num_nodes=3, replication=2) as engine:
             _assert_matches_baseline(
                 synthetic_database,
                 engine,
@@ -224,9 +220,7 @@ class TestClusterPruning:
         """Engine-level counters: the coordinator's pre-screen prunes before
         any fan-out, so on a small fixture the nodes may see no prunable row."""
         num_entities = len(synthetic_database.entities())
-        with ClusterQueryEngine(
-            database=synthetic_database, num_nodes=2, max_inflight_queries=1
-        ) as engine:
+        with ClusterQueryEngine(database=synthetic_database, num_nodes=2) as engine:
             engine.execute(SELECTIVE_QUERIES[0])
             assert 0 < engine.entities_scored < 2 * num_entities
             assert engine.entities_pruned > 0
@@ -238,9 +232,7 @@ class TestClusterPruning:
         full = ShardedSubjectiveQueryEngine(
             database=synthetic_database, num_shards=2, prune_topk=False
         )
-        with ClusterQueryEngine(
-            database=synthetic_database, num_nodes=2, max_inflight_queries=1
-        ) as engine:
+        with ClusterQueryEngine(database=synthetic_database, num_nodes=2) as engine:
             for sql in SELECTIVE_QUERIES:
                 assert_identical_results(in_process.execute(sql), engine.execute(sql), sql)
                 full.execute(sql)
@@ -249,17 +241,19 @@ class TestClusterPruning:
             assert all(entry["entities_scored"] > 0 for entry in remote)
             assert sum(entry["entities_scored"] for entry in remote) < full.entities_scored
 
-    def test_concurrent_batch_still_identical(self, synthetic_database):
-        """Pruning is disabled inside the concurrent batch, not broken by it."""
+    def test_fleet_batch_prunes_on_the_nodes(self, synthetic_database):
+        """A fleet ``run_batch`` is one pruned ``execute`` per query: the nodes
+        prune, the coordinator caches no degree, and every result is exact."""
+        queries = SELECTIVE_QUERIES + MIXED_QUERIES
         baseline = SubjectiveQueryEngine(database=synthetic_database)
-        with ClusterQueryEngine(
-            database=synthetic_database, num_nodes=2, max_inflight_queries=8
-        ) as engine:
-            batch = engine.run_batch(SELECTIVE_QUERIES + MIXED_QUERIES)
-            for sql, actual in zip(SELECTIVE_QUERIES + MIXED_QUERIES, batch.results):
+        with ClusterQueryEngine(database=synthetic_database, num_nodes=2) as engine:
+            batch = engine.run_batch(queries)
+            for sql, actual in zip(queries, batch.results):
                 assert_identical_results(baseline.execute(sql), actual, context=sql)
-            # Serial execution afterwards re-enables the pruned path.
-            engine.execute(SELECTIVE_QUERIES[0])
+            assert all(
+                entry["entities_pruned"] > 0 for entry in engine.sharded_store.partition_stats()
+            )
+            assert len(engine.membership_cache) == 0
 
 
 def _sharded(num_shards):
@@ -267,13 +261,11 @@ def _sharded(num_shards):
 
 
 def _cluster(database):
-    return ClusterQueryEngine(database=database, num_nodes=2, max_inflight_queries=1)
+    return ClusterQueryEngine(database=database, num_nodes=2)
 
 
 def _replicated_cluster(database):
-    return ClusterQueryEngine(
-        database=database, num_nodes=3, replication=2, max_inflight_queries=1
-    )
+    return ClusterQueryEngine(database=database, num_nodes=3, replication=2)
 
 
 class TestMixedShapesOnEveryEngine:

@@ -9,8 +9,9 @@ failure modes the service boundary introduces: protocol-version skew is a
 typed :class:`HandshakeError`, a lost node surfaces as
 :class:`WorkerCrashedError` and the fleet reconnects or respawns on the
 next query, a mid-batch ``data_version`` bump re-hydrates nodes before any
-stale degree can be served, and the concurrent ``run_batch`` coordinator
-returns results bit-identical to serial execution.
+stale degree can be served, and a fleet ``run_batch`` — one pruned
+``execute`` per query — returns results bit-identical to the serial
+processor.
 """
 
 from __future__ import annotations
@@ -421,9 +422,7 @@ class TestDifferentialEquivalence:
     def test_serial_run_batch_identical(self, hotel_database):
         """One query at a time through the batch path, fleet and all."""
         baseline = SubjectiveQueryEngine(database=hotel_database)
-        with ClusterQueryEngine(
-            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
-        ) as engine:
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as engine:
             expected = baseline.run_batch(HOTEL_QUERIES)
             actual = engine.run_batch(HOTEL_QUERIES)
             assert len(actual) == len(expected)
@@ -466,15 +465,11 @@ class TestReplicatedFleet:
                 assert_identical_results(baseline.execute(sql), engine.execute(sql), context=sql)
             assert all(stats["owned_slices"] == [0, 1, 2] for stats in store.node_stats())
 
-    def test_concurrent_run_batch_identical(self, hotel_database):
+    def test_run_batch_identical(self, hotel_database):
         batch = HOTEL_QUERIES * 2
         baseline = SubjectiveQueryEngine(database=hotel_database)
         with ClusterQueryEngine(
-            database=hotel_database,
-            num_nodes=2,
-            replication=2,
-            max_inflight_queries=8,
-            **FAST,
+            database=hotel_database, num_nodes=2, replication=2, **FAST
         ) as engine:
             expected = baseline.run_batch(batch)
             actual = engine.run_batch(batch)
@@ -484,56 +479,23 @@ class TestReplicatedFleet:
             assert engine.sharded_store.transport_counters()["slice_failovers"] == 0
 
 
-class TestConcurrentBatch:
-    def test_concurrent_run_batch_bit_identical_to_serial(self, hotel_database):
-        """Overlapped fan-outs must not change a single bit of any result."""
+class TestFleetBatch:
+    """A fleet ``run_batch`` is the serial batch: one ``execute`` per query,
+    each exactly what a fresh processor returns."""
+
+    def test_run_batch_bit_identical_to_the_processor(self, hotel_database):
         batch = HOTEL_QUERIES * 2
-        baseline = SubjectiveQueryEngine(database=hotel_database)
-        with ClusterQueryEngine(
-            database=hotel_database, num_nodes=2, max_inflight_queries=8, **FAST
-        ) as concurrent:
-            expected = baseline.run_batch(batch)
-            actual = concurrent.run_batch(batch)
-            assert len(actual) == len(expected)
-            for exp, act in zip(expected.results, actual.results):
-                assert_identical_results(exp, act)
+        processor = SubjectiveQueryProcessor(hotel_database)
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as engine:
+            actual = engine.run_batch(batch)
+            assert len(actual) == len(batch)
+            for sql, result in zip(batch, actual.results):
+                assert_identical_results(processor.execute(sql), result, context=sql)
 
-    def test_concurrent_cache_stats_match_serial_accounting(self, hotel_database):
-        """The concurrent batch reports what a serial execution would count.
-
-        The concurrent batch never prunes (its prefetch already fetched full
-        vectors), so the serial reference runs unpruned too: a pruned serial
-        query ranks on the nodes and touches no coordinator cache at all.
-        """
-        batch = HOTEL_QUERIES * 2
-        with ClusterQueryEngine(
-            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
-        ) as serial, ClusterQueryEngine(
-            database=hotel_database, num_nodes=2, max_inflight_queries=8, **FAST
-        ) as concurrent:
-            serial.prune_topk = False
-            serial_stats = serial.run_batch(batch).cache_stats
-            concurrent_stats = concurrent.run_batch(batch).cache_stats
-            for name in (
-                "plan_hits",
-                "plan_misses",
-                "membership_hits",
-                "membership_misses",
-                "candidate_hits",
-                "candidate_misses",
-                "rpc_requests",
-                "snapshot_hydrations",
-            ):
-                assert concurrent_stats[name] == serial_stats[name], name
-
-    def test_concurrent_batch_honors_use_markers_ablation(self, hotel_setup):
-        """Prefetch must not ship marker degrees when the ablation disables them.
-
-        The marker-free processor (``use_markers=False``) computes raw-
-        extraction degrees; a concurrent batch must produce exactly what a
-        serial one does — the prefetch may not route around the
-        processor's compute path.
-        """
+    def test_run_batch_honors_use_markers_ablation(self, hotel_setup):
+        """The marker-free processor (``use_markers=False``) computes raw-
+        extraction degrees; a fleet batch must return exactly what that
+        processor does, never marker degrees from the nodes."""
         from repro.core.membership import RawExtractionMembership
 
         database = hotel_setup.database
@@ -555,22 +517,17 @@ class TestConcurrentBatch:
             database=database, embedder=database.phrase_embedder
         ).fit(examples)
 
-        def build():
-            processor = SubjectiveQueryProcessor(
-                database, use_markers=False, raw_membership=raw
-            )
-            return ClusterQueryEngine(
-                database=database, processor=processor, num_nodes=2, **FAST
-            )
+        def build_processor():
+            return SubjectiveQueryProcessor(database, use_markers=False, raw_membership=raw)
 
         batch = HOTEL_QUERIES[:3] * 2
-        with build() as serial, build() as concurrent:
-            serial.max_inflight_queries = 1
-            concurrent.max_inflight_queries = 8
-            expected = serial.run_batch(batch)
-            actual = concurrent.run_batch(batch)
-            for exp, act in zip(expected.results, actual.results):
-                assert_identical_results(exp, act)
+        reference = build_processor()
+        with ClusterQueryEngine(
+            database=database, processor=build_processor(), num_nodes=2, **FAST
+        ) as engine:
+            actual = engine.run_batch(batch)
+            for sql, result in zip(batch, actual.results):
+                assert_identical_results(reference.execute(sql), result, context=sql)
 
     def test_transport_counters_surface_in_batch_stats(self, hotel_database):
         with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as engine:
@@ -579,10 +536,12 @@ class TestConcurrentBatch:
             assert batch.cache_stats["rpc_bytes_sent"] > 0
             assert batch.cache_stats["rpc_bytes_received"] > 0
             assert batch.cache_stats["snapshot_hydrations"] > 0
-            # A warm repeat ships nothing: all transport deltas are zero.
+            # A warm repeat ships no column data: each pruned query is one
+            # rank frame per node, answered from the nodes' rank memos.
             warm = engine.run_batch(HOTEL_QUERIES[:3])
-            assert warm.cache_stats["rpc_requests"] == 0
+            assert warm.cache_stats["rpc_requests"] == 2 * 3
             assert warm.cache_stats["snapshot_hydrations"] == 0
+            assert warm.cache_stats["snapshot_delta_hydrations"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -754,9 +713,7 @@ class TestInvalidation:
         )
 
         database = build_mutable_database()
-        with ClusterQueryEngine(
-            database=database, num_nodes=3, max_inflight_queries=4, **FAST
-        ) as engine:
+        with ClusterQueryEngine(database=database, num_nodes=3, **FAST) as engine:
             store = engine.sharded_store
             sql = 'select * from Entities where "clean room" limit 6'
             stale = engine.execute(sql)
@@ -900,9 +857,7 @@ class TestColdQueryCost:
             return spawn_node(store, index, membership)
 
         monkeypatch.setattr(ClusterShardStore, "_spawn_node", spy)
-        with ClusterQueryEngine(
-            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
-        ) as cluster:
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as cluster:
             store = cluster.sharded_store
             membership = cluster.processor.membership
             attribute = next(iter(hotel_database.schema.subjective_attributes)).name
@@ -924,9 +879,7 @@ class TestColdQueryCost:
     def test_cold_pruned_query_is_one_rank_frame_per_node(self, hotel_database):
         """A pruned query cold at the coordinator costs one frame per node: the
         nodes rank their own slices, no bounded score frame is sent."""
-        with ClusterQueryEngine(
-            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
-        ) as cluster:
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as cluster:
             expected = SubjectiveQueryEngine(database=hotel_database).execute(PRUNABLE_QUERY)
             cluster.execute(PRUNABLE_QUERY)  # fleet up and hydrated
             cluster.membership_cache.clear()
@@ -945,9 +898,7 @@ class TestColdQueryCost:
         the nodes, than one coordinator chunk holds."""
         database = build_synthetic_columnar_database(num_entities=1600, seed=11)
         sql = 'select * from Entities where "word003" and "word019" limit 10'
-        with ClusterQueryEngine(
-            database=database, num_nodes=2, max_inflight_queries=1, **FAST
-        ) as cluster:
+        with ClusterQueryEngine(database=database, num_nodes=2, **FAST) as cluster:
             # Fleet up, both attributes hydrated, neither queried phrase seen.
             cluster.execute('select * from Entities where "word001" and "word017" limit 3')
             store = cluster.sharded_store
@@ -974,9 +925,7 @@ class TestColdQueryCost:
             return envelope(store, membership, attribute, phrase)
 
         monkeypatch.setattr(ColumnarSummaryStore, "degree_envelope", spy)
-        with ClusterQueryEngine(
-            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
-        ) as cluster:
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as cluster:
             expected = SubjectiveQueryEngine(database=hotel_database).execute(PRUNABLE_QUERY)
             calls.clear()  # the reference engine above may use the envelope
             assert_identical_results(expected, cluster.execute(PRUNABLE_QUERY))
@@ -991,9 +940,7 @@ class TestColdQueryCost:
         on the nodes.  Both answer like the in-process engine."""
         sql = 'select * from Entities where ' + "not " * nots + '"has really clean rooms" limit 3'
         expected = SubjectiveQueryProcessor(hotel_database).execute(sql)
-        with ClusterQueryEngine(
-            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
-        ) as cluster:
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as cluster:
             assert_identical_results(expected, cluster.execute(sql))
             ranked = [node["rank_requests"] for node in cluster.sharded_store.node_stats()]
         assert ranked == ([1, 1] if nots + 1 <= MAX_TREE_DEPTH else [0, 0])
@@ -1001,9 +948,7 @@ class TestColdQueryCost:
     def test_a_query_the_coordinator_cache_holds_sends_no_frame(self, hotel_database):
         """Every degree already cached on the coordinator (an unpruned ranking
         left the columns): the pruned query is answered from the cache, no frame."""
-        with ClusterQueryEngine(
-            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
-        ) as cluster:
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as cluster:
             expected = SubjectiveQueryEngine(database=hotel_database).execute(PRUNABLE_QUERY)
             cluster.prune_topk = False
             cluster.execute(PRUNABLE_QUERY)  # fills the columns
@@ -1020,9 +965,7 @@ class TestColdQueryCost:
     ):
         """A reply with more or fewer degree columns than the query has
         predicates is refused as an ``RpcError``, never merged."""
-        with ClusterQueryEngine(
-            database=hotel_database, num_nodes=2, max_inflight_queries=1, **FAST
-        ) as cluster:
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as cluster:
             reply = RankReply(
                 np.array([0], dtype=np.uint32), np.array([0.5]), np.zeros((1, width)), 1, 1, 0
             )
@@ -1090,10 +1033,6 @@ class TestStatsAndLifecycle:
             ClusterQueryEngine(database=hotel_database, num_nodes=0)
         with pytest.raises(ValueError):
             ClusterShardStore(hotel_database, num_nodes=4, num_slices=2)
-        with pytest.raises(ValueError):
-            ClusterQueryEngine(
-                database=hotel_database, num_nodes=2, max_inflight_queries=0
-            )
         with pytest.raises(ValueError):
             ClusterShardStore(
                 hotel_database, num_nodes=3, addresses=[("127.0.0.1", 1)]

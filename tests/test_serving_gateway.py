@@ -27,6 +27,7 @@ import threading
 
 import pytest
 
+from repro.core import SubjectiveQueryProcessor
 from repro.serving import (
     AdmissionController,
     AsyncGatewayClient,
@@ -330,37 +331,60 @@ class TestCoalescing:
         assert counters.batched_queries == 4
 
 
+def flush_once(engine, top_k=None):
+    """Send every ``HOTEL_QUERIES`` query while the engine thread is stalled,
+    so the gateway runs them as one flush; returns (replies, counters)."""
+
+    async def body():
+        gateway = ServingGateway(engine, batch_window=0.005)
+        host, port = await gateway.start()
+        try:
+            with BlockedEngine(gateway) as blocked:
+                client = await AsyncGatewayClient.connect(host, port)
+                tasks = [
+                    asyncio.ensure_future(client.query(sql, top_k=top_k)) for sql in HOTEL_QUERIES
+                ]
+                while gateway.counters.requests < len(HOTEL_QUERIES):
+                    await asyncio.sleep(0.005)
+                blocked.release()
+                replies = await asyncio.gather(*tasks)
+            await client.close()
+        finally:
+            await gateway.stop()
+        return replies, gateway.counters
+
+    return run(body())
+
+
 class TestMicroBatching:
     def test_concurrent_distinct_queries_fold_into_one_run_batch(self, hotel_database):
         engine = SubjectiveQueryEngine(database=hotel_database)
         expected = {sql: engine.execute(sql, top_k=5) for sql in HOTEL_QUERIES}
-
-        async def body():
-            gateway = ServingGateway(engine, batch_window=0.005)
-            host, port = await gateway.start()
-            try:
-                with BlockedEngine(gateway) as blocked:
-                    client = await AsyncGatewayClient.connect(host, port)
-                    tasks = [
-                        asyncio.ensure_future(client.query(sql, top_k=5))
-                        for sql in HOTEL_QUERIES
-                    ]
-                    while gateway.counters.requests < len(HOTEL_QUERIES):
-                        await asyncio.sleep(0.005)
-                    blocked.release()
-                    replies = await asyncio.gather(*tasks)
-                await client.close()
-            finally:
-                await gateway.stop()
-            return replies, gateway.counters
-
-        replies, counters = run(body())
+        replies, counters = flush_once(engine, top_k=5)
         for sql, reply in zip(HOTEL_QUERIES, replies):
             assert_reply_matches(reply, expected[sql])
         assert counters.batches == 1
         assert counters.batched_queries == len(HOTEL_QUERIES)
         assert counters.shared_batch_queries == len(HOTEL_QUERIES)
         assert counters.max_batch_size == len(HOTEL_QUERIES)
+
+    def test_a_fleet_flush_ranks_every_query_on_the_nodes(self, hotel_database):
+        """One flush of distinct queries over a 2-node fleet is one pruned
+        ``execute`` per query: bit-identical to the processor, one rank
+        frame per node for each query, and no degree cached on the
+        coordinator."""
+        processor = SubjectiveQueryProcessor(hotel_database)
+        expected = {sql: processor.execute(sql) for sql in HOTEL_QUERIES}
+        with ClusterQueryEngine(database=hotel_database, num_nodes=2, **FAST) as engine:
+            replies, counters = flush_once(engine)
+            ranked = [node["rank_requests"] for node in engine.sharded_store.node_stats()]
+            cached = len(engine.membership_cache)
+        for sql, reply in zip(HOTEL_QUERIES, replies):
+            assert_reply_matches(reply, expected[sql])
+        assert counters.batches == 1
+        assert counters.max_batch_size == len(HOTEL_QUERIES)
+        assert ranked == [len(HOTEL_QUERIES)] * 2
+        assert cached == 0
 
     def test_one_bad_query_does_not_poison_its_batchmates(self, hotel_database):
         engine = SubjectiveQueryEngine(database=hotel_database)

@@ -69,6 +69,14 @@ class TestPpmiSvd:
             second.similarity("clean", "dirty")
         )
 
+    def test_two_fits_are_byte_identical(self):
+        """ARPACK starts from a fixed vector, so refits agree to the last bit."""
+        first = PpmiSvdEmbeddings(dimension=8, min_count=1).fit(SMALL_CORPUS)
+        second = PpmiSvdEmbeddings(dimension=8, min_count=1).fit(SMALL_CORPUS)
+        assert list(first.vocabulary) == list(second.vocabulary)
+        for token in first.vocabulary:
+            assert first.vector(token).tobytes() == second.vector(token).tobytes(), token
+
 
 class TestSkipGram:
     def test_trains_and_exposes_vectors(self):
